@@ -22,12 +22,12 @@ from .ideal import (MonomialIdeal, colon, components_by_support, cone,
                     direct_sum, generator_word, ideal_intersect, ideal_sum,
                     irreducible_decomposition, normalize, slice_last,
                     unit_ideal, zero_ideal)
-from .hilbert import (HilbertProfile, canonical_decomposition,
-                      complement_count_by_slices, height, hilbert_fn,
-                      hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
-                      lex_segment_ideal, minimizing_coefficients, phi_poly,
-                      poly_from_a_sequence, psi_ideal, psi_poly, realize_poly,
-                      stability_index, threshold)
+from .hilbert import (HilbertProfile, canonical_decomposition, height,
+                      hilbert_fn, hilbert_profile, hilbert_samuel_fn,
+                      hilbert_samuel_poly, lex_segment_ideal,
+                      minimizing_coefficients, phi_poly, poly_from_a_sequence,
+                      psi_ideal, psi_poly, realize_poly, stability_index,
+                      threshold)
 from .orderings import bounds_report, kb_cmp, min_type_cmp, triangle_cmp
 from .chains import (BoundFn, ell, extremal_sequence, h_bound,
                      is_bad_sequence, max_bad_degree_growth, t_bound)

@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded, DataError
 from .ivpoly import binomial
+from .monom import divides, points_of_degree
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -219,8 +220,6 @@ class SearchResult(NamedTuple):
 
 def _antichains(points):
     """All antichains (as tuples) within a divisibility-sorted point list."""
-    from .monom import divides
-
     out = [()]
     for p in points:
         out.extend(chain + (p,) for chain in list(out)
@@ -243,8 +242,7 @@ def max_bad_degree_growth(m, f, cap):
         raise DataError("m must be >= 1")
 
     def points_up_to(d):
-        from .hilbert import _points_of_degree
-        return [v for n in range(d + 1) for v in _points_of_degree(m, n)]
+        return [v for n in range(d + 1) for v in points_of_degree(m, n)]
 
     candidates = {}
 

@@ -258,11 +258,11 @@ def cmd_compare(args):
 
 def cmd_hilbert(args):
     e = load_ideal(args.file)
-    p, t = hilbert.hilbert_samuel_poly(e)
-    window = t + 2 * e.dim
-    hs = [hilbert.hilbert_fn(e, n) for n in range(window + 1)]
-    cum = [hilbert.hilbert_samuel_fn(e, s) for s in range(window + 1)]
     prof = hilbert.hilbert_profile(e)
+    p, t = prof.p, prof.threshold
+    window = t + 2 * e.dim
+    hs = [prof.hilbert_fn(n) for n in range(window + 1)]
+    cum = [prof.hilbert_samuel_fn(s) for s in range(window + 1)]
     payload = {
         "H": hs,
         "h": cum,
@@ -272,7 +272,7 @@ def cmd_hilbert(args):
         "psi": format_ordinal(prof.psi),
         "phi": prof.phi,
         "n0": prof.n0,
-        "height": format_ordinal(hilbert.height(e)),
+        "height": format_ordinal(prof.psi),
     }
     text = (f"p = {p}\nthreshold = {t}\nH = {hs}\nh = {cum}\n"
             f"c = {payload['c']}\npsi = {payload['psi']}\n"

@@ -5,39 +5,87 @@ and h_E(s) = sum of H_E over degrees <= s.  From some threshold on, h_E
 agrees with an integer-valued polynomial p_E; its minimizing coefficients
 give the ordinal psi(E) < w^m + 1 that measures the height of E in the
 containment order.
+
+All three are read off one exact object, the K-polynomial
+N(t) = sum over generator subsets S of (-1)^|S| t^(deg lcm S), so that
+sum_n H_E(n) t^n = N(t) / (1 - t)^m.  It is computed once per call by
+pivot recursion rather than by summing over the 2^n subsets.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, DataError, WindowExhausted
+from .errors import DataError, WindowExhausted
+from .ideal import minimal_points, normalize
 from .ivpoly import IVPoly, binom_poly, binomial, from_samples, macaulay_next, shift
-from .monom import degree, vec_max
+from .monom import degree, points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
 
 
-def _subset_lcm_degrees(gens, max_gens):
-    """Degrees of lcms of all nonempty generator subsets, with signs.
+def _numerator(e):
+    """The K-polynomial N(t) of e as (degree, coefficient) pairs, in
+    increasing degree, with nonzero coefficients.
 
-    Yields (sign, degree) where sign is (-1)^(|S|+1); the inclusion-
-    exclusion workhorse.
+    Pivot recursion (Bayer-Stillman, JSC 14 (1992); Bigatti, JPAA 119
+    (1997)): N(I) = N(I + x_i^a) + t^a N(I : x_i^a).  The pivot variable
+    x_i is the one in the most mixed generators (those with two or more
+    variables) and a is the median exponent of x_i among them, so x_i^a is
+    not in I and both sides have a smaller total generator degree.  Once
+    the generators have pairwise disjoint supports,
+    N = prod over generators g of (1 - t^deg g): 1 for the zero ideal and 0
+    for the unit ideal.
     """
-    if len(gens) > max_gens:
-        raise BudgetExceeded(
-            f"{len(gens)} generators exceed the inclusion-exclusion cap "
-            f"({max_gens}); use complement_count_by_slices instead",
-            spent=len(gens))
-    lcms = {0: None}
-    out = []
-    for mask in range(1, 1 << len(gens)):
-        low = (mask & -mask).bit_length() - 1
-        rest = lcms[mask & (mask - 1)]
-        cur = gens[low] if rest is None else vec_max(gens[low], rest)
-        lcms[mask] = cur
-        out.append((1 if bin(mask).count("1") % 2 else -1, sum(cur)))
-    return out
+    acc = Counter()
+    todo = [(e.gens, 0)]
+    while todo:
+        gens, offset = todo.pop()
+        pivot = _pivot(gens)
+        if pivot is None:
+            terms = Counter({offset: 1})
+            for g in gens:
+                terms.subtract({k + sum(g): c for k, c in terms.items()})
+            acc.update(terms)
+            continue
+        i, a = pivot
+        todo.append((tuple(g for g in gens if g[i] < a)
+                     + (unit_vec(len(gens[0]), i, a),), offset))
+        todo.append((minimal_points(g[:i] + (max(g[i] - a, 0),) + g[i + 1:]
+                                    for g in gens), offset + a))
+    return tuple(sorted((k, c) for k, c in acc.items() if c))
+
+
+def _pivot(gens):
+    """The pivot (i, a) for _numerator, or None when the generators have
+    pairwise disjoint supports."""
+    supports = [[i for i, x in enumerate(g) if x] for g in gens]
+    if sum(map(len, supports)) == len(set().union(*supports)):
+        return None
+    mixed = [(g, sup) for g, sup in zip(gens, supports) if len(sup) > 1]
+    i = Counter(i for _, sup in mixed for i in sup).most_common(1)[0][0]
+    exps = sorted(g[i] for g, _ in mixed if g[i])
+    return i, exps[len(exps) // 2]
+
+
+def _hilbert_value(num, m, n):
+    """H(n) = sum_k N_k C(n - k + m - 1, m - 1) over the terms with k <= n.
+
+    With m + 1 for m this is h(s): h_E is H of the cone over E, which has
+    the same numerator in one more variable.
+    """
+    if n < 0:
+        raise DataError("degree must be a natural number")
+    return sum(c * comb(n - k + m - 1, m - 1) for k, c in num if k <= n)
+
+
+def _samuel_poly(num, m):
+    """p_E = sum_k N_k C(T - k + m, m), the sum of N_k * binom_poly(k, m),
+    recovered from its values at T = 0..m."""
+    return from_samples([sum(c * binomial(t - k + m, m) for k, c in num)
+                         for t in range(m + 1)])
 
 
 def threshold(e):
@@ -46,87 +94,25 @@ def threshold(e):
     This equals the largest lcm degree over generator subsets, since lcms
     only grow as subsets do.  Zero for the zero and unit ideals.
     """
-    if e.is_zero():
-        return 0
-    lcm = e.gens[0]
-    for g in e.gens[1:]:
-        lcm = vec_max(lcm, g)
-    return sum(lcm)
+    return sum(map(max, zip(*e.gens)))
 
 
-def hilbert_fn(e, n, max_gens=16):
+def hilbert_fn(e, n):
     """H_E(n): the number of degree-n points of N^m outside E."""
-    if n < 0:
-        raise DataError("degree must be a natural number")
-    m = e.dim
-    total = binomial(n + m - 1, m - 1)
-    inside = sum(sign * binomial(n - c + m - 1, m - 1)
-                 for sign, c in _subset_lcm_degrees(e.gens, max_gens)
-                 if n >= c)
-    return total - inside
+    return _hilbert_value(_numerator(e), e.dim, n)
 
 
-def hilbert_samuel_fn(e, s, max_gens=16):
+def hilbert_samuel_fn(e, s):
     """h_E(s): the number of points of degree <= s outside E."""
-    if s < 0:
-        raise DataError("degree must be a natural number")
-    m = e.dim
-    total = binomial(s + m, m)
-    inside = sum(sign * binomial(s - c + m, m)
-                 for sign, c in _subset_lcm_degrees(e.gens, max_gens)
-                 if s >= c)
-    return total - inside
+    return _hilbert_value(_numerator(e), e.dim + 1, s)
 
 
-def complement_count_by_slices(e, s):
-    """h_E(s) by direct lattice counting, slicing off the last coordinate.
-
-    Linear in s per slice instead of exponential in the generator count;
-    the fallback when inclusion-exclusion is too wide.
-    """
-    from .ideal import slice_last
-
-    memo = {}
-
-    def count(f, budget):
-        if budget < 0:
-            return 0
-        if f.is_unit():
-            return 0
-        key = (f.gens, f.dim, budget)
-        if key in memo:
-            return memo[key]
-        if f.dim == 1:
-            if f.is_zero():
-                out = budget + 1
-            else:
-                out = min(f.gens[0][0], budget + 1)
-        else:
-            out = sum(count(slice_last(f, j), budget - j)
-                      for j in range(budget + 1))
-        memo[key] = out
-        return out
-
-    if s < 0:
-        raise DataError("degree must be a natural number")
-    return count(e, s)
-
-
-def hilbert_samuel_poly(e, max_gens=16):
+def hilbert_samuel_poly(e):
     """The polynomial p_E with h_E(s) = p_E(s) for all s >= threshold(e).
 
-    Returns the pair (p_E, threshold).  Falls back to sampling h_E just
-    past the threshold when the generator count exceeds ``max_gens``.
+    Returns the pair (p_E, threshold).
     """
-    m = e.dim
-    t = threshold(e)
-    if len(e.gens) <= max_gens:
-        p = binom_poly(0, m)
-        for sign, c in _subset_lcm_degrees(e.gens, max_gens):
-            p = p - binom_poly(c, m).scale(sign)
-        return p, t
-    samples = [complement_count_by_slices(e, t + i) for i in range(m + 1)]
-    return shift(from_samples(samples), -t), t
+    return _samuel_poly(_numerator(e), e.dim), threshold(e)
 
 
 class MinimizingCoefficients(NamedTuple):
@@ -180,15 +166,18 @@ def psi_poly(p, m):
     """
     if p == binom_poly(0, m):
         return omega_pow(m)
+    return Ord(tuple((Ord.from_int(m - 1 - i), ci)
+                     for i, ci in enumerate(_realizable(p, m)) if ci))
+
+
+def _realizable(p, m):
+    """The minimizing coefficients of p; a DataError if one is negative,
+    since then no ideal realizes p."""
     mc = minimizing_coefficients(p, m)
     if not mc.valid:
         raise DataError(
             f"no ideal realizes this polynomial (c_{mc.first_negative} < 0)")
-    terms = []
-    for i, ci in enumerate(mc.c):
-        if ci:
-            terms.append((Ord.from_int(m - 1 - i), ci))
-    return Ord(tuple(terms))
+    return mc.c
 
 
 def a_sequence(c):
@@ -217,11 +206,7 @@ def poly_from_a_sequence(seq):
 def canonical_decomposition(p, m):
     """The canonical exponent list a_1 >= ... >= a_s of a realizable p;
     poly_from_a_sequence inverts it exactly."""
-    mc = minimizing_coefficients(p, m)
-    if not mc.valid:
-        raise DataError(
-            f"no ideal realizes this polynomial (c_{mc.first_negative} < 0)")
-    return tuple(a_sequence(mc.c))
+    return tuple(a_sequence(_realizable(p, m)))
 
 
 def phi_poly(p, m):
@@ -238,13 +223,7 @@ def realize_poly(p, m):
     realize the remainder q one variable down, giving
     E = (x_m^(b_d + 1)) + x_m^(b_d) * J.
     """
-    from .ideal import normalize
-    from .monom import unit_vec
-
-    mc = minimizing_coefficients(p, m)  # also validates the preconditions
-    if not mc.valid:
-        raise DataError(
-            f"no ideal realizes this polynomial (c_{mc.first_negative} < 0)")
+    _realizable(p, m)  # validates p
     d = p.degree
     if d <= 0:
         k = p.coeffs[0]
@@ -301,16 +280,22 @@ def stability_index(e, margin=8, max_window=None):
     """
     if e.is_zero() or e.is_unit():
         raise DataError("stability index needs a nonzero proper ideal")
-    p, t = hilbert_samuel_poly(e)
-    cert = max(t + 1, phi_poly(p, e.dim))
-    window = max(cert + 1, t + e.dim + margin)
+    num = _numerator(e)
+    return _stability_index(num, e.dim, _samuel_poly(num, e.dim),
+                            threshold(e), margin, max_window)
+
+
+def _stability_index(num, m, p, t, margin=8, max_window=None):
+    """stability_index from the numerator, p_E and the threshold."""
+    cert = max(t + 1, phi_poly(p, m))
+    window = max(cert + 1, t + m + margin)
     if max_window is not None:
         if max_window < cert + 1:
             raise WindowExhausted(
                 f"window {max_window} ends before the certified bound "
                 f"{cert + 1}")
         window = min(window, max_window)
-    hvals = [hilbert_fn(e, n) for n in range(window + 1)]
+    hvals = [_hilbert_value(num, m, n) for n in range(window + 1)]
     n0 = 1
     for n in range(1, window):
         if hvals[n + 1] != macaulay_next(hvals[n], n):
@@ -318,16 +303,6 @@ def stability_index(e, margin=8, max_window=None):
                 raise AssertionError("growth broke past the certified bound")
             n0 = n + 1
     return N0Result(n0, window, True)
-
-
-def _points_of_degree(m, n):
-    """Degree-n points of N^m in increasing lex order."""
-    if m == 1:
-        return [(n,)]
-    out = []
-    for first in range(n + 1):
-        out.extend((first,) + rest for rest in _points_of_degree(m - 1, n - first))
-    return out
 
 
 def lex_segment_ideal(e, bound):
@@ -338,18 +313,16 @@ def lex_segment_ideal(e, bound):
     ``bound``, and the kept layers must glue into a final segment;
     otherwise the bound is too small and a DataError is raised.
     """
-    from .ideal import normalize
-
     m = e.dim
     if any(degree(g) > bound for g in e.gens):
         raise DataError(
             f"bound {bound} is below a generator degree; no lex segment "
             "can be read off")
+    num = _numerator(e)
     layers = []
     for n in range(bound + 1):
-        pts = _points_of_degree(m, n)
-        h = hilbert_fn(e, n)
-        layers.append(set(pts[h:]))
+        pts = points_of_degree(m, n)
+        layers.append(set(pts[_hilbert_value(num, m, n):]))
     for n in range(bound):
         for v in layers[n]:
             for i in range(m):
@@ -369,18 +342,29 @@ class HilbertProfile:
     p: IVPoly
     threshold: int
     c: tuple | None  # minimizing coefficients, None for zero/unit ideal
-    psi: Ord
+    psi: Ord  # the height: psi(E), or w^m / 0 for the zero / unit ideal
     phi: int | None
     a_seq: tuple | None
     n0: int | None
+    numerator: tuple  # N(t) as (degree, coefficient) pairs
+
+    def hilbert_fn(self, n):
+        """H_E(n), read off the numerator."""
+        return _hilbert_value(self.numerator, self.dim, n)
+
+    def hilbert_samuel_fn(self, s):
+        """h_E(s), read off the numerator."""
+        return _hilbert_value(self.numerator, self.dim + 1, s)
 
 
 def hilbert_profile(e):
-    """Assemble the HilbertProfile of an ideal."""
-    p, t = hilbert_samuel_poly(e)
+    """Assemble the HilbertProfile of an ideal from one numerator."""
+    m = e.dim
+    num = _numerator(e)
+    p, t = _samuel_poly(num, m), threshold(e)
     if e.is_zero() or e.is_unit():
-        return HilbertProfile(e.dim, p, t, None, height(e), None, None, None)
-    mc = minimizing_coefficients(p, e.dim)
+        return HilbertProfile(m, p, t, None, height(e), None, None, None, num)
+    mc = minimizing_coefficients(p, m)
     seq = tuple(a_sequence(mc.c))
-    return HilbertProfile(e.dim, p, t, mc.c, psi_poly(p, e.dim), len(seq),
-                          seq, stability_index(e).n0)
+    return HilbertProfile(m, p, t, mc.c, psi_poly(p, m), len(seq), seq,
+                          _stability_index(num, m, p, t).n0, num)

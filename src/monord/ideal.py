@@ -74,12 +74,17 @@ def normalize(dim, points):
         if len(p) != dim:
             raise DataError(f"point {p!r} does not live in N^{dim}")
         pts.append(p)
-    pts = sorted(set(pts), key=_deglex_key)
+    return MonomialIdeal(dim, minimal_points(pts))
+
+
+def minimal_points(points):
+    """The distinct minimal points of a finite set of points of one N^m
+    under divisibility, sorted by deglex."""
     minimal = []
-    for p in pts:
+    for p in sorted(set(points), key=_deglex_key):
         if not any(divides(q, p) for q in minimal):
             minimal.append(p)
-    return MonomialIdeal(dim, tuple(minimal))
+    return tuple(minimal)
 
 
 def zero_ideal(dim):

@@ -14,9 +14,12 @@ from .errors import DataError
 
 
 def binomial(x, k):
-    """C(x, k) for any integer x and natural k (polynomial extension)."""
+    """C(x, k) for any integer x and natural k: ``math.comb`` for x >= 0,
+    below that the falling factorial over k! (polynomial extension)."""
     if k < 0:
         raise ValueError("lower index must be a natural number")
+    if x >= 0:
+        return math.comb(x, k)
     num = 1
     for j in range(k):
         num *= x - j

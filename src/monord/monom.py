@@ -58,6 +58,14 @@ def unit_vec(m, i, scale=1):
     return tuple(v)
 
 
+def points_of_degree(m, n):
+    """Degree-n points of N^m in increasing lex order."""
+    if m == 1:
+        return [(n,)]
+    return [(first,) + rest for first in range(n + 1)
+            for rest in points_of_degree(m - 1, n - first)]
+
+
 @dataclass(frozen=True)
 class TermOrder:
     """A term order on N^m: ``lex``, ``deglex``, or an integer matrix order.

@@ -11,6 +11,7 @@ from functools import lru_cache
 from math import comb
 
 from monord import divides, normalize
+from monord.ivpoly import binom_poly
 
 
 def points_of_degree(m, n):
@@ -42,10 +43,20 @@ def naive_hilbert_samuel(e, s):
 
 def slice_count(e, s):
     """h_e(s) by recursion on the last coordinate; independent of the
-    library's inclusion-exclusion."""
+    library's Hilbert numerator."""
+    return slice_counter(e)(s)
 
-    def gens_slice(gens, j):
-        return tuple(sorted({g[:-1] for g in gens if g[-1] <= j}))
+
+def slice_counter(e):
+    """s -> h_e(s) as slice_count computes it, with one memo for every s."""
+
+    @lru_cache(maxsize=None)
+    def slices(gens):
+        """The slices at j = 0, 1, ..., up to the largest last coordinate,
+        past which they stay the same."""
+        top = max((g[-1] for g in gens), default=0)
+        return [tuple(sorted({g[:-1] for g in gens if g[-1] <= j}))
+                for j in range(top + 1)]
 
     @lru_cache(maxsize=None)
     def count(gens, m, budget):
@@ -56,10 +67,42 @@ def slice_count(e, s):
         if m == 1:
             bound = min((g[0] for g in gens), default=budget + 1)
             return min(bound, budget + 1)
-        return sum(count(gens_slice(gens, j), m - 1, budget - j)
+        sl = slices(gens)
+        return sum(count(sl[min(j, len(sl) - 1)], m - 1, budget - j)
                    for j in range(budget + 1))
 
-    return count(tuple(e.gens), e.dim, s)
+    return lambda s: count(tuple(e.gens), e.dim, s)
+
+
+def subset_lcm_degrees(gens):
+    """(sign, deg lcm S) over all nonempty generator subsets S, with sign
+    (-1)^(|S|+1): the 2^n inclusion-exclusion the library once used."""
+    lcms = {0: None}
+    out = []
+    for mask in range(1, 1 << len(gens)):
+        low = (mask & -mask).bit_length() - 1
+        rest = lcms[mask & (mask - 1)]
+        cur = gens[low] if rest is None else tuple(map(max, gens[low], rest))
+        lcms[mask] = cur
+        out.append((1 if bin(mask).count("1") % 2 else -1, sum(cur)))
+    return out
+
+
+def ie_numerator(e):
+    """The K-polynomial sum_S (-1)^|S| t^(deg lcm S) by inclusion-exclusion,
+    as (degree, coefficient) pairs in increasing degree, zeros dropped."""
+    acc = {0: 1}
+    for sign, c in subset_lcm_degrees(e.gens):
+        acc[c] = acc.get(c, 0) - sign
+    return tuple(sorted((k, c) for k, c in acc.items() if c))
+
+
+def ie_hilbert_samuel_poly(e):
+    """p_E = C(T + m, m) - sum_S sign * C(T - deg lcm S + m, m)."""
+    p = binom_poly(0, e.dim)
+    for sign, c in subset_lcm_degrees(e.gens):
+        p = p - binom_poly(c, e.dim).scale(sign)
+    return p
 
 
 def brute_comm_leq(u, v):
@@ -95,6 +138,15 @@ def random_ideal(rng, m, max_gens, max_deg, allow_zero=False, allow_unit=False):
         if e.is_unit() and not allow_unit:
             continue
         return e
+
+
+def random_wide_ideal(rng, m, k):
+    """An ideal of N^m with k generators: k distinct points of the lowest
+    degree d >= 1 with room for them, so no two divide each other."""
+    d = 1
+    while comb(d + m - 1, m - 1) < k:
+        d += 1
+    return normalize(m, rng.sample(points_of_degree(m, d), k))
 
 
 def random_artinian_staircase(rng, colength):

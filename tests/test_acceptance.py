@@ -9,16 +9,17 @@ import numpy as np
 
 from monord import (IVPoly, OMEGA, Ord, binomial, bounds_report, cmp, cone,
                     direct_sum, dominance_cmp, ell, height, hilbert_fn,
-                    hilbert_samuel_fn, hilbert_samuel_poly, ideal_intersect,
-                    ideal_sum,
+                    hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
+                    ideal_intersect, ideal_sum,
                     irreducible_decomposition, is_osequence, kb_cmp,
                     comm_leq, components_by_support, min_type_cmp,
                     minimizing_coefficients, nat_pow, nat_prod, nat_sum,
                     normalize, omega_pow, psi_poly, triangle_cmp)
 from monord.ideal import irreducible_component_ideal
 from oracles import (antichains, longest_downset_chain,
-                     max_decreasing_sequence, points_up_to,
-                     random_artinian_staircase, random_ideal)
+                     max_decreasing_sequence, points_of_degree, points_up_to,
+                     random_artinian_staircase, random_ideal, slice_counter,
+                     stepwise_macaulay_next)
 
 HILBERT_VALUES = []  # (m, H values) collected by criterion 3 for criterion 4
 
@@ -284,3 +285,25 @@ def test_criterion_10_ordinal_laws(capsys):
                 omega_pow(nat_pow(nat_sum(OMEGA, one), m))
 
     report(capsys, 10, "ordinal arithmetic laws", body)
+
+
+def test_criterion_11_wide_profile(capsys):
+    # the ROADMAP baseline case that took 18.8 s by inclusion-exclusion
+    rng = random.Random(211)
+    e = normalize(3, rng.sample(points_of_degree(3, 6), 16))
+    holder = []
+
+    def body():
+        holder.append(hilbert_profile(e))
+
+    report(capsys, 11, "hilbert_profile, m=3, 16 gens", body, limit=2.0)
+    prof = holder[0]
+    h = slice_counter(e)
+    t = prof.threshold
+    for s in range(t, t + 4):
+        assert prof.p(s) == h(s)
+    hv = [h(n) - h(n - 1) for n in range(t + 8)]
+    for n in range(1, t + 6):
+        grows = hv[n + 1] == stepwise_macaulay_next(hv[n], n)
+        assert grows or n < prof.n0
+        assert not (grows and n == prof.n0 - 1)

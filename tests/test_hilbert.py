@@ -3,19 +3,24 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from monord import (BudgetExceeded, DataError, IVPoly, WindowExhausted,
-                    canonical_decomposition, cmp, cone, complement_count_by_slices,
-                    direct_sum, dominance_cmp, height, hilbert_fn,
+from monord import (DataError, IVPoly, WindowExhausted,
+                    canonical_decomposition, cmp, cone, direct_sum,
+                    dominance_cmp, from_samples, height, hilbert_fn,
                     hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
                     is_osequence, lex_segment_ideal, macaulay_next,
                     minimizing_coefficients, normalize, omega_pow,
                     parse_ordinal, phi_poly, poly_from_a_sequence, psi_ideal,
-                    psi_poly, realize_poly, stability_index, unit_ideal,
-                    zero_ideal)
+                    psi_poly, realize_poly, shift, stability_index, threshold,
+                    unit_ideal, zero_ideal)
+from monord.hilbert import _numerator
 from monord.ivpoly import binom_poly
-from oracles import (naive_hilbert, naive_hilbert_samuel, points_up_to,
-                     random_artinian_staircase, random_ideal, slice_count)
+from oracles import (ie_hilbert_samuel_poly, ie_numerator, naive_hilbert,
+                     naive_hilbert_samuel, points_up_to,
+                     random_artinian_staircase, random_ideal,
+                     random_wide_ideal, slice_count, slice_counter,
+                     stepwise_macaulay_next)
 
 
 def o(text):
@@ -37,10 +42,22 @@ class TestHilbertFn:
         with pytest.raises(DataError):
             hilbert_fn(zero_ideal(2), -1)
 
-    def test_generator_cap(self):
-        e = normalize(2, [(3, 0), (2, 1), (1, 2), (0, 3)])
-        with pytest.raises(BudgetExceeded):
-            hilbert_fn(e, 5, max_gens=3)
+    def test_no_generator_cap(self):
+        # 20 generators, past the 16 where inclusion-exclusion used to refuse
+        e = random_wide_ideal(random.Random(37), 3, 20)
+        assert len(e.gens) == 20
+        p, t = hilbert_samuel_poly(e)
+        for n in range(t + 3):
+            assert hilbert_fn(e, n) == naive_hilbert(e, n)
+            assert hilbert_samuel_fn(e, n) == slice_count(e, n)
+        for s in range(t, t + 4):
+            assert p(s) == slice_count(e, s)
+        res = stability_index(e)
+        hv = [naive_hilbert(e, n) for n in range(res.window + 1)]
+        for n in range(res.n0, res.window):
+            assert hv[n + 1] == macaulay_next(hv[n], n)
+        n = res.n0 - 1
+        assert n == 0 or hv[n + 1] != macaulay_next(hv[n], n)
 
     def test_matches_enumeration(self):
         rng = random.Random(41)
@@ -72,9 +89,9 @@ class TestHilbertSamuelFn:
         for _ in range(20):
             e = random_ideal(rng, 3, 6, 4, allow_zero=True, allow_unit=True)
             for s in range(7):
-                got = complement_count_by_slices(e, s)
-                assert got == hilbert_samuel_fn(e, s)
+                got = hilbert_samuel_fn(e, s)
                 assert got == slice_count(e, s)
+                assert got == naive_hilbert_samuel(e, s)
 
 
 class TestHilbertSamuelPoly:
@@ -98,13 +115,52 @@ class TestHilbertSamuelPoly:
             for s in range(t, t + 2 * e.dim + 1):
                 assert p(s) == hilbert_samuel_fn(e, s)
 
-    def test_sampling_fallback_matches(self):
+    def test_matches_sampled_slice_counts(self):
         rng = random.Random(59)
         for _ in range(15):
             e = random_ideal(rng, 3, 6, 4)
             if len(e.gens) < 2:
                 continue
-            assert hilbert_samuel_poly(e, max_gens=1) == hilbert_samuel_poly(e)
+            p, t = hilbert_samuel_poly(e)
+            samples = [slice_count(e, t + i) for i in range(e.dim + 1)]
+            assert p == shift(from_samples(samples), -t)
+            assert p == ie_hilbert_samuel_poly(e)
+
+
+class TestNumerator:
+    def test_matches_inclusion_exclusion(self):
+        rng = random.Random(113)
+        pool = [f(m) for m in range(1, 7) for f in (zero_ideal, unit_ideal)]
+        pool += [random_ideal(rng, rng.randint(1, 6), 10, rng.randint(1, 7),
+                              allow_zero=True, allow_unit=True)
+                 for _ in range(300)]
+        for e in pool:
+            assert _numerator(e) == ie_numerator(e)
+            assert hilbert_samuel_poly(e)[0] == ie_hilbert_samuel_poly(e)
+
+    def test_wide_ideals_match_enumeration(self):
+        rng = random.Random(127)
+        for m, k in ((3, 17), (3, 29), (3, 40), (4, 17), (4, 26), (4, 40)):
+            e = random_wide_ideal(rng, m, k)
+            assert len(e.gens) == k
+            p, t = hilbert_samuel_poly(e)
+            for n in range(t + 2):
+                assert hilbert_fn(e, n) == naive_hilbert(e, n)
+            assert hilbert_samuel_fn(e, t + 1) == naive_hilbert_samuel(e, t + 1)
+            for s in range(t + m + 1):
+                assert hilbert_samuel_fn(e, s) == slice_count(e, s)
+            for s in range(t, t + m + 1):
+                assert p(s) == slice_count(e, s)
+
+    def test_profile_reads_the_numerator(self):
+        rng = random.Random(131)
+        for _ in range(20):
+            e = random_ideal(rng, 3, 6, 4, allow_zero=True, allow_unit=True)
+            prof = hilbert_profile(e)
+            assert prof.numerator == ie_numerator(e)
+            for n in range(6):
+                assert prof.hilbert_fn(n) == naive_hilbert(e, n)
+                assert prof.hilbert_samuel_fn(n) == slice_count(e, n)
 
 
 class TestMinimizingCoefficients:
@@ -229,6 +285,19 @@ class TestStabilityIndex:
             if res.n0 > 1:
                 n = res.n0 - 1
                 assert hv[n + 1] != macaulay_next(hv[n], n)
+
+    @given(st.integers(3, 5), st.integers(1, 40), st.randoms())
+    def test_wide_ideals_follow_macaulay_growth(self, m, k, rng):
+        # k runs past 16, where inclusion-exclusion used to refuse
+        e = random_wide_ideal(rng, m, k)
+        res = stability_index(e)
+        h = slice_counter(e)
+        top = min(res.window, threshold(e) + m + 4)
+        hv = [h(n) - h(n - 1) for n in range(top + 2)]
+        for n in range(1, top):
+            grows = hv[n + 1] == stepwise_macaulay_next(hv[n], n)
+            assert grows or n < res.n0
+            assert not (grows and n == res.n0 - 1)
 
     def test_window_exhausted(self):
         with pytest.raises(WindowExhausted):

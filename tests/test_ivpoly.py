@@ -1,5 +1,7 @@
 """Integer-valued polynomials and Macaulay's numerical functions."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +43,14 @@ class TestEvaluate:
     def test_negative_upper_binomial(self):
         # falling-factorial convention: C(-2, 2) = (-2)(-3)/2 = 3
         assert binomial(-2, 2) == 3
+
+    def test_binomial_matches_product_formula(self):
+        for k in range(41):
+            for x in range(-30, 81):
+                prod = 1
+                for j in range(k):
+                    prod *= x - j
+                assert binomial(x, k) == prod // math.factorial(k), (x, k)
 
 
 class TestArithmetic:
