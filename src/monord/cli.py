@@ -14,9 +14,8 @@ import sys
 from . import chains, hilbert, orderings
 from .errors import (BudgetExceeded, DataError, MonordError, ParseError,
                      WindowExhausted)
-from .ideal import (MonomialIdeal, cone, direct_sum, generator_word,
-                    irreducible_decomposition, components_by_support,
-                    normalize, zero_ideal, unit_ideal)
+from .ideal import (cone, direct_sum, irreducible_decomposition,
+                    components_by_support, normalize, zero_ideal, unit_ideal)
 from .monom import DEGLEX, LEX, TermOrder
 from .ordinal import format_ordinal, nat_prod, nat_sum, parse_ordinal
 
@@ -230,26 +229,12 @@ def cmd_compare(args):
     b = load_ideal(args.file_b)
     trace = {"order": args.order}
     if args.order == "kb":
-        order = parse_term_order(args.term_order)
-        c = orderings.kb_cmp(a, b, order)
-        u, v = generator_word(a, order), generator_word(b, order)
-        idx = next((i for i, (x, y) in enumerate(zip(u, v)) if x != y), None)
-        trace["deciding_generator"] = idx
+        c, trace["deciding_generator"] = orderings._kb(
+            a, b, parse_term_order(args.term_order))
     elif args.order == "triangle":
-        c = orderings.triangle_cmp(a, b)
-        idx = None
-        if a.dim >= 2 and c != 0:
-            from .ideal import slice_last
-            bound = max((g[-1] for g in a.gens + b.gens), default=0)
-            idx = next(j for j in range(bound + 1)
-                       if orderings.triangle_cmp(slice_last(a, j),
-                                                 slice_last(b, j)) != 0)
-        trace["deciding_slice"] = idx
+        c, trace["deciding_slice"] = orderings._triangle(a, b)
     else:
-        c = orderings.min_type_cmp(a, b)
-        pa, _ = hilbert.hilbert_samuel_poly(a)
-        pb, _ = hilbert.hilbert_samuel_poly(b)
-        trace["deciding_key"] = "polynomial" if pa != pb else "triangle"
+        c, trace["deciding_key"] = orderings._min_type(a, b)
     word = {-1: "less", 0: "equal", 1: "greater"}[c]
     trace["result"] = word
     print(json.dumps(trace, sort_keys=True))

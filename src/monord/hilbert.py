@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 from math import comb
 from typing import NamedTuple
 
@@ -166,8 +167,14 @@ def psi_poly(p, m):
     """
     if p == binom_poly(0, m):
         return omega_pow(m)
+    return _psi_of(_realizable(p, m))
+
+
+def _psi_of(c):
+    """psi = w^(m-1)*c_{m-1} + ... + c_0 from c = (c_{m-1}, ..., c_0)."""
+    m = len(c)
     return Ord(tuple((Ord.from_int(m - 1 - i), ci)
-                     for i, ci in enumerate(_realizable(p, m)) if ci))
+                     for i, ci in enumerate(c) if ci))
 
 
 def _realizable(p, m):
@@ -211,8 +218,8 @@ def canonical_decomposition(p, m):
 
 def phi_poly(p, m):
     """phi(p): the length of the canonical exponent list, i.e. the number
-    of summands when p is written degreewise."""
-    return len(canonical_decomposition(p, m))
+    of summands when p is written degreewise; counted, not listed."""
+    return sum(_realizable(p, m))
 
 
 def realize_poly(p, m):
@@ -266,43 +273,39 @@ def height(e):
 
 class N0Result(NamedTuple):
     n0: int
-    window: int  # H was inspected on degrees up to this bound
+    window: int  # H was read on degrees up to this one; >= threshold + 1
     certified: bool
 
 
-def stability_index(e, margin=8, max_window=None):
+def stability_index(e, max_window=None):
     """n0(E): least n0 with H(n+1) = H(n)^<n> for every n >= n0.
 
-    Certified by scanning past max(threshold + 1, phi(p_E)), beyond which
-    Macaulay growth is provably exact; ``margin`` extra degrees are
-    scanned as a sanity check.  A ``max_window`` below the certification
-    point raises WindowExhausted.
+    Scans n = 1, 2, ... and stops at the first n >= threshold(e) where H
+    grows maximally.  Every generator has degree at most the threshold, so
+    by Gotzmann's persistence theorem (Math. Z. 158 (1978); Bruns-Herzog,
+    Thm 4.3.3) growth stays maximal from there on and n0 is one past the
+    last failure seen.  A ``max_window`` below the degree where the scan
+    stops raises WindowExhausted.
     """
     if e.is_zero() or e.is_unit():
         raise DataError("stability index needs a nonzero proper ideal")
-    num = _numerator(e)
-    return _stability_index(num, e.dim, _samuel_poly(num, e.dim),
-                            threshold(e), margin, max_window)
+    return _stability_index(_numerator(e), e.dim, threshold(e), max_window)
 
 
-def _stability_index(num, m, p, t, margin=8, max_window=None):
-    """stability_index from the numerator, p_E and the threshold."""
-    cert = max(t + 1, phi_poly(p, m))
-    window = max(cert + 1, t + m + margin)
-    if max_window is not None:
-        if max_window < cert + 1:
+def _stability_index(num, m, t, max_window=None):
+    """stability_index from the numerator and the threshold."""
+    n0, h = 1, _hilbert_value(num, m, 1)
+    for n in count(1):
+        if max_window is not None and n >= max_window:
             raise WindowExhausted(
-                f"window {max_window} ends before the certified bound "
-                f"{cert + 1}")
-        window = min(window, max_window)
-    hvals = [_hilbert_value(num, m, n) for n in range(window + 1)]
-    n0 = 1
-    for n in range(1, window):
-        if hvals[n + 1] != macaulay_next(hvals[n], n):
-            if n >= cert:
-                raise AssertionError("growth broke past the certified bound")
+                f"window {max_window} ends before H is seen to grow "
+                f"maximally past the threshold {t}")
+        h_next = _hilbert_value(num, m, n + 1)
+        if h_next != macaulay_next(h, n):
             n0 = n + 1
-    return N0Result(n0, window, True)
+        elif n >= t:
+            return N0Result(n0, n + 1, True)
+        h = h_next
 
 
 def lex_segment_ideal(e, bound):
@@ -344,7 +347,6 @@ class HilbertProfile:
     c: tuple | None  # minimizing coefficients, None for zero/unit ideal
     psi: Ord  # the height: psi(E), or w^m / 0 for the zero / unit ideal
     phi: int | None
-    a_seq: tuple | None
     n0: int | None
     numerator: tuple  # N(t) as (degree, coefficient) pairs
 
@@ -363,8 +365,7 @@ def hilbert_profile(e):
     num = _numerator(e)
     p, t = _samuel_poly(num, m), threshold(e)
     if e.is_zero() or e.is_unit():
-        return HilbertProfile(m, p, t, None, height(e), None, None, None, num)
-    mc = minimizing_coefficients(p, m)
-    seq = tuple(a_sequence(mc.c))
-    return HilbertProfile(m, p, t, mc.c, psi_poly(p, m), len(seq), seq,
-                          _stability_index(num, m, p, t).n0, num)
+        return HilbertProfile(m, p, t, None, height(e), None, None, num)
+    c = _realizable(p, m)
+    return HilbertProfile(m, p, t, c, _psi_of(c), sum(c),
+                          _stability_index(num, m, t).n0, num)

@@ -27,8 +27,7 @@ class MonomialIdeal:
     gens: tuple
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DataError("ambient dimension must be >= 1")
+        check_dim(self.dim)
         for g in self.gens:
             check_point(g)
             if len(g) != self.dim:
@@ -66,8 +65,17 @@ class MonomialIdeal:
         return "ideal<" + ", ".join(str(g) for g in self.gens) + ">"
 
 
+def check_dim(dim):
+    """Reject an ambient dimension that is not an int >= 1 (bools too)."""
+    if type(dim) is not int:
+        raise DataError(f"dimension {dim!r} is not an integer")
+    if dim < 1:
+        raise DataError("ambient dimension must be >= 1")
+
+
 def normalize(dim, points):
     """The ideal generated by an arbitrary finite set of points."""
+    check_dim(dim)
     pts = []
     for p in points:
         p = check_point(tuple(p))

@@ -165,6 +165,24 @@ def _greedy_top(rem, i):
     return lo, lo_val
 
 
+def _greedy_tops(a, d):
+    """The tops of macaulay_rep(a, d) up to its last nonzero term, and what
+    is left of a (nonzero only when a is not an integer)."""
+    tops = []
+    for i in range(d, 0, -1):
+        if not a:
+            break
+        if i == 1:
+            # C(c, 1) = c, so the last top is what is left itself (its floor,
+            # should a caller pass a non-integer, which then leaves a rest)
+            c = val = math.floor(a)
+        else:
+            c, val = _greedy_top(a, i)
+        tops.append(c)
+        a -= val
+    return tops, a
+
+
 def macaulay_rep(a, d):
     """Greedy d-th Macaulay representation of a natural number a.
 
@@ -180,32 +198,23 @@ def macaulay_rep(a, d):
         raise DataError("d must be >= 1")
     if a < 1:
         raise DataError("a must be positive (0 has no representation)")
-    tops = []
-    rem = a
-    for i in range(d, 0, -1):
-        if i == 1:
-            # C(c, 1) = c, so the last top is rem itself (its floor, should
-            # a caller pass a non-integer, which then fails the check below)
-            c = val = math.floor(rem)
-        else:
-            c, val = _greedy_top(rem, i)
-        tops.append(c)
-        rem -= val
+    tops, rem = _greedy_tops(a, d)
     if rem != 0:
         raise AssertionError("greedy representation failed")
+    tops += range(d - len(tops) - 1, -1, -1)
     return MacaulayRep(d, tuple(tops))
 
 
 def macaulay_next(a, d):
     """The Macaulay bound a^<d>: raise every top and index by one.
 
-    0^<d> is 0.
+    0^<d> is 0.  Only the tops of nonzero terms are built, so the cost
+    follows the number of those terms, not d.
     """
-    if a == 0:
-        return 0
-    rep = macaulay_rep(a, d)
-    return sum(binomial(t + 1, i + 1)
-               for t, i in zip(rep.tops, range(d, 0, -1)))
+    if d < 1 or a < 0:
+        raise DataError("need a natural a and d >= 1")
+    tops, _ = _greedy_tops(a, d)
+    return sum(binomial(t + 1, i + 1) for t, i in zip(tops, range(d, 0, -1)))
 
 
 class OSequenceCheck(NamedTuple):

@@ -16,7 +16,7 @@ from .errors import DataError, DimensionMismatch
 
 def check_point(v):
     if not isinstance(v, tuple) or not v or any(
-            not isinstance(x, int) or x < 0 for x in v):
+            type(x) is not int or x < 0 for x in v):  # bools are not points
         raise DataError(f"not a point of N^m: {v!r}")
     return v
 

@@ -9,6 +9,8 @@ breaks ties with the triangle order.
 
 from __future__ import annotations
 
+from math import inf
+
 from .errors import DataError
 from .hilbert import hilbert_samuel_poly
 from .ideal import generator_word, slice_last
@@ -30,20 +32,26 @@ def kb_cmp(e, f, order=DEGLEX):
     generators decide.  The zero ideal (empty word) is the maximum.  The
     term order must have order type omega, so lex is rejected.
     """
+    return _kb(e, f, order)[0]
+
+
+def _kb(e, f, order):
+    """kb_cmp and the index of the deciding generator (None when the
+    words agree on their common prefix)."""
     _check_dims(e, f)
     if not order.is_type_omega():
         raise DataError(
             f"{order.kind} order does not have type omega; KB needs one")
     u = generator_word(e, order)
     v = generator_word(f, order)
-    for x, y in zip(u, v):
+    for i, (x, y) in enumerate(zip(u, v)):
         c = term_cmp(order, x, y)
         if c != 0:
-            return c
+            return c, i
     if len(u) != len(v):
         # the longer word is an extension and precedes its truncation
-        return -1 if len(u) > len(v) else 1
-    return 0
+        return (-1 if len(u) > len(v) else 1), None
+    return 0, None
 
 
 def triangle_cmp(e, f):
@@ -54,35 +62,43 @@ def triangle_cmp(e, f):
     Slices are constant once j passes every generator's last coordinate,
     so comparing up to that bound decides equality.
     """
+    return _triangle(e, f)[0]
+
+
+def _triangle(e, f):
+    """triangle_cmp and the deciding slice index (None in dimension 1 or
+    when the ideals are equal)."""
     _check_dims(e, f)
     if e.dim == 1:
-        if e.gens == f.gens:
-            return 0
         # generator exponent orders by containment; no generator = empty
         # final segment, the largest element
-        a = e.gens[0][0] if e.gens else None
-        b = f.gens[0][0] if f.gens else None
-        if a is None or b is None:
-            return 1 if a is None else -1
-        return (a > b) - (a < b)
+        a = e.gens[0][0] if e.gens else inf
+        b = f.gens[0][0] if f.gens else inf
+        return (a > b) - (a < b), None
     bound = max((g[-1] for g in e.gens + f.gens), default=0)
     for j in range(bound + 1):
         c = triangle_cmp(slice_last(e, j), slice_last(f, j))
         if c != 0:
-            return c
-    return 0
+            return c, j
+    return 0, None
 
 
 def min_type_cmp(e, f):
     """Order by the Hilbert-Samuel polynomial under dominance (equivalently
     by psi), breaking ties with the triangle order."""
+    return _min_type(e, f)[0]
+
+
+def _min_type(e, f):
+    """min_type_cmp and the key that decided it: "polynomial" when the
+    Hilbert-Samuel polynomials differ, else "triangle"."""
     _check_dims(e, f)
     pe, _ = hilbert_samuel_poly(e)
     pf, _ = hilbert_samuel_poly(f)
     c = dominance_cmp(pe, pf)
     if c != 0:
-        return c
-    return triangle_cmp(e, f)
+        return c, "polynomial"
+    return triangle_cmp(e, f), "triangle"
 
 
 def bounds_report(m):

@@ -14,6 +14,10 @@ from functools import cmp_to_key, total_ordering
 
 from .errors import ParseError
 
+# Parenthesised exponents nest at most this deep in parse_ordinal, so that
+# parsing and the recursive arithmetic stay far from Python's recursion limit.
+MAX_NESTING = 100
+
 
 @total_ordering
 class Ord:
@@ -208,6 +212,7 @@ class _Scanner:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg):
         raise ParseError(msg, line=1, column=self.pos + 1)
@@ -240,7 +245,8 @@ def parse_ordinal(text):
     """Parse the syntax produced by :func:`format_ordinal`.
 
     Terms must appear in strictly decreasing exponent order with positive
-    coefficients; anything else is a :class:`ParseError`.
+    coefficients, and parenthesised exponents nest at most MAX_NESTING
+    deep; anything else is a :class:`ParseError`.
     """
     sc = _Scanner(text)
     sc.skip_ws()
@@ -287,10 +293,14 @@ def _parse_term(sc):
         sc.take("^")
         if sc.peek() == "(":
             sc.take("(")
+            sc.depth += 1
+            if sc.depth > MAX_NESTING:
+                sc.error(f"exponents nest deeper than {MAX_NESTING}")
             sc.skip_ws()
             exp = _parse_sum(sc)
             sc.skip_ws()
             sc.take(")")
+            sc.depth -= 1
         elif sc.peek() == "w":
             sc.take("w")
             exp = OMEGA

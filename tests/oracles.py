@@ -10,7 +10,7 @@ import random
 from functools import lru_cache
 from math import comb
 
-from monord import divides, normalize
+from monord import divides, macaulay_next, normalize, phi_poly
 from monord.ivpoly import binom_poly
 
 
@@ -103,6 +103,26 @@ def ie_hilbert_samuel_poly(e):
     for sign, c in subset_lcm_degrees(e.gens):
         p = p - binom_poly(c, e.dim).scale(sign)
     return p
+
+
+def certified_stability_index(e, margin=8):
+    """n0 by the scan the library once used: H, from the inclusion-exclusion
+    numerator, on every degree up to past phi(p_E), the Gotzmann number,
+    beyond which Macaulay growth is provably exact, plus ``margin`` degrees
+    as a sanity check."""
+    m = e.dim
+    num = ie_numerator(e)
+    t = sum(map(max, zip(*e.gens)))
+    cert = max(t + 1, phi_poly(ie_hilbert_samuel_poly(e), m))
+    window = max(cert + 1, t + m + margin)
+    hvals = [sum(c * comb(n - k + m - 1, m - 1) for k, c in num if k <= n)
+             for n in range(window + 1)]
+    n0 = 1
+    for n in range(1, window):
+        if hvals[n + 1] != macaulay_next(hvals[n], n):
+            assert n < cert, "growth broke past the certified bound"
+            n0 = n + 1
+    return n0
 
 
 def brute_comm_leq(u, v):

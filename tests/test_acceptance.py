@@ -14,7 +14,8 @@ from monord import (IVPoly, OMEGA, Ord, binomial, bounds_report, cmp, cone,
                     irreducible_decomposition, is_osequence, kb_cmp,
                     comm_leq, components_by_support, min_type_cmp,
                     minimizing_coefficients, nat_pow, nat_prod, nat_sum,
-                    normalize, omega_pow, psi_poly, triangle_cmp)
+                    normalize, omega_pow, phi_poly, psi_poly,
+                    stability_index, threshold, triangle_cmp)
 from monord.ideal import irreducible_component_ideal
 from oracles import (antichains, longest_downset_chain,
                      max_decreasing_sequence, points_of_degree, points_up_to,
@@ -307,3 +308,25 @@ def test_criterion_11_wide_profile(capsys):
         grows = hv[n + 1] == stepwise_macaulay_next(hv[n], n)
         assert grows or n < prof.n0
         assert not (grows and n == prof.n0 - 1)
+
+
+def test_criterion_12_heavy_stability_index(capsys):
+    # phi(p_E) = 10,984: the scan up to phi took about 40 s on this ideal
+    e = normalize(6, [(0, 0, 2, 0, 0, 0), (1, 0, 1, 0, 0, 0),
+                      (0, 0, 1, 1, 0, 1), (0, 1, 0, 2, 0, 0),
+                      (0, 1, 1, 0, 0, 1), (1, 0, 0, 0, 1, 1),
+                      (1, 0, 0, 1, 0, 1), (0, 1, 1, 1, 1, 0)])
+    holder = []
+
+    def body():
+        holder.append(stability_index(e))
+
+    report(capsys, 12, "stability_index, m=6, phi = 10984", body, limit=2.0)
+    res = holder[0]
+    assert phi_poly(hilbert_samuel_poly(e)[0], 6) == 10984
+    assert res.n0 == 156
+    assert res.window >= threshold(e) + 1
+    hv = [hilbert_fn(e, n) for n in range(res.n0 + 12)]
+    for n in range(res.n0 - 1, res.n0 + 10):
+        grows = hv[n + 1] == stepwise_macaulay_next(hv[n], n)
+        assert grows == (n >= res.n0)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from monord import hilbert, normalize
 from monord.cli import main, parse_ideal_text, parse_point
-from monord import normalize
+from monord.ordinal import MAX_NESTING
 
 
 def write(tmp_path, name, text):
@@ -95,6 +96,33 @@ class TestCompare:
         code, out, _ = run(capsys, ["compare", "--order", "mintype", a, b])
         assert code in (10, 12)
         assert json.loads(out)["deciding_key"] == "triangle"
+
+    def test_mintype_computes_each_numerator_once(self, capsys, tmp_path,
+                                                  monkeypatch):
+        calls = []
+        numerator = hilbert._numerator
+
+        def counted(e):
+            calls.append(e)
+            return numerator(e)
+
+        monkeypatch.setattr(hilbert, "_numerator", counted)
+        a = write(tmp_path, "a.ideal", "dim 2\n1 0\n0 2\n")
+        b = write(tmp_path, "b.ideal", "dim 2\n2 0\n0 3\n")
+        code, out, _ = run(capsys, ["compare", "--order", "mintype", a, b])
+        assert code == 10
+        assert json.loads(out) == {"order": "mintype", "result": "less",
+                                   "deciding_key": "polynomial"}
+        assert len(calls) == 2
+
+    def test_kb_trace(self, capsys, tmp_path):
+        a = write(tmp_path, "a.ideal", "dim 2\n0 2\n3 0\n")
+        b = write(tmp_path, "b.ideal", "dim 2\n0 2\n4 0\n")
+        code, out, _ = run(capsys, ["compare", "--order", "kb", a, b])
+        assert (code, json.loads(out)["deciding_generator"]) == (10, 1)
+        c = write(tmp_path, "c.ideal", "dim 2\n0 2\n")
+        code, out, _ = run(capsys, ["compare", "--order", "kb", a, c])
+        assert (code, json.loads(out)["deciding_generator"]) == (10, None)
 
     def test_kb_rejects_lex(self, capsys, tmp_path):
         a = write(tmp_path, "a.ideal", "dim 2\n1 0\n")
@@ -235,6 +263,25 @@ class TestExitCodes:
         code, _, err = run(capsys, ["normalize", path])
         assert code == 65
         assert "line 3" in err
+
+    def test_bool_exponents(self, capsys, tmp_path):
+        path = write(tmp_path, "tf.json", '{"dim": 2, "gens": [[true, false]]}')
+        code, out, err = run(capsys, ["normalize", path])
+        assert (code, out) == (65, "")
+        assert "error" in err
+
+    def test_string_dim(self, capsys, tmp_path):
+        path = write(tmp_path, "dim.json", '{"dim": "2", "gens": [[1, 0]]}')
+        code, _, err = run(capsys, ["normalize", path])
+        assert code == 65
+        assert "dimension '2'" in err
+
+    def test_deep_ordinal(self, capsys):
+        depth = MAX_NESTING + 1
+        code, _, err = run(capsys, ["ordinal-eval",
+                                    "w^(" * depth + "1" + ")" * depth])
+        assert code == 65
+        assert "nest" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["normalize", "/no/such/file.ideal"])

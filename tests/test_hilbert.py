@@ -16,9 +16,9 @@ from monord import (DataError, IVPoly, WindowExhausted,
                     unit_ideal, zero_ideal)
 from monord.hilbert import _numerator
 from monord.ivpoly import binom_poly
-from oracles import (ie_hilbert_samuel_poly, ie_numerator, naive_hilbert,
-                     naive_hilbert_samuel, points_up_to,
-                     random_artinian_staircase, random_ideal,
+from oracles import (certified_stability_index, ie_hilbert_samuel_poly,
+                     ie_numerator, naive_hilbert, naive_hilbert_samuel,
+                     points_up_to, random_artinian_staircase, random_ideal,
                      random_wide_ideal, slice_count, slice_counter,
                      stepwise_macaulay_next)
 
@@ -53,8 +53,9 @@ class TestHilbertFn:
         for s in range(t, t + 4):
             assert p(s) == slice_count(e, s)
         res = stability_index(e)
-        hv = [naive_hilbert(e, n) for n in range(res.window + 1)]
-        for n in range(res.n0, res.window):
+        top = max(t + e.dim + 4, res.n0)
+        hv = [naive_hilbert(e, n) for n in range(top + 1)]
+        for n in range(res.n0, top):
             assert hv[n + 1] == macaulay_next(hv[n], n)
         n = res.n0 - 1
         assert n == 0 or hv[n + 1] != macaulay_next(hv[n], n)
@@ -279,8 +280,9 @@ class TestStabilityIndex:
         pool += [random_ideal(rng, 2, 4, 4) for _ in range(15)]
         for e in pool:
             res = stability_index(e)
-            hv = [naive_hilbert(e, n) for n in range(res.window + 2)]
-            for n in range(res.n0, res.window):
+            top = max(threshold(e) + e.dim + 4, res.n0)
+            hv = [naive_hilbert(e, n) for n in range(top + 1)]
+            for n in range(res.n0, top):
                 assert hv[n + 1] == macaulay_next(hv[n], n)
             if res.n0 > 1:
                 n = res.n0 - 1
@@ -292,12 +294,26 @@ class TestStabilityIndex:
         e = random_wide_ideal(rng, m, k)
         res = stability_index(e)
         h = slice_counter(e)
-        top = min(res.window, threshold(e) + m + 4)
+        top = threshold(e) + m + 4
         hv = [h(n) - h(n - 1) for n in range(top + 2)]
         for n in range(1, top):
             grows = hv[n + 1] == stepwise_macaulay_next(hv[n], n)
             assert grows or n < res.n0
             assert not (grows and n == res.n0 - 1)
+
+    def test_matches_certified_scan(self):
+        # the phi-certified scan the persistence scan replaced
+        rng = random.Random(83)
+        checked = 0
+        while checked < 300:
+            m = rng.randint(2, 6)
+            e = random_ideal(rng, m, 12, 5)
+            if phi_poly(hilbert_samuel_poly(e)[0], m) > 400:
+                continue
+            res = stability_index(e)
+            assert res.n0 == certified_stability_index(e)
+            assert res.window >= threshold(e) + 1
+            checked += 1
 
     def test_window_exhausted(self):
         with pytest.raises(WindowExhausted):
@@ -388,7 +404,8 @@ class TestInvariants:
         e = normalize(2, [(2, 0), (1, 1), (0, 2)])
         prof = hilbert_profile(e)
         assert prof.dim == 2
-        assert sum(prof.c) == prof.phi == len(prof.a_seq)
+        assert sum(prof.c) == prof.phi == len(
+            canonical_decomposition(prof.p, prof.dim))
         assert prof.psi == psi_ideal(e)
         assert prof.n0 == stability_index(e).n0
         assert prof.p(prof.threshold) == hilbert_samuel_fn(e, prof.threshold)

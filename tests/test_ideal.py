@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from monord import (DataError, colon, comm_leq, components_by_support, cone,
-                    direct_sum, divides, generator_word, ideal_intersect,
-                    ideal_sum, irreducible_decomposition, normalize,
-                    slice_last, unit_ideal, zero_ideal)
+from monord import (DataError, MonomialIdeal, colon, comm_leq,
+                    components_by_support, cone, direct_sum, divides,
+                    generator_word, ideal_intersect, ideal_sum,
+                    irreducible_decomposition, normalize, slice_last,
+                    unit_ideal, zero_ideal)
 from monord.ideal import irreducible_component_ideal
 from oracles import in_ideal, points_up_to, random_ideal
 
@@ -38,6 +39,20 @@ class TestNormalize:
             for g in e.gens:
                 for h in e.gens:
                     assert g == h or not divides(g, h)
+
+
+    def test_rejects_bool_exponents(self):
+        with pytest.raises(DataError):
+            normalize(2, [(True, False)])
+        with pytest.raises(DataError):
+            MonomialIdeal(2, ((1, True),))
+
+    @pytest.mark.parametrize("dim", ["2", 2.0, True, None])
+    def test_rejects_non_int_dim(self, dim):
+        for make in (lambda: normalize(dim, [(1, 0)]),
+                     lambda: MonomialIdeal(dim, ((1, 0),))):
+            with pytest.raises(DataError, match="dimension"):
+                make()
 
 
 class TestMembershipAndContainment:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from monord import (OMEGA, ONE, ZERO, Ord, ParseError, cmp, format_ordinal,
                     nat_pow, nat_prod, nat_sum, omega_pow,
                     ot_decreasing_sequences, parse_ordinal)
+from monord.ordinal import MAX_NESTING
 
 
 def o(text):
@@ -184,6 +185,16 @@ class TestFormatParse:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_ordinal(bad)
+
+    def test_nesting_cap(self):
+        def nested(depth):
+            return "w^(" * depth + "1" + ")" * depth
+
+        deepest = parse_ordinal(nested(MAX_NESTING))
+        assert cmp(deepest, parse_ordinal(nested(MAX_NESTING - 1))) == 1
+        for depth in (MAX_NESTING + 1, 600, 5000):
+            with pytest.raises(ParseError, match="nest"):
+                parse_ordinal(nested(depth))
 
     def test_error_position(self):
         with pytest.raises(ParseError) as exc:
