@@ -231,9 +231,11 @@ def max_bad_degree_growth(m, f, cap):
     """Desk-scale DFS for a longest bad sequence of ideals in N^m with the
     i-th ideal generated in degrees <= f(i).
 
-    ``cap`` bounds the number of search nodes; the result reports whether
-    the search ran to exhaustion.  Every returned sequence passes
-    is_bad_sequence.
+    The i-th member ranges over the ideals generated by antichains of
+    points of degree <= f(i), listed in full the first time the search
+    reaches that degree bound.  ``cap`` bounds the number of search nodes,
+    not that enumeration; the result reports whether the search ran to
+    exhaustion.  Every returned sequence passes is_bad_sequence.
     """
     from .ideal import normalize
 
@@ -244,20 +246,47 @@ def max_bad_degree_growth(m, f, cap):
     def points_up_to(d):
         return [v for n in range(d + 1) for v in points_of_degree(m, n)]
 
+    # Each candidate ideal gets one id across all degree lists, and a bit
+    # slot once it has been a sequence member.  containers[k] holds the
+    # slots, among the first tested[k], whose ideal contains candidate k,
+    # so k is admissible iff containers[k] & members == 0.  Masks over
+    # slots rather than ids stay valid when a later degree list registers
+    # new candidates.
+    ids = {}
+    ideals = []
+    containers = []
+    tested = []
+    slot_ideals = []
+    slot_of = {}
     candidates = {}
 
     def candidates_for(i):
         d = f(i)
         if d not in candidates:
-            candidates[d] = [normalize(m, chain)
-                             for chain in _antichains(points_up_to(d))]
+            out = []
+            for chain in _antichains(points_up_to(d)):
+                e = normalize(m, chain)
+                k = ids.setdefault(e.gens, len(ideals))
+                if k == len(ideals):
+                    ideals.append(e)
+                    containers.append(0)
+                    tested.append(0)
+                out.append(k)
+            candidates[d] = out
         return candidates[d]
+
+    def extend_containers(k):
+        e = ideals[k]
+        for s in range(tested[k], len(slot_ideals)):
+            if slot_ideals[s] >= e:
+                containers[k] |= 1 << s
+        tested[k] = len(slot_ideals)
 
     best = []
     nodes = 0
     exhausted = True
 
-    def dfs(seq):
+    def dfs(seq, members):
         nonlocal best, nodes, exhausted
         if nodes >= cap:
             exhausted = False
@@ -265,13 +294,18 @@ def max_bad_degree_growth(m, f, cap):
         nodes += 1
         if len(seq) > len(best):
             best = list(seq)
-        for e in candidates_for(len(seq)):
-            if all(not (prev >= e) for prev in seq):
-                seq.append(e)
-                dfs(seq)
+        for k in candidates_for(len(seq)):
+            if tested[k] < len(slot_ideals):
+                extend_containers(k)
+            if not containers[k] & members:
+                if k not in slot_of:
+                    slot_of[k] = len(slot_ideals)
+                    slot_ideals.append(ideals[k])
+                seq.append(ideals[k])
+                dfs(seq, members | 1 << slot_of[k])
                 seq.pop()
                 if not exhausted:
                     return
 
-    dfs([])
+    dfs([], 0)
     return SearchResult(best, exhausted, nodes)

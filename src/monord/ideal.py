@@ -15,10 +15,6 @@ from .monom import (DEGLEX, check_point, check_same_dim, degree, divides,
                     support, term_cmp, unit_vec, vec_add, vec_max)
 
 
-def _deglex_key(v):
-    return (sum(v),) + v
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A finitely generated final segment of N^m in canonical form."""
@@ -54,7 +50,7 @@ class MonomialIdeal:
         """Containment: self is a subset of other."""
         if self.dim != other.dim:
             raise DataError("ideals live in different dimensions")
-        return all(other.contains(g) for g in self.gens)
+        return all(any(divides(h, g) for h in other.gens) for g in self.gens)
 
     def __ge__(self, other):
         return other <= self
@@ -82,14 +78,23 @@ def normalize(dim, points):
         if len(p) != dim:
             raise DataError(f"point {p!r} does not live in N^{dim}")
         pts.append(p)
-    return MonomialIdeal(dim, minimal_points(pts))
+    return _checked_ideal(dim, minimal_points(pts))
+
+
+def _checked_ideal(dim, gens):
+    """The ideal on generators already checked, minimal and deglex-sorted,
+    built without running MonomialIdeal's checks a second time."""
+    e = object.__new__(MonomialIdeal)
+    object.__setattr__(e, "dim", dim)
+    object.__setattr__(e, "gens", gens)
+    return e
 
 
 def minimal_points(points):
     """The distinct minimal points of a finite set of points of one N^m
     under divisibility, sorted by deglex."""
     minimal = []
-    for p in sorted(set(points), key=_deglex_key):
+    for p in sorted(set(points), key=DEGLEX.key):
         if not any(divides(q, p) for q in minimal):
             minimal.append(p)
     return tuple(minimal)
@@ -190,7 +195,7 @@ def irreducible_decomposition(e):
         raise DataError("decomposition needs a nonzero proper ideal")
     out = set()
     _decompose(e, out)
-    comps = sorted(out, key=_deglex_key)
+    comps = sorted(out, key=DEGLEX.key)
     keep = []
     for nu in comps:
         if not any(mu != nu and _irr_contains(nu, mu) for mu in comps):
@@ -224,7 +229,7 @@ def components_by_support(e):
     for nu in irreducible_decomposition(e):
         s = support(nu)
         grouped.setdefault(s, []).append(tuple(nu[i] for i in s))
-    return {s: sorted(vs, key=_deglex_key) for s, vs in sorted(grouped.items())}
+    return {s: sorted(vs, key=DEGLEX.key) for s, vs in sorted(grouped.items())}
 
 
 def generator_word(e, order=DEGLEX):

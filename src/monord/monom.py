@@ -122,12 +122,9 @@ DEGLEX = TermOrder("deglex")
 def term_cmp(order, u, v):
     """Three-way comparison of two points under a term order."""
     check_same_dim(u, v)
-    if order.kind == "lex" or order.kind == "deglex":
-        ku, kv = order.key(u), order.key(v)
-    else:
-        ku, kv = order.key(u), order.key(v)
-        if ku == kv and u != v:
-            raise DataError("matrix does not totally order these points")
+    ku, kv = order.key(u), order.key(v)
+    if order.kind == "matrix" and ku == kv and u != v:
+        raise DataError("matrix does not totally order these points")
     return (ku > kv) - (ku < kv)
 
 

@@ -11,6 +11,7 @@ from functools import lru_cache
 from math import comb
 
 from monord import divides, macaulay_next, normalize, phi_poly
+from monord.chains import as_bound_fn
 from monord.ivpoly import binom_poly
 
 
@@ -241,6 +242,45 @@ def max_decreasing_sequence(m, f_values, stable_at):
         return best
 
     return longest(None, 0)
+
+
+def reference_bad_search(m, f, cap):
+    """The plain DFS that ``max_bad_degree_growth`` must reproduce: each
+    candidate is admitted after testing containment against every earlier
+    member.  Returns (sequence, exhaustive, nodes)."""
+    f = as_bound_fn(f)
+
+    candidates = {}
+
+    def candidates_for(i):
+        d = f(i)
+        if d not in candidates:
+            candidates[d] = [normalize(m, chain)
+                             for chain in antichains(points_up_to(m, d))]
+        return candidates[d]
+
+    best = []
+    nodes = 0
+    exhausted = True
+
+    def dfs(seq):
+        nonlocal best, nodes, exhausted
+        if nodes >= cap:
+            exhausted = False
+            return
+        nodes += 1
+        if len(seq) > len(best):
+            best = list(seq)
+        for e in candidates_for(len(seq)):
+            if all(not (prev >= e) for prev in seq):
+                seq.append(e)
+                dfs(seq)
+                seq.pop()
+                if not exhausted:
+                    return
+
+    dfs([])
+    return best, exhausted, nodes
 
 
 def stepwise_macaulay_tops(a, d):

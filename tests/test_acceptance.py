@@ -11,7 +11,8 @@ from monord import (IVPoly, OMEGA, Ord, binomial, bounds_report, cmp, cone,
                     direct_sum, dominance_cmp, ell, height, hilbert_fn,
                     hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
                     ideal_intersect, ideal_sum,
-                    irreducible_decomposition, is_osequence, kb_cmp,
+                    irreducible_decomposition, is_bad_sequence, is_osequence,
+                    kb_cmp, max_bad_degree_growth,
                     comm_leq, components_by_support, min_type_cmp,
                     minimizing_coefficients, nat_pow, nat_prod, nat_sum,
                     normalize, omega_pow, phi_poly, psi_poly,
@@ -330,3 +331,19 @@ def test_criterion_12_heavy_stability_index(capsys):
     for n in range(res.n0 - 1, res.n0 + 10):
         grows = hv[n + 1] == stepwise_macaulay_next(hv[n], n)
         assert grows == (n >= res.n0)
+
+
+def test_criterion_13_bad_sequence_search(capsys):
+    # the DFS re-tested containment against every member per candidate:
+    # about 1.5-2 s for these 2000 nodes
+    holder = []
+
+    def body():
+        holder.append(max_bad_degree_growth(2, 3, cap=2000))
+
+    report(capsys, 13, "bad-sequence search, m=2, f=3, 2000 nodes", body,
+           limit=0.25)
+    res = holder[0]
+    assert res.nodes == 2000 and not res.exhaustive
+    assert is_bad_sequence(res.sequence).bad
+    assert all(sum(g) <= 3 for e in res.sequence for g in e.gens)

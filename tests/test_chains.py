@@ -7,7 +7,8 @@ import pytest
 from monord import (BoundFn, BudgetExceeded, DataError, ell,
                     extremal_sequence, h_bound, is_bad_sequence,
                     max_bad_degree_growth, normalize, t_bound, zero_ideal)
-from oracles import antichains, max_decreasing_sequence, points_up_to, random_ideal
+from oracles import (antichains, max_decreasing_sequence, points_up_to,
+                     random_ideal, reference_bad_search)
 
 # small grid of eventually constant bound functions for oracle comparisons
 TABLES = [(0,), (1,), (2,), (3,), (0, 2), (1, 2), (2, 3), (1, 1, 3), (3, 1)]
@@ -170,6 +171,19 @@ class TestMaxBad:
         for m, f in [(1, 1), (2, 1), (2, lambda i: min(i, 2))]:
             res = max_bad_degree_growth(m, f, cap=5000)
             assert is_bad_sequence(res.sequence).bad
+
+    def test_matches_reference_search(self):
+        # caps below the full node count stop the search mid-scan; a
+        # growing f registers new candidates after members were chosen
+        rng = random.Random(131)
+        cases = [(1, lambda i: i), (1, lambda i: 2 * i + 1), (1, 2), (2, 2)]
+        for m in (1, 2, 3):
+            cases += [(m, 0), (m, 1), (m, lambda i: min(i, 2))]
+        for m, f in cases:
+            full = reference_bad_search(m, f, 400)
+            for cap in {0, rng.randrange(1, full[2]), full[2], 400}:
+                want = full if cap == 400 else reference_bad_search(m, f, cap)
+                assert tuple(max_bad_degree_growth(m, f, cap)) == want, (m, cap)
 
     def test_bad_runs_terminate(self):
         # Dickson at desk scale: a bad sequence over a fixed degree box
