@@ -14,8 +14,9 @@ import sys
 from . import chains, hilbert, orderings
 from .errors import (BudgetExceeded, DataError, MonordError, ParseError,
                      WindowExhausted)
-from .ideal import (cone, direct_sum, irreducible_decomposition,
-                    components_by_support, normalize, zero_ideal, unit_ideal)
+from .ideal import (_group_by_support, cone, direct_sum,
+                    irreducible_decomposition, normalize, zero_ideal,
+                    unit_ideal)
 from .monom import DEGLEX, LEX, TermOrder
 from .ordinal import format_ordinal, nat_prod, nat_sum, parse_ordinal
 
@@ -270,7 +271,7 @@ def cmd_hilbert(args):
 def cmd_decompose(args):
     e = load_ideal(args.file)
     comps = irreducible_decomposition(e)
-    by_support = components_by_support(e)
+    by_support = _group_by_support(comps)
     payload = {
         "components": [list(nu) for nu in comps],
         "by_support": {

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .errors import DataError
-from .monom import (DEGLEX, check_point, check_same_dim, degree, divides,
-                    support, term_cmp, unit_vec, vec_add, vec_max)
+from .monom import (DEGLEX, check_point, divides, support, term_cmp,
+                    unit_vec, vec_max)
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,15 @@ def ideal_sum(e, f):
     """Smallest ideal containing both: union of generators."""
     if e.dim != f.dim:
         raise DataError("ideals live in different dimensions")
-    return normalize(e.dim, e.gens + f.gens)
+    return _checked_ideal(e.dim, minimal_points(e.gens + f.gens))
 
 
 def ideal_intersect(e, f):
     """Intersection: generated by pairwise lcms."""
     if e.dim != f.dim:
         raise DataError("ideals live in different dimensions")
-    return normalize(e.dim, (vec_max(g, h) for g in e.gens for h in f.gens))
+    return _checked_ideal(e.dim, minimal_points(
+        vec_max(g, h) for g in e.gens for h in f.gens))
 
 
 def colon(e, v):
@@ -127,8 +128,8 @@ def colon(e, v):
     check_point(v)
     if len(v) != e.dim:
         raise DataError(f"point {v!r} does not live in N^{e.dim}")
-    return normalize(
-        e.dim, (tuple(max(a - b, 0) for a, b in zip(g, v)) for g in e.gens))
+    return _checked_ideal(e.dim, minimal_points(
+        tuple(max(a - b, 0) for a, b in zip(g, v)) for g in e.gens))
 
 
 def slice_last(e, j):
@@ -141,8 +142,8 @@ def slice_last(e, j):
         raise DataError("slicing needs ambient dimension >= 2")
     if j < 0:
         raise DataError("slice index must be a natural number")
-    return normalize(e.dim - 1,
-                     (g[:-1] for g in e.gens if g[-1] <= j))
+    return _checked_ideal(e.dim - 1, minimal_points(
+        g[:-1] for g in e.gens if g[-1] <= j))
 
 
 def cone(e):
@@ -163,7 +164,7 @@ def direct_sum(e, f):
     gens += [(0,) * m + h for h in f.gens]
     gens += [unit_vec(m, i) + unit_vec(n, j)
              for i in range(m) for j in range(n)]
-    return normalize(m + n, gens)
+    return _checked_ideal(m + n, minimal_points(gens))
 
 
 def _irr_contains(nu, mu):
@@ -184,39 +185,40 @@ def irreducible_component_ideal(dim, nu):
 
 def irreducible_decomposition(e):
     """The unique irredundant set of exponent vectors nu with
-    e = intersection of the ideals m^nu.
+    e = intersection of the ideals m^nu, sorted by deglex.
 
-    Works by splitting a mixed generator g = u + v into parts with
-    disjoint supports, recursing on (gens, u) and (gens, v), and pruning
-    components that contain another component.  Requires e nonzero and
-    proper.
+    Incremental Alexander duality (Miller-Sturmfels, Combinatorial
+    Commutative Algebra, ch. 5): start from nu = 0, whose m^nu is the zero
+    ideal, and fold in one generator g at a time.  A component that
+    already holds x^g (0 < nu_i <= g_i for some i) stays; any other nu
+    becomes the vectors nu' with nu'_i = g_i, one for each i in the
+    support of g, since m^nu + <x^g> is their intersection.  A new nu'
+    whose ideal contains another component is redundant and dropped.
+    Requires e nonzero and proper.
     """
     if e.is_zero() or e.is_unit():
         raise DataError("decomposition needs a nonzero proper ideal")
-    out = set()
-    _decompose(e, out)
-    comps = sorted(out, key=DEGLEX.key)
-    keep = []
+    comps = [(0,) * e.dim]
+    for g in e.gens:
+        kept, new = [], set()
+        for nu in comps:
+            if any(0 < n <= x for n, x in zip(nu, g)):
+                kept.append(nu)
+            else:
+                new.update(nu[:i] + (g[i],) + nu[i + 1:] for i in support(g))
+        pool = kept + list(new)
+        comps = kept + [nu for nu in new if not any(
+            mu != nu and _irr_contains(nu, mu) for mu in pool)]
+    return sorted(comps, key=DEGLEX.key)
+
+
+def _group_by_support(comps):
+    """``components_by_support`` on components already computed."""
+    grouped = {}
     for nu in comps:
-        if not any(mu != nu and _irr_contains(nu, mu) for mu in comps):
-            keep.append(nu)
-    return keep
-
-
-def _decompose(e, out):
-    mixed = next((g for g in e.gens if len(support(g)) >= 2), None)
-    if mixed is None:
-        nu = [0] * e.dim
-        for g in e.gens:
-            i = support(g)[0]
-            nu[i] = g[i]
-        out.add(tuple(nu))
-        return
-    i = support(mixed)[0]
-    u = unit_vec(e.dim, i, mixed[i])
-    v = tuple(0 if k == i else x for k, x in enumerate(mixed))
-    _decompose(normalize(e.dim, e.gens + (u,)), out)
-    _decompose(normalize(e.dim, e.gens + (v,)), out)
+        s = support(nu)
+        grouped.setdefault(s, []).append(tuple(nu[i] for i in s))
+    return {s: sorted(vs, key=DEGLEX.key) for s, vs in sorted(grouped.items())}
 
 
 def components_by_support(e):
@@ -225,11 +227,7 @@ def components_by_support(e):
     Returns a dict mapping a support (tuple of 0-based indices) to the
     sorted list of components compressed to those coordinates.
     """
-    grouped = {}
-    for nu in irreducible_decomposition(e):
-        s = support(nu)
-        grouped.setdefault(s, []).append(tuple(nu[i] for i in s))
-    return {s: sorted(vs, key=DEGLEX.key) for s, vs in sorted(grouped.items())}
+    return _group_by_support(irreducible_decomposition(e))
 
 
 def generator_word(e, order=DEGLEX):

@@ -41,14 +41,9 @@ def divides(u, v):
     return all(a <= b for a, b in zip(u, v))
 
 
-def vec_add(u, v):
-    check_same_dim(u, v)
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_max(u, v):
-    """Componentwise max (the lcm of the two monomials)."""
-    check_same_dim(u, v)
+    """Componentwise max (the lcm of the two monomials) of two points of one
+    N^m; the caller checks the dimensions."""
     return tuple(max(a, b) for a, b in zip(u, v))
 
 

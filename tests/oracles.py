@@ -126,6 +126,38 @@ def certified_stability_index(e, margin=8):
     return n0
 
 
+def split_decomposition(e):
+    """The irreducible components of a nonzero proper ideal as the library
+    once computed them: split a mixed generator g into x_i^(g_i) and the
+    rest of g, recurse on both enlarged ideals until every generator is a
+    pure power, then drop each leaf vector whose ideal contains another
+    leaf's.  Deglex-sorted."""
+    out = set()
+    stack = [e]
+    while stack:
+        f = stack.pop()
+        mixed = next((g for g in f.gens if sum(1 for x in g if x) >= 2), None)
+        if mixed is None:
+            nu = [0] * f.dim
+            for g in f.gens:
+                i = next(k for k, x in enumerate(g) if x)
+                nu[i] = g[i]
+            out.add(tuple(nu))
+            continue
+        i = next(k for k, x in enumerate(mixed) if x)
+        u = tuple(x if k == i else 0 for k, x in enumerate(mixed))
+        v = tuple(0 if k == i else x for k, x in enumerate(mixed))
+        stack.append(normalize(f.dim, f.gens + (u,)))
+        stack.append(normalize(f.dim, f.gens + (v,)))
+
+    def contains(nu, mu):  # m^nu contains m^mu
+        return all(0 < n <= m for n, m in zip(nu, mu) if m > 0)
+
+    comps = sorted(out, key=lambda nu: (sum(nu),) + nu)
+    return [nu for nu in comps
+            if not any(mu != nu and contains(nu, mu) for mu in comps)]
+
+
 def brute_comm_leq(u, v):
     """Injective domination by trying all position assignments."""
     u, v = list(u), list(v)

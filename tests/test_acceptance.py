@@ -17,10 +17,11 @@ from monord import (IVPoly, OMEGA, Ord, binomial, bounds_report, cmp, cone,
                     minimizing_coefficients, nat_pow, nat_prod, nat_sum,
                     normalize, omega_pow, phi_poly, psi_poly,
                     stability_index, threshold, triangle_cmp)
-from monord.ideal import irreducible_component_ideal
+from monord.ideal import _irr_contains, irreducible_component_ideal
 from oracles import (antichains, longest_downset_chain,
                      max_decreasing_sequence, points_of_degree, points_up_to,
-                     random_artinian_staircase, random_ideal, slice_counter,
+                     random_artinian_staircase, random_ideal,
+                     random_wide_ideal, slice_counter,
                      stepwise_macaulay_next)
 
 HILBERT_VALUES = []  # (m, H values) collected by criterion 3 for criterion 4
@@ -240,6 +241,23 @@ def test_criterion_09_decomposition(capsys):
         assert fired > 30
 
     report(capsys, 9, "decomposition soundness", body)
+
+
+def test_criterion_09_wide_decomposition(capsys):
+    # splitting on mixed generators took about 30 s on this ideal
+    e = random_wide_ideal(random.Random(209), 6, 200)
+    holder = []
+
+    def body():
+        holder.append(irreducible_decomposition(e))
+
+    report(capsys, 9, "decomposition, m=6, 200 gens", body, limit=1.0)
+    comps = holder[0]
+    for nu in comps:
+        part = irreducible_component_ideal(6, nu)
+        assert all(part.contains(g) for g in e.gens)
+    assert not any(mu != nu and _irr_contains(nu, mu)
+                   for nu in comps for mu in comps)
 
 
 def _random_ordinal(rng, depth=2):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from monord import hilbert, normalize
+from monord import cli, hilbert, ideal, normalize
 from monord.cli import main, parse_ideal_text, parse_point
 from monord.ordinal import MAX_NESTING
 
@@ -168,6 +168,25 @@ class TestDecompose:
         code, out, _ = run(capsys, ["decompose", path, "--json"])
         data = json.loads(out)
         assert data["by_support"] == {"1": [[2]], "2": [[1]]}
+
+    def test_decomposes_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        engine = ideal.irreducible_decomposition
+
+        def counted(e):
+            calls.append(e)
+            return engine(e)
+
+        monkeypatch.setattr(ideal, "irreducible_decomposition", counted)
+        monkeypatch.setattr(cli, "irreducible_decomposition", counted)
+        path = write(tmp_path, "a.ideal", "dim 3\n2 1 0\n0 1 3\n1 0 1\n")
+        code, out, _ = run(capsys, ["decompose", path, "--json"])
+        assert code == 0
+        assert json.loads(out) == {
+            "components": [[0, 1, 1], [1, 1, 0], [2, 0, 1], [1, 0, 3]],
+            "by_support": {"1,2": [[1, 1]], "1,3": [[2, 1], [1, 3]],
+                           "2,3": [[1, 1]]}}
+        assert len(calls) == 1
 
 
 class TestLexifyConeDirectsum:

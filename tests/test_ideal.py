@@ -11,7 +11,8 @@ from monord import (DataError, MonomialIdeal, colon, comm_leq,
                     irreducible_decomposition, normalize, slice_last,
                     unit_ideal, zero_ideal)
 from monord.ideal import irreducible_component_ideal
-from oracles import in_ideal, points_up_to, random_ideal
+from oracles import (in_ideal, points_up_to, random_ideal, random_wide_ideal,
+                     split_decomposition)
 
 
 class TestNormalize:
@@ -248,6 +249,19 @@ class TestDecomposition:
             rng.shuffle(gens)
             assert irreducible_decomposition(normalize(3, gens)) == \
                 irreducible_decomposition(e)
+
+    def test_matches_split_oracle(self):
+        rng = random.Random(37)
+        for _ in range(1200):
+            e = random_ideal(rng, rng.randint(1, 6), 9, 6)
+            assert irreducible_decomposition(e) == split_decomposition(e)
+
+    def test_wide_ideals_match_split_oracle(self):
+        # k stays where the oracle takes at most about 0.2 s
+        rng = random.Random(41)
+        for m, k in ((3, 10), (3, 30), (3, 60), (4, 10), (4, 30), (4, 50)):
+            e = random_wide_ideal(rng, m, k)
+            assert irreducible_decomposition(e) == split_decomposition(e)
 
 
 class TestComponentsBySupport:
