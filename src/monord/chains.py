@@ -2,16 +2,17 @@
 
 ell(m, f) is the exact maximal length of an f-bounded lex-decreasing
 sequence in N^m; it grows Ackermann-like in m, so every recursion here
-runs under an explicit frame budget rather than a value bound.
+runs under an explicit budget rather than a value bound.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, DataError
-from .ivpoly import binomial
+from .ivpoly import IVPoly, binomial, from_samples
 from .monom import divides, points_of_degree
 
 DEFAULT_BUDGET = 1_000_000
@@ -31,56 +32,76 @@ def default_budget():
 
 
 class _Budget:
-    def __init__(self, frames):
-        self.left = frames
+    """One unit per recursion step plus one per byte of the offset a child
+    bound is shifted by, so that it bounds the size of the values built."""
+
+    def __init__(self, limit=None):
+        self.limit = default_budget() if limit is None else limit
         self.spent = 0
 
-    def tick(self):
-        if self.left <= 0:
+    def charge(self, off):
+        cost = 1 + (off.bit_length() + 7) // 8
+        if self.spent + cost > self.limit:
             raise BudgetExceeded(
-                f"recursion budget exceeded after {self.spent} frames",
-                spent=self.spent)
-        self.left -= 1
-        self.spent += 1
+                f"budget of {self.limit} units exhausted, {self.spent} spent "
+                f"(raise it with --budget or MONORD_BUDGET)", spent=self.spent)
+        self.spent += cost
 
 
 class BoundFn:
-    """A degree bound i -> f(i), memoized and monotonized on the fly.
+    """A degree bound i -> f(i), replaced by its increasing envelope
+    i -> max(f(0), ..., f(i)), which the length recursion assumes.
 
-    Wrapping replaces f by i -> max(f(0), ..., f(i)), the increasing
-    envelope the length recursion assumes.  Values must be naturals.
+    A table of envelope values, then f(i) = tail(i - len(table)) for an
+    IVPoly tail; or, with no tail, a callable read lazily into the table.
     """
 
-    def __init__(self, fn):
+    def __init__(self, fn=None, table=(), tail=None):
         self._fn = fn
-        self._vals = []
+        self._vals = list(table)
+        self._tail = tail
 
     def __call__(self, i):
         if i < 0:
             raise DataError("bound functions are defined on naturals")
-        while len(self._vals) <= i:
-            j = len(self._vals)
+        vals = self._vals
+        if i >= len(vals) and self._tail is not None:
+            return self._tail(i - len(vals))
+        while len(vals) <= i:
+            j = len(vals)
             v = self._fn(j)
             if not isinstance(v, int) or v < 0:
                 raise DataError(f"bound value f({j}) = {v!r} is not natural")
-            if self._vals:
-                v = max(v, self._vals[-1])
-            self._vals.append(v)
-        return self._vals[i]
+            vals.append(max(v, vals[-1]) if vals else v)
+        return vals[i]
 
     @classmethod
     def affine(cls, p, q):
         """i -> p + i*q."""
-        return cls(lambda i: p + i * q)
+        if not (isinstance(p, int) and isinstance(q, int)) or min(p, q) < 0:
+            raise DataError(f"affine bound needs naturals p, q, got {p}, {q}")
+        return cls(tail=IVPoly((p - q, q)))
 
     @classmethod
     def from_table(cls, values, tail=None):
         """Finite table, continued by its last value (or ``tail``)."""
         values = list(values)
+        if any(not isinstance(v, int) or v < 0 for v in values + [tail or 0]):
+            raise DataError(f"table {values}, tail {tail}: not naturals")
         if not values:
             raise DataError("table must be nonempty")
-        last = values[-1] if tail is None else tail
-        return cls(lambda i: values[i] if i < len(values) else last)
+        values = list(accumulate(values, max))
+        return cls(table=values, tail=IVPoly((max(values[-1], tail or 0),)))
+
+    def mapped(self, off, g):
+        """j -> g(f(j + off)) in the same form, for an IVPoly g nondecreasing
+        on the naturals; a tail of degree d maps to one of degree d * deg g."""
+        if self._tail is None:
+            return BoundFn(lambda j: g(self(j + off)))
+        n = max(off, len(self._vals))  # the first index read off the tail
+        samples = max(self._tail.degree, 0) * max(g.degree, 0) + 1
+        tail = from_samples([g(self(n + j)) for j in range(samples)])
+        return BoundFn(table=[g(v) for v in self._vals[off:]], tail=tail)
 
 
 def as_bound_fn(f):
@@ -89,7 +110,7 @@ def as_bound_fn(f):
     if callable(f):
         return BoundFn(f)
     if isinstance(f, int):
-        return BoundFn(lambda i: f)
+        return BoundFn.from_table([f])
     raise DataError(f"cannot use {f!r} as a bound function")
 
 
@@ -105,44 +126,24 @@ def ell(m, f, budget=None):
     f = as_bound_fn(f)
     if m < 1:
         raise DataError("m must be >= 1")
-    counter = _Budget(default_budget() if budget is None else budget)
-    return _ell(m, f, counter, {})
-
-
-def _memo_lookup(trie, f):
-    """Walk a value trie along f(0), f(1), ...; a stored result means some
-    earlier bound function agreed with f on its whole relevant prefix."""
-    k = 0
-    while trie is not None:
-        if "result" in trie:
-            return trie["result"]
-        trie = trie.get("kids", {}).get(f(k))
-        k += 1
-    return None
-
-
-def _memo_store(trie, f, result):
-    for k in range(len(f._vals)):
-        trie = trie.setdefault("kids", {}).setdefault(f._vals[k], {})
-    trie["result"] = result
+    return _ell(m, f, _Budget(budget), {})
 
 
 def _ell(m, f, counter, memo):
-    trie = memo.setdefault(m, {})
-    cached = _memo_lookup(trie, f)
-    if cached is not None:
-        return cached
-    counter.tick()
+    """The recursion; memo holds ell(m, c) for bounds c from 0 on."""
+    f0 = f(0)
     if m == 1:
-        out = f(0) + 1
-    else:
-        lens = []
-        for i in range(1, f(0) + 1):
-            off = 1 + sum(lens)
-            fi = BoundFn(lambda j, off=off, i=i: f(j + off) - f(0) + i)
-            lens.append(_ell(m - 1, fi, counter, memo))
-        out = 1 + sum(lens)
-    _memo_store(trie, f, out)
+        return f0 + 1
+    c = f0 if f._tail == IVPoly((f0,)) else None  # f is f0 from 0 on
+    if (m, c) in memo:
+        return memo[m, c]
+    out = 1
+    for i in range(1, f0 + 1):
+        counter.charge(out)
+        fi = f.mapped(out, IVPoly((i - f0 - 1, 1)))  # f(j + out) - f0 + i
+        out += _ell(m - 1, fi, counter, memo)
+    if c is not None:
+        memo[m, c] = out
     return out
 
 
@@ -154,24 +155,23 @@ def extremal_sequence(m, f, cap, budget=None):
         raise DataError("m must be >= 1")
     if cap < 0:
         raise DataError("cap must be a natural number")
-    counter = _Budget(default_budget() if budget is None else budget)
-    return _extremal(m, f, cap, counter)
+    return _extremal(m, f, cap, _Budget(budget))
 
 
 def _extremal(m, f, cap, counter):
-    counter.tick()
+    f0 = f(0)
     if cap == 0:
         return []
     if m == 1:
-        return [(f(0) - i,) for i in range(min(f(0) + 1, cap))]
-    seq = [(f(0),) + (0,) * (m - 1)]
-    for i in range(1, f(0) + 1):
+        return [(f0 - i,) for i in range(min(f0 + 1, cap))]
+    seq = [(f0,) + (0,) * (m - 1)]
+    for i in range(1, f0 + 1):
         if len(seq) >= cap:
             break
-        off = len(seq)
-        fi = BoundFn(lambda j, off=off, i=i: f(j + off) - f(0) + i)
+        counter.charge(len(seq))
+        fi = f.mapped(len(seq), IVPoly((i - f0 - 1, 1)))
         tail = _extremal(m - 1, fi, cap - len(seq), counter)
-        seq.extend((f(0) - i,) + t for t in tail)
+        seq.extend((f0 - i,) + t for t in tail)
     return seq[:cap]
 
 
@@ -185,9 +185,13 @@ def h_bound(s, m):
 
 def t_bound(m, f, budget=None):
     """t_m(f) = ell(m, h_m o f): a length bound for bad sequences of
-    ideals in N^m whose i-th member is generated in degrees <= f(i)."""
+    ideals in N^m whose i-th member is generated in degrees <= f(i).
+    h_m is a degree-m polynomial, composed into f's tail."""
     f = as_bound_fn(f)
-    return ell(m, lambda i: h_bound(f(i), m), budget=budget)
+    if m < 1:
+        raise DataError("m must be >= 1")
+    h = from_samples([h_bound(s, m) for s in range(m + 1)])
+    return ell(m, f.mapped(0, h), budget=budget)
 
 
 class BadnessVerdict(NamedTuple):

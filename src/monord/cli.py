@@ -307,15 +307,8 @@ def cmd_chainbound(args):
         p, q = (int(x) for x in args.affine.split(","))
     except ValueError:
         raise DataError(f"--affine expects 'p,q', got {args.affine!r}")
-    f = chains.BoundFn.affine(p, q)
-    try:
-        if args.tm:
-            value = chains.t_bound(args.m, f, budget=args.budget)
-        else:
-            value = chains.ell(args.m, f, budget=args.budget)
-    except BudgetExceeded as exc:
-        print(f"budget exceeded at depth {exc.spent}")
-        return EX_RESOURCE
+    bound = chains.t_bound if args.tm else chains.ell
+    value = bound(args.m, chains.BoundFn.affine(p, q), budget=args.budget)
     _emit(args, {"value": str(value)}, str(value))
     return EX_OK
 
@@ -357,6 +350,8 @@ COMMANDS = {
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # the budget bounds value sizes
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

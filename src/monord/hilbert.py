@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count
 from math import comb
 from typing import NamedTuple
 
@@ -280,12 +279,12 @@ class N0Result(NamedTuple):
 def stability_index(e, max_window=None):
     """n0(E): least n0 with H(n+1) = H(n)^<n> for every n >= n0.
 
-    Scans n = 1, 2, ... and stops at the first n >= threshold(e) where H
-    grows maximally.  Every generator has degree at most the threshold, so
-    by Gotzmann's persistence theorem (Math. Z. 158 (1978); Bruns-Herzog,
-    Thm 4.3.3) growth stays maximal from there on and n0 is one past the
-    last failure seen.  A ``max_window`` below the degree where the scan
-    stops raises WindowExhausted.
+    Scans n = 1..threshold(e).  Every generator has degree at most the
+    threshold, so if H grows maximally there, Gotzmann's persistence theorem
+    (Math. Z. 158 (1978); Bruns-Herzog, Thm 4.3.3) keeps it so and n0 is one
+    past the last failure; otherwise n0 is the Gotzmann number of the
+    Hilbert polynomial of H.  A ``max_window`` at or below the threshold
+    raises WindowExhausted.
     """
     if e.is_zero() or e.is_unit():
         raise DataError("stability index needs a nonzero proper ideal")
@@ -294,18 +293,18 @@ def stability_index(e, max_window=None):
 
 def _stability_index(num, m, t, max_window=None):
     """stability_index from the numerator and the threshold."""
+    if max_window is not None and max_window <= t:
+        raise WindowExhausted(
+            f"window {max_window} does not pass the threshold {t}")
     n0, h = 1, _hilbert_value(num, m, 1)
-    for n in count(1):
-        if max_window is not None and n >= max_window:
-            raise WindowExhausted(
-                f"window {max_window} ends before H is seen to grow "
-                f"maximally past the threshold {t}")
+    for n in range(1, t + 1):
         h_next = _hilbert_value(num, m, n + 1)
         if h_next != macaulay_next(h, n):
             n0 = n + 1
-        elif n >= t:
-            return N0Result(n0, n + 1, True)
         h = h_next
+    if n0 == t + 1:
+        n0 = phi_poly(_samuel_poly(num, m - 1), m - 1)
+    return N0Result(n0, t + 1, True)
 
 
 def lex_segment_ideal(e, bound):

@@ -126,6 +126,28 @@ def certified_stability_index(e, margin=8):
     return n0
 
 
+def persistence_stability_index(e):
+    """n0 by the scan the library used before it took the Gotzmann number
+    past the threshold: H on n = 1, 2, ... until the first n >= threshold
+    where growth is maximal; n0 is one past the last failure.  Its cost
+    grows with n0, so it suits only ideals whose n0 is modest."""
+    m = e.dim
+    num = ie_numerator(e)
+    t = sum(map(max, zip(*e.gens)))
+
+    def hilbert(n):
+        return sum(c * comb(n - k + m - 1, m - 1) for k, c in num if k <= n)
+
+    n0, n, h = 1, 1, hilbert(1)
+    while True:
+        h_next = hilbert(n + 1)
+        if h_next != macaulay_next(h, n):
+            n0 = n + 1
+        elif n >= t:
+            return n0
+        n, h = n + 1, h_next
+
+
 def split_decomposition(e):
     """The irreducible components of a nonzero proper ideal as the library
     once computed them: split a mixed generator g into x_i^(g_i) and the
@@ -342,3 +364,107 @@ def stepwise_macaulay_next(a, d):
         return 0
     tops = stepwise_macaulay_tops(a, d)
     return sum(comb(t + 1, i + 1) for t, i in zip(tops, range(d, 0, -1)))
+
+
+# -- the chain-bound engine the library used before closed-form bounds ----
+
+class TrieBound:
+    """i -> max(f(0), ..., f(i)) for a callable f, tabulated on demand."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.vals = []
+
+    def __call__(self, i):
+        while len(self.vals) <= i:
+            v = self.fn(len(self.vals))
+            assert isinstance(v, int) and v >= 0
+            self.vals.append(max(v, self.vals[-1]) if self.vals else v)
+        return self.vals[i]
+
+
+def _trie_lookup(trie, f):
+    """Walk a value trie along f(0), f(1), ...; a stored result means some
+    earlier bound agreed with f on its whole relevant prefix."""
+    k = 0
+    while trie is not None:
+        if "result" in trie:
+            return trie["result"]
+        trie = trie.get("kids", {}).get(f(k))
+        k += 1
+    return None
+
+
+def _trie_store(trie, f, result):
+    for v in f.vals:
+        trie = trie.setdefault("kids", {}).setdefault(v, {})
+    trie["result"] = result
+
+
+def trie_ell(m, f):
+    """ell(m, f) for a callable f by the shifted-bound recursion, memoized
+    on value prefixes.  Every shift tabulates f up to its offset, which is
+    itself an ell value, so keep to small cases."""
+
+    def rec(m, f, memo):
+        trie = memo.setdefault(m, {})
+        cached = _trie_lookup(trie, f)
+        if cached is not None:
+            return cached
+        if m == 1:
+            out = f(0) + 1
+        else:
+            out = 1
+            for i in range(1, f(0) + 1):
+                fi = TrieBound(lambda j, off=out, i=i: f(j + off) - f(0) + i)
+                out += rec(m - 1, fi, memo)
+        _trie_store(trie, f, out)
+        return out
+
+    return rec(m, TrieBound(f), {})
+
+
+def trie_extremal(m, f, cap):
+    """A longest f-bounded lex-decreasing sequence truncated to ``cap``, by
+    the same recursion as trie_ell."""
+
+    def rec(m, f, cap):
+        if cap == 0:
+            return []
+        if m == 1:
+            return [(f(0) - i,) for i in range(min(f(0) + 1, cap))]
+        seq = [(f(0),) + (0,) * (m - 1)]
+        for i in range(1, f(0) + 1):
+            if len(seq) >= cap:
+                break
+            fi = TrieBound(lambda j, off=len(seq), i=i: f(j + off) - f(0) + i)
+            seq.extend((f(0) - i,) + t for t in rec(m - 1, fi, cap - len(seq)))
+        return seq[:cap]
+
+    return rec(m, TrieBound(f), cap)
+
+
+def affine_ell(m, p, q):
+    """ell(m, i -> p + i q) by the recurrence for affine bounds: shifting
+    one by the length so far, total, gives the affine bound
+    j -> (q * total + i) + j q, so at m = 2 each step is
+    total <- (q + 1) total + i + 1."""
+    if m == 1:
+        return p + 1
+    total = 1
+    for i in range(1, p + 1):
+        total += affine_ell(m - 1, q * total + i, q)
+    return total
+
+
+def recurrence_ell(m, f):
+    """ell(m, f) for a nondecreasing callable f straight from the recurrence
+    ell(m, f) = 1 + sum of ell(m - 1, j -> f(j + off) - f(0) + i), with
+    no table and no memo: only for bounds with small f(0) at every level."""
+    if m == 1:
+        return f(0) + 1
+    total = 1
+    for i in range(1, f(0) + 1):
+        total += recurrence_ell(
+            m - 1, lambda j, off=total, i=i: f(j + off) - f(0) + i)
+    return total

@@ -7,8 +7,9 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from monord import (IVPoly, OMEGA, Ord, binomial, bounds_report, cmp, cone,
-                    direct_sum, dominance_cmp, ell, height, hilbert_fn,
+from monord import (BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord, binomial,
+                    bounds_report, cmp, cone, direct_sum, dominance_cmp, ell,
+                    h_bound, height, hilbert_fn,
                     hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
                     ideal_intersect, ideal_sum,
                     irreducible_decomposition, is_bad_sequence, is_osequence,
@@ -16,12 +17,12 @@ from monord import (IVPoly, OMEGA, Ord, binomial, bounds_report, cmp, cone,
                     comm_leq, components_by_support, min_type_cmp,
                     minimizing_coefficients, nat_pow, nat_prod, nat_sum,
                     normalize, omega_pow, phi_poly, psi_poly,
-                    stability_index, threshold, triangle_cmp)
+                    stability_index, t_bound, threshold, triangle_cmp)
 from monord.ideal import _irr_contains, irreducible_component_ideal
-from oracles import (antichains, longest_downset_chain,
+from oracles import (affine_ell, antichains, longest_downset_chain,
                      max_decreasing_sequence, points_of_degree, points_up_to,
                      random_artinian_staircase, random_ideal,
-                     random_wide_ideal, slice_counter,
+                     random_wide_ideal, recurrence_ell, slice_counter,
                      stepwise_macaulay_next)
 
 HILBERT_VALUES = []  # (m, H values) collected by criterion 3 for criterion 4
@@ -365,3 +366,37 @@ def test_criterion_13_bad_sequence_search(capsys):
     assert res.nodes == 2000 and not res.exhaustive
     assert is_bad_sequence(res.sequence).bad
     assert all(sum(g) <= 3 for e in res.sequence for g in e.gens)
+
+
+def test_criterion_14_gotzmann_stability_index(capsys):
+    # H fails maximal growth at every n the old scan reached; the scan was
+    # quadratic and still running after 30 s
+    e = normalize(6, [(0, 0, 2, 2, 1, 0), (0, 4, 0, 0, 2, 0)])
+    holder = []
+
+    def body():
+        holder.append(stability_index(e))
+
+    report(capsys, 14, "stability_index past the threshold, m=6", body,
+           limit=1.0)
+    assert threshold(e) == 10
+    assert holder[0].n0 == 37_050_681
+
+
+def test_criterion_15_chain_rows(capsys):
+    # the old engine ran out of memory on the ell rows and took about 10 s
+    # on the t_bound row
+    def body():
+        for p, q in [(20, 2), (50, 3)]:
+            assert ell(2, BoundFn.affine(p, q)) == affine_ell(2, p, q)
+        assert t_bound(2, BoundFn.affine(2, 1)) == recurrence_ell(
+            2, lambda i: h_bound(2 + i, 2))
+        try:
+            ell(3, BoundFn.affine(3, 1), budget=200_000)
+        except BudgetExceeded as exc:
+            assert exc.spent <= 200_000
+        else:
+            raise AssertionError("ell(3, 3 + i) fit a budget of 200000")
+
+    report(capsys, 15, "chain rows: ell and t_bound exact, budget holds",
+           body, limit=1.0)

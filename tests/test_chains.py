@@ -1,17 +1,37 @@
 """Chain-length bounds, extremal sequences, and bad-sequence checking."""
 
 import random
+from math import comb
 
 import pytest
 
 from monord import (BoundFn, BudgetExceeded, DataError, ell,
                     extremal_sequence, h_bound, is_bad_sequence,
                     max_bad_degree_growth, normalize, t_bound, zero_ideal)
-from oracles import (antichains, max_decreasing_sequence, points_up_to,
-                     random_ideal, reference_bad_search)
+from oracles import (affine_ell, antichains, max_decreasing_sequence,
+                     points_up_to, random_ideal, reference_bad_search,
+                     trie_ell, trie_extremal)
 
 # small grid of eventually constant bound functions for oracle comparisons
 TABLES = [(0,), (1,), (2,), (3,), (0, 2), (1, 2), (2, 3), (1, 1, 3), (3, 1)]
+
+# the affine points (m, p, q) of the chains-ordinals benchmark, where the
+# old engine still fits in memory: m = 2 with (q + 1)^p <= 5000, and the
+# fixed m = 3 and m = 4 points
+AFFINE_GRID = ([(2, p, q) for p in range(13) for q in range(3)
+                if (q + 1) ** p <= 5000]
+               + [(3, p, q) for p, q in
+                  ((1, 0), (1, 1), (1, 2), (2, 0), (3, 0), (1, 3))]
+               + [(4, p, q) for p, q in
+                  ((1, 0), (2, 0), (3, 0), (0, 3), (0, 1))])
+# the t_bound points (m, p, q) of the same benchmark
+TB_GRID = ([(2, p, q) for p, q in
+            ((0, 0), (1, 0), (2, 0), (1, 1), (0, 1), (0, 2), (3, 0))]
+           + [(3, p, q) for p, q in ((0, 0), (1, 0), (2, 0), (0, 1))])
+
+
+def table_fn(table):
+    return lambda i: table[min(i, len(table) - 1)]
 
 
 class TestBoundFn:
@@ -32,6 +52,11 @@ class TestBoundFn:
             BoundFn(lambda i: -1)(0)
         with pytest.raises(DataError):
             BoundFn(lambda i: 1)(-2)
+
+    def test_affine_rejects_negatives_at_construction(self):
+        for p, q in [(-1, 0), (0, -1), (3, -2)]:
+            with pytest.raises(DataError):
+                BoundFn.affine(p, q)
 
 
 class TestEll:
@@ -86,6 +111,51 @@ class TestEll:
         monkeypatch.setenv("MONORD_BUDGET", "-3")
         with pytest.raises(DataError):
             ell(2, 1)
+
+
+class TestAgainstTrieEngine:
+    """The engine on closed-form bounds against the value-trie engine it
+    replaced, and against the recurrence for affine bounds."""
+
+    def test_tables(self):
+        for m in (1, 2, 3, 4):
+            for table in TABLES:
+                assert ell(m, BoundFn.from_table(table)) == \
+                    trie_ell(m, table_fn(table)), (m, table)
+
+    def test_affine_grid(self):
+        for m, p, q in AFFINE_GRID:
+            got = ell(m, BoundFn.affine(p, q))
+            assert got == affine_ell(m, p, q), (m, p, q)
+            assert got == trie_ell(m, lambda i: p + i * q), (m, p, q)
+
+    def test_callables(self):
+        for m in (1, 2, 3):
+            for c in range(6):
+                for p in range(6):
+                    f = lambda i, c=c, p=p: min(c, p + i)
+                    assert ell(m, f) == trie_ell(m, f), (m, c, p)
+
+    def test_t_bound(self):
+        for m, p, q in TB_GRID:
+            want = trie_ell(m, lambda i: h_bound(p + i * q, m))
+            assert t_bound(m, BoundFn.affine(p, q)) == want, (m, p, q)
+
+    def test_extremal(self):
+        cases = [(m, BoundFn.from_table(t), table_fn(t))
+                 for m in (1, 2, 3) for t in TABLES]
+        cases += [(m, BoundFn.affine(p, q), lambda i, p=p, q=q: p + i * q)
+                  for m, p, q in AFFINE_GRID]
+        for m, f, fn in cases:
+            for cap in (1, 7, 50):
+                assert extremal_sequence(m, f, cap) == \
+                    trie_extremal(m, fn, cap), (m, cap)
+
+    def test_constant_bounds(self):
+        for m in range(1, 13):
+            for c in (0, 1, 2, 7, 19, 40):
+                if c < 40 or m in (1, 2, 12):
+                    assert ell(m, c) == comb(c + m, m), (m, c)
 
 
 class TestExtremal:

@@ -7,6 +7,7 @@ import pytest
 from monord import cli, hilbert, ideal, normalize
 from monord.cli import main, parse_ideal_text, parse_point
 from monord.ordinal import MAX_NESTING
+from oracles import affine_ell
 
 
 def write(tmp_path, name, text):
@@ -225,10 +226,34 @@ class TestChainbound:
         assert (code, out.strip()) == (0, "3")
 
     def test_budget_exceeded(self, capsys):
-        code, out, _ = run(capsys, ["chainbound", "--m", "3",
-                                    "--affine", "3,2", "--budget", "10"])
-        assert code == 69
-        assert "budget exceeded at depth" in out
+        code, out, err = run(capsys, ["chainbound", "--m", "3",
+                                      "--affine", "3,2", "--budget", "10"])
+        assert (code, out) == (69, "")
+        assert "budget of 10 units" in err and "--budget" in err
+        assert "MONORD_BUDGET" in err
+
+    def test_value_rows(self, capsys):
+        code, out, _ = run(capsys, ["chainbound", "--m", "2",
+                                    "--affine", "50,3"])
+        assert (code, out.strip()) == (0, str(affine_ell(2, 50, 3)))
+        for argv in (["--m", "3", "--affine", "3,1", "--budget", "100"],
+                     ["--m", "2", "--affine", "10,1", "--tm",
+                      "--budget", "100000"]):
+            code, out, err = run(capsys, ["chainbound"] + argv)
+            assert (code, out) == (69, "") and "budget" in err
+
+    def test_long_value(self, capsys):
+        # past the 4,300 digits Python converts to text by default
+        p = 10 ** 5000 + 7
+        code, out, _ = run(capsys, ["chainbound", "--m", "1",
+                                    "--affine", f"{p},0"])
+        assert code == 0
+        assert out.strip() == "1" + "0" * 4999 + "8"
+
+    def test_negative_affine(self, capsys):
+        code, _, err = run(capsys, ["chainbound", "--m", "2",
+                                    "--affine=-1,0"])
+        assert code == 65 and "naturals" in err
 
     def test_bad_affine(self, capsys):
         code, _, err = run(capsys, ["chainbound", "--m", "2",

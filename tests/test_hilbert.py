@@ -18,7 +18,7 @@ from monord.hilbert import _numerator
 from monord.ivpoly import binom_poly
 from oracles import (certified_stability_index, ie_hilbert_samuel_poly,
                      ie_numerator, naive_hilbert, naive_hilbert_samuel,
-                     points_up_to, random_artinian_staircase, random_ideal,
+                     persistence_stability_index, points_up_to, random_artinian_staircase, random_ideal,
                      random_wide_ideal, slice_count, slice_counter,
                      stepwise_macaulay_next)
 
@@ -315,9 +315,29 @@ class TestStabilityIndex:
             assert res.window >= threshold(e) + 1
             checked += 1
 
+    def test_matches_persistence_scan(self):
+        # the scan past the threshold that the Gotzmann number replaced;
+        # ideals whose phi(p_E) is large are skipped, as the scan is slow
+        rng = random.Random(89)
+        checked = past_threshold = 0
+        while checked < 300:
+            m = rng.randint(2, 6)
+            e = random_ideal(rng, m, 8, 7)
+            if phi_poly(ie_hilbert_samuel_poly(e), m) > 3000:
+                continue
+            res = stability_index(e)
+            assert res.n0 == persistence_stability_index(e), e
+            assert res.window == threshold(e) + 1
+            past_threshold += res.n0 > threshold(e)
+            checked += 1
+        assert past_threshold >= 30
+
     def test_window_exhausted(self):
         with pytest.raises(WindowExhausted):
             stability_index(normalize(2, [(2, 1)]), max_window=2)
+        with pytest.raises(WindowExhausted):
+            stability_index(normalize(2, [(2, 1)]), max_window=3)
+        assert stability_index(normalize(2, [(2, 1)]), max_window=4).n0 == 3
 
 
 class TestLexSegment:
