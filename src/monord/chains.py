@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import os
 from itertools import accumulate
+from math import comb, inf
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, DataError
+from .ideal import check_same_dim, normalize
 from .ivpoly import IVPoly, binomial, from_samples
 from .monom import divides, points_of_degree
 
@@ -32,20 +34,23 @@ def default_budget():
 
 
 class _Budget:
-    """One unit per recursion step plus one per byte of the offset a child
-    bound is shifted by, so that it bounds the size of the values built."""
+    """One unit per recursion step plus one per byte of the offset its bound
+    is shifted by, so that it bounds the size of the values built, and one
+    per value a callable bound adds to its table."""
 
     def __init__(self, limit=None):
         self.limit = default_budget() if limit is None else limit
         self.spent = 0
 
-    def charge(self, off):
-        cost = 1 + (off.bit_length() + 7) // 8
-        if self.spent + cost > self.limit:
+    def charge(self, units):
+        if self.spent + units > self.limit:
             raise BudgetExceeded(
                 f"budget of {self.limit} units exhausted, {self.spent} spent "
                 f"(raise it with --budget or MONORD_BUDGET)", spent=self.spent)
-        self.spent += cost
+        self.spent += units
+
+    def step(self, off):
+        self.charge(1 + (off.bit_length() + 7) // 8)
 
 
 class BoundFn:
@@ -60,13 +65,22 @@ class BoundFn:
         self._fn = fn
         self._vals = list(table)
         self._tail = tail
+        self._flat = inf  # f is constant from index _flat on
+        if tail is not None and tail.degree <= 0:
+            c, self._flat = tail(0), len(self._vals)
+            while self._flat and self._vals[self._flat - 1] == c:
+                self._flat -= 1
 
-    def __call__(self, i):
+    def __call__(self, i, budget=None):
+        """f(i); a callable's new table values are charged to ``budget``
+        before they are read."""
         if i < 0:
             raise DataError("bound functions are defined on naturals")
         vals = self._vals
         if i >= len(vals) and self._tail is not None:
             return self._tail(i - len(vals))
+        if i >= len(vals) and budget is not None:
+            budget.charge(i + 1 - len(vals))
         while len(vals) <= i:
             j = len(vals)
             v = self._fn(j)
@@ -93,15 +107,14 @@ class BoundFn:
         values = list(accumulate(values, max))
         return cls(table=values, tail=IVPoly((max(values[-1], tail or 0),)))
 
-    def mapped(self, off, g):
-        """j -> g(f(j + off)) in the same form, for an IVPoly g nondecreasing
-        on the naturals; a tail of degree d maps to one of degree d * deg g."""
+    def mapped(self, g):
+        """j -> g(f(j)) in the same form, for an IVPoly g nondecreasing on
+        the naturals; a tail of degree d maps to one of degree d * deg g."""
         if self._tail is None:
-            return BoundFn(lambda j: g(self(j + off)))
-        n = max(off, len(self._vals))  # the first index read off the tail
+            return BoundFn(lambda j: g(self(j)))
         samples = max(self._tail.degree, 0) * max(g.degree, 0) + 1
-        tail = from_samples([g(self(n + j)) for j in range(samples)])
-        return BoundFn(table=[g(v) for v in self._vals[off:]], tail=tail)
+        tail = from_samples([g(self._tail(j)) for j in range(samples)])
+        return BoundFn(table=[g(v) for v in self._vals], tail=tail)
 
 
 def as_bound_fn(f):
@@ -120,30 +133,27 @@ def ell(m, f, budget=None):
 
     ell(1, f) = f(0) + 1; for m >= 2 the first vector must be
     (f(0), 0, ..., 0) and each later first coordinate f(0) - i heads a
-    block whose tail is an extremal sequence for the shifted bound f_i,
-    giving ell(m, f) = 1 + sum of ell(m-1, f_i) for i = 1..f(0).
+    block whose tail is an extremal sequence for the shifted bound
+    f_i(j) = f(j + out) - f(0) + i, out the length so far, giving
+    ell(m, f) = 1 + sum of ell(m-1, f_i) for i = 1..f(0).  A constant
+    bound c admits every point of degree <= c: ell(m, c) = C(c + m, m).
     """
     f = as_bound_fn(f)
     if m < 1:
         raise DataError("m must be >= 1")
-    return _ell(m, f, _Budget(budget), {})
+    return _ell(m, f, 0, 0, _Budget(budget))
 
 
-def _ell(m, f, counter, memo):
-    """The recursion; memo holds ell(m, c) for bounds c from 0 on."""
-    f0 = f(0)
-    if m == 1:
-        return f0 + 1
-    c = f0 if f._tail == IVPoly((f0,)) else None  # f is f0 from 0 on
-    if (m, c) in memo:
-        return memo[m, c]
+def _ell(m, f, off, k, budget):
+    """ell(m, j -> f(j + off) + k): every shifted bound is f at an offset
+    plus an addend, so the recursion passes the two ints down."""
+    f0 = f(off, budget) + k
+    if m == 1 or off >= f._flat:
+        return comb(f0 + m, m)
     out = 1
     for i in range(1, f0 + 1):
-        counter.charge(out)
-        fi = f.mapped(out, IVPoly((i - f0 - 1, 1)))  # f(j + out) - f0 + i
-        out += _ell(m - 1, fi, counter, memo)
-    if c is not None:
-        memo[m, c] = out
+        budget.step(out)
+        out += _ell(m - 1, f, off + out, k - f0 + i, budget)
     return out
 
 
@@ -155,11 +165,12 @@ def extremal_sequence(m, f, cap, budget=None):
         raise DataError("m must be >= 1")
     if cap < 0:
         raise DataError("cap must be a natural number")
-    return _extremal(m, f, cap, _Budget(budget))
+    return _extremal(m, f, 0, 0, cap, _Budget(budget))
 
 
-def _extremal(m, f, cap, counter):
-    f0 = f(0)
+def _extremal(m, f, off, k, cap, budget):
+    """extremal_sequence for j -> f(j + off) + k, as in _ell."""
+    f0 = f(off, budget) + k
     if cap == 0:
         return []
     if m == 1:
@@ -168,9 +179,9 @@ def _extremal(m, f, cap, counter):
     for i in range(1, f0 + 1):
         if len(seq) >= cap:
             break
-        counter.charge(len(seq))
-        fi = f.mapped(len(seq), IVPoly((i - f0 - 1, 1)))
-        tail = _extremal(m - 1, fi, cap - len(seq), counter)
+        budget.step(len(seq))
+        tail = _extremal(m - 1, f, off + len(seq), k - f0 + i,
+                         cap - len(seq), budget)
         seq.extend((f0 - i,) + t for t in tail)
     return seq[:cap]
 
@@ -191,7 +202,7 @@ def t_bound(m, f, budget=None):
     if m < 1:
         raise DataError("m must be >= 1")
     h = from_samples([h_bound(s, m) for s in range(m + 1)])
-    return ell(m, f.mapped(0, h), budget=budget)
+    return ell(m, f.mapped(h), budget=budget)
 
 
 class BadnessVerdict(NamedTuple):
@@ -207,8 +218,7 @@ def is_bad_sequence(ideals):
     """
     ideals = list(ideals)
     for e in ideals[1:]:
-        if e.dim != ideals[0].dim:
-            raise DataError("ideals live in different dimensions")
+        check_same_dim(ideals[0], e)
     for j in range(1, len(ideals)):
         for i in range(j):
             if ideals[i] >= ideals[j]:
@@ -241,8 +251,6 @@ def max_bad_degree_growth(m, f, cap):
     not that enumeration; the result reports whether the search ran to
     exhaustion.  Every returned sequence passes is_bad_sequence.
     """
-    from .ideal import normalize
-
     f = as_bound_fn(f)
     if m < 1:
         raise DataError("m must be >= 1")

@@ -224,32 +224,23 @@ def phi_poly(p, m):
 def realize_poly(p, m):
     """An ideal in N^m whose Hilbert-Samuel polynomial is exactly p.
 
-    Follows the recursion that validates p: peel the leading coefficient
-    b_d as a slab of b_d hyperplane layers in the last variable and
-    realize the remainder q one variable down, giving
-    E = (x_m^(b_d + 1)) + x_m^(b_d) * J.
+    Built from the minimizing coefficients c = (c_{m-1}, ..., c_0) of p,
+    top variable first.  With j variables left and the coefficients left
+    not a constant, the top one, say a, is a slab of a hyperplane layers
+    in x_j: E = (x_j^(a + 1)) + x_j^a * J, with J realizing the rest one
+    variable down (a leading zero kills x_j).  A constant c_0 in j
+    variables is realized by (x_j^(c_0), x_1, ..., x_(j-1)).
     """
-    _realizable(p, m)  # validates p
-    d = p.degree
-    if d <= 0:
-        k = p.coeffs[0]
-        gens = [unit_vec(m, m - 1, k)] + [unit_vec(m, i) for i in range(m - 1)]
-        return normalize(m, gens)
-    if d + 1 < m:
-        # the slab construction needs m = d + 1; realize there, then kill
-        # the extra variables so the complement (and h) is unchanged
-        inner = realize_poly(p, d + 1)
-        gens = [g + (0,) * (m - d - 1) for g in inner.gens]
-        gens += [unit_vec(m, i) for i in range(d + 1, m)]
-        return normalize(m, gens)
-    bd = p.coeffs[d]
-    q = shift(p, bd) - binom_poly(-bd, d + 1) + binom_poly(0, d + 1)
-    gens = [unit_vec(m, m - 1, bd + 1)]
-    if q.is_zero():
-        inner_gens = [(0,) * (m - 1)]
-    else:
-        inner_gens = realize_poly(q, m - 1).gens
-    gens.extend(g + (bd,) for g in inner_gens)
+    c = _realizable(p, m)
+    gens, top = [], ()  # top: the exponents of the variables peeled so far
+    for i, ci in enumerate(c):
+        j = m - i  # the variables left
+        if not any(c[i:-1]):
+            gens += [unit_vec(j, j - 1, c[-1]) + top]
+            gens += [unit_vec(j, v) + top for v in range(j - 1)]
+            break
+        gens.append(unit_vec(j, j - 1, ci + 1) + top)
+        top = (ci,) + top
     return normalize(m, gens)
 
 

@@ -25,10 +25,7 @@ class MonomialIdeal:
     def __post_init__(self):
         check_dim(self.dim)
         for g in self.gens:
-            check_point(g)
-            if len(g) != self.dim:
-                raise DataError(
-                    f"generator {g!r} does not live in N^{self.dim}")
+            check_point_in(self.dim, g)
 
     def is_zero(self):
         return not self.gens
@@ -41,15 +38,12 @@ class MonomialIdeal:
 
     def contains(self, v):
         """Whether the point v lies in the ideal."""
-        check_point(v)
-        if len(v) != self.dim:
-            raise DataError(f"point {v!r} does not live in N^{self.dim}")
+        check_point_in(self.dim, v)
         return any(divides(g, v) for g in self.gens)
 
     def __le__(self, other):
         """Containment: self is a subset of other."""
-        if self.dim != other.dim:
-            raise DataError("ideals live in different dimensions")
+        check_same_dim(self, other)
         return all(any(divides(h, g) for h in other.gens) for g in self.gens)
 
     def __ge__(self, other):
@@ -69,15 +63,24 @@ def check_dim(dim):
         raise DataError("ambient dimension must be >= 1")
 
 
+def check_point_in(dim, v):
+    """check_point, and that v has dim coordinates."""
+    check_point(v)
+    if len(v) != dim:
+        raise DataError(f"point {v!r} does not live in N^{dim}")
+    return v
+
+
+def check_same_dim(e, f):
+    """Reject two ideals that live in different N^m."""
+    if e.dim != f.dim:
+        raise DataError("ideals live in different dimensions")
+
+
 def normalize(dim, points):
     """The ideal generated by an arbitrary finite set of points."""
     check_dim(dim)
-    pts = []
-    for p in points:
-        p = check_point(tuple(p))
-        if len(p) != dim:
-            raise DataError(f"point {p!r} does not live in N^{dim}")
-        pts.append(p)
+    pts = [check_point_in(dim, tuple(p)) for p in points]
     return _checked_ideal(dim, minimal_points(pts))
 
 
@@ -110,24 +113,20 @@ def unit_ideal(dim):
 
 def ideal_sum(e, f):
     """Smallest ideal containing both: union of generators."""
-    if e.dim != f.dim:
-        raise DataError("ideals live in different dimensions")
+    check_same_dim(e, f)
     return _checked_ideal(e.dim, minimal_points(e.gens + f.gens))
 
 
 def ideal_intersect(e, f):
     """Intersection: generated by pairwise lcms."""
-    if e.dim != f.dim:
-        raise DataError("ideals live in different dimensions")
+    check_same_dim(e, f)
     return _checked_ideal(e.dim, minimal_points(
         vec_max(g, h) for g in e.gens for h in f.gens))
 
 
 def colon(e, v):
     """The quotient (e : v) = {u : u + v in e}."""
-    check_point(v)
-    if len(v) != e.dim:
-        raise DataError(f"point {v!r} does not live in N^{e.dim}")
+    check_point_in(e.dim, v)
     return _checked_ideal(e.dim, minimal_points(
         tuple(max(a - b, 0) for a, b in zip(g, v)) for g in e.gens))
 

@@ -13,15 +13,10 @@ from math import inf
 
 from .errors import DataError
 from .hilbert import hilbert_samuel_poly
-from .ideal import generator_word, slice_last
+from .ideal import check_same_dim, generator_word, slice_last
 from .ivpoly import dominance_cmp
 from .monom import DEGLEX, term_cmp
 from .ordinal import ONE, OMEGA, nat_pow, nat_sum, omega_pow
-
-
-def _check_dims(e, f):
-    if e.dim != f.dim:
-        raise DataError("ideals live in different dimensions")
 
 
 def kb_cmp(e, f, order=DEGLEX):
@@ -38,7 +33,7 @@ def kb_cmp(e, f, order=DEGLEX):
 def _kb(e, f, order):
     """kb_cmp and the index of the deciding generator (None when the
     words agree on their common prefix)."""
-    _check_dims(e, f)
+    check_same_dim(e, f)
     if not order.is_type_omega():
         raise DataError(
             f"{order.kind} order does not have type omega; KB needs one")
@@ -68,7 +63,7 @@ def triangle_cmp(e, f):
 def _triangle(e, f):
     """triangle_cmp and the deciding slice index (None in dimension 1 or
     when the ideals are equal)."""
-    _check_dims(e, f)
+    check_same_dim(e, f)
     if e.dim == 1:
         # generator exponent orders by containment; no generator = empty
         # final segment, the largest element
@@ -92,7 +87,7 @@ def min_type_cmp(e, f):
 def _min_type(e, f):
     """min_type_cmp and the key that decided it: "polynomial" when the
     Hilbert-Samuel polynomials differ, else "triangle"."""
-    _check_dims(e, f)
+    check_same_dim(e, f)
     pe, _ = hilbert_samuel_poly(e)
     pf, _ = hilbert_samuel_poly(f)
     c = dominance_cmp(pe, pf)

@@ -10,9 +10,11 @@ import random
 from functools import lru_cache
 from math import comb
 
-from monord import divides, macaulay_next, normalize, phi_poly
+from monord import divides, macaulay_next, normalize, phi_poly, shift
 from monord.chains import as_bound_fn
+from monord.hilbert import _realizable
 from monord.ivpoly import binom_poly
+from monord.monom import unit_vec
 
 
 def points_of_degree(m, n):
@@ -364,6 +366,33 @@ def stepwise_macaulay_next(a, d):
         return 0
     tops = stepwise_macaulay_tops(a, d)
     return sum(comb(t + 1, i + 1) for t, i in zip(tops, range(d, 0, -1)))
+
+
+def peel_realize_poly(p, m):
+    """realize_poly as it was before it read the minimizing coefficients:
+    peel the leading coefficient b_d of p off as a slab of b_d layers in
+    the last variable and realize the remainder q one variable down,
+    validating p again at every level."""
+    _realizable(p, m)
+    d = p.degree
+    if d <= 0:
+        k = p.coeffs[0]
+        gens = [unit_vec(m, m - 1, k)] + [unit_vec(m, i) for i in range(m - 1)]
+        return normalize(m, gens)
+    if d + 1 < m:
+        inner = peel_realize_poly(p, d + 1)
+        gens = [g + (0,) * (m - d - 1) for g in inner.gens]
+        gens += [unit_vec(m, i) for i in range(d + 1, m)]
+        return normalize(m, gens)
+    bd = p.coeffs[d]
+    q = shift(p, bd) - binom_poly(-bd, d + 1) + binom_poly(0, d + 1)
+    gens = [unit_vec(m, m - 1, bd + 1)]
+    if q.is_zero():
+        inner_gens = [(0,) * (m - 1)]
+    else:
+        inner_gens = peel_realize_poly(q, m - 1).gens
+    gens.extend(g + (bd,) for g in inner_gens)
+    return normalize(m, gens)
 
 
 # -- the chain-bound engine the library used before closed-form bounds ----

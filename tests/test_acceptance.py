@@ -4,6 +4,7 @@ and order axioms at scale.  Each test prints one pass/fail line."""
 import random
 import time
 from functools import cmp_to_key
+from math import comb
 
 import numpy as np
 
@@ -400,3 +401,34 @@ def test_criterion_15_chain_rows(capsys):
 
     report(capsys, 15, "chain rows: ell and t_bound exact, budget holds",
            body, limit=1.0)
+
+
+def test_criterion_16_chain_frames_read_one_bound(capsys):
+    # each frame rebuilt its shifted bound as a polynomial: the constant
+    # grid took 7.3 s and the growing callable filled memory
+    def body():
+        for m in range(1, 13):
+            for c in range(41):
+                assert ell(m, c) == comb(c + m, m)
+
+    report(capsys, 16, "ell(m, c) for m <= 12, c <= 40", body, limit=0.1)
+
+    def body():
+        try:
+            ell(3, lambda i: 3 + i)
+        except BudgetExceeded:
+            pass
+        else:
+            raise AssertionError("ell(3, 3 + i) fit the default budget")
+
+    report(capsys, 16, "callable table charged to the budget", body,
+           limit=2.0)
+    # budget verdicts on growing bounds are those of the per-frame engine
+    for m, p, budget, spent in [(3, 3, 200_000, 199_844),
+                                (4, 2, 50_000, 49_924)]:
+        try:
+            ell(m, BoundFn.affine(p, 1), budget=budget)
+        except BudgetExceeded as exc:
+            assert exc.spent == spent, (m, p, exc.spent)
+        else:
+            raise AssertionError(f"ell({m}, {p} + i) fit {budget}")

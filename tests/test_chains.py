@@ -101,10 +101,31 @@ class TestEll:
             ell(3, BoundFn.affine(3, 2), budget=10)
         assert exc.value.spent <= 10
 
+    def test_callable_table_is_charged(self):
+        # every value a callable adds to its table costs a unit, charged
+        # before it is read, so a growing callable cannot fill memory
+        def grows(i):
+            reads.append(i)
+            if len(reads) > 1000:
+                raise AssertionError("read past a budget of 1000")
+            return 3 + i
+
+        for run in (lambda: ell(3, grows, budget=1000),
+                    lambda: extremal_sequence(3, grows, 10 ** 9, budget=1000)):
+            reads = []
+            with pytest.raises(BudgetExceeded):
+                run()
+        # f(0) and f(1) are two table values, the one step at offset 1 two
+        # units; the same constant as a closed form costs nothing
+        assert ell(2, lambda i: 1, budget=4) == 3
+        with pytest.raises(BudgetExceeded):
+            ell(2, lambda i: 1, budget=3)
+        assert ell(2, 1, budget=1) == 3
+
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("MONORD_BUDGET", "5")
         with pytest.raises(BudgetExceeded):
-            ell(3, 3)
+            ell(3, BoundFn.affine(3, 2))
         monkeypatch.setenv("MONORD_BUDGET", "soon")
         with pytest.raises(DataError):
             ell(2, 1)
@@ -152,10 +173,13 @@ class TestAgainstTrieEngine:
                     trie_extremal(m, fn, cap), (m, cap)
 
     def test_constant_bounds(self):
+        # a callable is never known to be constant, so it runs the recursion
+        for m in range(1, 5):
+            for c in range(8):
+                assert ell(m, c) == ell(m, lambda i, c=c: c), (m, c)
         for m in range(1, 13):
-            for c in (0, 1, 2, 7, 19, 40):
-                if c < 40 or m in (1, 2, 12):
-                    assert ell(m, c) == comb(c + m, m), (m, c)
+            for c in range(41):
+                assert ell(m, c) == comb(c + m, m), (m, c)
 
 
 class TestExtremal:

@@ -14,11 +14,12 @@ from monord import (DataError, IVPoly, WindowExhausted,
                     parse_ordinal, phi_poly, poly_from_a_sequence, psi_ideal,
                     psi_poly, realize_poly, shift, stability_index, threshold,
                     unit_ideal, zero_ideal)
-from monord.hilbert import _numerator
+from monord.hilbert import _numerator, a_sequence
 from monord.ivpoly import binom_poly
 from oracles import (certified_stability_index, ie_hilbert_samuel_poly,
                      ie_numerator, naive_hilbert, naive_hilbert_samuel,
-                     persistence_stability_index, points_up_to, random_artinian_staircase, random_ideal,
+                     peel_realize_poly, persistence_stability_index,
+                     points_up_to, random_artinian_staircase, random_ideal,
                      random_wide_ideal, slice_count, slice_counter,
                      stepwise_macaulay_next)
 
@@ -257,6 +258,24 @@ class TestRealize:
     def test_rejects_unrealizable(self):
         with pytest.raises(DataError):
             realize_poly(IVPoly([-1, 1]), 2)
+
+    def test_matches_peeling(self):
+        # the generators are the ones the level-by-level peel built, on
+        # polynomials from seeded coefficient tuples and random ideals
+        rng = random.Random(607)
+        cases = []
+        while len(cases) < 300:
+            m = rng.randint(1, 5)
+            c = tuple(rng.choice((0, 0, 1, 2, rng.randint(3, 9)))
+                      for _ in range(m))
+            if any(c):
+                cases.append((poly_from_a_sequence(a_sequence(c)), m))
+        for _ in range(100):
+            m = rng.randint(1, 4)
+            e = random_ideal(rng, m, 5, 4)
+            cases.append((hilbert_samuel_poly(e)[0], m))
+        for p, m in cases:
+            assert realize_poly(p, m).gens == peel_realize_poly(p, m).gens
 
 
 class TestStabilityIndex:
