@@ -14,9 +14,9 @@ import sys
 from . import chains, hilbert, orderings
 from .errors import (BudgetExceeded, DataError, MonordError, ParseError,
                      WindowExhausted)
-from .ideal import (_group_by_support, cone, direct_sum,
-                    irreducible_decomposition, normalize, zero_ideal,
-                    unit_ideal)
+from .ideal import (check_same_dim, components_by_support, cone,
+                    direct_sum, irreducible_decomposition, normalize,
+                    zero_ideal, unit_ideal)
 from .monom import DEGLEX, LEX, TermOrder
 from .ordinal import format_ordinal, nat_prod, nat_sum, parse_ordinal
 
@@ -228,6 +228,7 @@ def cmd_contains(args):
 def cmd_compare(args):
     a = load_ideal(args.file_a)
     b = load_ideal(args.file_b)
+    check_same_dim(a, b)
     trace = {"order": args.order}
     if args.order == "kb":
         c, trace["deciding_generator"] = orderings._kb(
@@ -271,7 +272,7 @@ def cmd_hilbert(args):
 def cmd_decompose(args):
     e = load_ideal(args.file)
     comps = irreducible_decomposition(e)
-    by_support = _group_by_support(comps)
+    by_support = components_by_support(e)
     payload = {
         "components": [list(nu) for nu in comps],
         "by_support": {

@@ -8,8 +8,9 @@ containment order.
 
 All three are read off one exact object, the K-polynomial
 N(t) = sum over generator subsets S of (-1)^|S| t^(deg lcm S), so that
-sum_n H_E(n) t^n = N(t) / (1 - t)^m.  It is computed once per call by
-pivot recursion rather than by summing over the 2^n subsets.
+sum_n H_E(n) t^n = N(t) / (1 - t)^m.  It is computed once per ideal by
+pivot recursion rather than by summing over the 2^n subsets, and kept on
+the ideal with p_E.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DataError, WindowExhausted
-from .ideal import minimal_points, normalize
+from .ideal import _memo, minimal_points, normalize
 from .ivpoly import IVPoly, binom_poly, binomial, from_samples, macaulay_next, shift
 from .monom import degree, points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
@@ -28,7 +29,12 @@ from .ordinal import ZERO, Ord, omega_pow
 
 def _numerator(e):
     """The K-polynomial N(t) of e as (degree, coefficient) pairs, in
-    increasing degree, with nonzero coefficients.
+    increasing degree, with nonzero coefficients."""
+    return _memo(e, "numerator", _pivot_numerator)
+
+
+def _pivot_numerator(e):
+    """_numerator, computed.
 
     Pivot recursion (Bayer-Stillman, JSC 14 (1992); Bigatti, JPAA 119
     (1997)): N(I) = N(I + x_i^a) + t^a N(I : x_i^a).  The pivot variable
@@ -59,8 +65,8 @@ def _numerator(e):
 
 
 def _pivot(gens):
-    """The pivot (i, a) for _numerator, or None when the generators have
-    pairwise disjoint supports."""
+    """The pivot (i, a) for _pivot_numerator, or None when the generators
+    have pairwise disjoint supports."""
     supports = [[i for i, x in enumerate(g) if x] for g in gens]
     if sum(map(len, supports)) == len(set().union(*supports)):
         return None
@@ -112,7 +118,8 @@ def hilbert_samuel_poly(e):
 
     Returns the pair (p_E, threshold).
     """
-    return _samuel_poly(_numerator(e), e.dim), threshold(e)
+    p = _memo(e, "poly", lambda e: _samuel_poly(_numerator(e), e.dim))
+    return p, threshold(e)
 
 
 class MinimizingCoefficients(NamedTuple):
@@ -353,7 +360,7 @@ def hilbert_profile(e):
     """Assemble the HilbertProfile of an ideal from one numerator."""
     m = e.dim
     num = _numerator(e)
-    p, t = _samuel_poly(num, m), threshold(e)
+    p, t = hilbert_samuel_poly(e)
     if e.is_zero() or e.is_unit():
         return HilbertProfile(m, p, t, None, height(e), None, None, num)
     c = _realizable(p, m)

@@ -8,16 +8,18 @@ antichain and the unit ideal is generated by the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .errors import DataError
-from .monom import (DEGLEX, check_point, divides, support, term_cmp,
-                    unit_vec, vec_max)
+from .monom import DEGLEX, check_point, divides, support, unit_vec, vec_max
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A finitely generated final segment of N^m in canonical form."""
+    """A finitely generated final segment of N^m in canonical form.
+
+    Derived data (the numerator, p_E, slices, the decomposition) is
+    computed at most once per instance and kept on it by ``_memo``.
+    """
 
     dim: int
     gens: tuple
@@ -26,6 +28,10 @@ class MonomialIdeal:
         check_dim(self.dim)
         for g in self.gens:
             check_point_in(self.dim, g)
+
+    def __reduce__(self):
+        # pickles and copies carry (dim, gens) only, never the memo
+        return MonomialIdeal, (self.dim, self.gens)
 
     def is_zero(self):
         return not self.gens
@@ -93,6 +99,18 @@ def _checked_ideal(dim, gens):
     return e
 
 
+def _memo(e, key, compute):
+    """compute(e), worked out on the first request for key and kept on e.
+
+    The values live in e's instance ``__dict__``, which the dataclass's
+    ==, hash and repr never read and ``__reduce__`` leaves behind.
+    """
+    memo = e.__dict__.setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = compute(e)
+    return memo[key]
+
+
 def minimal_points(points):
     """The distinct minimal points of a finite set of points of one N^m
     under divisibility, sorted by deglex."""
@@ -135,14 +153,16 @@ def slice_last(e, j):
     """The slice at last coordinate j: points u of N^(m-1) with (u, j) in e.
 
     Requires m >= 2.  Slices grow with j and stabilize once j reaches the
-    largest last coordinate among the generators.
+    largest last coordinate among the generators, so each ideal computes
+    the slice for min(j, that coordinate) once.
     """
     if e.dim < 2:
         raise DataError("slicing needs ambient dimension >= 2")
     if j < 0:
         raise DataError("slice index must be a natural number")
-    return _checked_ideal(e.dim - 1, minimal_points(
-        g[:-1] for g in e.gens if g[-1] <= j))
+    j = min(j, max((g[-1] for g in e.gens), default=0))
+    return _memo(e, ("slice", j), lambda e: _checked_ideal(
+        e.dim - 1, minimal_points(g[:-1] for g in e.gens if g[-1] <= j)))
 
 
 def cone(e):
@@ -193,10 +213,16 @@ def irreducible_decomposition(e):
     becomes the vectors nu' with nu'_i = g_i, one for each i in the
     support of g, since m^nu + <x^g> is their intersection.  A new nu'
     whose ideal contains another component is redundant and dropped.
-    Requires e nonzero and proper.
+    Requires e nonzero and proper.  Each ideal decomposes once; every call
+    returns a fresh list.
     """
     if e.is_zero() or e.is_unit():
         raise DataError("decomposition needs a nonzero proper ideal")
+    return list(_memo(e, "decomposition", _decompose))
+
+
+def _decompose(e):
+    """irreducible_decomposition as a tuple, computed."""
     comps = [(0,) * e.dim]
     for g in e.gens:
         kept, new = [], set()
@@ -208,16 +234,7 @@ def irreducible_decomposition(e):
         pool = kept + list(new)
         comps = kept + [nu for nu in new if not any(
             mu != nu and _irr_contains(nu, mu) for mu in pool)]
-    return sorted(comps, key=DEGLEX.key)
-
-
-def _group_by_support(comps):
-    """``components_by_support`` on components already computed."""
-    grouped = {}
-    for nu in comps:
-        s = support(nu)
-        grouped.setdefault(s, []).append(tuple(nu[i] for i in s))
-    return {s: sorted(vs, key=DEGLEX.key) for s, vs in sorted(grouped.items())}
+    return tuple(sorted(comps, key=DEGLEX.key))
 
 
 def components_by_support(e):
@@ -226,10 +243,20 @@ def components_by_support(e):
     Returns a dict mapping a support (tuple of 0-based indices) to the
     sorted list of components compressed to those coordinates.
     """
-    return _group_by_support(irreducible_decomposition(e))
+    grouped = {}
+    for nu in irreducible_decomposition(e):
+        s = support(nu)
+        grouped.setdefault(s, []).append(tuple(nu[i] for i in s))
+    return {s: sorted(vs, key=DEGLEX.key) for s, vs in sorted(grouped.items())}
 
 
 def generator_word(e, order=DEGLEX):
-    """The generators of e listed in increasing term order, as a word."""
-    key = cmp_to_key(lambda u, v: term_cmp(order, u, v))
-    return sorted(e.gens, key=key)
+    """The generators of e listed in increasing term order, as a word.
+
+    A matrix order that gives two generators one key does not order them
+    and raises a DataError.
+    """
+    word = sorted((order.key(g), g) for g in e.gens)
+    if any(a[0] == b[0] for a, b in zip(word, word[1:])):
+        raise DataError("matrix does not totally order these points")
+    return [g for _, g in word]

@@ -27,13 +27,13 @@ def kb_cmp(e, f, order=DEGLEX):
     generators decide.  The zero ideal (empty word) is the maximum.  The
     term order must have order type omega, so lex is rejected.
     """
+    check_same_dim(e, f)
     return _kb(e, f, order)[0]
 
 
 def _kb(e, f, order):
     """kb_cmp and the index of the deciding generator (None when the
-    words agree on their common prefix)."""
-    check_same_dim(e, f)
+    words agree on their common prefix), for ideals of one dimension."""
     if not order.is_type_omega():
         raise DataError(
             f"{order.kind} order does not have type omega; KB needs one")
@@ -57,13 +57,13 @@ def triangle_cmp(e, f):
     Slices are constant once j passes every generator's last coordinate,
     so comparing up to that bound decides equality.
     """
+    check_same_dim(e, f)
     return _triangle(e, f)[0]
 
 
 def _triangle(e, f):
     """triangle_cmp and the deciding slice index (None in dimension 1 or
-    when the ideals are equal)."""
-    check_same_dim(e, f)
+    when the ideals are equal), for ideals of one dimension."""
     if e.dim == 1:
         # generator exponent orders by containment; no generator = empty
         # final segment, the largest element
@@ -72,7 +72,7 @@ def _triangle(e, f):
         return (a > b) - (a < b), None
     bound = max((g[-1] for g in e.gens + f.gens), default=0)
     for j in range(bound + 1):
-        c = triangle_cmp(slice_last(e, j), slice_last(f, j))
+        c, _ = _triangle(slice_last(e, j), slice_last(f, j))
         if c != 0:
             return c, j
     return 0, None
@@ -81,19 +81,20 @@ def _triangle(e, f):
 def min_type_cmp(e, f):
     """Order by the Hilbert-Samuel polynomial under dominance (equivalently
     by psi), breaking ties with the triangle order."""
+    check_same_dim(e, f)
     return _min_type(e, f)[0]
 
 
 def _min_type(e, f):
     """min_type_cmp and the key that decided it: "polynomial" when the
-    Hilbert-Samuel polynomials differ, else "triangle"."""
-    check_same_dim(e, f)
+    Hilbert-Samuel polynomials differ, else "triangle", for ideals of one
+    dimension."""
     pe, _ = hilbert_samuel_poly(e)
     pf, _ = hilbert_samuel_poly(f)
     c = dominance_cmp(pe, pf)
     if c != 0:
         return c, "polynomial"
-    return triangle_cmp(e, f), "triangle"
+    return _triangle(e, f)[0], "triangle"
 
 
 def bounds_report(m):

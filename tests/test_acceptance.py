@@ -432,3 +432,28 @@ def test_criterion_16_chain_frames_read_one_bound(capsys):
             assert exc.spent == spent, (m, p, exc.spent)
         else:
             raise AssertionError(f"ell({m}, {p} + i) fit {budget}")
+
+
+def test_criterion_17_derived_data_once_per_ideal(capsys, memo_log):
+    # min_type_cmp recomputed both numerators in every comparison, and
+    # triangle_cmp rebuilt every slice at every level of its recursion
+    def body():
+        rng = random.Random(1717)
+        pool = []
+        while len(pool) < 40:
+            e = random_ideal(rng, 4, 8, 5)
+            if e not in pool:
+                pool.append(e)
+        got = [sorted(pool, key=cmp_to_key(cmp_fn))
+               for cmp_fn in (min_type_cmp, triangle_cmp)]
+        keys = [key for _, key in memo_log]
+        assert keys.count("numerator") == 40
+        slices = [(id(e), key) for e, key in memo_log if key[0] == "slice"]
+        assert slices and len(slices) == len(set(slices))
+        # the reference computes everything afresh in every comparison
+        for order, cmp_fn in zip(got, (min_type_cmp, triangle_cmp)):
+            assert order == sorted(pool, key=cmp_to_key(
+                lambda a, b: cmp_fn(normalize(4, a.gens),
+                                    normalize(4, b.gens))))
+
+    report(capsys, 17, "sorts compute each ideal's data once", body)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from monord import cli, hilbert, ideal, normalize
+from monord import hilbert, ideal, normalize
 from monord.cli import main, parse_ideal_text, parse_point
 from monord.ordinal import MAX_NESTING
 from oracles import affine_ell
@@ -171,15 +171,15 @@ class TestDecompose:
         assert data["by_support"] == {"1": [[2]], "2": [[1]]}
 
     def test_decomposes_once(self, capsys, tmp_path, monkeypatch):
+        # count the computations: the listing and the grouping both ask
         calls = []
-        engine = ideal.irreducible_decomposition
+        engine = ideal._decompose
 
         def counted(e):
             calls.append(e)
             return engine(e)
 
-        monkeypatch.setattr(ideal, "irreducible_decomposition", counted)
-        monkeypatch.setattr(cli, "irreducible_decomposition", counted)
+        monkeypatch.setattr(ideal, "_decompose", counted)
         path = write(tmp_path, "a.ideal", "dim 3\n2 1 0\n0 1 3\n1 0 1\n")
         code, out, _ = run(capsys, ["decompose", path, "--json"])
         assert code == 0

@@ -1,6 +1,7 @@
 """Hilbert functions, Hilbert-Samuel polynomials, psi, n0, lex segments."""
 
 import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,10 +11,10 @@ from monord import (DataError, IVPoly, WindowExhausted,
                     dominance_cmp, from_samples, height, hilbert_fn,
                     hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
                     is_osequence, lex_segment_ideal, macaulay_next,
-                    minimizing_coefficients, normalize, omega_pow,
-                    parse_ordinal, phi_poly, poly_from_a_sequence, psi_ideal,
-                    psi_poly, realize_poly, shift, stability_index, threshold,
-                    unit_ideal, zero_ideal)
+                    min_type_cmp, minimizing_coefficients, normalize,
+                    omega_pow, parse_ordinal, phi_poly, poly_from_a_sequence,
+                    psi_ideal, psi_poly, realize_poly, shift, stability_index,
+                    threshold, unit_ideal, zero_ideal)
 from monord.hilbert import _numerator, a_sequence
 from monord.ivpoly import binom_poly
 from oracles import (certified_stability_index, ie_hilbert_samuel_poly,
@@ -448,3 +449,47 @@ class TestInvariants:
         assert prof.psi == psi_ideal(e)
         assert prof.n0 == stability_index(e).n0
         assert prof.p(prof.threshold) == hilbert_samuel_fn(e, prof.threshold)
+
+
+class TestMemo:
+    """Each ideal computes its numerator and p_E at most once."""
+
+    def test_repeats_and_fresh_copies_agree(self):
+        rng = random.Random(137)
+        for case in range(300):
+            m = case % 6 + 1
+            e = random_ideal(rng, m, 9, 6, allow_zero=True, allow_unit=True)
+            num, p = ie_numerator(e), ie_hilbert_samuel_poly(e)
+            for f in (e, e, normalize(m, e.gens)):
+                assert _numerator(f) == num
+                assert hilbert_samuel_poly(f) == (p, threshold(e))
+
+    def test_min_type_sort_computes_each_ideal_once(self, memo_log):
+        rng = random.Random(139)
+        pool = []
+        while len(pool) < 30:
+            e = random_ideal(rng, 3, 5, 4)
+            if e not in pool:
+                pool.append(e)
+        comparisons = []
+
+        def counted(a, b):
+            comparisons.append((a, b))
+            return min_type_cmp(a, b)
+
+        sorted(pool, key=cmp_to_key(counted))
+        assert len(comparisons) > 60
+        roots = [e for e, key in memo_log if key == "numerator"]
+        assert len(roots) == len(set(map(id, roots))) == len(pool)
+        polys = [e for e, key in memo_log if key == "poly"]
+        assert len(polys) == len(set(map(id, polys))) == len(pool)
+
+    def test_consumers_share_one_numerator(self, memo_log):
+        e = normalize(3, [(2, 1, 0), (0, 1, 3), (1, 0, 1)])
+        hilbert_fn(e, 4)
+        hilbert_samuel_fn(e, 4)
+        psi_ideal(e)
+        height(e)
+        stability_index(e)
+        hilbert_profile(e)
+        assert [key for _, key in memo_log] == ["numerator", "poly"]

@@ -1,16 +1,19 @@
 """Monomial ideal values: normalization, lattice operations, slices,
-decomposition."""
+decomposition, and the derived data each ideal keeps."""
 
+import copy
+import pickle
 import random
+from functools import cmp_to_key
 
 import pytest
 
-from monord import (DataError, MonomialIdeal, colon, comm_leq,
-                    components_by_support, cone, direct_sum, divides,
-                    generator_word, ideal_intersect, ideal_sum,
-                    irreducible_decomposition, normalize, slice_last,
-                    unit_ideal, zero_ideal)
-from monord.ideal import irreducible_component_ideal
+from monord import (DEGLEX, DataError, MonomialIdeal, TermOrder, colon,
+                    comm_leq, components_by_support, cone, direct_sum,
+                    divides, generator_word, hilbert_samuel_poly,
+                    ideal_intersect, ideal_sum, irreducible_decomposition,
+                    normalize, slice_last, term_cmp, unit_ideal, zero_ideal)
+from monord.ideal import _checked_ideal, irreducible_component_ideal
 from oracles import (in_ideal, points_up_to, random_ideal, random_wide_ideal,
                      split_decomposition)
 
@@ -295,3 +298,94 @@ class TestGeneratorWord:
     def test_sorted_increasing(self):
         e = normalize(2, [(0, 2), (3, 0), (1, 1)])
         assert generator_word(e) == [(0, 2), (1, 1), (3, 0)]
+
+    def test_matches_comparator_sort(self):
+        rng = random.Random(43)
+        orders = [DEGLEX, TermOrder("matrix", ((1, 1, 1), (0, 0, 1))),
+                  TermOrder("matrix", ((2, 1, 1), (1, 0, 0), (0, 1, 0)))]
+        ties = 0
+        for _ in range(200):
+            e = random_ideal(rng, 3, 8, 6, allow_unit=True)
+            for order in orders:
+                try:
+                    want = sorted(e.gens, key=cmp_to_key(
+                        lambda u, v, order=order: term_cmp(order, u, v)))
+                except DataError:
+                    ties += 1
+                    with pytest.raises(DataError, match="totally order"):
+                        generator_word(e, order)
+                else:
+                    assert generator_word(e, order) == want
+        assert 5 < ties < 200  # both outcomes are exercised
+
+    def test_matrix_tie_raises(self):
+        order = TermOrder("matrix", ((1, 1),))
+        assert generator_word(normalize(2, [(2, 0)]), order) == [(2, 0)]
+        with pytest.raises(DataError, match="totally order"):
+            generator_word(normalize(2, [(2, 0), (1, 1), (0, 3)]), order)
+
+
+class TestMemo:
+    """Each ideal computes its slices and decomposition at most once."""
+
+    def test_repeats_and_fresh_copies_agree(self):
+        rng = random.Random(47)
+        for case in range(300):
+            m = case % 6 + 1
+            e = random_ideal(rng, m, 9, 6)
+            fresh = normalize(m, e.gens)
+            want = split_decomposition(e)
+            assert irreducible_decomposition(e) == want
+            assert irreducible_decomposition(e) == want
+            assert irreducible_decomposition(fresh) == want
+            if m == 1:
+                continue
+            top = max(g[-1] for g in e.gens)
+            for j in (*range(top + 2), top + 7):
+                want = normalize(m - 1, [g[:-1] for g in e.gens if g[-1] <= j])
+                for _ in range(2):
+                    assert slice_last(e, j) == want
+                assert slice_last(fresh, j) == want
+
+    def test_mutating_the_result_leaves_the_memo(self):
+        e = normalize(2, [(2, 0), (1, 1), (0, 2)])
+        comps = irreducible_decomposition(e)
+        want = list(comps)
+        comps.append((9, 9))
+        comps[0] = (7, 7)
+        assert irreducible_decomposition(e) == want
+        assert irreducible_decomposition(e) is not irreducible_decomposition(e)
+
+    def test_pickles_and_copies_drop_the_memo(self):
+        e = normalize(3, [(1, 2, 0), (0, 1, 3), (2, 0, 1)])
+        before = repr(e), hash(e)
+        irreducible_decomposition(e)
+        slice_last(e, 4)
+        hilbert_samuel_poly(e)
+        assert "_memo" in vars(e)
+        assert (repr(e), hash(e)) == before
+        assert e == normalize(3, e.gens)
+        for f in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e),
+                  copy.copy(e)):
+            assert vars(f) == {"dim": 3, "gens": e.gens}
+            assert f == e and hash(f) == hash(e) and repr(f) == repr(e)
+        assert len(pickle.dumps(e)) == len(pickle.dumps(normalize(3, e.gens)))
+
+    def test_unpickling_checks_the_points(self):
+        bad = _checked_ideal(2, ((1, 0, 0),))
+        with pytest.raises(DataError):
+            pickle.loads(pickle.dumps(bad))
+
+    def test_components_by_support_after_decomposition(self, memo_log):
+        e = normalize(3, [(2, 1, 0), (0, 1, 3), (1, 0, 1)])
+        comps = irreducible_decomposition(e)
+        grouped = components_by_support(e)
+        assert sum(map(len, grouped.values())) == len(comps)
+        assert [key for _, key in memo_log] == ["decomposition"]
+
+    def test_slices_computed_once_per_clamped_index(self, memo_log):
+        e = normalize(3, [(2, 1, 0), (0, 1, 3), (1, 0, 1)])
+        for _ in range(3):
+            for j in range(8):
+                slice_last(e, j)
+        assert [key for _, key in memo_log] == [("slice", j) for j in range(4)]

@@ -8,7 +8,8 @@ import pytest
 from monord import (DEGLEX, LEX, DataError, TermOrder, bounds_report,
                     dominance_cmp, hilbert_samuel_poly, kb_cmp,
                     lex_segment_ideal, min_type_cmp, normalize, parse_ordinal,
-                    triangle_cmp, unit_ideal, zero_ideal)
+                    term_cmp, triangle_cmp, unit_ideal, zero_ideal)
+from monord.orderings import _kb
 from oracles import antichains, points_of_degree, points_up_to, random_ideal
 
 
@@ -70,6 +71,27 @@ class TestKb:
         e = normalize(2, [(1, 0)])
         order = TermOrder("matrix", ((1, 1), (1, 0)))
         assert kb_cmp(e, e, order=order) == 0
+
+    def test_matches_comparator_sorted_words(self):
+        # the words sorted by comparing points pairwise, as KB is defined
+        def reference(e, f, order):
+            key = cmp_to_key(lambda x, y: term_cmp(order, x, y))
+            u, v = sorted(e.gens, key=key), sorted(f.gens, key=key)
+            for i, (x, y) in enumerate(zip(u, v)):
+                if term_cmp(order, x, y):
+                    return term_cmp(order, x, y), i
+            if len(u) != len(v):
+                return (-1 if len(u) > len(v) else 1), None
+            return 0, None
+
+        rng = random.Random(61)
+        orders = [DEGLEX, TermOrder("matrix", ((1, 1, 1), (1, 0, 0),
+                                               (0, 1, 0)))]
+        for _ in range(300):
+            e, f = (random_ideal(rng, 3, 6, 4, allow_zero=True,
+                                 allow_unit=True) for _ in range(2))
+            for order in orders:
+                assert _kb(e, f, order) == reference(e, f, order)
 
 
 class TestTriangle:
