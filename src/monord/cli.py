@@ -3,6 +3,10 @@
 Exit codes: 0 success, 64 usage error, 65 data error, 69 resource/budget
 error.  ``compare`` exits 10/11/12 for less/equal/greater so shell
 pipelines can branch without parsing output.
+
+Each subcommand imports the engine modules it uses when it runs, so a
+process pays only for its own: ``ordinal-eval`` loads ``ordinal`` alone,
+and ``normalize`` loads ``monom`` and ``ideal``.
 """
 
 from __future__ import annotations
@@ -11,14 +15,8 @@ import argparse
 import json
 import sys
 
-from . import chains, hilbert, orderings
 from .errors import (BudgetExceeded, DataError, MonordError, ParseError,
                      WindowExhausted)
-from .ideal import (check_same_dim, components_by_support, cone,
-                    direct_sum, irreducible_decomposition, normalize,
-                    zero_ideal, unit_ideal)
-from .monom import DEGLEX, LEX, TermOrder
-from .ordinal import format_ordinal, nat_prod, nat_sum, parse_ordinal
 
 EX_OK = 0
 EX_USAGE = 64
@@ -36,7 +34,7 @@ def parse_point(text, dim, line=None):
         for col, factor in enumerate(text.split("*")):
             factor = factor.strip()
             base, _, exp = factor.partition("^")
-            if not base.startswith("x") or not base[1:].isdigit():
+            if not base.startswith("x") or not base[1:].isdecimal():
                 raise ParseError(f"bad factor {factor!r}", line=line)
             i = int(base[1:])
             if not 1 <= i <= dim:
@@ -44,7 +42,7 @@ def parse_point(text, dim, line=None):
                                  line=line)
             e = 1
             if _:
-                if not exp.isdigit():
+                if not exp.isdecimal():
                     raise ParseError(f"bad exponent in {factor!r}", line=line)
                 e = int(exp)
             v[i - 1] += e
@@ -61,13 +59,14 @@ def parse_point(text, dim, line=None):
 
 def parse_ideal_text(text):
     """Parse the ideal file format (or its JSON mirror)."""
+    from .ideal import normalize, unit_ideal, zero_ideal
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
             dim = data["dim"]
             gens = [tuple(g) for g in data["gens"]]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"bad JSON ideal: {exc}")
         return normalize(dim, gens)
     dim = None
@@ -79,7 +78,8 @@ def parse_ideal_text(text):
             continue
         if dim is None:
             parts = line.split()
-            if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdigit():
+            if (len(parts) != 2 or parts[0] != "dim"
+                    or not parts[1].isdecimal()):
                 raise ParseError("expected 'dim m' header", line=lineno)
             dim = int(parts[1])
             if dim < 1:
@@ -124,6 +124,7 @@ def ideal_json(e):
 
 
 def parse_term_order(spec):
+    from .monom import DEGLEX, LEX, TermOrder
     if spec == "deglex":
         return DEGLEX
     if spec == "lex":
@@ -226,6 +227,8 @@ def cmd_contains(args):
 
 
 def cmd_compare(args):
+    from . import orderings
+    from .ideal import check_same_dim
     a = load_ideal(args.file_a)
     b = load_ideal(args.file_b)
     check_same_dim(a, b)
@@ -244,6 +247,8 @@ def cmd_compare(args):
 
 
 def cmd_hilbert(args):
+    from . import hilbert
+    from .ordinal import format_ordinal
     e = load_ideal(args.file)
     prof = hilbert.hilbert_profile(e)
     p, t = prof.p, prof.threshold
@@ -270,6 +275,7 @@ def cmd_hilbert(args):
 
 
 def cmd_decompose(args):
+    from .ideal import components_by_support, irreducible_decomposition
     e = load_ideal(args.file)
     comps = irreducible_decomposition(e)
     by_support = components_by_support(e)
@@ -285,6 +291,7 @@ def cmd_decompose(args):
 
 
 def cmd_lexify(args):
+    from . import hilbert
     e = load_ideal(args.file)
     out = hilbert.lex_segment_ideal(e, args.degree)
     _emit(args, ideal_json(out), format_ideal(out))
@@ -292,18 +299,21 @@ def cmd_lexify(args):
 
 
 def cmd_cone(args):
+    from .ideal import cone
     out = cone(load_ideal(args.file))
     _emit(args, ideal_json(out), format_ideal(out))
     return EX_OK
 
 
 def cmd_directsum(args):
+    from .ideal import direct_sum
     out = direct_sum(load_ideal(args.file_a), load_ideal(args.file_b))
     _emit(args, ideal_json(out), format_ideal(out))
     return EX_OK
 
 
 def cmd_chainbound(args):
+    from . import chains
     try:
         p, q = (int(x) for x in args.affine.split(","))
     except ValueError:
@@ -315,6 +325,8 @@ def cmd_chainbound(args):
 
 
 def cmd_bounds(args):
+    from . import orderings
+    from .ordinal import format_ordinal
     report = orderings.bounds_report(args.m)
     payload = {k: format_ordinal(v) for k, v in report.items()}
     text = "".join(f"{k} = {v}\n" for k, v in payload.items())
@@ -323,6 +335,7 @@ def cmd_bounds(args):
 
 
 def cmd_ordinal_eval(args):
+    from .ordinal import format_ordinal, nat_prod, nat_sum, parse_ordinal
     vals = [parse_ordinal(x) for x in args.exprs]
     if args.op is None:
         out = [format_ordinal(v) for v in vals]

@@ -16,7 +16,6 @@ the ideal with p_E.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
@@ -334,8 +333,7 @@ def lex_segment_ideal(e, bound):
     return normalize(m, (v for layer in layers for v in layer))
 
 
-@dataclass(frozen=True)
-class HilbertProfile:
+class HilbertProfile(NamedTuple):
     """Everything the polynomial side knows about one ideal."""
 
     dim: int

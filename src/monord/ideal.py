@@ -7,27 +7,41 @@ antichain and the unit ideal is generated by the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DataError
 from .monom import DEGLEX, check_point, divides, support, unit_vec, vec_max
 
 
-@dataclass(frozen=True)
 class MonomialIdeal:
     """A finitely generated final segment of N^m in canonical form.
 
-    Derived data (the numerator, p_E, slices, the decomposition) is
-    computed at most once per instance and kept on it by ``_memo``.
+    Instances are immutable and compare and hash by (dim, gens).  Derived
+    data (the numerator, p_E, slices, the decomposition) is computed at
+    most once per instance and kept on it by ``_memo``.
     """
 
-    dim: int
-    gens: tuple
+    def __init__(self, dim, gens):
+        check_dim(dim)
+        for g in gens:
+            check_point_in(dim, g)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "gens", gens)
 
-    def __post_init__(self):
-        check_dim(self.dim)
-        for g in self.gens:
-            check_point_in(self.dim, g)
+    def __setattr__(self, name, value):
+        raise AttributeError("MonomialIdeal is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MonomialIdeal is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.gens) == (other.dim, other.gens)
+
+    def __hash__(self):
+        return hash((self.dim, self.gens))
+
+    def __repr__(self):
+        return f"MonomialIdeal(dim={self.dim!r}, gens={self.gens!r})"
 
     def __reduce__(self):
         # pickles and copies carry (dim, gens) only, never the memo
@@ -102,8 +116,8 @@ def _checked_ideal(dim, gens):
 def _memo(e, key, compute):
     """compute(e), worked out on the first request for key and kept on e.
 
-    The values live in e's instance ``__dict__``, which the dataclass's
-    ==, hash and repr never read and ``__reduce__`` leaves behind.
+    The values live in e's instance ``__dict__``, which ==, hash and repr
+    never read and ``__reduce__`` leaves behind.
     """
     memo = e.__dict__.setdefault("_memo", {})
     if key not in memo:

@@ -9,7 +9,6 @@ commutative image (bipartite matching), and multiset.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import DataError, DimensionMismatch
 
@@ -61,23 +60,20 @@ def points_of_degree(m, n):
             for rest in points_of_degree(m - 1, n - first)]
 
 
-@dataclass(frozen=True)
 class TermOrder:
     """A term order on N^m: ``lex``, ``deglex``, or an integer matrix order.
 
     A matrix order compares u, v by the lexicographic order on A*u, A*v.
     The matrix must order every point after the origin, which holds when
-    the first nonzero entry in each column is positive.
+    the first nonzero entry in each column is positive.  Instances are
+    immutable and compare and hash by (kind, matrix).
     """
 
-    kind: str
-    matrix: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("lex", "deglex", "matrix"):
-            raise DataError(f"unknown term order {self.kind!r}")
-        if self.kind == "matrix":
-            rows = self.matrix
+    def __init__(self, kind, matrix=()):
+        if kind not in ("lex", "deglex", "matrix"):
+            raise DataError(f"unknown term order {kind!r}")
+        if kind == "matrix":
+            rows = matrix
             if not rows or any(len(r) != len(rows[0]) for r in rows):
                 raise DataError("matrix order needs a rectangular matrix")
             for j in range(len(rows[0])):
@@ -87,6 +83,25 @@ class TermOrder:
                     raise DataError(
                         f"matrix order column {j} does not order x{j + 1} "
                         "above 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TermOrder is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TermOrder is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.matrix) == (other.kind, other.matrix)
+
+    def __hash__(self):
+        return hash((self.kind, self.matrix))
+
+    def __repr__(self):
+        return f"TermOrder(kind={self.kind!r}, matrix={self.matrix!r})"
 
     def key(self, v):
         if self.kind == "lex":

@@ -12,7 +12,6 @@ from __future__ import annotations
 from math import inf
 
 from .errors import DataError
-from .hilbert import hilbert_samuel_poly
 from .ideal import check_same_dim, generator_word, slice_last
 from .ivpoly import dominance_cmp
 from .monom import DEGLEX, term_cmp
@@ -89,8 +88,9 @@ def _min_type(e, f):
     """min_type_cmp and the key that decided it: "polynomial" when the
     Hilbert-Samuel polynomials differ, else "triangle", for ideals of one
     dimension."""
-    pe, _ = hilbert_samuel_poly(e)
-    pf, _ = hilbert_samuel_poly(f)
+    from . import hilbert  # here, so that kb and triangle never load it
+    pe, _ = hilbert.hilbert_samuel_poly(e)
+    pf, _ = hilbert.hilbert_samuel_poly(f)
     c = dominance_cmp(pe, pf)
     if c != 0:
         return c, "polynomial"

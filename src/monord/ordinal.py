@@ -231,7 +231,7 @@ class _Scanner:
 
     def nat(self):
         start = self.pos
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             self.pos += 1
         if start == self.pos:
             self.error("expected a number")
@@ -279,7 +279,7 @@ def _parse_sum(sc):
 
 
 def _parse_term(sc):
-    if sc.peek().isdigit():
+    if sc.peek().isdecimal():
         n = sc.nat()
         if n == 0:
             # bare zero; only valid as the whole ordinal, checked by caller

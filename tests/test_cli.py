@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from monord import hilbert, ideal, normalize
+from monord import MonomialIdeal, MonordError, hilbert, ideal, normalize
 from monord.cli import main, parse_ideal_text, parse_point
 from monord.ordinal import MAX_NESTING
 from oracles import affine_ell
@@ -330,3 +331,69 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["normalize", "/no/such/file.ideal"])
         assert code == 65
+
+    # "\u00b2" is a digit to str.isdigit() that int() refuses
+    def test_unicode_digit_dim(self, capsys, tmp_path):
+        path = write(tmp_path, "a.ideal", "dim \u00b2\n1 0\n")
+        code, out, err = run(capsys, ["normalize", path])
+        assert (code, out) == (65, "")
+        assert "'dim m' header at line 1" in err
+
+    def test_unicode_digit_monomial(self, capsys, tmp_path):
+        path = write(tmp_path, "a.ideal", "dim 1\n1\n")
+        for point in ("x1^\u00b2", "x\u00b2"):
+            code, out, err = run(capsys, ["contains", path, point])
+            assert (code, out) == (65, "")
+            assert "error: bad " in err
+
+    def test_unicode_digit_ordinal(self, capsys):
+        code, out, err = run(capsys, ["ordinal-eval", "w^\u00b2"])
+        assert (code, out) == (65, "")
+        assert "column 3" in err
+
+    def test_deep_json(self, capsys, tmp_path):
+        path = write(tmp_path, "deep.json",
+                     '{"dim": 2, "gens": ' + "[" * 100000 + "}")
+        code, out, err = run(capsys, ["normalize", path])
+        assert (code, out) == (65, "")
+        assert "bad JSON ideal" in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dim", "gens", "x"]), inner),
+    max_leaves=12)
+
+
+class TestParserFuzz:
+    """Any text parses to a result or raises a MonordError."""
+
+    @given(st.text() | st.text("x^*0123456789 \u00b2\u0663-+_").map(
+        lambda t: "x" + t), st.integers(1, 4))
+    def test_parse_point(self, text, dim):
+        try:
+            v = parse_point(text, dim)
+        except MonordError:
+            return
+        assert len(v) == dim and all(type(x) is int and x >= 0 for x in v)
+
+    @given(st.text() | st.builds(
+        "dim {}\n{}".format, st.text("0123456789\u00b2 ", max_size=3),
+        st.text("x^*0123456789\u00b2 \n#zerounit")))
+    def test_parse_ideal_text(self, text):
+        try:
+            e = parse_ideal_text(text)
+        except MonordError:
+            return
+        assert isinstance(e, MonomialIdeal)
+
+    @given(json_values.map(json.dumps) | st.builds(
+        lambda dim, gens: json.dumps({"dim": dim, "gens": gens}),
+        json_values, json_values))
+    def test_parse_ideal_json(self, text):
+        try:
+            e = parse_ideal_text(text)
+        except MonordError:
+            return
+        assert isinstance(e, MonomialIdeal)

@@ -2,6 +2,7 @@
 decomposition, and the derived data each ideal keeps."""
 
 import copy
+import dataclasses
 import pickle
 import random
 from functools import cmp_to_key
@@ -389,3 +390,49 @@ class TestMemo:
             for j in range(8):
                 slice_last(e, j)
         assert [key for _, key in memo_log] == [("slice", j) for j in range(4)]
+
+
+class TestValueSemantics:
+    """MonomialIdeal keeps the value semantics of the frozen dataclass it
+    used to be: repr, == and hash on (dim, gens), and no field writes."""
+
+    Frozen = dataclasses.make_dataclass(
+        "MonomialIdeal", [("dim", int), ("gens", tuple)], frozen=True)
+
+    def test_matches_the_dataclass(self):
+        rng = random.Random(83)
+        ideals = [random_ideal(rng, case % 4 + 1, 5, 3, allow_zero=True,
+                               allow_unit=True) for case in range(200)]
+        ideals += [normalize(e.dim, e.gens) for e in ideals[:50]]
+        frozen = [self.Frozen(e.dim, e.gens) for e in ideals]
+        for e, d in zip(ideals, frozen):
+            assert repr(e) == repr(d)
+            assert hash(e) == hash(d)
+            assert e != d and d != e
+            for f, c in zip(ideals, frozen):
+                assert (e == f, e != f) == (d == c, d != c)
+        assert repr(normalize(2, [(1, 0), (2, 0)])) == (
+            "MonomialIdeal(dim=2, gens=((1, 0),))")
+        assert MonomialIdeal(dim=2, gens=((1, 0),)) == normalize(2, [(1, 0)])
+
+    def test_fields_are_read_only(self):
+        e = normalize(2, [(1, 0), (0, 3)])
+        for write in (lambda: setattr(e, "dim", 3),
+                      lambda: setattr(e, "gens", ()),
+                      lambda: setattr(e, "other", 1),
+                      lambda: delattr(e, "dim"),
+                      lambda: delattr(e, "gens")):
+            with pytest.raises(AttributeError):
+                write()
+        assert vars(e) == {"dim": 2, "gens": ((1, 0), (0, 3))}
+
+    def test_unchecked_construction_is_the_same_value(self):
+        rng = random.Random(84)
+        for case in range(100):
+            e = random_ideal(rng, case % 5 + 1, 6, 4, allow_zero=True)
+            fast = _checked_ideal(e.dim, e.gens)
+            checked = MonomialIdeal(e.dim, e.gens)
+            assert fast == checked and checked == fast
+            assert hash(fast) == hash(checked)
+            assert repr(fast) == repr(checked)
+            assert len({fast, checked, e}) == 1

@@ -1,0 +1,173 @@
+"""What importing monord loads: the lazy package and the CLI's start cost.
+
+Each check that needs a fresh interpreter runs in a subprocess, so the
+modules this test process has loaded do not count and its monord is left
+as it was.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import monord
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(monord.__file__)))
+
+# the names `from monord import *` gave when the package imported every
+# engine module eagerly: the exports and the engine submodules
+EXPORTS = {
+    "BoundFn", "BudgetExceeded", "DEGLEX", "DataError", "DimensionMismatch",
+    "HilbertProfile", "IVPoly", "LEX", "MacaulayRep", "MonomialIdeal",
+    "MonordError", "OMEGA", "ONE", "OSequenceCheck", "Ord", "ParseError",
+    "TermOrder", "WindowExhausted", "ZERO", "binomial", "bounds_report",
+    "canonical_decomposition", "chains", "cmp", "colon", "comm_leq",
+    "components_by_support", "cone", "degree", "direct_sum", "divides",
+    "dominance_cmp", "ell", "errors", "extremal_sequence", "format_ordinal",
+    "from_samples", "generator_word", "h_bound", "height", "higman_leq",
+    "hilbert", "hilbert_fn", "hilbert_profile", "hilbert_samuel_fn",
+    "hilbert_samuel_poly", "ideal", "ideal_intersect", "ideal_sum",
+    "irreducible_decomposition", "is_bad_sequence", "is_osequence", "ivpoly",
+    "kb_cmp", "lex_segment_ideal", "macaulay_next", "macaulay_rep",
+    "max_bad_degree_growth", "min_type_cmp", "minimizing_coefficients",
+    "monom", "multiset_leq", "nat_pow", "nat_prod", "nat_sum", "normalize",
+    "omega_pow", "orderings", "ordinal", "ot_decreasing_sequences",
+    "parse_ordinal", "phi_poly", "poly_from_a_sequence", "psi_ideal",
+    "psi_poly", "realize_poly", "shift", "slice_last", "stability_index",
+    "support", "t_bound", "term_cmp", "threshold", "triangle_cmp",
+    "unit_ideal", "zero_ideal",
+}
+
+
+def fresh(script, *args, cwd=None):
+    """Run ``script`` in a new interpreter that imports monord from this
+    checkout; its last line of output, parsed as JSON."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("MONORD_BUDGET", None)
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          cwd=cwd, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = """
+import json, sys
+def loaded():
+    return sorted(n for n in sys.modules
+                  if n == "monord" or n.startswith("monord."))
+"""
+
+
+class TestLazyPackage:
+    def test_star_import_gives_the_eager_exports(self):
+        namespace = {}
+        exec("from monord import *", namespace)
+        assert set(namespace) - {"__builtins__"} == EXPORTS
+        assert set(monord.__all__) == EXPORTS
+
+    def test_dir_and_version(self):
+        assert EXPORTS <= set(dir(monord))
+        assert monord.__version__ == "0.1.0"
+        with pytest.raises(AttributeError):
+            monord.no_such_name
+
+    def test_submodule_name_imports_only_that_submodule(self):
+        got = fresh(LOADED + """
+import monord
+before = loaded()
+value = monord.chains.ell(2, 3)
+print(json.dumps([before, loaded(), value]))
+""")
+        assert got == [["monord"], ["monord", "monord.chains", "monord.errors",
+                                    "monord.ideal", "monord.ivpoly",
+                                    "monord.monom"], 10]
+
+    def test_first_name_binds_every_export(self):
+        got = fresh(LOADED + """
+import monord
+monord.ONE
+bound = sorted(n for n in monord.__all__ if n in vars(monord))
+print(json.dumps([loaded(), bound]))
+""")
+        assert got == [["monord", *(f"monord.{m}" for m in (
+            "chains", "errors", "hilbert", "ideal", "ivpoly", "monom",
+            "orderings", "ordinal"))], sorted(EXPORTS)]
+
+    def test_interleaved_fresh_imports_keep_one_ord_class(self):
+        """Importing monord afresh while an older copy is in use (as a
+        benchmark that drops monord.* from sys.modules does) must not
+        mix the copies' classes in either package object."""
+        got = fresh(LOADED + """
+import importlib
+def fresh_import():
+    for name in [n for n in sys.modules
+                 if n == "monord" or n.startswith("monord.")]:
+        del sys.modules[name]
+    return importlib.import_module("monord")
+def consistent(p):
+    values = [p.ONE, p.nat_sum(p.OMEGA, p.ONE), p.parse_ordinal("w^2 + 1"),
+              p.bounds_report(2)["height"],
+              p.hilbert_profile(p.normalize(2, [(1, 1), (3, 0)])).psi]
+    return (all(type(v) is p.Ord for v in values)
+            and p.format_ordinal(p.nat_prod(values[1], values[2]))
+            == "w^3 + w^2 + w + 1")
+first = fresh_import()
+first.Ord                          # binds first's names
+second = fresh_import()
+third = fresh_import()             # nothing bound yet
+out = [consistent(second), consistent(first), consistent(third)]
+out.append(first.Ord is not second.Ord)   # two copies really are in use
+print(json.dumps(out))
+""")
+        assert got == [True, True, True, True]
+
+
+CLI = LOADED + """
+before = "dataclasses" in sys.modules
+from monord.cli import main
+code = main(sys.argv[1:])
+print()
+print(json.dumps([code, loaded(),
+                  "dataclasses" in sys.modules and not before]))
+"""
+
+
+class TestCliStartCost:
+    """Each subcommand loads only the engine modules it uses."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("ideals")
+        (d / "a.ideal").write_text("dim 2\n2 0\n1 1\n0 3\n")
+        (d / "b.ideal").write_text("dim 2\n1 0\n0 2\n")
+        return d
+
+    @pytest.mark.parametrize("argv, code, absent", [
+        (["ordinal-eval", "--op", "sum", "w", "1"], 0,
+         {"ideal", "monom", "hilbert", "chains", "orderings", "ivpoly"}),
+        (["normalize", "a.ideal"], 0, {"hilbert", "ordinal", "chains"}),
+        (["contains", "a.ideal", "x1^2"], 0, {"hilbert", "ordinal", "chains"}),
+        (["decompose", "a.ideal"], 0, {"hilbert", "ordinal", "chains"}),
+        (["cone", "a.ideal"], 0, {"hilbert", "ordinal", "chains"}),
+        (["directsum", "a.ideal", "b.ideal"], 0,
+         {"hilbert", "ordinal", "chains"}),
+        (["bounds", "2"], 0, {"hilbert", "chains"}),
+        (["compare", "--order", "kb", "a.ideal", "b.ideal"], 12,
+         {"hilbert", "chains"}),
+        (["compare", "--order", "triangle", "a.ideal", "b.ideal"], 12,
+         {"hilbert", "chains"}),
+        (["compare", "--order", "mintype", "a.ideal", "b.ideal"], 12,
+         {"chains"}),
+        (["hilbert", "a.ideal"], 0, {"chains", "orderings"}),
+        (["lexify", "a.ideal", "--degree", "4"], 0, {"chains", "orderings"}),
+        (["chainbound", "--m", "2", "--affine", "2,1"], 0,
+         {"hilbert", "orderings", "ordinal"}),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_loads_only_what_it_uses(self, files, argv, code, absent):
+        got_code, loaded, dataclasses = fresh(CLI, *argv, cwd=files)
+        assert got_code == code
+        assert not {f"monord.{m}" for m in absent} & set(loaded)
+        assert not dataclasses

@@ -1,6 +1,9 @@
 """Exponent vectors, term orders, and the three word quasi-orders."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -52,6 +55,41 @@ class TestTermCmp:
             TermOrder("matrix", ((1, 0), (0, -1)))
         with pytest.raises(DataError):
             TermOrder("matrix", ((1,), (1, 1)))
+
+    def test_value_semantics_match_the_dataclass(self):
+        frozen = dataclasses.make_dataclass(
+            "TermOrder", [("kind", str),
+                          ("matrix", tuple, dataclasses.field(default=()))],
+            frozen=True)
+        rng = random.Random(85)
+        specs = [("lex", ()), ("deglex", ())]
+        for _ in range(60):
+            width = rng.randint(1, 3)
+            rows = [tuple(rng.randint(1, 2) for _ in range(width))]
+            rows += [tuple(rng.randint(-2, 2) for _ in range(width))
+                     for _ in range(rng.randint(0, 2))]
+            specs.append(("matrix", tuple(rows)))
+        specs += specs[::7]
+        orders = [TermOrder(*spec) for spec in specs]
+        frozens = [frozen(*spec) for spec in specs]
+        assert orders[:2] == [LEX, DEGLEX]
+        for t, d in zip(orders, frozens):
+            assert repr(t) == repr(d)
+            assert hash(t) == hash(d)
+            for u, c in zip(orders, frozens):
+                assert (t == u, t != u) == (d == c, d != c)
+            for back in (pickle.loads(pickle.dumps(t)), copy.copy(t),
+                         copy.deepcopy(t)):
+                assert back == t and repr(back) == repr(t)
+        assert repr(LEX) == "TermOrder(kind='lex', matrix=())"
+
+    def test_fields_are_read_only(self):
+        for write in (lambda: setattr(DEGLEX, "kind", "lex"),
+                      lambda: setattr(DEGLEX, "matrix", ((1,),)),
+                      lambda: delattr(DEGLEX, "kind")):
+            with pytest.raises(AttributeError):
+                write()
+        assert DEGLEX == TermOrder("deglex")
 
     def test_type_omega(self):
         assert DEGLEX.is_type_omega()

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monord import (OMEGA, ONE, ZERO, Ord, ParseError, cmp, format_ordinal,
-                    nat_pow, nat_prod, nat_sum, omega_pow,
+from monord import (OMEGA, ONE, ZERO, MonordError, Ord, ParseError, cmp,
+                    format_ordinal, nat_pow, nat_prod, nat_sum, omega_pow,
                     ot_decreasing_sequences, parse_ordinal)
 from monord.ordinal import MAX_NESTING
 
@@ -200,3 +200,19 @@ class TestFormatParse:
         with pytest.raises(ParseError) as exc:
             parse_ordinal("w + q")
         assert exc.value.column == 5
+
+    @pytest.mark.parametrize("bad", ["\u00b2", "w^\u00b2", "w*\u00b2",
+                                     "w^(w + \u00b9)"])
+    def test_rejects_unicode_digits_int_refuses(self, bad):
+        with pytest.raises(ParseError):
+            parse_ordinal(bad)
+
+    @given(st.text() | st.text("w^()*+ 0123456789\u00b2\u0663"))
+    def test_fuzz(self, text):
+        """Any text parses to an ordinal that prints back to a parse of
+        itself, or raises a MonordError."""
+        try:
+            a = parse_ordinal(text)
+        except MonordError:
+            return
+        assert parse_ordinal(format_ordinal(a)) == a
