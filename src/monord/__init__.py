@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {name: module for module, names in {
     "errors": "BudgetExceeded DataError DimensionMismatch MonordError "
-              "ParseError WindowExhausted",
+              "ParseError",
     "ordinal": "OMEGA ONE ZERO Ord cmp format_ordinal nat_pow nat_prod "
                "nat_sum omega_pow ot_decreasing_sequences parse_ordinal",
     "ivpoly": "IVPoly MacaulayRep OSequenceCheck binomial dominance_cmp "

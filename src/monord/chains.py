@@ -97,15 +97,15 @@ class BoundFn:
         return cls(tail=IVPoly((p - q, q)))
 
     @classmethod
-    def from_table(cls, values, tail=None):
-        """Finite table, continued by its last value (or ``tail``)."""
+    def from_table(cls, values):
+        """Finite table, continued by its last value."""
         values = list(values)
-        if any(not isinstance(v, int) or v < 0 for v in values + [tail or 0]):
-            raise DataError(f"table {values}, tail {tail}: not naturals")
+        if any(not isinstance(v, int) or v < 0 for v in values):
+            raise DataError(f"table {values}: not naturals")
         if not values:
             raise DataError("table must be nonempty")
         values = list(accumulate(values, max))
-        return cls(table=values, tail=IVPoly((max(values[-1], tail or 0),)))
+        return cls(table=values, tail=IVPoly((values[-1],)))
 
     def mapped(self, g):
         """j -> g(f(j)) in the same form, for an IVPoly g nondecreasing on

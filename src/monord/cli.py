@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 64 usage error, 65 data error, 69 resource/budget
-error.  ``compare`` exits 10/11/12 for less/equal/greater so shell
-pipelines can branch without parsing output.
+Exit codes: 0 success, 64 usage error, 65 data error, 69 budget exhausted
+or out of memory.  ``compare`` exits 10/11/12 for less/equal/greater so
+shell pipelines can branch without parsing output.
 
 Each subcommand imports the engine modules it uses when it runs, so a
 process pays only for its own: ``ordinal-eval`` loads ``ordinal`` alone,
@@ -15,13 +15,23 @@ import argparse
 import json
 import sys
 
-from .errors import (BudgetExceeded, DataError, MonordError, ParseError,
-                     WindowExhausted)
+from .errors import BudgetExceeded, DataError, MonordError, ParseError
 
 EX_OK = 0
 EX_USAGE = 64
 EX_DATA = 65
 EX_RESOURCE = 69
+
+
+def _nat(digits, message, line):
+    """int(digits) for a string of decimal digits; ParseError(message) for
+    any other string or for more digits than int() converts."""
+    if digits.isdecimal():
+        try:
+            return int(digits)
+        except ValueError:  # past Python's int-string digit limit
+            message += ": too many digits"
+    raise ParseError(message, line=line)
 
 
 def parse_point(text, dim, line=None):
@@ -33,19 +43,14 @@ def parse_point(text, dim, line=None):
         v = [0] * dim
         for col, factor in enumerate(text.split("*")):
             factor = factor.strip()
-            base, _, exp = factor.partition("^")
-            if not base.startswith("x") or not base[1:].isdecimal():
-                raise ParseError(f"bad factor {factor!r}", line=line)
-            i = int(base[1:])
+            base, caret, exp = factor.partition("^")
+            i = _nat(base[1:] if base[:1] == "x" else "",
+                     f"bad factor {factor!r}", line)
             if not 1 <= i <= dim:
                 raise ParseError(f"variable x{i} outside dim {dim}",
                                  line=line)
-            e = 1
-            if _:
-                if not exp.isdecimal():
-                    raise ParseError(f"bad exponent in {factor!r}", line=line)
-                e = int(exp)
-            v[i - 1] += e
+            v[i - 1] += (_nat(exp, f"bad exponent in {factor!r}", line)
+                         if caret else 1)
         return tuple(v)
     parts = text.split()
     try:
@@ -59,7 +64,7 @@ def parse_point(text, dim, line=None):
 
 def parse_ideal_text(text):
     """Parse the ideal file format (or its JSON mirror)."""
-    from .ideal import normalize, unit_ideal, zero_ideal
+    from .ideal import check_dim, normalize, unit_ideal, zero_ideal
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -78,12 +83,9 @@ def parse_ideal_text(text):
             continue
         if dim is None:
             parts = line.split()
-            if (len(parts) != 2 or parts[0] != "dim"
-                    or not parts[1].isdecimal()):
-                raise ParseError("expected 'dim m' header", line=lineno)
-            dim = int(parts[1])
-            if dim < 1:
-                raise ParseError("dimension must be >= 1", line=lineno)
+            dim = _nat(parts[1] if len(parts) == 2 and parts[0] == "dim"
+                       else "", "expected 'dim m' header", lineno)
+            check_dim(dim)  # before any point of dim coordinates is built
             continue
         if line in ("zero", "unit"):
             special = line
@@ -253,8 +255,8 @@ def cmd_hilbert(args):
     prof = hilbert.hilbert_profile(e)
     p, t = prof.p, prof.threshold
     window = t + 2 * e.dim
-    hs = [prof.hilbert_fn(n) for n in range(window + 1)]
-    cum = [prof.hilbert_samuel_fn(s) for s in range(window + 1)]
+    hs = [hilbert.hilbert_fn(e, n) for n in range(window + 1)]
+    cum = [hilbert.hilbert_samuel_fn(e, s) for s in range(window + 1)]
     payload = {
         "H": hs,
         "h": cum,
@@ -373,12 +375,15 @@ def main(argv=None):
         return EX_USAGE if exc.code not in (0, None) else EX_OK
     try:
         return COMMANDS[args.command](args)
-    except (BudgetExceeded, WindowExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_RESOURCE
+    except BudgetExceeded as exc:
+        message, code = str(exc), EX_RESOURCE
+    except MemoryError:
+        message, code = "out of memory", EX_RESOURCE
     except MonordError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATA
+        message, code = str(exc), EX_DATA
+    # printed once the handler has dropped the failed command's frames
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry():

@@ -36,7 +36,3 @@ class BudgetExceeded(MonordError):
     def __init__(self, message, spent=None):
         self.spent = spent
         super().__init__(message)
-
-
-class WindowExhausted(MonordError):
-    """A scan window was exhausted before the answer could be certified."""

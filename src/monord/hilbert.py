@@ -19,7 +19,7 @@ from collections import Counter
 from math import comb
 from typing import NamedTuple
 
-from .errors import DataError, WindowExhausted
+from .errors import DataError
 from .ideal import _memo, minimal_points, normalize
 from .ivpoly import IVPoly, binom_poly, binomial, from_samples, macaulay_next, shift
 from .monom import degree, points_of_degree, unit_vec
@@ -273,32 +273,30 @@ class N0Result(NamedTuple):
     certified: bool
 
 
-def stability_index(e, max_window=None):
+def stability_index(e):
     """n0(E): least n0 with H(n+1) = H(n)^<n> for every n >= n0.
 
-    Scans n = 1..threshold(e).  Every generator has degree at most the
-    threshold, so if H grows maximally there, Gotzmann's persistence theorem
-    (Math. Z. 158 (1978); Bruns-Herzog, Thm 4.3.3) keeps it so and n0 is one
-    past the last failure; otherwise n0 is the Gotzmann number of the
-    Hilbert polynomial of H.  A ``max_window`` at or below the threshold
-    raises WindowExhausted.
+    Every generator has degree at most the threshold, so maximal growth
+    there persists (Gotzmann, Math. Z. 158 (1978); Bruns-Herzog, Thm
+    4.3.3) and n0 is one past the last failure in 1..threshold: the first
+    one a scan from the threshold down meets.  When growth fails at the
+    threshold itself, n0 is the Gotzmann number of the Hilbert polynomial
+    of H.
     """
     if e.is_zero() or e.is_unit():
         raise DataError("stability index needs a nonzero proper ideal")
-    return _stability_index(_numerator(e), e.dim, threshold(e), max_window)
+    return _stability_index(_numerator(e), e.dim, threshold(e))
 
 
-def _stability_index(num, m, t, max_window=None):
+def _stability_index(num, m, t):
     """stability_index from the numerator and the threshold."""
-    if max_window is not None and max_window <= t:
-        raise WindowExhausted(
-            f"window {max_window} does not pass the threshold {t}")
-    n0, h = 1, _hilbert_value(num, m, 1)
-    for n in range(1, t + 1):
-        h_next = _hilbert_value(num, m, n + 1)
+    n0, h_next = 1, _hilbert_value(num, m, t + 1)
+    for n in range(t, 0, -1):
+        h = _hilbert_value(num, m, n)
         if h_next != macaulay_next(h, n):
             n0 = n + 1
-        h = h_next
+            break
+        h_next = h
     if n0 == t + 1:
         n0 = phi_poly(_samuel_poly(num, m - 1), m - 1)
     return N0Result(n0, t + 1, True)
@@ -344,14 +342,6 @@ class HilbertProfile(NamedTuple):
     phi: int | None
     n0: int | None
     numerator: tuple  # N(t) as (degree, coefficient) pairs
-
-    def hilbert_fn(self, n):
-        """H_E(n), read off the numerator."""
-        return _hilbert_value(self.numerator, self.dim, n)
-
-    def hilbert_samuel_fn(self, s):
-        """h_E(s), read off the numerator."""
-        return _hilbert_value(self.numerator, self.dim + 1, s)
 
 
 def hilbert_profile(e):

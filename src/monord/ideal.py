@@ -75,12 +75,19 @@ class MonomialIdeal:
         return "ideal<" + ", ".join(str(g) for g in self.gens) + ">"
 
 
+# The largest ambient dimension accepted: a point holds dim coordinates, so
+# an ideal file's header would otherwise set what its first point allocates.
+MAX_DIM = 1000
+
+
 def check_dim(dim):
-    """Reject an ambient dimension that is not an int >= 1 (bools too)."""
+    """Reject a dimension that is not an int in 1..MAX_DIM (bools too)."""
     if type(dim) is not int:
         raise DataError(f"dimension {dim!r} is not an integer")
     if dim < 1:
         raise DataError("ambient dimension must be >= 1")
+    if dim > MAX_DIM:
+        raise DataError(f"dimension {dim} is above the cap of {MAX_DIM}")
 
 
 def check_point_in(dim, v):

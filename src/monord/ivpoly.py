@@ -94,12 +94,12 @@ def binom_poly(c, k):
     return from_samples([binomial(t - c + k, k) for t in range(k + 1)])
 
 
-def from_samples(values, start=0):
+def from_samples(values):
     """Recover the unique polynomial of degree < len(values) through the
-    samples p(start), p(start+1), ...
+    samples p(0), p(1), ...
 
     Coordinates come from the forward-difference table:
-    b_k = sum_j (-1)^j C(k + start + j, j) D^{k+j} p(start).
+    b_k = sum_j (-1)^j C(k + j, j) D^{k+j} p(0).
     """
     if not values:
         raise ValueError("need at least one sample")
@@ -108,12 +108,9 @@ def from_samples(values, start=0):
         row = table[-1]
         table.append([row[i + 1] - row[i] for i in range(len(row) - 1)])
     diffs = [row[0] for row in table]
-    coeffs = []
-    for k in range(len(values)):
-        b = sum((-1) ** j * binomial(k + start + j, j) * diffs[k + j]
-                for j in range(len(diffs) - k))
-        coeffs.append(b)
-    return IVPoly(coeffs)
+    return IVPoly([sum((-1) ** j * binomial(k + j, j) * diffs[k + j]
+                       for j in range(len(diffs) - k))
+                   for k in range(len(values))])
 
 
 def shift(p, k):

@@ -238,7 +238,10 @@ class _Scanner:
         tok = self.text[start:self.pos]
         if len(tok) > 1 and tok[0] == "0":
             self.error("no leading zeros")
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # past Python's int-string digit limit
+            self.error("too many digits")
 
 
 def parse_ordinal(text):

@@ -19,6 +19,7 @@ from monord import (BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord, binomial,
                     minimizing_coefficients, nat_pow, nat_prod, nat_sum,
                     normalize, omega_pow, phi_poly, psi_poly,
                     stability_index, t_bound, threshold, triangle_cmp)
+from monord.hilbert import N0Result
 from monord.ideal import _irr_contains, irreducible_component_ideal
 from oracles import (affine_ell, antichains, longest_downset_chain,
                      max_decreasing_sequence, points_of_degree, points_up_to,
@@ -457,3 +458,17 @@ def test_criterion_17_derived_data_once_per_ideal(capsys, memo_log):
                                     normalize(4, b.gens))))
 
     report(capsys, 17, "sorts compute each ideal's data once", body)
+
+
+def test_criterion_18_stability_index_reads_down_from_the_threshold(capsys):
+    # H grows maximally only from 10^6 on, two below the threshold; the scan
+    # up from n = 1 took about 5.7 s to find that
+    e = normalize(3, [(10 ** 6, 0, 0), (0, 1, 0), (0, 0, 1)])
+    holder = []
+
+    def body():
+        holder.append(stability_index(e))
+
+    report(capsys, 18, "stability_index, threshold 10^6 + 2", body,
+           limit=0.5)
+    assert holder[0] == N0Result(1_000_000, 1_000_003, True)

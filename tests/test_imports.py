@@ -16,13 +16,13 @@ import monord
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(monord.__file__)))
 
-# the names `from monord import *` gave when the package imported every
-# engine module eagerly: the exports and the engine submodules
+# the names `from monord import *` gives: the exports and the engine
+# submodules
 EXPORTS = {
     "BoundFn", "BudgetExceeded", "DEGLEX", "DataError", "DimensionMismatch",
     "HilbertProfile", "IVPoly", "LEX", "MacaulayRep", "MonomialIdeal",
     "MonordError", "OMEGA", "ONE", "OSequenceCheck", "Ord", "ParseError",
-    "TermOrder", "WindowExhausted", "ZERO", "binomial", "bounds_report",
+    "TermOrder", "ZERO", "binomial", "bounds_report",
     "canonical_decomposition", "chains", "cmp", "colon", "comm_leq",
     "components_by_support", "cone", "degree", "direct_sum", "divides",
     "dominance_cmp", "ell", "errors", "extremal_sequence", "format_ordinal",

@@ -207,6 +207,10 @@ class TestFormatParse:
         with pytest.raises(ParseError):
             parse_ordinal(bad)
 
+    def test_number_past_the_digit_limit(self, int_digit_limit):
+        with pytest.raises(ParseError, match="too many digits"):
+            parse_ordinal("1" * 5000)
+
     @given(st.text() | st.text("w^()*+ 0123456789\u00b2\u0663"))
     def test_fuzz(self, text):
         """Any text parses to an ordinal that prints back to a parse of
