@@ -7,7 +7,6 @@ runs under an explicit budget rather than a value bound.
 
 from __future__ import annotations
 
-import os
 from itertools import accumulate
 from math import comb, inf
 from typing import NamedTuple
@@ -20,33 +19,20 @@ from .monom import divides, points_of_degree
 DEFAULT_BUDGET = 1_000_000
 
 
-def default_budget():
-    value = os.environ.get("MONORD_BUDGET")
-    if value is None:
-        return DEFAULT_BUDGET
-    try:
-        out = int(value)
-    except ValueError:
-        raise DataError(f"MONORD_BUDGET={value!r} is not an integer")
-    if out < 1:
-        raise DataError("MONORD_BUDGET must be positive")
-    return out
-
-
 class _Budget:
     """One unit per recursion step plus one per byte of the offset its bound
     is shifted by, so that it bounds the size of the values built, and one
     per value a callable bound adds to its table."""
 
     def __init__(self, limit=None):
-        self.limit = default_budget() if limit is None else limit
+        self.limit = DEFAULT_BUDGET if limit is None else limit
         self.spent = 0
 
     def charge(self, units):
         if self.spent + units > self.limit:
             raise BudgetExceeded(
                 f"budget of {self.limit} units exhausted, {self.spent} spent "
-                f"(raise it with --budget or MONORD_BUDGET)", spent=self.spent)
+                f"(raise it with budget= or --budget)", spent=self.spent)
         self.spent += units
 
     def step(self, off):

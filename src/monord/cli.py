@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 
 from .errors import BudgetExceeded, DataError, MonordError, ParseError
 
@@ -52,12 +53,8 @@ def parse_point(text, dim, line=None):
             v[i - 1] += (_nat(exp, f"bad exponent in {factor!r}", line)
                          if caret else 1)
         return tuple(v)
-    parts = text.split()
-    try:
-        v = tuple(int(x) for x in parts)
-    except ValueError:
-        raise ParseError(f"bad tuple {text!r}", line=line)
-    if len(v) != dim or any(x < 0 for x in v):
+    v = tuple(_nat(x, f"bad tuple {text!r}", line) for x in text.split())
+    if len(v) != dim:
         raise ParseError(f"expected {dim} naturals, got {text!r}", line=line)
     return v
 
@@ -254,9 +251,8 @@ def cmd_hilbert(args):
     e = load_ideal(args.file)
     prof = hilbert.hilbert_profile(e)
     p, t = prof.p, prof.threshold
-    window = t + 2 * e.dim
-    hs = [hilbert.hilbert_fn(e, n) for n in range(window + 1)]
-    cum = [hilbert.hilbert_samuel_fn(e, s) for s in range(window + 1)]
+    hs = [hilbert.hilbert_fn(e, n) for n in range(t + 2 * e.dim + 1)]
+    cum = list(accumulate(hs))
     payload = {
         "H": hs,
         "h": cum,

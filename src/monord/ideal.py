@@ -7,7 +7,7 @@ antichain and the unit ideal is generated by the origin.
 
 from __future__ import annotations
 
-from .errors import DataError
+from .errors import DataError, DimensionMismatch
 from .monom import DEGLEX, check_point, divides, support, unit_vec, vec_max
 
 
@@ -101,7 +101,8 @@ def check_point_in(dim, v):
 def check_same_dim(e, f):
     """Reject two ideals that live in different N^m."""
     if e.dim != f.dim:
-        raise DataError("ideals live in different dimensions")
+        raise DimensionMismatch(
+            f"ideals live in different dimensions {e.dim} and {f.dim}")
 
 
 def normalize(dim, points):

@@ -122,14 +122,10 @@ def shift(p, k):
 def dominance_cmp(p, q):
     """Compare by the lexicographic order on (b_d, ..., b_0), padding the
     shorter coefficient vector with zeros."""
-    a, b = p.coeffs, q.coeffs
-    n = max(len(a), len(b))
-    a += (0,) * (n - len(a))
-    b += (0,) * (n - len(b))
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
+    n = max(len(p.coeffs), len(q.coeffs))
+    a = (p.coeffs + (0,) * (n - len(p.coeffs)))[::-1]
+    b = (q.coeffs + (0,) * (n - len(q.coeffs)))[::-1]
+    return (a > b) - (a < b)
 
 
 class MacaulayRep(NamedTuple):

@@ -5,12 +5,14 @@ w^g1 * c1 + ... + w^gk * ck with g1 > g2 > ... > gk and positive integer
 coefficients, where the exponents are themselves ordinals in the same form.
 The arithmetic provided here is the commutative (Hessenberg) natural sum
 and natural product, which is what order-type bookkeeping for well partial
-orders needs.
+orders needs.  An Ord wraps its *form*, the nested tuple
+((g1, c1), ..., (gk, ck)) whose exponents are forms and where () is zero;
+tuple order on forms is the ordinal order.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key, total_ordering
+from functools import total_ordering
 
 from .errors import ParseError
 
@@ -25,70 +27,70 @@ class Ord:
 
     Instances are immutable and hashable.  ``terms`` is a tuple of
     (exponent, coefficient) pairs with strictly decreasing Ord exponents
-    and coefficients >= 1.  The empty tuple is zero.
+    and coefficients >= 1; ``form`` is the same with exponent forms.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("form",)
 
     def __init__(self, terms=()):
         terms = tuple(terms)
         for i, (e, c) in enumerate(terms):
             if not isinstance(e, Ord) or not isinstance(c, int) or c < 1:
                 raise ValueError(f"bad CNF term {terms[i]!r}")
-            if i > 0 and cmp(terms[i - 1][0], e) <= 0:
+            if i > 0 and terms[i - 1][0].form <= e.form:
                 raise ValueError("CNF exponents must strictly decrease")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash(terms))
+        object.__setattr__(self, "form", tuple((e.form, c) for e, c in terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("Ord is immutable")
+
+    def __reduce__(self):
+        # pickles and copies go through __init__, so each load is checked
+        return (Ord, (self.terms,))
+
+    @property
+    def terms(self):
+        return tuple((_wrap(g), c) for g, c in self.form)
 
     @staticmethod
     def from_int(n):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"expected a natural number, got {n!r}")
-        if n == 0:
-            return ZERO
-        return Ord(((ZERO, n),))
+        return _wrap((((), n),) if n else ())
 
     def is_zero(self):
-        return not self.terms
+        return not self.form
 
     def is_finite(self):
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero())
+        return not self.form or (len(self.form) == 1 and not self.form[0][0])
 
     def to_int(self):
         """The integer value of a finite ordinal."""
-        if self.is_zero():
-            return 0
         if not self.is_finite():
             raise ValueError(f"{self} is infinite")
-        return self.terms[0][1]
-
-    def is_successor(self):
-        return bool(self.terms) and self.terms[-1][0].is_zero()
+        return self.form[0][1] if self.form else 0
 
     def is_limit(self):
-        return bool(self.terms) and not self.terms[-1][0].is_zero()
+        return bool(self.form) and bool(self.form[-1][0])
 
     def __eq__(self, other):
-        return isinstance(other, Ord) and self.terms == other.terms
+        return isinstance(other, Ord) and self.form == other.form
 
     def __lt__(self, other):
         if not isinstance(other, Ord):
             return NotImplemented
-        return cmp(self, other) < 0
+        return self.form < other.form
 
     def __hash__(self):
-        return self._hash
+        return hash(self.form)
 
     def __add__(self, other):
-        return nat_sum(self, _coerce(other))
+        return nat_sum(self, other)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        return nat_prod(self, _coerce(other))
+        return nat_prod(self, other)
 
     __rmul__ = __mul__
 
@@ -97,6 +99,13 @@ class Ord:
 
     def __repr__(self):
         return f"Ord[{format_ordinal(self)}]"
+
+
+def _wrap(form):
+    """The Ord of a form already in CNF, built without Ord's checks."""
+    a = object.__new__(Ord)
+    object.__setattr__(a, "form", form)
+    return a
 
 
 def _coerce(x):
@@ -114,37 +123,30 @@ OMEGA = Ord(((ONE, 1),))
 
 def cmp(a, b):
     """Three-way comparison of two ordinals: -1, 0, or 1."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = cmp(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    return (a.form > b.form) - (a.form < b.form)
+
+
+def _merge(terms):
+    """The form of the natural sum of (exponent form, coefficient) terms."""
+    coeffs = {}
+    for g, c in terms:
+        coeffs[g] = coeffs.get(g, 0) + c
+    return tuple(sorted(coeffs.items(), reverse=True))
+
+
+def _prod(f, g):
+    """The form of the natural product of forms f and g."""
+    return _merge((_merge(ea + eb), ca * cb) for ea, ca in f for eb, cb in g)
 
 
 def nat_sum(a, b):
     """Hessenberg natural sum: merge the CNF terms exponent by exponent."""
-    a, b = _coerce(a), _coerce(b)
-    coeffs = {}
-    for e, c in a.terms + b.terms:
-        coeffs[e] = coeffs.get(e, 0) + c
-    exps = sorted(coeffs, key=cmp_to_key(cmp), reverse=True)
-    return Ord(tuple((e, coeffs[e]) for e in exps))
+    return _wrap(_merge(_coerce(a).form + _coerce(b).form))
 
 
 def nat_prod(a, b):
     """Hessenberg natural product, distributing over natural sums of terms."""
-    a, b = _coerce(a), _coerce(b)
-    coeffs = {}
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
-            e = nat_sum(ea, eb)
-            coeffs[e] = coeffs.get(e, 0) + ca * cb
-    exps = sorted(coeffs, key=cmp_to_key(cmp), reverse=True)
-    return Ord(tuple((e, coeffs[e]) for e in exps))
+    return _wrap(_prod(_coerce(a).form, _coerce(b).form))
 
 
 def nat_pow(a, n):
@@ -152,16 +154,15 @@ def nat_pow(a, n):
     a = _coerce(a)
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"exponent must be a natural number, got {n!r}")
-    out = ONE
+    out = ONE.form
     for _ in range(n):
-        out = nat_prod(out, a)
-    return out
+        out = _prod(out, a.form)
+    return _wrap(out)
 
 
 def omega_pow(a):
     """w^a for an ordinal (or natural number) a."""
-    a = _coerce(a)
-    return Ord(((a, 1),))
+    return _wrap(((_coerce(a).form, 1),))
 
 
 def ot_decreasing_sequences(a):
@@ -187,25 +188,26 @@ def ot_decreasing_sequences(a):
 
 def format_ordinal(a):
     """Render a in the textual CNF syntax, e.g. ``w^(w + 1)*2 + w + 3``."""
-    a = _coerce(a)
-    if a.is_zero():
-        return "0"
+    return _format(_coerce(a).form)
+
+
+def _format(form):
     parts = []
-    for e, c in a.terms:
-        if e.is_zero():
+    for g, c in form:
+        if not g:
             parts.append(str(c))
             continue
-        if e == ONE:
+        if g == ONE.form:
             s = "w"
         else:
-            es = format_ordinal(e)
+            es = _format(g)
             if not (es.isdigit() or es == "w"):
                 es = "(" + es + ")"
             s = "w^" + es
         if c > 1:
             s += "*" + str(c)
         parts.append(s)
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 class _Scanner:
@@ -253,14 +255,15 @@ def parse_ordinal(text):
     """
     sc = _Scanner(text)
     sc.skip_ws()
-    a = _parse_sum(sc)
+    form = _parse_sum(sc)
     sc.skip_ws()
     if sc.pos != len(sc.text):
         sc.error("trailing input")
-    return a
+    return _wrap(form)
 
 
 def _parse_sum(sc):
+    """The form of a sum of terms, checked to be in Cantor normal form."""
     terms = [_parse_term(sc)]
     while True:
         save = sc.pos
@@ -271,27 +274,24 @@ def _parse_sum(sc):
         sc.take("+")
         sc.skip_ws()
         terms.append(_parse_term(sc))
-    if len(terms) == 1 and terms[0] == (ZERO, 0):
-        return ZERO
+    if terms == [((), 0)]:
+        return ()
     if any(c == 0 for _, c in terms):
         sc.error("'0' is only valid on its own")
     for i in range(1, len(terms)):
-        if cmp(terms[i - 1][0], terms[i][0]) <= 0:
+        if terms[i - 1][0] <= terms[i][0]:
             sc.error("exponents must strictly decrease")
-    return Ord(tuple(terms))
+    return tuple(terms)
 
 
 def _parse_term(sc):
     if sc.peek().isdecimal():
-        n = sc.nat()
-        if n == 0:
-            # bare zero; only valid as the whole ordinal, checked by caller
-            return (ZERO, 0)
-        return (ZERO, n)
+        # a bare zero is only valid as the whole ordinal, checked by caller
+        return ((), sc.nat())
     if sc.peek() != "w":
         sc.error("expected 'w' or a number")
     sc.take("w")
-    exp = ONE
+    exp = ONE.form
     if sc.peek() == "^":
         sc.take("^")
         if sc.peek() == "(":
@@ -306,15 +306,15 @@ def _parse_term(sc):
             sc.depth -= 1
         elif sc.peek() == "w":
             sc.take("w")
-            exp = OMEGA
+            exp = OMEGA.form
         else:
-            exp = Ord.from_int(sc.nat())
+            exp = Ord.from_int(sc.nat()).form
     coeff = 1
     if sc.peek() == "*":
         sc.take("*")
         coeff = sc.nat()
         if coeff == 0:
             sc.error("coefficient must be positive")
-    if exp.is_zero():
+    if not exp:
         sc.error("write finite terms as plain numbers")
     return (exp, coeff)

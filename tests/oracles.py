@@ -497,3 +497,18 @@ def recurrence_ell(m, f):
         total += recurrence_ell(
             m - 1, lambda j, off=total, i=i: f(j + off) - f(0) + i)
     return total
+
+
+def cnf_cmp(a, b):
+    """Three-way comparison of two Ords, term by term on their Ord
+    exponents and coefficients: the differential reference for the
+    library's tuple order on forms."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = cnf_cmp(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) != len(b.terms):
+        return -1 if len(a.terms) < len(b.terms) else 1
+    return 0

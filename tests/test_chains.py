@@ -122,17 +122,6 @@ class TestEll:
             ell(2, lambda i: 1, budget=3)
         assert ell(2, 1, budget=1) == 3
 
-    def test_env_budget(self, monkeypatch):
-        monkeypatch.setenv("MONORD_BUDGET", "5")
-        with pytest.raises(BudgetExceeded):
-            ell(3, BoundFn.affine(3, 2))
-        monkeypatch.setenv("MONORD_BUDGET", "soon")
-        with pytest.raises(DataError):
-            ell(2, 1)
-        monkeypatch.setenv("MONORD_BUDGET", "-3")
-        with pytest.raises(DataError):
-            ell(2, 1)
-
 
 class TestAgainstTrieEngine:
     """The engine on closed-form bounds against the value-trie engine it

@@ -1,15 +1,16 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from monord import (MonomialIdeal, MonordError, ParseError, cli, hilbert,
-                    ideal, normalize)
+                    ideal, normalize, unit_ideal, zero_ideal)
 from monord.cli import main, parse_ideal_text, parse_point
 from monord.ordinal import MAX_NESTING
-from oracles import affine_ell
+from oracles import affine_ell, random_ideal
 
 
 def write(tmp_path, name, text):
@@ -59,6 +60,15 @@ class TestIdealFiles:
         for text in ("x1^" + "1" * 5000, "x" + "1" * 5000):
             with pytest.raises(ParseError, match="too many digits"):
                 parse_point(text, 1)
+
+    @pytest.mark.parametrize("text", ["1_0 2", "+1 2", "-0 1", "1 -2"])
+    def test_tuple_entries_are_plain_naturals(self, capsys, tmp_path, text):
+        with pytest.raises(ParseError, match="bad tuple"):
+            parse_point(text, 2)
+        path = write(tmp_path, "a.ideal", f"dim 2\n{text}\n")
+        code, out, err = run(capsys, ["normalize", path])
+        assert (code, out) == (65, "")
+        assert "bad tuple" in err and "line 2" in err
 
     def test_dim_past_the_digit_limit(self, int_digit_limit):
         with pytest.raises(ParseError, match="too many digits"):
@@ -173,6 +183,19 @@ class TestHilbert:
         assert data["phi"] == 3
         assert data["h"][-1] == 3
 
+    def test_h_is_hilbert_samuel_fn(self, capsys, tmp_path):
+        rng = random.Random(12)
+        ideals = [zero_ideal(2), unit_ideal(3)] + [
+            random_ideal(rng, rng.randint(1, 4), 5, 4, allow_zero=True,
+                         allow_unit=True) for _ in range(25)]
+        for i, e in enumerate(ideals):
+            path = write(tmp_path, f"{i}.ideal", cli.format_ideal(e))
+            code, out, _ = run(capsys, ["hilbert", path, "--json"])
+            h = json.loads(out)["h"]
+            assert code == 0
+            assert h == [hilbert.hilbert_samuel_fn(e, s)
+                         for s in range(len(h))]
+
 
 class TestDecompose:
     def test_text(self, capsys, tmp_path):
@@ -247,7 +270,7 @@ class TestChainbound:
                                       "--affine", "3,2", "--budget", "10"])
         assert (code, out) == (69, "")
         assert "budget of 10 units" in err and "--budget" in err
-        assert "MONORD_BUDGET" in err
+        assert "budget=" in err
 
     def test_value_rows(self, capsys):
         code, out, _ = run(capsys, ["chainbound", "--m", "2",

@@ -9,11 +9,12 @@ from functools import cmp_to_key
 
 import pytest
 
-from monord import (DEGLEX, DataError, MonomialIdeal, TermOrder, colon,
-                    comm_leq, components_by_support, cone, direct_sum,
-                    divides, generator_word, hilbert_samuel_poly,
+from monord import (DEGLEX, DataError, DimensionMismatch, MonomialIdeal,
+                    TermOrder, colon, comm_leq, components_by_support, cone,
+                    direct_sum, divides, generator_word, hilbert_samuel_poly,
                     ideal_intersect, ideal_sum, irreducible_decomposition,
-                    normalize, slice_last, term_cmp, unit_ideal, zero_ideal)
+                    is_bad_sequence, kb_cmp, normalize, slice_last, term_cmp,
+                    unit_ideal, zero_ideal)
 from monord.ideal import _checked_ideal, irreducible_component_ideal
 from oracles import (in_ideal, points_up_to, random_ideal, random_wide_ideal,
                      split_decomposition)
@@ -118,6 +119,15 @@ class TestLattice:
             for v in points_up_to(2, 9):
                 assert s.contains(v) == (e.contains(v) or f.contains(v))
                 assert i.contains(v) == (e.contains(v) and f.contains(v))
+
+    @pytest.mark.parametrize("op", [
+        ideal_sum, kb_cmp, lambda e, f: e <= f,
+        lambda e, f: is_bad_sequence([e, f])],
+        ids=["ideal_sum", "kb_cmp", "le", "is_bad_sequence"])
+    def test_different_dimensions(self, op):
+        e, f = normalize(2, [(1, 0)]), normalize(3, [(1, 0, 0)])
+        with pytest.raises(DimensionMismatch, match="2 and 3"):
+            op(e, f)
 
 
 class TestColon:

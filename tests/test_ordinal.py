@@ -1,5 +1,9 @@
 """Ordinal arithmetic: examples and algebraic laws."""
 
+import copy
+import pickle
+from functools import cmp_to_key
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +11,7 @@ from monord import (OMEGA, ONE, ZERO, MonordError, Ord, ParseError, cmp,
                     format_ordinal, nat_pow, nat_prod, nat_sum, omega_pow,
                     ot_decreasing_sequences, parse_ordinal)
 from monord.ordinal import MAX_NESTING
+from oracles import cnf_cmp
 
 
 def o(text):
@@ -48,6 +53,53 @@ class TestCmp:
         assert cmp(a, b) == -cmp(b, a)
         if cmp(a, b) <= 0 and cmp(b, c) <= 0:
             assert cmp(a, c) <= 0
+
+
+class TestForm:
+    """Tuple order on forms against the term-by-term comparison."""
+
+    @given(ordinals, ordinals)
+    def test_order_matches_cnf_cmp(self, a, b):
+        want = cnf_cmp(a, b)
+        assert cmp(a, b) == want
+        assert (a < b, a == b, a > b) == (want < 0, want == 0, want > 0)
+
+    @given(st.lists(ordinals, max_size=6))
+    def test_sorted_matches_cnf_cmp(self, xs):
+        assert sorted(xs) == sorted(xs, key=cmp_to_key(cnf_cmp))
+
+    @given(ordinals, ordinals)
+    def test_equal_ordinals_hash_equal(self, a, b):
+        for c in (Ord(a.terms), parse_ordinal(format_ordinal(a))):
+            assert c == a and hash(c) == hash(a)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(ordinals)
+    def test_form_nests_tuples(self, a):
+        def tuples_all_down(form):
+            return type(form) is tuple and all(
+                type(c) is int and tuples_all_down(g) for g, c in form)
+
+        assert tuples_all_down(a.form)
+        assert all(type(e) is Ord for e, _ in a.terms)
+
+    def test_constructor_checks(self):
+        with pytest.raises(ValueError, match="bad CNF term"):
+            Ord(((ONE, 0),))
+        with pytest.raises(ValueError, match="bad CNF term"):
+            Ord(((1, 1),))
+        for terms in (((ONE, 1), (ONE, 1)), ((ONE, 1), (OMEGA, 1))):
+            with pytest.raises(ValueError, match="strictly decrease"):
+                Ord(terms)
+
+    def test_copy_and_pickle(self):
+        deepest = "w^(" * MAX_NESTING + "2" + ")" * MAX_NESTING + " + w*3 + 2"
+        for text in ("0", "7", "w", "w^(w + 1)*2 + w + 3", deepest):
+            a = parse_ordinal(text)
+            for b in (copy.copy(a), copy.deepcopy(a),
+                      pickle.loads(pickle.dumps(a))):
+                assert b == a and format_ordinal(b) == format_ordinal(a)
 
 
 class TestNatSum:
