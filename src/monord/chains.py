@@ -12,7 +12,7 @@ from math import comb, inf
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, DataError
-from .ideal import check_same_dim, normalize
+from .ideal import _checked_ideal, check_dim, check_same_dim
 from .ivpoly import IVPoly, binomial, from_samples
 from .monom import divides, points_of_degree
 
@@ -125,8 +125,7 @@ def ell(m, f, budget=None):
     bound c admits every point of degree <= c: ell(m, c) = C(c + m, m).
     """
     f = as_bound_fn(f)
-    if m < 1:
-        raise DataError("m must be >= 1")
+    check_dim(m)
     return _ell(m, f, 0, 0, _Budget(budget))
 
 
@@ -147,8 +146,7 @@ def extremal_sequence(m, f, cap, budget=None):
     """A longest f-bounded lex-decreasing sequence, truncated to ``cap``
     entries; uncapped it has length exactly ell(m, f)."""
     f = as_bound_fn(f)
-    if m < 1:
-        raise DataError("m must be >= 1")
+    check_dim(m)
     if cap < 0:
         raise DataError("cap must be a natural number")
     return _extremal(m, f, 0, 0, cap, _Budget(budget))
@@ -185,8 +183,7 @@ def t_bound(m, f, budget=None):
     ideals in N^m whose i-th member is generated in degrees <= f(i).
     h_m is a degree-m polynomial, composed into f's tail."""
     f = as_bound_fn(f)
-    if m < 1:
-        raise DataError("m must be >= 1")
+    check_dim(m)
     h = from_samples([h_bound(s, m) for s in range(m + 1)])
     return ell(m, f.mapped(h), budget=budget)
 
@@ -218,13 +215,22 @@ class SearchResult(NamedTuple):
     nodes: int
 
 
-def _antichains(points):
-    """All antichains (as tuples) within a divisibility-sorted point list."""
-    out = [()]
-    for p in points:
-        out.extend(chain + (p,) for chain in list(out)
-                   if not any(divides(q, p) or divides(p, q) for q in chain))
-    return out
+def _antichains(inc, allowed, outs):
+    """The antichains within the point mask ``allowed`` that meet every
+    mask in ``outs``, as point masks in increasing order.  inc[k] masks
+    the earlier points incomparable to point k."""
+    if not outs:
+        yield 0
+    left = allowed
+    while left:
+        bit = left & -left
+        left ^= bit
+        below = allowed & inc[bit.bit_length() - 1]
+        # the masks this point leaves unmet, cut to the points still allowed
+        unmet = [o & below for o in outs if not o & bit]
+        if all(unmet):
+            for c in _antichains(inc, below, unmet):
+                yield c | bit
 
 
 def max_bad_degree_growth(m, f, cap):
@@ -232,59 +238,43 @@ def max_bad_degree_growth(m, f, cap):
     i-th ideal generated in degrees <= f(i).
 
     The i-th member ranges over the ideals generated by antichains of
-    points of degree <= f(i), listed in full the first time the search
-    reaches that degree bound.  ``cap`` bounds the number of search nodes,
-    not that enumeration; the result reports whether the search ran to
-    exhaustion.  Every returned sequence passes is_bad_sequence.
+    points of degree <= f(i), in increasing order of their masks over that
+    box of points, and skips those an earlier member contains.  A node
+    whose bound differs from its parent's lists those admissible ideals in
+    full; any other node filters its parent's list by the newest member.
+    ``cap`` bounds the number of search nodes, not that enumeration; the
+    result reports whether the search ran to exhaustion.  Every returned
+    sequence passes is_bad_sequence.
     """
     f = as_bound_fn(f)
-    if m < 1:
-        raise DataError("m must be >= 1")
+    check_dim(m)
+    if cap < 0:
+        raise DataError("cap must be a natural number")
 
-    def points_up_to(d):
-        return [v for n in range(d + 1) for v in points_of_degree(m, n)]
+    # per bound d: its box of points in deglex order, the masks of earlier
+    # points incomparable to each, members' outside masks, built ideals
+    boxes = {}
 
-    # Each candidate ideal gets one id across all degree lists, and a bit
-    # slot once it has been a sequence member.  containers[k] holds the
-    # slots, among the first tested[k], whose ideal contains candidate k,
-    # so k is admissible iff containers[k] & members == 0.  Masks over
-    # slots rather than ids stay valid when a later degree list registers
-    # new candidates.
-    ids = {}
-    ideals = []
-    containers = []
-    tested = []
-    slot_ideals = []
-    slot_of = {}
-    candidates = {}
+    def box(d):
+        if d not in boxes:
+            pts = [v for n in range(d + 1) for v in points_of_degree(m, n)]
+            inc = [sum(1 << j for j in range(k) if not divides(pts[j], p))
+                   for k, p in enumerate(pts)]
+            boxes[d] = pts, inc, {}, {}
+        return boxes[d]
 
-    def candidates_for(i):
-        d = f(i)
-        if d not in candidates:
-            out = []
-            for chain in _antichains(points_up_to(d)):
-                e = normalize(m, chain)
-                k = ids.setdefault(e.gens, len(ideals))
-                if k == len(ideals):
-                    ideals.append(e)
-                    containers.append(0)
-                    tested.append(0)
-                out.append(k)
-            candidates[d] = out
-        return candidates[d]
-
-    def extend_containers(k):
-        e = ideals[k]
-        for s in range(tested[k], len(slot_ideals)):
-            if slot_ideals[s] >= e:
-                containers[k] |= 1 << s
-        tested[k] = len(slot_ideals)
+    def outside(d, e):
+        pts, _, outs, _ = box(d)
+        if e.gens not in outs:
+            outs[e.gens] = sum(1 << j for j, p in enumerate(pts)
+                               if not any(divides(g, p) for g in e.gens))
+        return outs[e.gens]
 
     best = []
     nodes = 0
     exhausted = True
 
-    def dfs(seq, members):
+    def dfs(seq, parent_d, cands):
         nonlocal best, nodes, exhausted
         if nodes >= cap:
             exhausted = False
@@ -292,18 +282,23 @@ def max_bad_degree_growth(m, f, cap):
         nodes += 1
         if len(seq) > len(best):
             best = list(seq)
-        for k in candidates_for(len(seq)):
-            if tested[k] < len(slot_ideals):
-                extend_containers(k)
-            if not containers[k] & members:
-                if k not in slot_of:
-                    slot_of[k] = len(slot_ideals)
-                    slot_ideals.append(ideals[k])
-                seq.append(ideals[k])
-                dfs(seq, members | 1 << slot_of[k])
-                seq.pop()
-                if not exhausted:
-                    return
+        d = f(len(seq))
+        pts, inc, _, built = box(d)
+        if d == parent_d:
+            out = outside(d, seq[-1])
+            cands = [c for c in cands if c & out]
+        else:
+            cands = list(_antichains(inc, (1 << len(pts)) - 1,
+                                     [outside(d, e) for e in seq]))
+        for c in cands:
+            if c not in built:
+                built[c] = _checked_ideal(m, tuple(
+                    p for j, p in enumerate(pts) if c >> j & 1))
+            seq.append(built[c])
+            dfs(seq, d, cands)
+            seq.pop()
+            if not exhausted:
+                return
 
-    dfs([], 0)
+    dfs([], None, None)
     return SearchResult(best, exhausted, nodes)

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 64 usage error, 65 data error, 69 budget exhausted
-or out of memory.  ``compare`` exits 10/11/12 for less/equal/greater so
-shell pipelines can branch without parsing output.
+Exit codes: 0 success, 64 usage error, 65 data error, 69 budget exhausted,
+out of memory or recursion too deep.  ``compare`` exits 10/11/12 for
+less/equal/greater so shell pipelines can branch without parsing output.
 
 Each subcommand imports the engine modules it uses when it runs, so a
 process pays only for its own: ``ordinal-eval`` loads ``ordinal`` alone,
@@ -375,6 +375,8 @@ def main(argv=None):
         message, code = str(exc), EX_RESOURCE
     except MemoryError:
         message, code = "out of memory", EX_RESOURCE
+    except RecursionError:
+        message, code = "recursion too deep for this input", EX_RESOURCE
     except MonordError as exc:
         message, code = str(exc), EX_DATA
     # printed once the handler has dropped the failed command's frames

@@ -20,9 +20,9 @@ class MonomialIdeal:
     """
 
     def __init__(self, dim, gens):
+        """Check the points gens and keep the minimal ones, deglex-sorted."""
         check_dim(dim)
-        for g in gens:
-            check_point_in(dim, g)
+        gens = minimal_points([check_point_in(dim, g) for g in gens])
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gens", gens)
 
@@ -106,10 +106,8 @@ def check_same_dim(e, f):
 
 
 def normalize(dim, points):
-    """The ideal generated by an arbitrary finite set of points."""
-    check_dim(dim)
-    pts = [check_point_in(dim, tuple(p)) for p in points]
-    return _checked_ideal(dim, minimal_points(pts))
+    """The ideal generated by a finite set of points, each any sequence."""
+    return MonomialIdeal(dim, [tuple(p) for p in points])
 
 
 def _checked_ideal(dim, gens):
@@ -189,7 +187,8 @@ def slice_last(e, j):
 
 def cone(e):
     """Extend by one fresh variable: same generators, one more coordinate."""
-    return MonomialIdeal(e.dim + 1, tuple(g + (0,) for g in e.gens))
+    check_dim(e.dim + 1)
+    return _checked_ideal(e.dim + 1, tuple(g + (0,) for g in e.gens))
 
 
 def direct_sum(e, f):

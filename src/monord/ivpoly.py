@@ -159,21 +159,23 @@ def _greedy_top(rem, i):
 
 
 def _greedy_tops(a, d):
-    """The tops of macaulay_rep(a, d) up to its last nonzero term, and what
-    is left of a (nonzero only when a is not an integer)."""
+    """The tops of macaulay_rep(a, d) up to its last nonzero term; as
+    C(c, 1) = c, the last top is what is left of a."""
     tops = []
     for i in range(d, 0, -1):
         if not a:
             break
-        if i == 1:
-            # C(c, 1) = c, so the last top is what is left itself (its floor,
-            # should a caller pass a non-integer, which then leaves a rest)
-            c = val = math.floor(a)
-        else:
-            c, val = _greedy_top(a, i)
+        c, val = (a, a) if i == 1 else _greedy_top(a, i)
         tops.append(c)
         a -= val
-    return tops, a
+    return tops
+
+
+def _check_ints(*values):
+    """Reject any value that is not an int (bools too)."""
+    for v in values:
+        if type(v) is not int:
+            raise DataError(f"{v!r} is not an integer")
 
 
 def macaulay_rep(a, d):
@@ -187,13 +189,12 @@ def macaulay_rep(a, d):
 
     Costs O(d log a) binomial evaluations.
     """
+    _check_ints(a, d)
     if d < 1:
         raise DataError("d must be >= 1")
     if a < 1:
         raise DataError("a must be positive (0 has no representation)")
-    tops, rem = _greedy_tops(a, d)
-    if rem != 0:
-        raise AssertionError("greedy representation failed")
+    tops = _greedy_tops(a, d)
     tops += range(d - len(tops) - 1, -1, -1)
     return MacaulayRep(d, tuple(tops))
 
@@ -204,9 +205,10 @@ def macaulay_next(a, d):
     0^<d> is 0.  Only the tops of nonzero terms are built, so the cost
     follows the number of those terms, not d.
     """
+    _check_ints(a, d)
     if d < 1 or a < 0:
         raise DataError("need a natural a and d >= 1")
-    tops, _ = _greedy_tops(a, d)
+    tops = _greedy_tops(a, d)
     return sum(binomial(t + 1, i + 1) for t, i in zip(tops, range(d, 0, -1)))
 
 
@@ -225,9 +227,10 @@ def is_osequence(values, m):
     flag ``f1_exact`` records whether f(1) hits m, which is where honest
     Hilbert functions of proper monomial ideals sit.
     """
+    values = list(values)
+    _check_ints(m, *values)
     if m < 1:
         raise DataError("m must be >= 1")
-    values = list(values)
     if not values:
         raise DataError("need at least f(0)")
     if any(v < 0 for v in values):

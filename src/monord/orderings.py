@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import inf
 
 from .errors import DataError
-from .ideal import check_same_dim, generator_word, slice_last
+from .ideal import check_dim, check_same_dim, generator_word, slice_last
 from .ivpoly import dominance_cmp
 from .monom import DEGLEX, term_cmp
 from .ordinal import ONE, OMEGA, nat_pow, nat_sum, omega_pow
@@ -106,8 +106,7 @@ def bounds_report(m):
     type_upper: the general upper bound w^((w+1) nat-powered to m).  For
     m = 2 the triangle order's exact type is included.
     """
-    if m < 1:
-        raise DataError("m must be >= 1")
+    check_dim(m)
     kb = nat_sum(omega_pow(omega_pow(m - 1)), ONE)
     report = {
         "height": nat_sum(omega_pow(m), ONE),

@@ -472,3 +472,21 @@ def test_criterion_18_stability_index_reads_down_from_the_threshold(capsys):
     report(capsys, 18, "stability_index, threshold 10^6 + 2", body,
            limit=0.5)
     assert holder[0] == N0Result(1_000_000, 1_000_003, True)
+
+
+def test_criterion_19_bad_search_with_a_growing_bound(capsys):
+    # the search listed all Catalan(f(i) + 2) antichains of each new degree
+    # box and tested them against every member: 30 nodes took about 10 s
+    holder = []
+
+    def body():
+        holder.append(max_bad_degree_growth(2, BoundFn.affine(1, 1), 2000))
+
+    report(capsys, 19, "bad-sequence search, m=2, f=1+i, 2000 nodes", body,
+           limit=5.0)
+    res = holder[0]
+    assert res.nodes == 2000 and not res.exhaustive
+    assert len(res.sequence) >= 16
+    assert is_bad_sequence(res.sequence).bad
+    assert all(sum(g) <= 1 + i
+               for i, e in enumerate(res.sequence) for g in e.gens)

@@ -256,17 +256,38 @@ class TestMaxBad:
             assert is_bad_sequence(res.sequence).bad
 
     def test_matches_reference_search(self):
-        # caps below the full node count stop the search mid-scan; a
-        # growing f registers new candidates after members were chosen
+        # caps below the full node count stop the search mid-scan; a node
+        # whose bound grows lists a new box's admissible candidates, any
+        # other filters its parent's list; the oracle lists every antichain
+        # of each box, so bounds of 3 in N^3 and growing ones in N^2 get
+        # small caps
         rng = random.Random(131)
-        cases = [(1, lambda i: i), (1, lambda i: 2 * i + 1), (1, 2), (2, 2)]
+        cases = [(1, lambda i: i, 400), (1, lambda i: 2 * i + 1, 400),
+                 (1, 2, 400), (2, 2, 400),
+                 (2, lambda i: max(0, 3 - i), 50),
+                 (2, BoundFn.from_table([0, 3, 1, 2]), 50),
+                 (2, lambda i: (0, 2, 1)[i % 3], 100),
+                 (3, lambda i: (0, 2, 1)[i % 3], 50),
+                 (3, lambda i: max(0, 3 - i), 10),
+                 (2, BoundFn.affine(1, 1), 10)]
         for m in (1, 2, 3):
-            cases += [(m, 0), (m, 1), (m, lambda i: min(i, 2))]
-        for m, f in cases:
-            full = reference_bad_search(m, f, 400)
-            for cap in {0, rng.randrange(1, full[2]), full[2], 400}:
-                want = full if cap == 400 else reference_bad_search(m, f, cap)
+            cases += [(m, 0, 400), (m, 1, 400), (m, lambda i: min(i, 2), 400)]
+        for m, f, top in cases:
+            full = reference_bad_search(m, f, top)
+            for cap in {0, 1, rng.randrange(1, full[2]), full[2], top}:
+                want = full if cap == top else reference_bad_search(m, f, cap)
                 assert tuple(max_bad_degree_growth(m, f, cap)) == want, (m, cap)
+
+    def test_rejects_bad_arguments(self):
+        # a negative cap returned an empty search; a bool was taken for m
+        with pytest.raises(DataError, match="cap"):
+            max_bad_degree_growth(2, 1, -1)
+        for m in (0, True, 2.0, 1001):
+            for call in (lambda: max_bad_degree_growth(m, 1, 5),
+                         lambda: ell(m, 1), lambda: t_bound(m, 1),
+                         lambda: extremal_sequence(m, 1, 5)):
+                with pytest.raises(DataError, match="dimension"):
+                    call()
 
     def test_bad_runs_terminate(self):
         # Dickson at desk scale: a bad sequence over a fixed degree box

@@ -1,7 +1,9 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
+import inspect
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -383,6 +385,45 @@ class TestExitCodes:
         path = write(tmp_path, "a.ideal", "dim 1\n1\n")
         assert run(capsys, ["hilbert", path]) == (
             69, "", "error: out of memory\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["lexify", "--degree", "2", "{c990}"],
+        ["compare", "--order", "triangle", "{a990}", "{b990}"],
+        ["chainbound", "--m", "1000", "--affine", "1,1"]])
+    def test_large_dimensions_run_out_of_frames(self, capsys, tmp_path, argv):
+        # each recursed once per dimension and exited 1 with a traceback
+        paths = {"a990": write(tmp_path, "a990", "dim 990\nx1^2*x990\n"),
+                 "b990": write(tmp_path, "b990", "dim 990\nx2*x990^2\n"),
+                 "c990": write(tmp_path, "c990", "dim 990\nx1^2\nx2\n")}
+        code, out, err = run(capsys, [a.format(**paths) for a in argv])
+        assert (code, out) == (69, "")
+        assert err == "error: recursion too deep for this input\n"
+
+    def test_mintype_runs_out_of_frames(self, capsys, tmp_path):
+        # mintype breaks the tie of equal polynomials with the triangle
+        # order, which recurses once per dimension; fitting p_E at dim 990
+        # takes seconds, so the frame limit is lowered to meet dim 300
+        a = write(tmp_path, "a", "dim 300\nx1^2*x300\n")
+        b = write(tmp_path, "b", "dim 300\nx2*x300^2\n")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+        try:
+            code, out, err = run(capsys, ["compare", "--order", "mintype",
+                                          a, b])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (code, out) == (69, "")
+        assert err == "error: recursion too deep for this input\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "100000"], ["bounds", "0"],
+        ["chainbound", "--m", "1001", "--affine", "1,1"],
+        ["chainbound", "--m", "0", "--affine", "1,1", "--tm"]])
+    def test_m_outside_the_dimension_range(self, capsys, argv):
+        # bounds_report is quadratic in m: bounds 100000 ran for hours
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (65, "")
+        assert "dimension" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["normalize", "/no/such/file.ideal"])

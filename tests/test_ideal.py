@@ -47,6 +47,14 @@ class TestNormalize:
                     assert g == h or not divides(g, h)
 
 
+    def test_constructor_canonicalizes(self):
+        # the checked constructor reduces its generators as normalize does
+        e = MonomialIdeal(2, ((1, 1), (0, 0)))
+        assert e.is_unit() and e == unit_ideal(2)
+        assert MonomialIdeal(2, ((1, 0), (2, 0))) == normalize(2, [(1, 0)])
+        f = MonomialIdeal(2, [(0, 1)])
+        assert f.gens == ((0, 1),) and hash(f) == hash(normalize(2, [(0, 1)]))
+
     def test_rejects_bool_exponents(self):
         with pytest.raises(DataError):
             normalize(2, [(True, False)])

@@ -184,6 +184,19 @@ class TestMacaulayNext:
         assert macaulay_next(3, 1) == 6
 
 
+def test_macaulay_inputs_must_be_ints():
+    # a float passed through the greedy representation unnoticed, and a
+    # bool was taken for 0 or 1
+    for fn, args in [(macaulay_rep, (2.5, 2)), (macaulay_rep, (True, 1)),
+                     (macaulay_rep, (3, 2.0)), (macaulay_next, (2.5, 2)),
+                     (macaulay_next, (3, True)),
+                     (is_osequence, ([1, 2, 2.5], 2)),
+                     (is_osequence, ([1, 2, 3], 2.0)),
+                     (is_osequence, ([True], 1))]:
+        with pytest.raises(DataError, match="not an integer"):
+            fn(*args)
+
+
 class TestIsOSequence:
     def test_binomial_growth(self):
         m = 3
