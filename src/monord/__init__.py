@@ -21,7 +21,7 @@ _EXPORTS = {name: module for module, names in {
     "ordinal": "OMEGA ONE ZERO Ord cmp format_ordinal nat_pow nat_prod "
                "nat_sum omega_pow ot_decreasing_sequences parse_ordinal",
     "ivpoly": "IVPoly MacaulayRep OSequenceCheck binomial dominance_cmp "
-              "from_samples is_osequence macaulay_next macaulay_rep shift",
+              "from_samples is_osequence macaulay_next macaulay_rep",
     "monom": "DEGLEX LEX TermOrder comm_leq degree divides higman_leq "
              "multiset_leq support term_cmp",
     "ideal": "MonomialIdeal colon components_by_support cone direct_sum "

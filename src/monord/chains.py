@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded, DataError
 from .ideal import _checked_ideal, check_dim, check_same_dim
-from .ivpoly import IVPoly, binomial, from_samples
+from .ivpoly import IVPoly, binom_poly, binomial, from_samples
 from .monom import divides, points_of_degree
 
 DEFAULT_BUDGET = 1_000_000
@@ -184,7 +184,7 @@ def t_bound(m, f, budget=None):
     h_m is a degree-m polynomial, composed into f's tail."""
     f = as_bound_fn(f)
     check_dim(m)
-    h = from_samples([h_bound(s, m) for s in range(m + 1)])
+    h = binom_poly(1, m) + IVPoly((-1, 1))  # C(T - 1 + m, m) + T
     return ell(m, f.mapped(h), budget=budget)
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import DataError
 from .ideal import _memo, minimal_points, normalize
-from .ivpoly import IVPoly, binom_poly, binomial, from_samples, macaulay_next, shift
+from .ivpoly import IVPoly, binom_poly, macaulay_next
 from .monom import degree, points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
 
@@ -88,9 +88,9 @@ def _hilbert_value(num, m, n):
 
 def _samuel_poly(num, m):
     """p_E = sum_k N_k C(T - k + m, m), the sum of N_k * binom_poly(k, m),
-    recovered from its values at T = 0..m."""
-    return from_samples([sum(c * binomial(t - k + m, m) for k, c in num)
-                         for t in range(m + 1)])
+    summed coordinate by coordinate."""
+    return IVPoly((-1) ** (m - i) * sum(c * comb(k, m - i) for k, c in num)
+                  for i in range(m + 1))
 
 
 def threshold(e):
@@ -122,7 +122,7 @@ def hilbert_samuel_poly(e):
 
 
 class MinimizingCoefficients(NamedTuple):
-    """Result of the coefficient recursion: c = (c_{m-1}, ..., c_0)."""
+    """Result of minimizing_coefficients: c = (c_{m-1}, ..., c_0)."""
 
     c: tuple
     valid: bool
@@ -135,32 +135,26 @@ def minimizing_coefficients(p, m):
     p must be nonzero of degree < m.  A polynomial is the Hilbert-Samuel
     polynomial of some nonzero proper ideal exactly when all c_i come out
     nonnegative; ``valid`` reports that, with the offending position.
+
+    One loop peels the c_j off from the top degree down: c_j is the
+    degree-j coordinate of what is left, and its c_j summands in
+    poly_from_a_sequence add up (hockey stick) to binom_poly(S, j + 1) -
+    binom_poly(S + c_j, j + 1), S the sum of the c above; subtracting that
+    clears degree j.
     """
     if p.is_zero():
         raise DataError("p must be nonzero (the unit ideal has no psi)")
     if p.degree >= m:
         raise DataError(f"degree {p.degree} is too big for N^{m}")
-    c = _coeff_recursion(p)
-    c = [0] * (m - len(c)) + c
-    first_neg = None
-    for i in range(m):  # positions counted from c_0
-        if c[m - 1 - i] < 0:
-            first_neg = i
-            break
+    c, s = [], 0
+    for j in range(m - 1, -1, -1):
+        cj = p.coeffs[j] if j < len(p.coeffs) else 0
+        if cj:
+            p = p - binom_poly(s, j + 1) + binom_poly(s + cj, j + 1)
+            s += cj
+        c.append(cj)
+    first_neg = next((i for i, ci in enumerate(reversed(c)) if ci < 0), None)
     return MinimizingCoefficients(tuple(c), first_neg is None, first_neg)
-
-
-def _coeff_recursion(p):
-    """The descending coefficient list (c_d, ..., c_0) for p of degree d."""
-    d = p.degree
-    if d <= 0:
-        return [p.coeffs[0] if p.coeffs else 0]
-    bd = p.coeffs[d]
-    q = shift(p, bd) - binom_poly(-bd, d + 1) + binom_poly(0, d + 1)
-    if q.degree >= d:
-        raise AssertionError("leading terms failed to cancel")
-    inner = _coeff_recursion(q)
-    return [bd] + [0] * (d - len(inner)) + inner
 
 
 def psi_poly(p, m):

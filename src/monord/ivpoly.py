@@ -14,16 +14,13 @@ from .errors import DataError
 
 
 def binomial(x, k):
-    """C(x, k) for any integer x and natural k: ``math.comb`` for x >= 0,
-    below that the falling factorial over k! (polynomial extension)."""
+    """C(x, k) for any integer x and natural k, extended polynomially in x:
+    below zero, C(x, k) = (-1)^k C(k - x - 1, k)."""
     if k < 0:
         raise ValueError("lower index must be a natural number")
     if x >= 0:
         return math.comb(x, k)
-    num = 1
-    for j in range(k):
-        num *= x - j
-    return num // math.factorial(k)
+    return (-1) ** k * math.comb(k - x - 1, k)
 
 
 class IVPoly:
@@ -90,8 +87,9 @@ class IVPoly:
 
 
 def binom_poly(c, k):
-    """The polynomial C(T - c + k, k) as an IVPoly."""
-    return from_samples([binomial(t - c + k, k) for t in range(k + 1)])
+    """The polynomial C(T - c + k, k) as an IVPoly: its generating function
+    is x^c / (1 - x)^(k + 1), and x^c = (1 - (1 - x))^c."""
+    return IVPoly((-1) ** (k - i) * binomial(c, k - i) for i in range(k + 1))
 
 
 def from_samples(values):
@@ -111,12 +109,6 @@ def from_samples(values):
     return IVPoly([sum((-1) ** j * binomial(k + j, j) * diffs[k + j]
                        for j in range(len(diffs) - k))
                    for k in range(len(values))])
-
-
-def shift(p, k):
-    """The polynomial T |-> p(T + k)."""
-    d = max(p.degree, 0)
-    return from_samples([p(k + t) for t in range(d + 1)])
 
 
 def dominance_cmp(p, q):

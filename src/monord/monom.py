@@ -9,6 +9,7 @@ commutative image (bipartite matching), and multiset.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 from .errors import DataError, DimensionMismatch
 
@@ -53,11 +54,11 @@ def unit_vec(m, i, scale=1):
 
 
 def points_of_degree(m, n):
-    """Degree-n points of N^m in increasing lex order."""
-    if m == 1:
-        return [(n,)]
-    return [(first,) + rest for first in range(n + 1)
-            for rest in points_of_degree(m - 1, n - first)]
+    """Degree-n points of N^m in increasing lex order, by stars and bars:
+    the gaps between m - 1 bars, listed in lex order, in n + m - 1 slots."""
+    ends = (n + m - 1,)
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + ends))
+            for bars in combinations(range(n + m - 1), m - 1)]
 
 
 class TermOrder:

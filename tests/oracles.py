@@ -8,12 +8,11 @@ be checked against.
 import itertools
 import random
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
-from monord import divides, macaulay_next, normalize, phi_poly, shift
+from monord import divides, from_samples, macaulay_next, normalize, phi_poly
 from monord.chains import as_bound_fn
 from monord.hilbert import _realizable
-from monord.ivpoly import binom_poly
 from monord.monom import unit_vec
 
 
@@ -100,12 +99,52 @@ def ie_numerator(e):
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
+def falling_binomial(x, k):
+    """C(x, k) for any integer x: the falling factorial x (x-1) ... (x-k+1)
+    over k!."""
+    num = 1
+    for j in range(k):
+        num *= x - j
+    return num // factorial(k)
+
+
 def ie_hilbert_samuel_poly(e):
-    """p_E = C(T + m, m) - sum_S sign * C(T - deg lcm S + m, m)."""
-    p = binom_poly(0, e.dim)
-    for sign, c in subset_lcm_degrees(e.gens):
-        p = p - binom_poly(c, e.dim).scale(sign)
-    return p
+    """p_E = C(T + m, m) - sum_S sign * C(T - deg lcm S + m, m), fitted to
+    its values at T = 0..m."""
+    m, lcms = e.dim, subset_lcm_degrees(e.gens)
+
+    def value(t):
+        return falling_binomial(t + m, m) - sum(
+            sign * falling_binomial(t - c + m, m) for sign, c in lcms)
+
+    return from_samples([value(t) for t in range(m + 1)])
+
+
+def sampled_binom_poly(c, k):
+    """The polynomial C(T - c + k, k), fitted to its values."""
+    return from_samples([falling_binomial(t - c + k, k) for t in range(k + 1)])
+
+
+def shift(p, k):
+    """The polynomial T |-> p(T + k), fitted to its values."""
+    d = max(p.degree, 0)
+    return from_samples([p(k + t) for t in range(d + 1)])
+
+
+def shift_coeff_recursion(p):
+    """The descending minimizing coefficients (c_d, ..., c_0) of p of degree
+    d by the recursion the library once used: c_d is the leading coordinate
+    b_d, and the rest are those of p(T + b_d) - C(T + b_d + d + 1, d + 1)
+    + C(T + d + 1, d + 1), which has degree < d."""
+    d = p.degree
+    if d <= 0:
+        return [p.coeffs[0] if p.coeffs else 0]
+    bd = p.coeffs[d]
+    q = (shift(p, bd) - sampled_binom_poly(-bd, d + 1)
+         + sampled_binom_poly(0, d + 1))
+    assert q.degree < d, "leading terms failed to cancel"
+    inner = shift_coeff_recursion(q)
+    return [bd] + [0] * (d - len(inner)) + inner
 
 
 def certified_stability_index(e, margin=8):
@@ -385,7 +424,8 @@ def peel_realize_poly(p, m):
         gens += [unit_vec(m, i) for i in range(d + 1, m)]
         return normalize(m, gens)
     bd = p.coeffs[d]
-    q = shift(p, bd) - binom_poly(-bd, d + 1) + binom_poly(0, d + 1)
+    q = (shift(p, bd) - sampled_binom_poly(-bd, d + 1)
+         + sampled_binom_poly(0, d + 1))
     gens = [unit_vec(m, m - 1, bd + 1)]
     if q.is_zero():
         inner_gens = [(0,) * (m - 1)]

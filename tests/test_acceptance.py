@@ -17,8 +17,10 @@ from monord import (BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord, binomial,
                     kb_cmp, max_bad_degree_growth,
                     comm_leq, components_by_support, min_type_cmp,
                     minimizing_coefficients, nat_pow, nat_prod, nat_sum,
-                    normalize, omega_pow, phi_poly, psi_poly,
-                    stability_index, t_bound, threshold, triangle_cmp)
+                    normalize, omega_pow, phi_poly, poly_from_a_sequence,
+                    psi_ideal, psi_poly, stability_index, t_bound, threshold,
+                    triangle_cmp)
+from monord.cli import main
 from monord.hilbert import N0Result
 from monord.ideal import _irr_contains, irreducible_component_ideal
 from oracles import (affine_ell, antichains, longest_downset_chain,
@@ -490,3 +492,31 @@ def test_criterion_19_bad_search_with_a_growing_bound(capsys):
     assert is_bad_sequence(res.sequence).bad
     assert all(sum(g) <= 1 + i
                for i, e in enumerate(res.sequence) for g in e.gens)
+
+
+def test_criterion_20_high_dimension_polynomials(capsys, tmp_path):
+    # p_E was fitted from m + 1 samples and psi recursed through sampled
+    # shifts, about m^3 work a level: psi of (x1) at dim 600 took about
+    # 11 s; and lexify listed points recursively, one frame per dimension
+    path = tmp_path / "x1_500.ideal"
+    path.write_text("dim 500\nx1\n")
+    holder = []
+
+    def body():
+        e = normalize(600, [(1,) + (0,) * 599])
+        holder.append(hilbert_samuel_poly(e)[0])
+        holder.append(psi_ideal(e))
+        holder.append(psi_poly(poly_from_a_sequence(range(299, -1, -1)), 300))
+        holder.append(main(["lexify", "--degree", "1", str(path)]))
+
+    report(capsys, 20, "p_E and psi at dim 600, psi at m=300, lexify at 500",
+           body, limit=1.0)
+    p, psi, psi_ones, code = holder
+    assert p == IVPoly((0,) * 599 + (1,))
+    assert psi == omega_pow(599)
+    ones = Ord.from_int(0)
+    for i in range(300):
+        ones = nat_sum(ones, omega_pow(i))
+    assert psi_ones == ones
+    assert code == 0
+    assert capsys.readouterr().out == "dim 500\n1" + " 0" * 499 + "\n"

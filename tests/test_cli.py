@@ -387,22 +387,22 @@ class TestExitCodes:
             69, "", "error: out of memory\n")
 
     @pytest.mark.parametrize("argv", [
-        ["lexify", "--degree", "2", "{c990}"],
+        ["compare", "--order", "mintype", "{a990}", "{b990}"],
         ["compare", "--order", "triangle", "{a990}", "{b990}"],
         ["chainbound", "--m", "1000", "--affine", "1,1"]])
     def test_large_dimensions_run_out_of_frames(self, capsys, tmp_path, argv):
-        # each recursed once per dimension and exited 1 with a traceback
+        # each recursed once per dimension and exited 1 with a traceback;
+        # mintype reaches the recursion in the triangle tie-break
         paths = {"a990": write(tmp_path, "a990", "dim 990\nx1^2*x990\n"),
-                 "b990": write(tmp_path, "b990", "dim 990\nx2*x990^2\n"),
-                 "c990": write(tmp_path, "c990", "dim 990\nx1^2\nx2\n")}
+                 "b990": write(tmp_path, "b990", "dim 990\nx2*x990^2\n")}
         code, out, err = run(capsys, [a.format(**paths) for a in argv])
         assert (code, out) == (69, "")
         assert err == "error: recursion too deep for this input\n"
 
     def test_mintype_runs_out_of_frames(self, capsys, tmp_path):
         # mintype breaks the tie of equal polynomials with the triangle
-        # order, which recurses once per dimension; fitting p_E at dim 990
-        # takes seconds, so the frame limit is lowered to meet dim 300
+        # order, which recurses once per dimension: with the frame limit
+        # lowered, dim 300 runs out of frames too
         a = write(tmp_path, "a", "dim 300\nx1^2*x300\n")
         b = write(tmp_path, "b", "dim 300\nx2*x300^2\n")
         limit = sys.getrecursionlimit()

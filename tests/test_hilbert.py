@@ -6,23 +6,23 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, strategies as st
 
-from monord import (DataError, IVPoly,
+from monord import (ZERO, DataError, IVPoly,
                     canonical_decomposition, cmp, cone, direct_sum,
                     dominance_cmp, from_samples, height, hilbert_fn,
                     hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
                     is_osequence, lex_segment_ideal, macaulay_next,
-                    min_type_cmp, minimizing_coefficients, normalize,
-                    omega_pow, parse_ordinal, phi_poly, poly_from_a_sequence,
-                    psi_ideal, psi_poly, realize_poly, shift, stability_index,
-                    threshold, unit_ideal, zero_ideal)
+                    min_type_cmp, minimizing_coefficients, nat_prod, nat_sum,
+                    normalize, omega_pow, parse_ordinal, phi_poly,
+                    poly_from_a_sequence, psi_ideal, psi_poly, realize_poly,
+                    stability_index, threshold, unit_ideal, zero_ideal)
 from monord.hilbert import _numerator, a_sequence
 from monord.ivpoly import binom_poly
 from oracles import (certified_stability_index, ie_hilbert_samuel_poly,
                      ie_numerator, naive_hilbert, naive_hilbert_samuel,
                      peel_realize_poly, persistence_stability_index,
                      points_up_to, random_artinian_staircase, random_ideal,
-                     random_wide_ideal, slice_count, slice_counter,
-                     stepwise_macaulay_next)
+                     random_wide_ideal, shift, shift_coeff_recursion,
+                     slice_count, slice_counter, stepwise_macaulay_next)
 
 
 def o(text):
@@ -191,6 +191,37 @@ class TestMinimizingCoefficients:
         with pytest.raises(DataError):
             minimizing_coefficients(binom_poly(0, 2), 2)
 
+    def test_matches_shift_recursion(self):
+        # the peeling loop against the recursion through p(T + b_d), on
+        # random coordinates (about half of them unrealizable) and on the
+        # polynomials of seeded a-sequences
+        rng = random.Random(1409)
+        cases = []
+        while len(cases) < 20000:
+            m = rng.randint(1, 6)
+            p = IVPoly(rng.randint(-9, 9) for _ in range(rng.randint(1, m)))
+            if not p.is_zero():
+                cases.append((p, m))
+        seqs = 0
+        while seqs < 3000:
+            m = rng.randint(1, 6)
+            c = tuple(rng.choice((0, 0, 1, 2, rng.randint(3, 9)))
+                      for _ in range(m))
+            if any(c):
+                cases.append((poly_from_a_sequence(a_sequence(c)), m))
+                seqs += 1
+        valid = 0
+        for p, m in cases:
+            c = shift_coeff_recursion(p)
+            c = (0,) * (m - len(c)) + tuple(c)
+            negative = [i for i in range(m) if c[m - 1 - i] < 0]
+            mc = minimizing_coefficients(p, m)
+            assert mc.c == c, (p, m)
+            assert mc.valid == (not negative)
+            assert mc.first_negative == (negative[0] if negative else None)
+            valid += mc.valid
+        assert 3000 + 5000 < valid < len(cases) - 5000
+
 
 class TestPsi:
     def test_zero_ideal_polynomial(self):
@@ -259,6 +290,33 @@ class TestRealize:
     def test_rejects_unrealizable(self):
         with pytest.raises(DataError):
             realize_poly(IVPoly([-1, 1]), 2)
+
+    def test_psi_phi_decomposition_and_realization_match_oracles(self):
+        # p_E by inclusion-exclusion and its coefficients by the shift
+        # recursion, neither of which reads binom_poly's coordinates
+        rng = random.Random(1423)
+        listed = 0
+        for _ in range(300):
+            m = rng.randint(2, 6)
+            e = random_ideal(rng, m, 7, 4)
+            p = ie_hilbert_samuel_poly(e)
+            c = shift_coeff_recursion(p)
+            c = (0,) * (m - len(c)) + tuple(c)
+            assert min(c) >= 0
+            psi = ZERO
+            for i, ci in enumerate(c):
+                psi = nat_sum(psi, nat_prod(omega_pow(m - 1 - i), ci))
+            assert psi_poly(p, m) == psi
+            assert phi_poly(p, m) == sum(c)
+            if sum(c) <= 10 ** 4:  # the list has phi entries
+                seq = canonical_decomposition(p, m)
+                assert seq == tuple(m - 1 - i for i, ci in enumerate(c)
+                                    for _ in range(ci))
+                listed += 1
+            f = realize_poly(p, m)
+            assert f.gens == peel_realize_poly(p, m).gens
+            assert ie_hilbert_samuel_poly(f) == p
+        assert listed >= 290
 
     def test_matches_peeling(self):
         # the generators are the ones the level-by-level peel built, on

@@ -35,7 +35,7 @@ EXPORTS = {
     "monom", "multiset_leq", "nat_pow", "nat_prod", "nat_sum", "normalize",
     "omega_pow", "orderings", "ordinal", "ot_decreasing_sequences",
     "parse_ordinal", "phi_poly", "poly_from_a_sequence", "psi_ideal",
-    "psi_poly", "realize_poly", "shift", "slice_last", "stability_index",
+    "psi_poly", "realize_poly", "slice_last", "stability_index",
     "support", "t_bound", "term_cmp", "threshold", "triangle_cmp",
     "unit_ideal", "zero_ideal",
 }

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monord import (DataError, IVPoly, binomial, dominance_cmp, from_samples,
-                    is_osequence, macaulay_next, macaulay_rep, shift)
+                    is_osequence, macaulay_next, macaulay_rep)
 from monord.ivpoly import binom_poly
-from oracles import stepwise_macaulay_next, stepwise_macaulay_tops
+from oracles import (sampled_binom_poly, shift, stepwise_macaulay_next,
+                     stepwise_macaulay_tops)
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=5)
 
@@ -52,6 +53,12 @@ class TestEvaluate:
                     prod *= x - j
                 assert binomial(x, k) == prod // math.factorial(k), (x, k)
 
+    def test_binom_poly_matches_its_values(self):
+        # the closed-form coordinates against a fit of C(T - c + k, k)
+        for c in range(-30, 31):
+            for k in range(13):
+                assert binom_poly(c, k) == sampled_binom_poly(c, k), (c, k)
+
 
 class TestArithmetic:
     def test_add_zero(self):
@@ -72,33 +79,6 @@ class TestArithmetic:
 
     def test_printing(self):
         assert str(IVPoly([-2, 3, 1])) == "C(T+2,2) + 3*C(T+1,1) - 2"
-
-
-class TestShift:
-    def test_identity(self):
-        p = IVPoly([1, 2, 3])
-        assert shift(p, 0) == p
-
-    def test_linear_shift(self):
-        assert shift(IVPoly([0, 1]), 2) == IVPoly([2, 1])
-
-    def test_quadratic_shift(self):
-        q = shift(binom_poly(0, 2), 1)
-        for t in range(4):
-            assert q(t) == binom_poly(0, 2)(t + 1)
-
-    @given(coeff_lists, st.integers(0, 4), st.integers(0, 4))
-    def test_composition(self, coeffs, j, k):
-        p = IVPoly(coeffs)
-        assert shift(shift(p, j), k) == shift(p, j + k)
-
-    @given(coeff_lists, st.integers(0, 4))
-    def test_preserves_degree_and_leading(self, coeffs, k):
-        p = IVPoly(coeffs)
-        q = shift(p, k)
-        assert q.degree == p.degree
-        if not p.is_zero():
-            assert q.coeffs[-1] == p.coeffs[-1]
 
 
 class TestDominance:

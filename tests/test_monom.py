@@ -12,7 +12,9 @@ from hypothesis import given, strategies as st
 from monord import (DEGLEX, LEX, DataError, DimensionMismatch, TermOrder,
                     comm_leq, degree, divides, higman_leq, multiset_leq,
                     support, term_cmp)
+from monord.monom import points_of_degree
 from oracles import brute_comm_leq, points_up_to
+from oracles import points_of_degree as recursive_points_of_degree
 
 vecs2 = st.tuples(st.integers(0, 5), st.integers(0, 5))
 words2 = st.lists(vecs2, max_size=4)
@@ -33,6 +35,21 @@ class TestDivides:
     def test_degree_support(self):
         assert degree((2, 0, 3)) == 5
         assert support((2, 0, 3)) == (0, 2)
+
+
+class TestPointsOfDegree:
+    def test_matches_recursive_listing(self):
+        for m in range(1, 7):
+            for n in range(9):
+                assert points_of_degree(m, n) == recursive_points_of_degree(
+                    m, n), (m, n)
+
+    def test_high_dimension(self):
+        # the recursive listing ran out of frames near dim 1000
+        pts = points_of_degree(1000, 1)
+        assert pts[0] == (0,) * 999 + (1,)
+        assert pts[-1] == (1,) + (0,) * 999
+        assert pts == sorted(pts) and len(pts) == 1000
 
 
 class TestTermCmp:
