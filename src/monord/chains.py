@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded, DataError
 from .ideal import _checked_ideal, check_dim, check_same_dim
-from .ivpoly import IVPoly, binom_poly, binomial, from_samples
+from .ivpoly import IVPoly, from_samples
 from .monom import divides, points_of_degree
 
 DEFAULT_BUDGET = 1_000_000
@@ -21,8 +21,8 @@ DEFAULT_BUDGET = 1_000_000
 
 class _Budget:
     """One unit per recursion step plus one per byte of the offset its bound
-    is shifted by, so that it bounds the size of the values built, and one
-    per value a callable bound adds to its table."""
+    is shifted by, so that it bounds the size of the values built, one per
+    value a callable bound adds to its table and one per h_m sample."""
 
     def __init__(self, limit=None):
         self.limit = DEFAULT_BUDGET if limit is None else limit
@@ -93,12 +93,12 @@ class BoundFn:
         values = list(accumulate(values, max))
         return cls(table=values, tail=IVPoly((values[-1],)))
 
-    def mapped(self, g):
-        """j -> g(f(j)) in the same form, for an IVPoly g nondecreasing on
-        the naturals; a tail of degree d maps to one of degree d * deg g."""
+    def mapped(self, g, degree):
+        """j -> g(f(j)) in the same form, for g nondecreasing and of the
+        given degree on the naturals: a tail of degree d maps to d * degree."""
         if self._tail is None:
             return BoundFn(lambda j: g(self(j)))
-        samples = max(self._tail.degree, 0) * max(g.degree, 0) + 1
+        samples = max(self._tail.degree, 0) * degree + 1
         tail = from_samples([g(self._tail(j)) for j in range(samples)])
         return BoundFn(table=[g(v) for v in self._vals], tail=tail)
 
@@ -144,30 +144,28 @@ def _ell(m, f, off, k, budget):
 
 def extremal_sequence(m, f, cap, budget=None):
     """A longest f-bounded lex-decreasing sequence, truncated to ``cap``
-    entries; uncapped it has length exactly ell(m, f)."""
+    entries; uncapped it has length exactly ell(m, f).  From
+    (f(0), 0, ..., 0), each entry is the lex-largest point below the last
+    within the bound: the last coordinate runs down to 0, then the last
+    nonzero one among the first m - 1 drops by one and the next is filled
+    up to f at that index, the only place f is read and a step charged."""
     f = as_bound_fn(f)
     check_dim(m)
-    if cap < 0:
-        raise DataError("cap must be a natural number")
-    return _extremal(m, f, 0, 0, cap, _Budget(budget))
-
-
-def _extremal(m, f, off, k, cap, budget):
-    """extremal_sequence for j -> f(j + off) + k, as in _ell."""
-    f0 = f(off, budget) + k
-    if cap == 0:
-        return []
-    if m == 1:
-        return [(f0 - i,) for i in range(min(f0 + 1, cap))]
-    seq = [(f0,) + (0,) * (m - 1)]
-    for i in range(1, f0 + 1):
-        if len(seq) >= cap:
+    if type(cap) is not int or cap < 0:
+        raise DataError(f"cap must be a natural number, got {cap!r}")
+    budget = _Budget(budget)
+    v, seq = [f(0, budget)] + [0] * (m - 1), []
+    while len(seq) < cap:
+        head, last = tuple(v[:-1]), v[-1]
+        seq += [head + (last - j,)
+                for j in range(min(last + 1, cap - len(seq)))]
+        i = next((i for i in range(m - 2, -1, -1) if v[i]), None)
+        if i is None or len(seq) == cap:
             break
         budget.step(len(seq))
-        tail = _extremal(m - 1, f, off + len(seq), k - f0 + i,
-                         cap - len(seq), budget)
-        seq.extend((f0 - i,) + t for t in tail)
-    return seq[:cap]
+        v[i] -= 1
+        v[i + 1:] = [f(len(seq), budget) - sum(v[:i + 1])] + [0] * (m - i - 2)
+    return seq
 
 
 def h_bound(s, m):
@@ -175,17 +173,23 @@ def h_bound(s, m):
     translating ideal chains into vector sequences."""
     if s < 0 or m < 1:
         raise DataError("need s >= 0 and m >= 1")
-    return s + binomial(s - 1 + m, m)
+    return s + comb(s - 1 + m, m)
 
 
 def t_bound(m, f, budget=None):
     """t_m(f) = ell(m, h_m o f): a length bound for bad sequences of
     ideals in N^m whose i-th member is generated in degrees <= f(i).
-    h_m is a degree-m polynomial, composed into f's tail."""
+    h_m, of degree m on the naturals, is composed into f's tail from
+    samples of h_bound, each charged before it is taken."""
     f = as_bound_fn(f)
     check_dim(m)
-    h = binom_poly(1, m) + IVPoly((-1, 1))  # C(T - 1 + m, m) + T
-    return ell(m, f.mapped(h), budget=budget)
+    budget = _Budget(budget)
+
+    def h(s):
+        budget.charge(1)
+        return h_bound(s, m)
+
+    return _ell(m, f.mapped(h, m), 0, 0, budget)
 
 
 class BadnessVerdict(NamedTuple):
@@ -248,8 +252,8 @@ def max_bad_degree_growth(m, f, cap):
     """
     f = as_bound_fn(f)
     check_dim(m)
-    if cap < 0:
-        raise DataError("cap must be a natural number")
+    if type(cap) is not int or cap < 0:
+        raise DataError(f"cap must be a natural number, got {cap!r}")
 
     # per bound d: its box of points in deglex order, the masks of earlier
     # points incomparable to each, members' outside masks, built ideals

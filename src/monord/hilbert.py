@@ -20,7 +20,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DataError
-from .ideal import _memo, minimal_points, normalize
+from .ideal import _checked_ideal, _memo, minimal_points, normalize
 from .ivpoly import IVPoly, binom_poly, macaulay_next
 from .monom import degree, points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
@@ -297,32 +297,26 @@ def _stability_index(num, m, t):
 
 
 def lex_segment_ideal(e, bound):
-    """The lex segment with the same Hilbert function as e.
+    """The lex segment with the same Hilbert function as e: in each degree
+    n <= bound, all but the first H_E(n) points in increasing lex order.
+    Every generator of e must have degree at most ``bound``.
 
-    In each degree n <= bound, keep all but the first H_E(n) points in
-    increasing lex order.  Every generator of e must have degree at most
-    ``bound``, and the kept layers must glue into a final segment;
-    otherwise the bound is too small and a DataError is raised.
+    By Macaulay (Bruns-Herzog 4.2) the multiples of its degree n - 1 part
+    are the degree-n points past the first r_n = H(n - 1)^<n - 1> (r_0 = 1,
+    r_1 = m H(0)), so its degree-n generators have lex ranks [H(n), r_n).
     """
     m = e.dim
+    if type(bound) is not int or bound < 0:
+        raise DataError(f"degree bound {bound!r} is not a natural number")
     if any(degree(g) > bound for g in e.gens):
-        raise DataError(
-            f"bound {bound} is below a generator degree; no lex segment "
-            "can be read off")
+        raise DataError(f"bound {bound} is below a generator degree")
     num = _numerator(e)
-    layers = []
+    gens, r = [], 1
     for n in range(bound + 1):
-        pts = points_of_degree(m, n)
-        layers.append(set(pts[_hilbert_value(num, m, n):]))
-    for n in range(bound):
-        for v in layers[n]:
-            for i in range(m):
-                w = v[:i] + (v[i] + 1,) + v[i + 1:]
-                if w not in layers[n + 1]:
-                    raise DataError(
-                        f"bound {bound} too small: layer {n} does not "
-                        "extend upward")
-    return normalize(m, (v for layer in layers for v in layer))
+        h = _hilbert_value(num, m, n)
+        gens += points_of_degree(m, n, h, r)
+        r = m * h if n == 0 else macaulay_next(h, n)
+    return _checked_ideal(m, tuple(gens))
 
 
 class HilbertProfile(NamedTuple):

@@ -93,22 +93,20 @@ def binom_poly(c, k):
 
 
 def from_samples(values):
-    """Recover the unique polynomial of degree < len(values) through the
-    samples p(0), p(1), ...
-
-    Coordinates come from the forward-difference table:
-    b_k = sum_j (-1)^j C(k + j, j) D^{k+j} p(0).
-    """
+    """The unique polynomial of degree < len(values) through the samples
+    p(0), p(1), ...: as D C(T+i, i) = C(T+i, i-1), b_k = D^k p(-k-1), left
+    in place k of the forward-difference column once it is stepped k + 1
+    places left by D^j p(x-1) = D^j p(x) - D^{j+1} p(x-1)."""
     if not values:
         raise ValueError("need at least one sample")
-    table = [list(values)]
-    while len(table[-1]) > 1:
-        row = table[-1]
-        table.append([row[i + 1] - row[i] for i in range(len(row) - 1)])
-    diffs = [row[0] for row in table]
-    return IVPoly([sum((-1) ** j * binomial(k + j, j) * diffs[k + j]
-                       for j in range(len(diffs) - k))
-                   for k in range(len(values))])
+    col, row = [], list(values)
+    while row:
+        col.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    for k in range(len(col)):
+        for j in range(len(col) - 2, k - 1, -1):
+            col[j] -= col[j + 1]
+    return IVPoly(col)
 
 
 def dominance_cmp(p, q):

@@ -9,7 +9,7 @@ commutative image (bipartite matching), and multiset.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import DataError, DimensionMismatch
 
@@ -53,12 +53,14 @@ def unit_vec(m, i, scale=1):
     return tuple(v)
 
 
-def points_of_degree(m, n):
+def points_of_degree(m, n, start=0, stop=None):
     """Degree-n points of N^m in increasing lex order, by stars and bars:
-    the gaps between m - 1 bars, listed in lex order, in n + m - 1 slots."""
+    the gaps between m - 1 bars, listed in lex order, in n + m - 1 slots.
+    Only those of lex rank in [start, stop) are built."""
     ends = (n + m - 1,)
     return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + ends))
-            for bars in combinations(range(n + m - 1), m - 1)]
+            for bars in islice(combinations(range(n + m - 1), m - 1),
+                               start, stop)]
 
 
 class TermOrder:

@@ -54,7 +54,7 @@ class Ord:
 
     @staticmethod
     def from_int(n):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # bools are not naturals
             raise ValueError(f"expected a natural number, got {n!r}")
         return _wrap((((), n),) if n else ())
 

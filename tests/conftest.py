@@ -1,3 +1,6 @@
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +39,29 @@ def int_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield
     sys.set_int_max_str_digits(before)
+
+
+@pytest.fixture
+def cli_child():
+    """run(args, limit_mb): ``python -m monord.cli args`` in a child process
+    whose address space RLIMIT_AS caps at ``limit_mb`` MB.  The limit is
+    set in the child after the fork, so the test process keeps its own.
+    Returns the CompletedProcess, with text stdout and stderr."""
+    import monord
+    src = str(Path(monord.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+
+    def run(args, limit_mb, timeout=60):
+        limit = limit_mb << 20
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        return subprocess.run(
+            [sys.executable, "-m", "monord.cli", *map(str, args)],
+            capture_output=True, text=True, env=env, preexec_fn=cap,
+            timeout=timeout)
+
+    return run

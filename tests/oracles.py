@@ -10,7 +10,8 @@ import random
 from functools import lru_cache
 from math import comb, factorial
 
-from monord import divides, from_samples, macaulay_next, normalize, phi_poly
+from monord import (DataError, IVPoly, binomial, divides, from_samples,
+                    hilbert_fn, macaulay_next, normalize, phi_poly)
 from monord.chains import as_bound_fn
 from monord.hilbert import _realizable
 from monord.monom import unit_vec
@@ -120,6 +121,20 @@ def ie_hilbert_samuel_poly(e):
     return from_samples([value(t) for t in range(m + 1)])
 
 
+def binomial_from_samples(values):
+    """The polynomial through p(0), p(1), ... by the formula the library
+    once used on the forward differences:
+    b_k = sum_j (-1)^j C(k + j, j) D^{k+j} p(0)."""
+    table = [list(values)]
+    while len(table[-1]) > 1:
+        row = table[-1]
+        table.append([row[i + 1] - row[i] for i in range(len(row) - 1)])
+    diffs = [row[0] for row in table]
+    return IVPoly([sum((-1) ** j * binomial(k + j, j) * diffs[k + j]
+                       for j in range(len(diffs) - k))
+                   for k in range(len(values))])
+
+
 def sampled_binom_poly(c, k):
     """The polynomial C(T - c + k, k), fitted to its values."""
     return from_samples([falling_binomial(t - c + k, k) for t in range(k + 1)])
@@ -187,6 +202,27 @@ def persistence_stability_index(e):
         elif n >= t:
             return n0
         n, h = n + 1, h_next
+
+
+def listing_lex_segment(e, bound):
+    """The lex segment the library once built by listing: in each degree
+    n <= bound keep all but the first H_E(n) points in increasing lex
+    order, check that each kept layer extends upward into the next, and
+    normalize every kept point."""
+    m = e.dim
+    if any(sum(g) > bound for g in e.gens):
+        raise DataError(f"bound {bound} is below a generator degree")
+    layers = [set(points_of_degree(m, n)[hilbert_fn(e, n):])
+              for n in range(bound + 1)]
+    for n in range(bound):
+        for v in layers[n]:
+            for i in range(m):
+                w = v[:i] + (v[i] + 1,) + v[i + 1:]
+                if w not in layers[n + 1]:
+                    raise DataError(
+                        f"bound {bound} too small: layer {n} does not "
+                        "extend upward")
+    return normalize(m, (v for layer in layers for v in layer))
 
 
 def split_decomposition(e):

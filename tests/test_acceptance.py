@@ -10,11 +10,11 @@ import numpy as np
 
 from monord import (BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord, binomial,
                     bounds_report, cmp, cone, direct_sum, dominance_cmp, ell,
-                    h_bound, height, hilbert_fn,
+                    extremal_sequence, h_bound, height, hilbert_fn,
                     hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
                     ideal_intersect, ideal_sum,
                     irreducible_decomposition, is_bad_sequence, is_osequence,
-                    kb_cmp, max_bad_degree_growth,
+                    kb_cmp, lex_segment_ideal, max_bad_degree_growth,
                     comm_leq, components_by_support, min_type_cmp,
                     minimizing_coefficients, nat_pow, nat_prod, nat_sum,
                     normalize, omega_pow, phi_poly, poly_from_a_sequence,
@@ -520,3 +520,51 @@ def test_criterion_20_high_dimension_polynomials(capsys, tmp_path):
     assert psi_ones == ones
     assert code == 0
     assert capsys.readouterr().out == "dim 500\n1" + " 0" * 499 + "\n"
+
+
+def test_criterion_21_lex_ranks_and_lex_successors(capsys, tmp_path,
+                                                   cli_child):
+    # lex_segment_ideal listed every point of each degree: 5.3 s and 374 MB
+    # at dim 60, about 4 GB at dim 990; extremal_sequence recursed once per
+    # dimension; t_bound refitted h_m before any budget was charged
+    e = normalize(60, [(2,) + (0,) * 59, (0, 1) + (0,) * 58])
+    path = tmp_path / "x1sq_x2_990.ideal"
+    path.write_text("dim 990\nx1^2\nx2\n")
+    holder = []
+
+    def body():
+        holder.append(lex_segment_ideal(e, 4))
+
+    report(capsys, 21, "lex segment of (x1^2, x2), dim 60, degree 4", body,
+           limit=1.0)
+    assert holder[0].gens == ((1,) + (0,) * 59, (0, 2) + (0,) * 58)
+
+    def body():
+        holder.append(cli_child(["lexify", "--degree", "2", path], 256))
+
+    report(capsys, 21, "lexify at dim 990 in a 256 MB child", body,
+           limit=2.0)
+    res = holder[-1]
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == ("dim 990\n1" + " 0" * 989 + "\n0 2" + " 0" * 988
+                          + "\n")
+
+    def body():
+        holder.append(extremal_sequence(1000, BoundFn.affine(1, 1), 5000))
+
+    report(capsys, 21, "extremal_sequence at dim 1000, cap 5000", body)
+    seq = holder[-1]
+    assert len(seq) == 5000 and seq[0] == (1,) + (0,) * 999
+    assert all(sum(v) <= 1 + i and v < u
+               for i, (u, v) in enumerate(zip(seq, seq[1:]), start=1))
+
+    def body():
+        try:
+            t_bound(400, BoundFn.affine(1, 1), budget=10)
+        except BudgetExceeded as exc:
+            assert exc.spent <= 10
+        else:
+            raise AssertionError("t_bound(400, 1 + i) fit a budget of 10")
+
+    report(capsys, 21, "t_bound at m=400 charges its samples", body,
+           limit=0.05)

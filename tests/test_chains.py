@@ -156,6 +156,9 @@ class TestAgainstTrieEngine:
                  for m in (1, 2, 3) for t in TABLES]
         cases += [(m, BoundFn.affine(p, q), lambda i, p=p, q=q: p + i * q)
                   for m, p, q in AFFINE_GRID]
+        cases += [(m, fn, fn) for m in (4, 5) for fn in (
+            lambda i: min(3, 1 + i), lambda i: (2, 0, 3, 1)[i % 4] + i // 5,
+            lambda i: 1 + i * i)]
         for m, f, fn in cases:
             for cap in (1, 7, 50):
                 assert extremal_sequence(m, f, cap) == \
@@ -279,9 +282,13 @@ class TestMaxBad:
                 assert tuple(max_bad_degree_growth(m, f, cap)) == want, (m, cap)
 
     def test_rejects_bad_arguments(self):
-        # a negative cap returned an empty search; a bool was taken for m
-        with pytest.raises(DataError, match="cap"):
-            max_bad_degree_growth(2, 1, -1)
+        # a negative cap returned an empty search, a bool or float cap was
+        # taken for a number, and a bool was taken for m
+        for cap in (-1, True, 2.5):
+            for call in (lambda: max_bad_degree_growth(2, 1, cap),
+                         lambda: extremal_sequence(2, 3, cap)):
+                with pytest.raises(DataError, match="cap"):
+                    call()
         for m in (0, True, 2.0, 1001):
             for call in (lambda: max_bad_degree_growth(m, 1, 5),
                          lambda: ell(m, 1), lambda: t_bound(m, 1),

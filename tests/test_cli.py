@@ -244,6 +244,12 @@ class TestLexifyConeDirectsum:
         code, _, err = run(capsys, ["lexify", path, "--degree", "2"])
         assert code == 65
 
+    def test_lexify_negative_degree(self, capsys, tmp_path):
+        # a negative degree printed the zero ideal and exited 0
+        path = write(tmp_path, "a.ideal", "dim 2\n")
+        code, out, err = run(capsys, ["lexify", path, "--degree", "-1"])
+        assert (code, out) == (65, "") and "natural" in err
+
     def test_cone(self, capsys, tmp_path):
         path = write(tmp_path, "a.ideal", "dim 1\n2\n")
         code, out, _ = run(capsys, ["cone", path])

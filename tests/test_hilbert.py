@@ -18,9 +18,10 @@ from monord import (ZERO, DataError, IVPoly,
 from monord.hilbert import _numerator, a_sequence
 from monord.ivpoly import binom_poly
 from oracles import (certified_stability_index, ie_hilbert_samuel_poly,
-                     ie_numerator, naive_hilbert, naive_hilbert_samuel,
-                     peel_realize_poly, persistence_stability_index,
-                     points_up_to, random_artinian_staircase, random_ideal,
+                     ie_numerator, listing_lex_segment, naive_hilbert,
+                     naive_hilbert_samuel, peel_realize_poly,
+                     persistence_stability_index, points_up_to,
+                     random_artinian_staircase, random_ideal,
                      random_wide_ideal, shift, shift_coeff_recursion,
                      slice_count, slice_counter, stepwise_macaulay_next)
 
@@ -425,6 +426,33 @@ class TestLexSegment:
     def test_bound_below_generators(self):
         with pytest.raises(DataError):
             lex_segment_ideal(normalize(2, [(0, 3)]), 2)
+
+    def test_rejects_non_natural_bounds(self):
+        # a negative bound returned the zero ideal
+        for bound in (-1, True, 2.0):
+            with pytest.raises(DataError, match="natural"):
+                lex_segment_ideal(zero_ideal(2), bound)
+
+    def test_matches_listing(self):
+        # the listing engine the Macaulay ranks replaced; it also checks
+        # that every kept layer extends upward, which must never fail
+        rng = random.Random(97)
+        pairs = 0
+        for _ in range(120):
+            for m in range(1, 7):
+                e = random_ideal(rng, m, 5, 4, allow_zero=True,
+                                 allow_unit=True)
+                top = max((sum(g) for g in e.gens), default=0)
+                for bound in (top, top + 1, top + 3):
+                    assert lex_segment_ideal(e, bound).gens == \
+                        listing_lex_segment(e, bound).gens, (e, bound)
+                    pairs += 1
+        assert pairs >= 1000
+        for m in (1, 3, 6):
+            for e in (zero_ideal(m), unit_ideal(m)):
+                for bound in (0, 1, 3):
+                    assert lex_segment_ideal(e, bound) == \
+                        listing_lex_segment(e, bound)
 
     def test_preserves_hilbert_function(self):
         rng = random.Random(83)

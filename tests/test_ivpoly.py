@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from monord import (DataError, IVPoly, binomial, dominance_cmp, from_samples,
                     is_osequence, macaulay_next, macaulay_rep)
 from monord.ivpoly import binom_poly
-from oracles import (sampled_binom_poly, shift, stepwise_macaulay_next,
-                     stepwise_macaulay_tops)
+from oracles import (binomial_from_samples, sampled_binom_poly, shift,
+                     stepwise_macaulay_next, stepwise_macaulay_tops)
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=5)
 
@@ -23,6 +23,11 @@ class TestFromSamples:
 
     def test_quadratic(self):
         assert from_samples([1, 3, 6]) == IVPoly([0, 0, 1])
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=12))
+    def test_matches_binomial_sum(self, values):
+        # the C(k + j, j) double sum over forward differences it replaced
+        assert from_samples(values) == binomial_from_samples(values)
 
     @given(coeff_lists, st.integers(0, 5))
     def test_round_trip(self, coeffs, start):

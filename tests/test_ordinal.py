@@ -92,6 +92,10 @@ class TestForm:
         for terms in (((ONE, 1), (ONE, 1)), ((ONE, 1), (OMEGA, 1))):
             with pytest.raises(ValueError, match="strictly decrease"):
                 Ord(terms)
+        # Ord.from_int(True) was an ordinal that formatted as True
+        for n in (True, False, -1, 2.0):
+            with pytest.raises(ValueError, match="natural"):
+                Ord.from_int(n)
 
     def test_copy_and_pickle(self):
         deepest = "w^(" * MAX_NESTING + "2" + ")" * MAX_NESTING + " + w*3 + 2"
