@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb, inf
+from operator import le
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, DataError
-from .ideal import _checked_ideal, check_dim, check_same_dim
+from .errors import BudgetExceeded, DataError, natural
+from .ideal import _checked_ideal, check_dim
 from .ivpoly import IVPoly, from_samples
-from .monom import divides, points_of_degree
+from .monom import check_same_dim, points_of_degree
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -25,7 +26,8 @@ class _Budget:
     value a callable bound adds to its table and one per h_m sample."""
 
     def __init__(self, limit=None):
-        self.limit = DEFAULT_BUDGET if limit is None else limit
+        self.limit = (DEFAULT_BUDGET if limit is None
+                      else natural(limit, "budget"))
         self.spent = 0
 
     def charge(self, units):
@@ -60,8 +62,10 @@ class BoundFn:
     def __call__(self, i, budget=None):
         """f(i); a callable's new table values are charged to ``budget``
         before they are read."""
-        if i < 0:
-            raise DataError("bound functions are defined on naturals")
+        return self._at(natural(i, "bound index"), budget)
+
+    def _at(self, i, budget=None):
+        """f(i) for a natural i, as the engines read it."""
         vals = self._vals
         if i >= len(vals) and self._tail is not None:
             return self._tail(i - len(vals))
@@ -69,25 +73,21 @@ class BoundFn:
             budget.charge(i + 1 - len(vals))
         while len(vals) <= i:
             j = len(vals)
-            v = self._fn(j)
-            if not isinstance(v, int) or v < 0:
-                raise DataError(f"bound value f({j}) = {v!r} is not natural")
+            v = natural(self._fn(j), f"bound value f({j}) =")
             vals.append(max(v, vals[-1]) if vals else v)
         return vals[i]
 
     @classmethod
     def affine(cls, p, q):
         """i -> p + i*q."""
-        if not (isinstance(p, int) and isinstance(q, int)) or min(p, q) < 0:
-            raise DataError(f"affine bound needs naturals p, q, got {p}, {q}")
+        natural(p, "affine bound needs naturals p, q; p =")
+        natural(q, "affine bound needs naturals p, q; q =")
         return cls(tail=IVPoly((p - q, q)))
 
     @classmethod
     def from_table(cls, values):
         """Finite table, continued by its last value."""
-        values = list(values)
-        if any(not isinstance(v, int) or v < 0 for v in values):
-            raise DataError(f"table {values}: not naturals")
+        values = [natural(v, "table value") for v in values]
         if not values:
             raise DataError("table must be nonempty")
         values = list(accumulate(values, max))
@@ -97,7 +97,7 @@ class BoundFn:
         """j -> g(f(j)) in the same form, for g nondecreasing and of the
         given degree on the naturals: a tail of degree d maps to d * degree."""
         if self._tail is None:
-            return BoundFn(lambda j: g(self(j)))
+            return BoundFn(lambda j: g(self._at(j)))
         samples = max(self._tail.degree, 0) * degree + 1
         tail = from_samples([g(self._tail(j)) for j in range(samples)])
         return BoundFn(table=[g(v) for v in self._vals], tail=tail)
@@ -108,9 +108,7 @@ def as_bound_fn(f):
         return f
     if callable(f):
         return BoundFn(f)
-    if isinstance(f, int):
-        return BoundFn.from_table([f])
-    raise DataError(f"cannot use {f!r} as a bound function")
+    return BoundFn.from_table([natural(f, "constant bound")])
 
 
 def ell(m, f, budget=None):
@@ -132,7 +130,7 @@ def ell(m, f, budget=None):
 def _ell(m, f, off, k, budget):
     """ell(m, j -> f(j + off) + k): every shifted bound is f at an offset
     plus an addend, so the recursion passes the two ints down."""
-    f0 = f(off, budget) + k
+    f0 = f._at(off, budget) + k
     if m == 1 or off >= f._flat:
         return comb(f0 + m, m)
     out = 1
@@ -151,10 +149,9 @@ def extremal_sequence(m, f, cap, budget=None):
     up to f at that index, the only place f is read and a step charged."""
     f = as_bound_fn(f)
     check_dim(m)
-    if type(cap) is not int or cap < 0:
-        raise DataError(f"cap must be a natural number, got {cap!r}")
+    natural(cap, "cap")
     budget = _Budget(budget)
-    v, seq = [f(0, budget)] + [0] * (m - 1), []
+    v, seq = [f._at(0, budget)] + [0] * (m - 1), []
     while len(seq) < cap:
         head, last = tuple(v[:-1]), v[-1]
         seq += [head + (last - j,)
@@ -164,15 +161,16 @@ def extremal_sequence(m, f, cap, budget=None):
             break
         budget.step(len(seq))
         v[i] -= 1
-        v[i + 1:] = [f(len(seq), budget) - sum(v[:i + 1])] + [0] * (m - i - 2)
+        v[i + 1:] = [0] * (m - i - 1)
+        v[i + 1] = f._at(len(seq), budget) - sum(v[:i + 1])
     return seq
 
 
 def h_bound(s, m):
     """h_m(s) = s + C(s - 1 + m, m), the degree bound fed to ell when
     translating ideal chains into vector sequences."""
-    if s < 0 or m < 1:
-        raise DataError("need s >= 0 and m >= 1")
+    natural(s, "degree")
+    check_dim(m)
     return s + comb(s - 1 + m, m)
 
 
@@ -205,7 +203,7 @@ def is_bad_sequence(ideals):
     """
     ideals = list(ideals)
     for e in ideals[1:]:
-        check_same_dim(ideals[0], e)
+        check_same_dim(ideals[0].dim, e.dim)
     for j in range(1, len(ideals)):
         for i in range(j):
             if ideals[i] >= ideals[j]:
@@ -252,8 +250,7 @@ def max_bad_degree_growth(m, f, cap):
     """
     f = as_bound_fn(f)
     check_dim(m)
-    if type(cap) is not int or cap < 0:
-        raise DataError(f"cap must be a natural number, got {cap!r}")
+    natural(cap, "cap")
 
     # per bound d: its box of points in deglex order, the masks of earlier
     # points incomparable to each, members' outside masks, built ideals
@@ -262,7 +259,8 @@ def max_bad_degree_growth(m, f, cap):
     def box(d):
         if d not in boxes:
             pts = [v for n in range(d + 1) for v in points_of_degree(m, n)]
-            inc = [sum(1 << j for j in range(k) if not divides(pts[j], p))
+            inc = [sum(1 << j for j in range(k)
+                       if not all(map(le, pts[j], p)))
                    for k, p in enumerate(pts)]
             boxes[d] = pts, inc, {}, {}
         return boxes[d]
@@ -271,7 +269,8 @@ def max_bad_degree_growth(m, f, cap):
         pts, _, outs, _ = box(d)
         if e.gens not in outs:
             outs[e.gens] = sum(1 << j for j, p in enumerate(pts)
-                               if not any(divides(g, p) for g in e.gens))
+                               if not any(all(map(le, g, p))
+                                          for g in e.gens))
         return outs[e.gens]
 
     best = []
@@ -286,7 +285,7 @@ def max_bad_degree_growth(m, f, cap):
         nodes += 1
         if len(seq) > len(best):
             best = list(seq)
-        d = f(len(seq))
+        d = f._at(len(seq))
         pts, inc, _, built = box(d)
         if d == parent_d:
             out = outside(d, seq[-1])

@@ -227,10 +227,10 @@ def cmd_contains(args):
 
 def cmd_compare(args):
     from . import orderings
-    from .ideal import check_same_dim
+    from .monom import check_same_dim
     a = load_ideal(args.file_a)
     b = load_ideal(args.file_b)
-    check_same_dim(a, b)
+    check_same_dim(a.dim, b.dim)
     trace = {"order": args.order}
     if args.order == "kb":
         c, trace["deciding_generator"] = orderings._kb(
@@ -251,7 +251,8 @@ def cmd_hilbert(args):
     e = load_ideal(args.file)
     prof = hilbert.hilbert_profile(e)
     p, t = prof.p, prof.threshold
-    hs = [hilbert.hilbert_fn(e, n) for n in range(t + 2 * e.dim + 1)]
+    hs = [hilbert._hilbert_value(prof.numerator, e.dim, n)
+          for n in range(t + 2 * e.dim + 1)]
     cum = list(accumulate(hs))
     payload = {
         "H": hs,

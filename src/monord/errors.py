@@ -1,12 +1,15 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its one input check."""
 
 
 class MonordError(Exception):
     """Base class for library errors."""
 
 
-class DataError(MonordError):
-    """Invalid input data (bad syntax, failed preconditions, invalid values)."""
+class DataError(MonordError, ValueError):
+    """Invalid input data (bad syntax, failed preconditions, invalid values).
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
 
 
 class ParseError(DataError):
@@ -31,8 +34,22 @@ class DimensionMismatch(DataError):
 
 
 class BudgetExceeded(MonordError):
-    """A configured resource budget (recursion frames, search nodes) ran out."""
+    """A computation ran out of its budget of units: loop steps, bytes of
+    the values it builds, bound values read and samples taken."""
 
     def __init__(self, message, spent=None):
         self.spent = spent
         super().__init__(message)
+
+
+def natural(x, what, least=0):
+    """x, when it is an int (bools are not) of at least ``least``; else a
+    DataError that names ``what``.  Every natural-number argument of the
+    public calls passes through here, so the kernels behind them need no
+    checks of their own."""
+    if type(x) is int and x >= least:
+        return x
+    need = "a natural number" + (f" >= {least}" if least else "")
+    if type(x) is not int:
+        raise DataError(f"{what} {x!r} is not an integer, so not {need}")
+    raise DataError(f"{what} {x} is not {need}")

@@ -19,8 +19,8 @@ from collections import Counter
 from math import comb
 from typing import NamedTuple
 
-from .errors import DataError
-from .ideal import _checked_ideal, _memo, minimal_points, normalize
+from .errors import DataError, natural
+from .ideal import _checked_ideal, _memo, check_dim, minimal_points, normalize
 from .ivpoly import IVPoly, binom_poly, macaulay_next
 from .monom import degree, points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
@@ -81,8 +81,6 @@ def _hilbert_value(num, m, n):
     With m + 1 for m this is h(s): h_E is H of the cone over E, which has
     the same numerator in one more variable.
     """
-    if n < 0:
-        raise DataError("degree must be a natural number")
     return sum(c * comb(n - k + m - 1, m - 1) for k, c in num if k <= n)
 
 
@@ -104,12 +102,12 @@ def threshold(e):
 
 def hilbert_fn(e, n):
     """H_E(n): the number of degree-n points of N^m outside E."""
-    return _hilbert_value(_numerator(e), e.dim, n)
+    return _hilbert_value(_numerator(e), e.dim, natural(n, "degree"))
 
 
 def hilbert_samuel_fn(e, s):
     """h_E(s): the number of points of degree <= s outside E."""
-    return _hilbert_value(_numerator(e), e.dim + 1, s)
+    return _hilbert_value(_numerator(e), e.dim + 1, natural(s, "degree"))
 
 
 def hilbert_samuel_poly(e):
@@ -142,6 +140,11 @@ def minimizing_coefficients(p, m):
     binom_poly(S + c_j, j + 1), S the sum of the c above; subtracting that
     clears degree j.
     """
+    check_dim(m)
+    # p's coordinates, not its class, are read: an IVPoly built by a copy
+    # of this module imported afresh passes too
+    if any(type(b) is not int for b in getattr(p, "coeffs", [None])):
+        raise DataError(f"{p!r} is not an integer-valued polynomial")
     if p.is_zero():
         raise DataError("p must be nonzero (the unit ideal has no psi)")
     if p.degree >= m:
@@ -164,7 +167,7 @@ def psi_poly(p, m):
     other polynomial must have degree < m and nonnegative minimizing
     coefficients.
     """
-    if p == binom_poly(0, m):
+    if p == binom_poly(0, check_dim(m)):
         return omega_pow(m)
     return _psi_of(_realizable(p, m))
 
@@ -192,9 +195,7 @@ def a_sequence(c):
     m = len(c)
     out = []
     for i, ci in enumerate(c):
-        if ci < 0:
-            raise DataError("coefficients must be nonnegative")
-        out.extend([m - 1 - i] * ci)
+        out.extend([m - 1 - i] * natural(ci, "coefficient"))
     return out
 
 
@@ -203,9 +204,7 @@ def poly_from_a_sequence(seq):
     canonical exponent list."""
     p = IVPoly()
     for k, a in enumerate(seq, start=1):
-        if a < 0:
-            raise DataError("exponents must be natural numbers")
-        p = p + binom_poly(k - 1, a)
+        p = p + binom_poly(k - 1, natural(a, "exponent"))
     return p
 
 
@@ -306,8 +305,7 @@ def lex_segment_ideal(e, bound):
     r_1 = m H(0)), so its degree-n generators have lex ranks [H(n), r_n).
     """
     m = e.dim
-    if type(bound) is not int or bound < 0:
-        raise DataError(f"degree bound {bound!r} is not a natural number")
+    natural(bound, "degree bound")
     if any(degree(g) > bound for g in e.gens):
         raise DataError(f"bound {bound} is below a generator degree")
     num = _numerator(e)

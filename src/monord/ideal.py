@@ -7,8 +7,11 @@ antichain and the unit ideal is generated by the origin.
 
 from __future__ import annotations
 
-from .errors import DataError, DimensionMismatch
-from .monom import DEGLEX, check_point, divides, support, unit_vec, vec_max
+from operator import le
+
+from .errors import DataError, natural
+from .monom import (DEGLEX, check_point, check_same_dim, support, unit_vec,
+                    vec_max)
 
 
 class MonomialIdeal:
@@ -53,18 +56,16 @@ class MonomialIdeal:
     def is_unit(self):
         return self.gens == ((0,) * self.dim,)
 
-    def is_proper(self):
-        return not self.is_unit()
-
     def contains(self, v):
         """Whether the point v lies in the ideal."""
         check_point_in(self.dim, v)
-        return any(divides(g, v) for g in self.gens)
+        return any(all(map(le, g, v)) for g in self.gens)
 
     def __le__(self, other):
         """Containment: self is a subset of other."""
-        check_same_dim(self, other)
-        return all(any(divides(h, g) for h in other.gens) for g in self.gens)
+        check_same_dim(self.dim, other.dim)
+        return all(any(all(map(le, h, g)) for h in other.gens)
+                   for g in self.gens)
 
     def __ge__(self, other):
         return other <= self
@@ -81,13 +82,10 @@ MAX_DIM = 1000
 
 
 def check_dim(dim):
-    """Reject a dimension that is not an int in 1..MAX_DIM (bools too)."""
-    if type(dim) is not int:
-        raise DataError(f"dimension {dim!r} is not an integer")
-    if dim < 1:
-        raise DataError("ambient dimension must be >= 1")
-    if dim > MAX_DIM:
+    """dim, when it is an int (not a bool) in 1..MAX_DIM; else a DataError."""
+    if natural(dim, "dimension", 1) > MAX_DIM:
         raise DataError(f"dimension {dim} is above the cap of {MAX_DIM}")
+    return dim
 
 
 def check_point_in(dim, v):
@@ -96,13 +94,6 @@ def check_point_in(dim, v):
     if len(v) != dim:
         raise DataError(f"point {v!r} does not live in N^{dim}")
     return v
-
-
-def check_same_dim(e, f):
-    """Reject two ideals that live in different N^m."""
-    if e.dim != f.dim:
-        raise DimensionMismatch(
-            f"ideals live in different dimensions {e.dim} and {f.dim}")
 
 
 def normalize(dim, points):
@@ -136,7 +127,7 @@ def minimal_points(points):
     under divisibility, sorted by deglex."""
     minimal = []
     for p in sorted(set(points), key=DEGLEX.key):
-        if not any(divides(q, p) for q in minimal):
+        if not any(all(map(le, q, p)) for q in minimal):
             minimal.append(p)
     return tuple(minimal)
 
@@ -151,13 +142,13 @@ def unit_ideal(dim):
 
 def ideal_sum(e, f):
     """Smallest ideal containing both: union of generators."""
-    check_same_dim(e, f)
+    check_same_dim(e.dim, f.dim)
     return _checked_ideal(e.dim, minimal_points(e.gens + f.gens))
 
 
 def ideal_intersect(e, f):
     """Intersection: generated by pairwise lcms."""
-    check_same_dim(e, f)
+    check_same_dim(e.dim, f.dim)
     return _checked_ideal(e.dim, minimal_points(
         vec_max(g, h) for g in e.gens for h in f.gens))
 
@@ -178,8 +169,11 @@ def slice_last(e, j):
     """
     if e.dim < 2:
         raise DataError("slicing needs ambient dimension >= 2")
-    if j < 0:
-        raise DataError("slice index must be a natural number")
+    return _slice(e, natural(j, "slice index"))
+
+
+def _slice(e, j):
+    """slice_last for an ideal of dimension >= 2 and a natural j."""
     j = min(j, max((g[-1] for g in e.gens), default=0))
     return _memo(e, ("slice", j), lambda e: _checked_ideal(
         e.dim - 1, minimal_points(g[:-1] for g in e.gens if g[-1] <= j)))
@@ -215,12 +209,6 @@ def _irr_contains(nu, mu):
     least as tightly by nu.
     """
     return all(n > 0 and n <= m for n, m in zip(nu, mu) if m > 0)
-
-
-def irreducible_component_ideal(dim, nu):
-    """The irreducible ideal m^nu: generated by pure powers x_i^(nu_i)."""
-    return normalize(dim, (unit_vec(dim, i, x)
-                           for i, x in enumerate(nu) if x))
 
 
 def irreducible_decomposition(e):

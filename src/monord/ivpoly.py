@@ -10,14 +10,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DataError
+from .errors import DataError, natural
 
 
 def binomial(x, k):
     """C(x, k) for any integer x and natural k, extended polynomially in x:
     below zero, C(x, k) = (-1)^k C(k - x - 1, k)."""
-    if k < 0:
-        raise ValueError("lower index must be a natural number")
+    natural(k, "lower index")
     if x >= 0:
         return math.comb(x, k)
     return (-1) ** k * math.comb(k - x - 1, k)
@@ -98,7 +97,7 @@ def from_samples(values):
     in place k of the forward-difference column once it is stepped k + 1
     places left by D^j p(x-1) = D^j p(x) - D^{j+1} p(x-1)."""
     if not values:
-        raise ValueError("need at least one sample")
+        raise DataError("need at least one sample")
     col, row = [], list(values)
     while row:
         col.append(row[0])
@@ -112,9 +111,13 @@ def from_samples(values):
 def dominance_cmp(p, q):
     """Compare by the lexicographic order on (b_d, ..., b_0), padding the
     shorter coefficient vector with zeros."""
-    n = max(len(p.coeffs), len(q.coeffs))
-    a = (p.coeffs + (0,) * (n - len(p.coeffs)))[::-1]
-    b = (q.coeffs + (0,) * (n - len(q.coeffs)))[::-1]
+    try:
+        a, b = p.coeffs, q.coeffs
+    except AttributeError:
+        raise DataError("dominance compares two IVPoly values") from None
+    n = max(len(a), len(b))
+    a = (a + (0,) * (n - len(a)))[::-1]
+    b = (b + (0,) * (n - len(b)))[::-1]
     return (a > b) - (a < b)
 
 
@@ -123,9 +126,6 @@ class MacaulayRep(NamedTuple):
 
     d: int
     tops: tuple  # (a_d, ..., a_1), strictly decreasing, a_1 >= 0
-
-    def value(self):
-        return sum(binomial(a, i) for a, i in zip(self.tops, range(self.d, 0, -1)))
 
 
 def _greedy_top(rem, i):
@@ -136,11 +136,11 @@ def _greedy_top(rem, i):
     binomial evaluations, two when c = i.
     """
     lo, lo_val, hi = i - 1, 0, i
-    while (val := binomial(hi, i)) <= rem:
+    while (val := math.comb(hi, i)) <= rem:
         lo, lo_val, hi = hi, val, 2 * hi - i + 1
     while hi - lo > 1:  # C(lo, i) <= rem < C(hi, i)
         mid = (lo + hi) // 2
-        val = binomial(mid, i)
+        val = math.comb(mid, i)
         if val <= rem:
             lo, lo_val = mid, val
         else:
@@ -161,13 +161,6 @@ def _greedy_tops(a, d):
     return tops
 
 
-def _check_ints(*values):
-    """Reject any value that is not an int (bools too)."""
-    for v in values:
-        if type(v) is not int:
-            raise DataError(f"{v!r} is not an integer")
-
-
 def macaulay_rep(a, d):
     """Greedy d-th Macaulay representation of a natural number a.
 
@@ -179,12 +172,7 @@ def macaulay_rep(a, d):
 
     Costs O(d log a) binomial evaluations.
     """
-    _check_ints(a, d)
-    if d < 1:
-        raise DataError("d must be >= 1")
-    if a < 1:
-        raise DataError("a must be positive (0 has no representation)")
-    tops = _greedy_tops(a, d)
+    tops = _greedy_tops(natural(a, "a =", 1), natural(d, "d =", 1))
     tops += range(d - len(tops) - 1, -1, -1)
     return MacaulayRep(d, tuple(tops))
 
@@ -195,11 +183,8 @@ def macaulay_next(a, d):
     0^<d> is 0.  Only the tops of nonzero terms are built, so the cost
     follows the number of those terms, not d.
     """
-    _check_ints(a, d)
-    if d < 1 or a < 0:
-        raise DataError("need a natural a and d >= 1")
-    tops = _greedy_tops(a, d)
-    return sum(binomial(t + 1, i + 1) for t, i in zip(tops, range(d, 0, -1)))
+    tops = _greedy_tops(natural(a, "a ="), natural(d, "d =", 1))
+    return sum(math.comb(t + 1, i + 1) for t, i in zip(tops, range(d, 0, -1)))
 
 
 class OSequenceCheck(NamedTuple):
@@ -213,19 +198,15 @@ def is_osequence(values, m):
     """Check a finite prefix f(0), f(1), ... against Macaulay's growth bound
     for Hilbert functions of ideals in m variables.
 
-    Requires f(0) = 1, f(1) <= m, and f(n+1) <= f(n)^<n> for n >= 1.  The
-    flag ``f1_exact`` records whether f(1) hits m, which is where honest
-    Hilbert functions of proper monomial ideals sit.
+    The values must be natural numbers.  The prefix needs f(0) = 1,
+    f(1) <= m and f(n+1) <= f(n)^<n> for n >= 1.  The flag ``f1_exact``
+    records whether f(1) hits m, which is where honest Hilbert functions of
+    proper monomial ideals sit.
     """
-    values = list(values)
-    _check_ints(m, *values)
-    if m < 1:
-        raise DataError("m must be >= 1")
+    natural(m, "m =", 1)
+    values = [natural(v, "O-sequence value") for v in values]
     if not values:
         raise DataError("need at least f(0)")
-    if any(v < 0 for v in values):
-        first = next(i for i, v in enumerate(values) if v < 0)
-        return OSequenceCheck(False, first, False)
     if values[0] != 1:
         return OSequenceCheck(False, 0, False)
     f1_exact = len(values) > 1 and values[1] == m

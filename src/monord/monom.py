@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, islice
+from operator import le
 
 from .errors import DataError, DimensionMismatch
 
@@ -21,9 +22,10 @@ def check_point(v):
     return v
 
 
-def check_same_dim(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch(f"dimensions {len(u)} and {len(v)} differ")
+def check_same_dim(m, n):
+    """Reject operands of N^m and N^n, points or ideals, with m != n."""
+    if m != n:
+        raise DimensionMismatch(f"dimensions {m} and {n} differ")
 
 
 def degree(v):
@@ -36,9 +38,10 @@ def support(v):
 
 
 def divides(u, v):
-    """Whether u <= v componentwise (the monomial x^u divides x^v)."""
-    check_same_dim(u, v)
-    return all(a <= b for a, b in zip(u, v))
+    """Whether u <= v componentwise (the monomial x^u divides x^v).  The
+    library's own callers run it unchecked, as ``all(map(le, u, v))``."""
+    check_same_dim(len(u), len(v))
+    return all(map(le, u, v))
 
 
 def vec_max(u, v):
@@ -67,9 +70,10 @@ class TermOrder:
     """A term order on N^m: ``lex``, ``deglex``, or an integer matrix order.
 
     A matrix order compares u, v by the lexicographic order on A*u, A*v.
-    The matrix must order every point after the origin, which holds when
-    the first nonzero entry in each column is positive.  Instances are
-    immutable and compare and hash by (kind, matrix).
+    The matrix is a tuple of rows, each a tuple of ints, and must order
+    every point after the origin, which holds when the first nonzero entry
+    in each column is positive.  Instances are immutable and compare and
+    hash by (kind, matrix).
     """
 
     def __init__(self, kind, matrix=()):
@@ -77,8 +81,11 @@ class TermOrder:
             raise DataError(f"unknown term order {kind!r}")
         if kind == "matrix":
             rows = matrix
-            if not rows or any(len(r) != len(rows[0]) for r in rows):
-                raise DataError("matrix order needs a rectangular matrix")
+            if type(rows) is not tuple or not rows or any(
+                    type(r) is not tuple or len(r) != len(rows[0])
+                    or any(type(x) is not int for x in r) for r in rows):
+                raise DataError("matrix order needs a rectangular tuple of "
+                                "tuples of ints")
             for j in range(len(rows[0])):
                 col = [r[j] for r in rows]
                 nz = next((x for x in col if x != 0), 0)
@@ -134,7 +141,7 @@ DEGLEX = TermOrder("deglex")
 
 def term_cmp(order, u, v):
     """Three-way comparison of two points under a term order."""
-    check_same_dim(u, v)
+    check_same_dim(len(u), len(v))
     ku, kv = order.key(u), order.key(v)
     if order.kind == "matrix" and ku == kv and u != v:
         raise DataError("matrix does not totally order these points")
@@ -148,9 +155,10 @@ def higman_leq(u, v):
     The greedy earliest-match scan is correct because any embedding can be
     pushed left.
     """
+    u, v = _words(u, v)
     j = 0
     for x in u:
-        while j < len(v) and not divides(x, v[j]):
+        while j < len(v) and not all(map(le, x, v[j])):
             j += 1
         if j == len(v):
             return False
@@ -164,14 +172,14 @@ def comm_leq(u, v):
 
     Solved as bipartite matching (Kuhn's augmenting paths).
     """
-    u, v = list(u), list(v)
+    u, v = _words(u, v)
     if len(u) > len(v):
         return False
     match = [-1] * len(v)
 
     def augment(i, seen):
         for j in range(len(v)):
-            if not seen[j] and divides(u[i], v[j]):
+            if not seen[j] and all(map(le, u[i], v[j])):
                 seen[j] = True
                 if match[j] < 0 or augment(match[j], seen):
                     match[j] = i
@@ -187,9 +195,19 @@ def comm_leq(u, v):
 def multiset_leq(u, v):
     """Multiset embedding: cancel letters common to both words, then every
     leftover letter of u must divide some leftover letter of v."""
-    cu, cv = Counter(u), Counter(v)
+    cu, cv = map(Counter, _words(u, v))
     common = cu & cv
     cu -= common
     cv -= common
     rest = list(cv)
-    return all(any(divides(x, y) for y in rest) for x in cu)
+    return all(any(all(map(le, x, y)) for y in rest) for x in cu)
+
+
+def _words(u, v):
+    """The words u and v as lists, once every letter of both is checked to
+    have one dimension, so that the embeddings compare letters unchecked."""
+    u, v = list(u), list(v)
+    letters = u + v
+    for x in letters:
+        check_same_dim(len(letters[0]), len(x))
+    return u, v

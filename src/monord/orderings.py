@@ -12,9 +12,9 @@ from __future__ import annotations
 from math import inf
 
 from .errors import DataError
-from .ideal import check_dim, check_same_dim, generator_word, slice_last
+from .ideal import _slice, check_dim, generator_word
 from .ivpoly import dominance_cmp
-from .monom import DEGLEX, term_cmp
+from .monom import DEGLEX, check_same_dim, term_cmp
 from .ordinal import ONE, OMEGA, nat_pow, nat_sum, omega_pow
 
 
@@ -26,7 +26,7 @@ def kb_cmp(e, f, order=DEGLEX):
     generators decide.  The zero ideal (empty word) is the maximum.  The
     term order must have order type omega, so lex is rejected.
     """
-    check_same_dim(e, f)
+    check_same_dim(e.dim, f.dim)
     return _kb(e, f, order)[0]
 
 
@@ -39,9 +39,8 @@ def _kb(e, f, order):
     u = generator_word(e, order)
     v = generator_word(f, order)
     for i, (x, y) in enumerate(zip(u, v)):
-        c = term_cmp(order, x, y)
-        if c != 0:
-            return c, i
+        if x != y:  # the words are sorted: the first difference decides
+            return term_cmp(order, x, y), i
     if len(u) != len(v):
         # the longer word is an extension and precedes its truncation
         return (-1 if len(u) > len(v) else 1), None
@@ -56,7 +55,7 @@ def triangle_cmp(e, f):
     Slices are constant once j passes every generator's last coordinate,
     so comparing up to that bound decides equality.
     """
-    check_same_dim(e, f)
+    check_same_dim(e.dim, f.dim)
     return _triangle(e, f)[0]
 
 
@@ -71,7 +70,7 @@ def _triangle(e, f):
         return (a > b) - (a < b), None
     bound = max((g[-1] for g in e.gens + f.gens), default=0)
     for j in range(bound + 1):
-        c, _ = _triangle(slice_last(e, j), slice_last(f, j))
+        c, _ = _triangle(_slice(e, j), _slice(f, j))
         if c != 0:
             return c, j
     return 0, None
@@ -80,7 +79,7 @@ def _triangle(e, f):
 def min_type_cmp(e, f):
     """Order by the Hilbert-Samuel polynomial under dominance (equivalently
     by psi), breaking ties with the triangle order."""
-    check_same_dim(e, f)
+    check_same_dim(e.dim, f.dim)
     return _min_type(e, f)[0]
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-from .errors import ParseError
+from .errors import DataError, ParseError, natural
 
 # Parenthesised exponents nest at most this deep in parse_ordinal, so that
 # parsing and the recursive arithmetic stay far from Python's recursion limit.
@@ -35,10 +35,11 @@ class Ord:
     def __init__(self, terms=()):
         terms = tuple(terms)
         for i, (e, c) in enumerate(terms):
-            if not isinstance(e, Ord) or not isinstance(c, int) or c < 1:
-                raise ValueError(f"bad CNF term {terms[i]!r}")
+            if not isinstance(e, Ord):
+                raise DataError(f"bad CNF term {terms[i]!r}")
+            natural(c, "bad CNF term: coefficient", 1)
             if i > 0 and terms[i - 1][0].form <= e.form:
-                raise ValueError("CNF exponents must strictly decrease")
+                raise DataError("CNF exponents must strictly decrease")
         object.__setattr__(self, "form", tuple((e.form, c) for e, c in terms))
 
     def __setattr__(self, name, value):
@@ -54,8 +55,7 @@ class Ord:
 
     @staticmethod
     def from_int(n):
-        if type(n) is not int or n < 0:  # bools are not naturals
-            raise ValueError(f"expected a natural number, got {n!r}")
+        n = natural(n, "ordinal")
         return _wrap((((), n),) if n else ())
 
     def is_zero(self):
@@ -67,7 +67,7 @@ class Ord:
     def to_int(self):
         """The integer value of a finite ordinal."""
         if not self.is_finite():
-            raise ValueError(f"{self} is infinite")
+            raise DataError(f"{self} is infinite")
         return self.form[0][1] if self.form else 0
 
     def is_limit(self):
@@ -109,11 +109,8 @@ def _wrap(form):
 
 
 def _coerce(x):
-    if isinstance(x, Ord):
-        return x
-    if isinstance(x, int):
-        return Ord.from_int(x)
-    raise TypeError(f"cannot treat {x!r} as an ordinal")
+    """x as an Ord: an Ord itself, or a natural number."""
+    return x if isinstance(x, Ord) else Ord.from_int(x)
 
 
 ZERO = Ord()
@@ -152,8 +149,7 @@ def nat_prod(a, b):
 def nat_pow(a, n):
     """Iterated natural product a (x) ... (x) a, n a natural number."""
     a = _coerce(a)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"exponent must be a natural number, got {n!r}")
+    natural(n, "exponent")
     out = ONE.form
     for _ in range(n):
         out = _prod(out, a.form)

@@ -225,6 +225,11 @@ def listing_lex_segment(e, bound):
     return normalize(m, (v for layer in layers for v in layer))
 
 
+def irreducible_component_ideal(dim, nu):
+    """The irreducible ideal m^nu: generated by pure powers x_i^(nu_i)."""
+    return normalize(dim, (unit_vec(dim, i, x) for i, x in enumerate(nu) if x))
+
+
 def split_decomposition(e):
     """The irreducible components of a nonzero proper ideal as the library
     once computed them: split a mixed generator g into x_i^(g_i) and the
@@ -433,6 +438,12 @@ def stepwise_macaulay_tops(a, d):
         prev = c
     assert rem == 0
     return tuple(tops)
+
+
+def macaulay_value(rep):
+    """The number a whose Macaulay representation is rep:
+    C(a_d, d) + ... + C(a_1, 1)."""
+    return sum(binomial(a, i) for a, i in zip(rep.tops, range(rep.d, 0, -1)))
 
 
 def stepwise_macaulay_next(a, d):

@@ -22,9 +22,10 @@ from monord import (BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord, binomial,
                     triangle_cmp)
 from monord.cli import main
 from monord.hilbert import N0Result
-from monord.ideal import _irr_contains, irreducible_component_ideal
-from oracles import (affine_ell, antichains, longest_downset_chain,
-                     max_decreasing_sequence, points_of_degree, points_up_to,
+from monord.ideal import _irr_contains
+from oracles import (affine_ell, antichains, irreducible_component_ideal,
+                     longest_downset_chain, max_decreasing_sequence,
+                     points_of_degree, points_up_to,
                      random_artinian_staircase, random_ideal,
                      random_wide_ideal, recurrence_ell, slice_counter,
                      stepwise_macaulay_next)

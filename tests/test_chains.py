@@ -122,6 +122,18 @@ class TestEll:
             ell(2, lambda i: 1, budget=3)
         assert ell(2, 1, budget=1) == 3
 
+    def test_budget_must_be_natural(self):
+        # a negative or float budget was spent at once and a string one
+        # raised TypeError
+        f = BoundFn.affine(3, 1)
+        for budget in (-1, 2.5, "9", True):
+            for run in (lambda: ell(2, f, budget=budget),
+                        lambda: t_bound(2, f, budget=budget),
+                        lambda: extremal_sequence(2, f, 5, budget=budget)):
+                with pytest.raises(DataError, match="budget"):
+                    run()
+        assert ell(2, 1, budget=0) == 3
+
 
 class TestAgainstTrieEngine:
     """The engine on closed-form bounds against the value-trie engine it

@@ -280,6 +280,11 @@ class TestChainbound:
         assert "budget of 10 units" in err and "--budget" in err
         assert "budget=" in err
 
+    def test_negative_budget(self, capsys):
+        code, out, err = run(capsys, ["chainbound", "--m", "2",
+                                      "--affine", "3,1", "--budget", "-5"])
+        assert (code, out) == (65, "") and "budget -5" in err
+
     def test_value_rows(self, capsys):
         code, out, _ = run(capsys, ["chainbound", "--m", "2",
                                     "--affine", "50,3"])

@@ -1,0 +1,49 @@
+"""The input contract: a bad argument to a public call raises DataError."""
+
+import pytest
+
+from monord import (OMEGA, ONE, BoundFn, DataError, DimensionMismatch,
+                    IVPoly, MonordError, Ord, TermOrder, dominance_cmp, ell,
+                    h_bound, hilbert_fn, minimizing_coefficients,
+                    multiset_leq, nat_pow, nat_sum, normalize,
+                    poly_from_a_sequence, psi_poly, slice_last)
+
+E = normalize(2, [(2, 0), (1, 1)])
+
+# each row was answered, or raised a builtin exception, before the checks
+# moved to the public boundary
+BAD_CALLS = {
+    "slice_last float index": lambda: slice_last(E, 0.5),
+    "psi_poly m = 0": lambda: psi_poly(IVPoly((1,)), 0),
+    "psi_poly bool m": lambda: psi_poly(IVPoly((1,)), True),
+    "hilbert_fn float degree": lambda: hilbert_fn(E, 2.5),
+    "hilbert_fn str degree": lambda: hilbert_fn(E, "2"),
+    "hilbert_fn bool degree": lambda: hilbert_fn(E, True),
+    "h_bound float s": lambda: h_bound(2.5, 2),
+    "poly_from_a_sequence float": lambda: poly_from_a_sequence([1.5]),
+    "minimizing_coefficients float coordinate":
+        lambda: minimizing_coefficients(IVPoly((1.5,)), 2),
+    "nat_sum str operand": lambda: nat_sum(OMEGA, "x"),
+    "dominance_cmp int operand": lambda: dominance_cmp(IVPoly((1,)), 3),
+    "Ord bool coefficient": lambda: Ord(((ONE, True),)),
+    "nat_pow bool exponent": lambda: nat_pow(OMEGA, True),
+    "affine bool p": lambda: BoundFn.affine(True, 1),
+    "from_table bool value": lambda: BoundFn.from_table([True]),
+    "callable bound returns bool": lambda: ell(2, lambda i: True),
+    "matrix float entry": lambda: TermOrder("matrix", ((1.5, 1),)),
+    "matrix of lists": lambda: TermOrder("matrix", [[1, 0], [0, 1]]),
+    "multiset_leq mixed dimensions":
+        lambda: multiset_leq([(1, 0)], [(1, 0), (1, 0, 0)]),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS)
+def test_bad_arguments_raise_data_error(call):
+    with pytest.raises(DataError):
+        call()
+
+
+def test_data_error_is_a_value_error():
+    assert issubclass(DataError, MonordError)
+    assert issubclass(DataError, ValueError)
+    assert issubclass(DimensionMismatch, DataError)

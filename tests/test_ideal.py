@@ -15,9 +15,9 @@ from monord import (DEGLEX, DataError, DimensionMismatch, MonomialIdeal,
                     ideal_intersect, ideal_sum, irreducible_decomposition,
                     is_bad_sequence, kb_cmp, normalize, slice_last, term_cmp,
                     unit_ideal, zero_ideal)
-from monord.ideal import _checked_ideal, irreducible_component_ideal
-from oracles import (in_ideal, points_up_to, random_ideal, random_wide_ideal,
-                     split_decomposition)
+from monord.ideal import _checked_ideal
+from oracles import (in_ideal, irreducible_component_ideal, points_up_to,
+                     random_ideal, random_wide_ideal, split_decomposition)
 
 
 class TestNormalize:

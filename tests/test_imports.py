@@ -1,10 +1,13 @@
-"""What importing monord loads: the lazy package and the CLI's start cost.
+"""What importing monord loads: the lazy package and the CLI's start cost,
+and what its modules raise.
 
 Each check that needs a fresh interpreter runs in a subprocess, so the
 modules this test process has loaded do not count and its monord is left
 as it was.
 """
 
+import ast
+import builtins
 import json
 import os
 import subprocess
@@ -171,3 +174,25 @@ class TestCliStartCost:
         assert got_code == code
         assert not {f"monord.{m}" for m in absent} & set(loaded)
         assert not dataclasses
+
+
+def test_modules_raise_no_builtin_exceptions():
+    """Every public call raises a MonordError on bad input; the one builtin
+    exception a module may raise is AttributeError, for writes to an
+    immutable object and for missing module attributes."""
+    found = []
+    package = os.path.join(SRC, "monord")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if (isinstance(exc, ast.Name) and exc.id != "AttributeError"
+                    and isinstance(getattr(builtins, exc.id, None), type)
+                    and issubclass(getattr(builtins, exc.id), BaseException)):
+                found.append(f"{name}:{node.lineno} raises {exc.id}")
+    assert not found

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 from monord import (DataError, IVPoly, binomial, dominance_cmp, from_samples,
                     is_osequence, macaulay_next, macaulay_rep)
 from monord.ivpoly import binom_poly
-from oracles import (binomial_from_samples, sampled_binom_poly, shift,
-                     stepwise_macaulay_next, stepwise_macaulay_tops)
+from oracles import (binomial_from_samples, macaulay_value,
+                     sampled_binom_poly, shift, stepwise_macaulay_next,
+                     stepwise_macaulay_tops)
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=5)
 
@@ -140,13 +141,13 @@ class TestMacaulayRep:
         # the stepwise greedy takes O(a) binomials for d = 1
         assert macaulay_rep(10 ** 12, 1).tops == (10 ** 12,)
         rep = macaulay_rep(10 ** 100, 50)
-        assert rep.value() == 10 ** 100
+        assert macaulay_value(rep) == 10 ** 100
         assert all(x > y for x, y in zip(rep.tops, rep.tops[1:]))
 
     @given(st.integers(1, 10 ** 6), st.integers(1, 8))
     def test_reconstructs(self, a, d):
         rep = macaulay_rep(a, d)
-        assert rep.value() == a
+        assert macaulay_value(rep) == a
         assert all(x > y for x, y in zip(rep.tops, rep.tops[1:]))
         assert rep.tops[-1] >= 0
 
