@@ -12,7 +12,7 @@ from math import comb, inf
 from operator import le
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, DataError, natural
+from .errors import Budget, DataError, natural
 from .ideal import _checked_ideal, check_dim
 from .ivpoly import IVPoly, from_samples
 from .monom import check_same_dim, points_of_degree
@@ -20,25 +20,12 @@ from .monom import check_same_dim, points_of_degree
 DEFAULT_BUDGET = 1_000_000
 
 
-class _Budget:
-    """One unit per recursion step plus one per byte of the offset its bound
-    is shifted by, so that it bounds the size of the values built, one per
-    value a callable bound adds to its table and one per h_m sample."""
-
-    def __init__(self, limit=None):
-        self.limit = (DEFAULT_BUDGET if limit is None
-                      else natural(limit, "budget"))
-        self.spent = 0
-
-    def charge(self, units):
-        if self.spent + units > self.limit:
-            raise BudgetExceeded(
-                f"budget of {self.limit} units exhausted, {self.spent} spent "
-                f"(raise it with budget= or --budget)", spent=self.spent)
-        self.spent += units
-
-    def step(self, off):
-        self.charge(1 + (off.bit_length() + 7) // 8)
+def _step(budget, off):
+    """Charge one recursion step: one unit plus one per byte of the offset
+    its bound is shifted by, so that the budget bounds the size of the
+    values built.  The chains also charge one unit per value a callable
+    bound adds to its table and one per h_m sample."""
+    budget.charge(1 + (off.bit_length() + 7) // 8)
 
 
 class BoundFn:
@@ -124,7 +111,7 @@ def ell(m, f, budget=None):
     """
     f = as_bound_fn(f)
     check_dim(m)
-    return _ell(m, f, 0, 0, _Budget(budget))
+    return _ell(m, f, 0, 0, Budget(budget, DEFAULT_BUDGET))
 
 
 def _ell(m, f, off, k, budget):
@@ -135,7 +122,7 @@ def _ell(m, f, off, k, budget):
         return comb(f0 + m, m)
     out = 1
     for i in range(1, f0 + 1):
-        budget.step(out)
+        _step(budget, out)
         out += _ell(m - 1, f, off + out, k - f0 + i, budget)
     return out
 
@@ -150,7 +137,7 @@ def extremal_sequence(m, f, cap, budget=None):
     f = as_bound_fn(f)
     check_dim(m)
     natural(cap, "cap")
-    budget = _Budget(budget)
+    budget = Budget(budget, DEFAULT_BUDGET)
     v, seq = [f._at(0, budget)] + [0] * (m - 1), []
     while len(seq) < cap:
         head, last = tuple(v[:-1]), v[-1]
@@ -159,7 +146,7 @@ def extremal_sequence(m, f, cap, budget=None):
         i = next((i for i in range(m - 2, -1, -1) if v[i]), None)
         if i is None or len(seq) == cap:
             break
-        budget.step(len(seq))
+        _step(budget, len(seq))
         v[i] -= 1
         v[i + 1:] = [0] * (m - i - 1)
         v[i + 1] = f._at(len(seq), budget) - sum(v[:i + 1])
@@ -181,7 +168,7 @@ def t_bound(m, f, budget=None):
     samples of h_bound, each charged before it is taken."""
     f = as_bound_fn(f)
     check_dim(m)
-    budget = _Budget(budget)
+    budget = Budget(budget, DEFAULT_BUDGET)
 
     def h(s):
         budget.charge(1)

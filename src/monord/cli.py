@@ -7,6 +7,12 @@ less/equal/greater so shell pipelines can branch without parsing output.
 Each subcommand imports the engine modules it uses when it runs, so a
 process pays only for its own: ``ordinal-eval`` loads ``ordinal`` alone,
 and ``normalize`` loads ``monom`` and ``ideal``.
+
+``hilbert`` streams its H and h lists, a chunk at a time, so it needs
+memory for the ideal and one chunk however long its window is.  One budget
+type (``errors.Budget``) serves the two commands that take ``--budget``:
+``chainbound`` spends it on the chain bounds' units, ``hilbert`` on the
+bytes of the two lists, charged before the first byte is written.
 """
 
 from __future__ import annotations
@@ -14,14 +20,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import accumulate
+from collections.abc import Iterator
+from itertools import islice
 
-from .errors import BudgetExceeded, DataError, MonordError, ParseError
+from .errors import Budget, BudgetExceeded, DataError, MonordError, ParseError
 
 EX_OK = 0
 EX_USAGE = 64
 EX_DATA = 65
 EX_RESOURCE = 69
+
+WINDOW_BUDGET = 2 ** 27  # bytes of H and h that ``hilbert`` prints by default
+CHUNK = 4096  # values of a streamed list per write
 
 
 def _nat(digits, message, line):
@@ -171,6 +181,9 @@ def build_parser():
 
     p = add("hilbert", "Hilbert data, psi, height, n0")
     p.add_argument("file")
+    p.add_argument("--budget", type=int, default=None,
+                   help="bytes the H and h lists may take "
+                        f"(default {WINDOW_BUDGET})")
 
     p = add("decompose", "irreducible decomposition")
     p.add_argument("file")
@@ -211,6 +224,33 @@ def _emit(args, payload, text):
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _json_parts(payload):
+    """What ``_emit`` prints for ``payload`` in JSON mode, as parts for
+    _write_parts: each Iterator value stays one part, for its items."""
+    parts = ["{\n"]
+    for i, key in enumerate(sorted(payload)):
+        lead, value = ",\n" if i else "", payload[key]
+        if isinstance(value, Iterator):
+            parts += [f"{lead}  {json.dumps(key)}: [\n    ", value, "\n  ]"]
+        else:  # the lines of one key, as json.dumps nests them
+            parts.append(lead + json.dumps({key: value}, indent=2)[2:-2])
+    return parts + ["\n}\n"]
+
+
+def _write_parts(parts, sep):
+    """Write text parts to stdout.  An Iterator part is the items of a list
+    of ints, joined by ``sep``; it is written CHUNK items at a time, so it
+    is never held whole."""
+    out = sys.stdout
+    for part in parts:
+        if not isinstance(part, Iterator):
+            out.write(part)
+            continue
+        out.write(sep.join(map(str, islice(part, CHUNK))))
+        while chunk := sep.join(map(str, islice(part, CHUNK))):
+            out.write(sep + chunk)
+
+
 def cmd_normalize(args):
     e = load_ideal(args.file)
     _emit(args, ideal_json(e), format_ideal(e))
@@ -248,28 +288,29 @@ def cmd_compare(args):
 def cmd_hilbert(args):
     from . import hilbert
     from .ordinal import format_ordinal
+    budget = Budget(args.budget, WINDOW_BUDGET)
     e = load_ideal(args.file)
     prof = hilbert.hilbert_profile(e)
-    p, t = prof.p, prof.threshold
-    hs = [hilbert._hilbert_value(prof.numerator, e.dim, n)
-          for n in range(t + 2 * e.dim + 1)]
-    cum = list(accumulate(hs))
-    payload = {
-        "H": hs,
-        "h": cum,
-        "p": list(p.coeffs),
-        "threshold": t,
-        "c": list(prof.c) if prof.c is not None else None,
-        "psi": format_ordinal(prof.psi),
-        "phi": prof.phi,
-        "n0": prof.n0,
-        "height": format_ordinal(prof.psi),
-    }
-    text = (f"p = {p}\nthreshold = {t}\nH = {hs}\nh = {cum}\n"
-            f"c = {payload['c']}\npsi = {payload['psi']}\n"
-            f"phi = {payload['phi']}\nn0 = {payload['n0']}\n"
-            f"height = {payload['height']}\n")
-    _emit(args, payload, text)
+    m, num, p, t = e.dim, prof.numerator, prof.p, prof.threshold
+    size = t + 2 * m + 1
+    # H >= 0 and h is nondecreasing, so no value of either list is above
+    # h(size - 1); each takes its digits and, in JSON, 6 bytes of indent,
+    # comma and newline
+    digits = len(str(hilbert._hilbert_value(num, m + 1, size - 1)))
+    budget.charge(2 * size * (digits + 6))
+    H = hilbert._hilbert_prefix(num, m, size)
+    h = hilbert._hilbert_prefix(num, m + 1, size)
+    c = list(prof.c) if prof.c is not None else None
+    psi = format_ordinal(prof.psi)
+    if args.json:
+        _write_parts(_json_parts({
+            "H": H, "h": h, "p": list(p.coeffs), "threshold": t, "c": c,
+            "psi": psi, "phi": prof.phi, "n0": prof.n0, "height": psi,
+        }), ",\n    ")
+    else:
+        _write_parts([f"p = {p}\nthreshold = {t}\nH = [", H, "]\nh = [", h,
+                      f"]\nc = {c}\npsi = {psi}\nphi = {prof.phi}\n"
+                      f"n0 = {prof.n0}\nheight = {psi}\n"], ", ")
     return EX_OK
 
 

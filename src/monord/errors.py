@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and its one input check."""
+"""Exception types shared across the library, its one input check and its
+one budget type."""
 
 
 class MonordError(Exception):
@@ -34,8 +35,10 @@ class DimensionMismatch(DataError):
 
 
 class BudgetExceeded(MonordError):
-    """A computation ran out of its budget of units: loop steps, bytes of
-    the values it builds, bound values read and samples taken."""
+    """A computation ran out of its Budget.  One budget type serves both
+    places that need one: the chain bounds count loop steps, bytes of the
+    values they build, bound values read and samples taken, and
+    ``monord hilbert`` counts the bytes of the H and h lists it prints."""
 
     def __init__(self, message, spent=None):
         self.spent = spent
@@ -53,3 +56,22 @@ def natural(x, what, least=0):
     if type(x) is not int:
         raise DataError(f"{what} {x!r} is not an integer, so not {need}")
     raise DataError(f"{what} {x} is not {need}")
+
+
+class Budget:
+    """A limit of ``limit`` units, ``default`` when limit is None, and the
+    units spent against it so far."""
+
+    def __init__(self, limit, default):
+        self.limit = default if limit is None else natural(limit, "budget")
+        self.spent = 0
+
+    def charge(self, units):
+        """Spend ``units``, or raise BudgetExceeded, spending none, when
+        they do not fit."""
+        if self.spent + units > self.limit:
+            raise BudgetExceeded(
+                f"budget of {self.limit} units exhausted: {self.spent} spent, "
+                f"{units} more asked (raise it with budget= or --budget)",
+                spent=self.spent)
+        self.spent += units

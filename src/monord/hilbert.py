@@ -16,6 +16,7 @@ the ideal with p_E.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate, repeat
 from math import comb
 from typing import NamedTuple
 
@@ -82,6 +83,20 @@ def _hilbert_value(num, m, n):
     the same numerator in one more variable.
     """
     return sum(c * comb(n - k + m - 1, m - 1) for k, c in num if k <= n)
+
+
+def _hilbert_prefix(num, m, size):
+    """H(0), ..., H(size - 1) as an iterator: the coefficients of
+    N(t) / (1 - t)^m are N's, densified, under m running sums.  With m + 1
+    for m it gives h(0), ..., h(size - 1), as _hilbert_value does.
+
+    The sums are chained C-level iterators, so the prefix costs m additions
+    per degree and holds m partial sums, however long it is.
+    """
+    values = map(dict(num).get, range(size), repeat(0))
+    for _ in range(m):
+        values = accumulate(values)
+    return values
 
 
 def _samuel_poly(num, m):
@@ -308,10 +323,8 @@ def lex_segment_ideal(e, bound):
     natural(bound, "degree bound")
     if any(degree(g) > bound for g in e.gens):
         raise DataError(f"bound {bound} is below a generator degree")
-    num = _numerator(e)
     gens, r = [], 1
-    for n in range(bound + 1):
-        h = _hilbert_value(num, m, n)
+    for n, h in enumerate(_hilbert_prefix(_numerator(e), m, bound + 1)):
         gens += points_of_degree(m, n, h, r)
         r = m * h if n == 0 else macaulay_next(h, n)
     return _checked_ideal(m, tuple(gens))

@@ -9,7 +9,7 @@ commutative image (bipartite matching), and multiset.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, islice
+from math import comb
 from operator import le
 
 from .errors import DataError, DimensionMismatch
@@ -59,11 +59,34 @@ def unit_vec(m, i, scale=1):
 def points_of_degree(m, n, start=0, stop=None):
     """Degree-n points of N^m in increasing lex order, by stars and bars:
     the gaps between m - 1 bars, listed in lex order, in n + m - 1 slots.
-    Only those of lex rank in [start, stop) are built."""
-    ends = (n + m - 1,)
-    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + ends))
-            for bars in islice(combinations(range(n + m - 1), m - 1),
-                               start, stop)]
+    Only those of lex rank in [start, stop) are built, so the cost is the
+    output's: the bars at rank ``start`` are unranked (the combinatorial
+    number system), and each later point is the lex successor of the last.
+    """
+    slots, k = n + m - 1, m - 1
+    total = comb(slots, k)
+    stop = total if stop is None else min(stop, total)
+    if start >= stop:
+        return []
+    bars, r, c = [], start, 0
+    for left in range(k, 0, -1):  # bars left to place, this one included
+        while r >= (q := comb(slots - c - 1, left - 1)):
+            r, c = r - q, c + 1
+        bars.append(c)
+        c += 1
+    out = [_gaps(bars, slots)]
+    for _ in range(stop - start - 1):
+        i = k - 1
+        while bars[i] == slots - k + i:  # the last bar that can move
+            i -= 1
+        bars[i:] = range(bars[i] + 1, bars[i] + 1 + k - i)
+        out.append(_gaps(bars, slots))
+    return out
+
+
+def _gaps(bars, slots):
+    """The point whose stars and bars put the bars at ``bars``."""
+    return tuple(b - a - 1 for a, b in zip([-1] + bars, bars + [slots]))
 
 
 class TermOrder:

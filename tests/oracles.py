@@ -6,14 +6,16 @@ be checked against.
 """
 
 import itertools
+import json
 import random
 from functools import lru_cache
 from math import comb, factorial
 
-from monord import (DataError, IVPoly, binomial, divides, from_samples,
-                    hilbert_fn, macaulay_next, normalize, phi_poly)
+from monord import (DataError, IVPoly, binomial, divides, format_ordinal,
+                    from_samples, hilbert_fn, hilbert_profile, macaulay_next,
+                    normalize, phi_poly)
 from monord.chains import as_bound_fn
-from monord.hilbert import _realizable
+from monord.hilbert import _hilbert_value, _realizable
 from monord.monom import unit_vec
 
 
@@ -223,6 +225,35 @@ def listing_lex_segment(e, bound):
                         f"bound {bound} too small: layer {n} does not "
                         "extend upward")
     return normalize(m, (v for layer in layers for v in layer))
+
+
+def listing_hilbert_output(e, as_json):
+    """What ``monord hilbert`` printed when it built H and h as lists: H
+    from one _hilbert_value per degree of the window 0..t + 2m, h its
+    running sums, and the whole payload through json.dumps or one f-string.
+    """
+    prof = hilbert_profile(e)
+    p, t = prof.p, prof.threshold
+    hs = [_hilbert_value(prof.numerator, e.dim, n)
+          for n in range(t + 2 * e.dim + 1)]
+    cum = list(itertools.accumulate(hs))
+    payload = {
+        "H": hs,
+        "h": cum,
+        "p": list(p.coeffs),
+        "threshold": t,
+        "c": list(prof.c) if prof.c is not None else None,
+        "psi": format_ordinal(prof.psi),
+        "phi": prof.phi,
+        "n0": prof.n0,
+        "height": format_ordinal(prof.psi),
+    }
+    if as_json:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return (f"p = {p}\nthreshold = {t}\nH = {hs}\nh = {cum}\n"
+            f"c = {payload['c']}\npsi = {payload['psi']}\n"
+            f"phi = {payload['phi']}\nn0 = {payload['n0']}\n"
+            f"height = {payload['height']}\n")
 
 
 def irreducible_component_ideal(dim, nu):

@@ -1,6 +1,7 @@
 """End-to-end acceptance checks: exact closed forms, oracle comparisons,
 and order axioms at scale.  Each test prints one pass/fail line."""
 
+import json
 import random
 import time
 from functools import cmp_to_key
@@ -10,7 +11,8 @@ import numpy as np
 
 from monord import (BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord, binomial,
                     bounds_report, cmp, cone, direct_sum, dominance_cmp, ell,
-                    extremal_sequence, h_bound, height, hilbert_fn,
+                    extremal_sequence, format_ordinal, h_bound, height,
+                    hilbert_fn,
                     hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
                     ideal_intersect, ideal_sum,
                     irreducible_decomposition, is_bad_sequence, is_osequence,
@@ -24,6 +26,7 @@ from monord.cli import main
 from monord.hilbert import N0Result
 from monord.ideal import _irr_contains
 from oracles import (affine_ell, antichains, irreducible_component_ideal,
+                     listing_hilbert_output,
                      longest_downset_chain, max_decreasing_sequence,
                      points_of_degree, points_up_to,
                      random_artinian_staircase, random_ideal,
@@ -569,3 +572,58 @@ def test_criterion_21_lex_ranks_and_lex_successors(capsys, tmp_path,
 
     report(capsys, 21, "t_bound at m=400 charges its samples", body,
            limit=0.05)
+
+
+def test_criterion_22_hilbert_streams_its_window(capsys, tmp_path,
+                                                 cli_child):
+    # monord hilbert built H and h as lists: in a 64 MB child
+    # (x1^10^6, x2, x3) ran out of memory after 2.3 s and
+    # (x1^10^8, x2, x3) after 10.6 s
+    big = tmp_path / "big.ideal"
+    big.write_text("dim 3\nx1^1000000\nx2\nx3\n")
+    huge = tmp_path / "huge.ideal"
+    huge.write_text("dim 3\nx1^100000000\nx2\nx3\n")
+    holder = []
+
+    def body():
+        holder.append(cli_child(["hilbert", "--json", big], 64))
+
+    report(capsys, 22, "hilbert (x1^10^6, x2, x3) in a 64 MB child", body,
+           limit=2.0)
+    res = holder[-1]
+    assert (res.returncode, res.stderr) == (0, "")
+    data = json.loads(res.stdout)
+    e = normalize(3, [(10 ** 6, 0, 0), (0, 1, 0), (0, 0, 1)])
+    p, t = hilbert_samuel_poly(e)
+    assert (data["p"], data["threshold"], data["psi"]) == (
+        list(p.coeffs), t, format_ordinal(psi_ideal(e)))
+    # x1^n is the one point of degree n outside, for n < 10^6
+    assert data["H"] == [1] * 10 ** 6 + [0] * 9
+    assert data["h"] == list(range(1, 10 ** 6)) + [10 ** 6] * 10
+    assert len(data["H"]) == len(data["h"]) == 1_000_009
+    del data
+
+    def body():
+        holder.append(cli_child(["hilbert", "--json", huge], 64))
+
+    report(capsys, 22, "hilbert (x1^10^8, x2, x3) refused by the budget",
+           body, limit=1.0)
+    res = holder[-1]
+    assert (res.returncode, res.stdout) == (69, "")
+    assert "budget of 134217728 units" in res.stderr
+    assert "--budget" in res.stderr
+
+    # the charge is 2 * (t + 2m + 1) * (digits of h(t + 2m) + 6) bytes
+    mid = tmp_path / "mid.ideal"
+    mid.write_text("dim 3\nx1^1000\nx2\nx3\n")
+    e = normalize(3, [(1000, 0, 0), (0, 1, 0), (0, 0, 1)])
+    size = threshold(e) + 2 * e.dim + 1
+    charge = 2 * size * (len(str(hilbert_samuel_fn(e, size - 1))) + 6)
+    for as_json in (True, False):
+        flag = ["--json"] * as_json
+        res = cli_child(["hilbert", *flag, "--budget", charge, mid], 64)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == listing_hilbert_output(e, as_json)
+        res = cli_child(["hilbert", *flag, "--budget", charge - 1, mid], 64)
+        assert (res.returncode, res.stdout) == (69, "")
+        assert f"{charge} more asked" in res.stderr

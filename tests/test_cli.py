@@ -12,7 +12,7 @@ from monord import (MonomialIdeal, MonordError, ParseError, cli, hilbert,
                     ideal, normalize, unit_ideal, zero_ideal)
 from monord.cli import main, parse_ideal_text, parse_point
 from monord.ordinal import MAX_NESTING
-from oracles import affine_ell, random_ideal
+from oracles import affine_ell, listing_hilbert_output, random_ideal
 
 
 def write(tmp_path, name, text):
@@ -197,6 +197,53 @@ class TestHilbert:
             assert code == 0
             assert h == [hilbert.hilbert_samuel_fn(e, s)
                          for s in range(len(h))]
+
+
+    @pytest.mark.parametrize("chunk", [cli.CHUNK, 1, 3])
+    def test_streams_what_the_lists_printed(self, capsys, tmp_path,
+                                            monkeypatch, chunk):
+        # H and h were built as lists and printed whole; they are written
+        # a chunk at a time now, and every byte must stay as it was
+        default = cli.CHUNK
+        monkeypatch.setattr(cli, "CHUNK", chunk)
+        rng = random.Random(12)
+        ideals = [normalize(2, [(2, 0), (1, 1), (0, 2)]), zero_ideal(2),
+                  unit_ideal(3)] + [
+            random_ideal(rng, rng.randint(1, 4), 5, 4, allow_zero=True,
+                         allow_unit=True) for _ in range(25)]
+        rng = random.Random(1717)
+        ideals += [zero_ideal(m) for m in range(1, 5)]
+        ideals += [unit_ideal(m) for m in range(1, 5)]
+        ideals += [random_ideal(rng, rng.randint(1, 4), 7, 6, allow_zero=True,
+                                allow_unit=True) for _ in range(40)]
+        if chunk == default:  # windows of CHUNK - 1 to 2 CHUNK + 1 values
+            ideals += [normalize(2, [(k, 0), (0, 1)]) for k in (
+                chunk - 7, chunk - 6, chunk - 5, 2 * chunk - 6,
+                2 * chunk - 5)]
+        for i, e in enumerate(ideals):
+            path = write(tmp_path, f"{i}.ideal", cli.format_ideal(e))
+            for as_json in (True, False):
+                code, out, err = run(capsys, ["hilbert", path]
+                                     + ["--json"] * as_json)
+                assert (code, err) == (0, "")
+                assert out == listing_hilbert_output(e, as_json), (e, as_json)
+
+    def test_budget_exceeded(self, capsys, tmp_path):
+        # (x1^2, x2) has threshold 3, so H and h have 8 values each, none
+        # above h(7) = 2: 2 * 8 * (1 + 6) bytes, 6 for indent and separator
+        path = write(tmp_path, "a.ideal", "dim 2\nx1^2\nx2\n")
+        code, out, err = run(capsys, ["hilbert", path, "--budget", "111"])
+        assert (code, out) == (69, "")
+        assert err == ("error: budget of 111 units exhausted: 0 spent, 112 "
+                       "more asked (raise it with budget= or --budget)\n")
+        code, out, _ = run(capsys, ["hilbert", path, "--budget", "112"])
+        assert (code, out) == (0, listing_hilbert_output(
+            normalize(2, [(2, 0), (0, 1)]), False))
+
+    def test_negative_budget(self, capsys, tmp_path):
+        path = write(tmp_path, "a.ideal", "dim 2\nx1^2\nx2\n")
+        code, out, err = run(capsys, ["hilbert", path, "--budget", "-1"])
+        assert (code, out) == (65, "") and "budget -1" in err
 
 
 class TestDecompose:

@@ -2,11 +2,12 @@
 
 import pytest
 
-from monord import (OMEGA, ONE, BoundFn, DataError, DimensionMismatch,
-                    IVPoly, MonordError, Ord, TermOrder, dominance_cmp, ell,
-                    h_bound, hilbert_fn, minimizing_coefficients,
-                    multiset_leq, nat_pow, nat_sum, normalize,
-                    poly_from_a_sequence, psi_poly, slice_last)
+from monord import (OMEGA, ONE, BoundFn, BudgetExceeded, DataError,
+                    DimensionMismatch, IVPoly, MonordError, Ord, TermOrder,
+                    dominance_cmp, ell, h_bound, hilbert_fn,
+                    minimizing_coefficients, multiset_leq, nat_pow, nat_sum,
+                    normalize, poly_from_a_sequence, psi_poly, slice_last)
+from monord.errors import Budget
 
 E = normalize(2, [(2, 0), (1, 1)])
 
@@ -47,3 +48,20 @@ def test_data_error_is_a_value_error():
     assert issubclass(DataError, MonordError)
     assert issubclass(DataError, ValueError)
     assert issubclass(DimensionMismatch, DataError)
+
+
+def test_budget():
+    budget = Budget(None, 5)
+    budget.charge(3)
+    with pytest.raises(BudgetExceeded) as exc:
+        budget.charge(3)
+    # a refused charge spends nothing; the message names the limit, the
+    # amount spent and asked, and the knob
+    assert exc.value.spent == budget.spent == 3
+    assert str(exc.value) == ("budget of 5 units exhausted: 3 spent, 3 more "
+                              "asked (raise it with budget= or --budget)")
+    budget.charge(2)
+    assert Budget(0, 5).limit == 0
+    for limit in (-1, 2.5, "9", True):
+        with pytest.raises(DataError, match="budget"):
+            Budget(limit, 5)

@@ -1,6 +1,7 @@
 """Hilbert functions, Hilbert-Samuel polynomials, psi, n0, lex segments."""
 
 import random
+import time
 from functools import cmp_to_key
 
 import pytest
@@ -453,6 +454,15 @@ class TestLexSegment:
                 for bound in (0, 1, 3):
                     assert lex_segment_ideal(e, bound) == \
                         listing_lex_segment(e, bound)
+
+    def test_high_dimension_costs_what_it_builds(self):
+        # each degree walked past its first H(n) combinations: 1.2 s for
+        # two generators at dim 300 and degree 3
+        e = normalize(300, [(2,) + (0,) * 299, (0, 1) + (0,) * 298])
+        start = time.perf_counter()
+        seg = lex_segment_ideal(e, 3)
+        assert time.perf_counter() - start < 0.1
+        assert seg.gens == ((1,) + (0,) * 299, (0, 2) + (0,) * 298)
 
     def test_preserves_hilbert_function(self):
         rng = random.Random(83)

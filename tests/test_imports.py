@@ -165,6 +165,8 @@ class TestCliStartCost:
         (["compare", "--order", "mintype", "a.ideal", "b.ideal"], 12,
          {"chains"}),
         (["hilbert", "a.ideal"], 0, {"chains", "orderings"}),
+        (["hilbert", "--budget", "1000", "a.ideal"], 0,
+         {"chains", "orderings"}),
         (["lexify", "a.ideal", "--degree", "4"], 0, {"chains", "orderings"}),
         (["chainbound", "--m", "2", "--affine", "2,1"], 0,
          {"hilbert", "orderings", "ordinal"}),

@@ -44,6 +44,23 @@ class TestPointsOfDegree:
                 assert points_of_degree(m, n) == recursive_points_of_degree(
                     m, n), (m, n)
 
+    def test_rank_windows_match_the_listing(self):
+        # the points of lex rank in [start, stop) were reached with islice
+        # over every combination before start; they are unranked now
+        rng = random.Random(59)
+        cases = 0
+        for m in range(1, 7):
+            for n in range(8):
+                listing = recursive_points_of_degree(m, n)
+                for _ in range(40):
+                    start = rng.randint(0, len(listing) + 2)
+                    stop = rng.randint(0, len(listing) + 3)
+                    assert points_of_degree(m, n, start, stop) == \
+                        listing[start:stop], (m, n, start, stop)
+                    assert points_of_degree(m, n, start) == listing[start:]
+                    cases += 1
+        assert cases >= 1900
+
     def test_high_dimension(self):
         # the recursive listing ran out of frames near dim 1000
         pts = points_of_degree(1000, 1)
