@@ -5,8 +5,6 @@ sequence in N^m; it grows Ackermann-like in m, so every recursion here
 runs under an explicit budget rather than a value bound.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 from math import comb, inf
 from operator import le

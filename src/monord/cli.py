@@ -6,21 +6,24 @@ less/equal/greater so shell pipelines can branch without parsing output.
 
 Each subcommand imports the engine modules it uses when it runs, so a
 process pays only for its own: ``ordinal-eval`` loads ``ordinal`` alone,
-and ``normalize`` loads ``monom`` and ``ideal``.
+and ``normalize`` loads ``monom`` and ``ideal``.  It returns a (payload,
+text) pair, which ``main`` writes through ``_emit``, the one writer: the
+payload as JSON under ``--json``, else the text.  ``compare`` prints its
+own one-line trace instead, as its exit code is its answer.
 
-``hilbert`` streams its H and h lists, a chunk at a time, so it needs
-memory for the ideal and one chunk however long its window is.  One budget
-type (``errors.Budget``) serves the two commands that take ``--budget``:
-``chainbound`` spends it on the chain bounds' units, ``hilbert`` on the
-bytes of the two lists, charged before the first byte is written.
+``hilbert`` returns H and h as iterators, which ``_emit`` writes a chunk
+at a time, so it needs memory for the ideal and one chunk however long
+its window is.  One budget type (``errors.Budget``) serves the two
+commands that take ``--budget``: ``chainbound`` spends it on the chain
+bounds' units, ``hilbert`` on the bytes of the two lists, charged before
+the first byte is written.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
 import sys
 from collections.abc import Iterator
+from functools import reduce
 from itertools import islice
 
 from .errors import Budget, BudgetExceeded, DataError, MonordError, ParseError
@@ -128,8 +131,9 @@ def format_ideal(e):
     return "\n".join(lines) + "\n"
 
 
-def ideal_json(e):
-    return {"dim": e.dim, "gens": [list(g) for g in e.gens]}
+def _ideal_output(e):
+    """The (payload, text) pair of a subcommand that prints an ideal."""
+    return {"dim": e.dim, "gens": [list(g) for g in e.gens]}, format_ideal(e)
 
 
 def parse_term_order(spec):
@@ -158,46 +162,38 @@ def build_parser():
         description="Exact invariants and well-orderings of monomial ideals")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, *files):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
+        for file in files:
+            p.add_argument(file)
         return p
 
-    p = add("normalize", "canonicalize an ideal file")
-    p.add_argument("file")
+    add("normalize", "canonicalize an ideal file", "file")
 
-    p = add("contains", "membership test for one monomial")
-    p.add_argument("file")
+    p = add("contains", "membership test for one monomial", "file")
     p.add_argument("point", help="tuple '2 0 1' or monomial 'x1^2*x3'")
 
-    p = add("compare", "compare two ideals under a well-ordering")
+    p = add("compare", "compare two ideals under a well-ordering",
+            "file_a", "file_b")
     p.add_argument("--order", choices=("kb", "triangle", "mintype"),
                    required=True)
     p.add_argument("--term-order", default="deglex",
                    help="deglex | lex | matrix:FILE (kb only)")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
 
-    p = add("hilbert", "Hilbert data, psi, height, n0")
-    p.add_argument("file")
+    p = add("hilbert", "Hilbert data, psi, height, n0", "file")
     p.add_argument("--budget", type=int, default=None,
                    help="bytes the H and h lists may take "
                         f"(default {WINDOW_BUDGET})")
 
-    p = add("decompose", "irreducible decomposition")
-    p.add_argument("file")
+    add("decompose", "irreducible decomposition", "file")
 
-    p = add("lexify", "lex segment with the same Hilbert function")
-    p.add_argument("file")
+    p = add("lexify", "lex segment with the same Hilbert function", "file")
     p.add_argument("--degree", type=int, required=True)
 
-    p = add("cone", "extend by one variable")
-    p.add_argument("file")
-
-    p = add("directsum", "direct sum of two ideals")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
+    add("cone", "extend by one variable", "file")
+    add("directsum", "direct sum of two ideals", "file_a", "file_b")
 
     p = add("chainbound", "chain length bound ell / t_m")
     p.add_argument("--m", type=int, required=True)
@@ -218,58 +214,48 @@ def build_parser():
 
 
 def _emit(args, payload, text):
+    """Write ``payload`` under --json, as ``json.dumps(payload, indent=2,
+    sort_keys=True)`` lays it out, else ``text`` (a string or a list of
+    parts) ending in one newline.  An Iterator value or part is a list of
+    ints, written CHUNK items at a time, so it is never held whole."""
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        parts, sep = ["{\n"], ",\n    "
+        for i, key in enumerate(sorted(payload)):
+            lead, value = ",\n" if i else "", payload[key]
+            if isinstance(value, Iterator):
+                parts += [f"{lead}  {json.dumps(key)}: [\n    ", value,
+                          "\n  ]"]
+            else:  # the lines of one key, as json.dumps nests them
+                parts.append(lead + json.dumps({key: value}, indent=2,
+                                               sort_keys=True)[2:-2])
+        parts.append("\n}\n")
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
-
-
-def _json_parts(payload):
-    """What ``_emit`` prints for ``payload`` in JSON mode, as parts for
-    _write_parts: each Iterator value stays one part, for its items."""
-    parts = ["{\n"]
-    for i, key in enumerate(sorted(payload)):
-        lead, value = ",\n" if i else "", payload[key]
-        if isinstance(value, Iterator):
-            parts += [f"{lead}  {json.dumps(key)}: [\n    ", value, "\n  ]"]
-        else:  # the lines of one key, as json.dumps nests them
-            parts.append(lead + json.dumps({key: value}, indent=2)[2:-2])
-    return parts + ["\n}\n"]
-
-
-def _write_parts(parts, sep):
-    """Write text parts to stdout.  An Iterator part is the items of a list
-    of ints, joined by ``sep``; it is written CHUNK items at a time, so it
-    is never held whole."""
-    out = sys.stdout
+        parts, sep = [text] if isinstance(text, str) else text, ", "
+        parts = [*parts, "" if parts[-1].endswith("\n") else "\n"]
+    write = sys.stdout.write
     for part in parts:
-        if not isinstance(part, Iterator):
-            out.write(part)
-            continue
-        out.write(sep.join(map(str, islice(part, CHUNK))))
-        while chunk := sep.join(map(str, islice(part, CHUNK))):
-            out.write(sep + chunk)
+        if isinstance(part, Iterator):
+            write(sep.join(map(str, islice(part, CHUNK))))
+            while chunk := sep.join(map(str, islice(part, CHUNK))):
+                write(sep + chunk)
+        else:
+            write(part)
 
 
 def cmd_normalize(args):
-    e = load_ideal(args.file)
-    _emit(args, ideal_json(e), format_ideal(e))
-    return EX_OK
+    return _ideal_output(load_ideal(args.file))
 
 
 def cmd_contains(args):
     e = load_ideal(args.file)
-    v = parse_point(args.point, e.dim)
-    ans = e.contains(v)
-    _emit(args, {"contains": ans}, "true" if ans else "false")
-    return EX_OK
+    ans = e.contains(parse_point(args.point, e.dim))
+    return {"contains": ans}, "true" if ans else "false"
 
 
 def cmd_compare(args):
     from . import orderings
     from .monom import check_same_dim
-    a = load_ideal(args.file_a)
-    b = load_ideal(args.file_b)
+    a, b = load_ideal(args.file_a), load_ideal(args.file_b)
     check_same_dim(a.dim, b.dim)
     trace = {"order": args.order}
     if args.order == "kb":
@@ -279,8 +265,7 @@ def cmd_compare(args):
         c, trace["deciding_slice"] = orderings._triangle(a, b)
     else:
         c, trace["deciding_key"] = orderings._min_type(a, b)
-    word = {-1: "less", 0: "equal", 1: "greater"}[c]
-    trace["result"] = word
+    trace["result"] = {-1: "less", 0: "equal", 1: "greater"}[c]
     print(json.dumps(trace, sort_keys=True))
     return {-1: 10, 0: 11, 1: 12}[c]
 
@@ -294,62 +279,45 @@ def cmd_hilbert(args):
     m, num, p, t = e.dim, prof.numerator, prof.p, prof.threshold
     size = t + 2 * m + 1
     # H >= 0 and h is nondecreasing, so no value of either list is above
-    # h(size - 1); each takes its digits and, in JSON, 6 bytes of indent,
-    # comma and newline
-    digits = len(str(hilbert._hilbert_value(num, m + 1, size - 1)))
-    budget.charge(2 * size * (digits + 6))
+    # h(size - 1), which is p(size - 1) as size - 1 >= t; each takes its
+    # digits and, in JSON, 6 bytes of indent, comma and newline
+    budget.charge(2 * size * (len(str(p(size - 1))) + 6))
     H = hilbert._hilbert_prefix(num, m, size)
     h = hilbert._hilbert_prefix(num, m + 1, size)
     c = list(prof.c) if prof.c is not None else None
     psi = format_ordinal(prof.psi)
-    if args.json:
-        _write_parts(_json_parts({
-            "H": H, "h": h, "p": list(p.coeffs), "threshold": t, "c": c,
-            "psi": psi, "phi": prof.phi, "n0": prof.n0, "height": psi,
-        }), ",\n    ")
-    else:
-        _write_parts([f"p = {p}\nthreshold = {t}\nH = [", H, "]\nh = [", h,
-                      f"]\nc = {c}\npsi = {psi}\nphi = {prof.phi}\n"
-                      f"n0 = {prof.n0}\nheight = {psi}\n"], ", ")
-    return EX_OK
+    payload = {"H": H, "h": h, "p": list(p.coeffs), "threshold": t, "c": c,
+               "psi": psi, "phi": prof.phi, "n0": prof.n0, "height": psi}
+    return payload, [f"p = {p}\nthreshold = {t}\nH = [", H, "]\nh = [", h,
+                     f"]\nc = {c}\npsi = {psi}\nphi = {prof.phi}\n"
+                     f"n0 = {prof.n0}\nheight = {psi}\n"]
 
 
 def cmd_decompose(args):
     from .ideal import components_by_support, irreducible_decomposition
     e = load_ideal(args.file)
     comps = irreducible_decomposition(e)
-    by_support = components_by_support(e)
-    payload = {
-        "components": [list(nu) for nu in comps],
-        "by_support": {
-            ",".join(str(i + 1) for i in s): [list(v) for v in vs]
-            for s, vs in by_support.items()},
-    }
-    text = "\n".join(" ".join(str(x) for x in nu) for nu in comps) + "\n"
-    _emit(args, payload, text)
-    return EX_OK
+    groups = {",".join(str(i + 1) for i in s): [list(v) for v in vs]
+              for s, vs in components_by_support(e).items()}
+    return ({"components": [list(nu) for nu in comps], "by_support": groups},
+            "\n".join(" ".join(str(x) for x in nu) for nu in comps) + "\n")
 
 
 def cmd_lexify(args):
     from . import hilbert
-    e = load_ideal(args.file)
-    out = hilbert.lex_segment_ideal(e, args.degree)
-    _emit(args, ideal_json(out), format_ideal(out))
-    return EX_OK
+    return _ideal_output(hilbert.lex_segment_ideal(load_ideal(args.file),
+                                                   args.degree))
 
 
 def cmd_cone(args):
     from .ideal import cone
-    out = cone(load_ideal(args.file))
-    _emit(args, ideal_json(out), format_ideal(out))
-    return EX_OK
+    return _ideal_output(cone(load_ideal(args.file)))
 
 
 def cmd_directsum(args):
     from .ideal import direct_sum
-    out = direct_sum(load_ideal(args.file_a), load_ideal(args.file_b))
-    _emit(args, ideal_json(out), format_ideal(out))
-    return EX_OK
+    return _ideal_output(direct_sum(load_ideal(args.file_a),
+                                    load_ideal(args.file_b)))
 
 
 def cmd_chainbound(args):
@@ -358,10 +326,9 @@ def cmd_chainbound(args):
         p, q = (int(x) for x in args.affine.split(","))
     except ValueError:
         raise DataError(f"--affine expects 'p,q', got {args.affine!r}")
-    bound = chains.t_bound if args.tm else chains.ell
-    value = bound(args.m, chains.BoundFn.affine(p, q), budget=args.budget)
-    _emit(args, {"value": str(value)}, str(value))
-    return EX_OK
+    value = (chains.t_bound if args.tm else chains.ell)(
+        args.m, chains.BoundFn.affine(p, q), budget=args.budget)
+    return {"value": str(value)}, str(value)
 
 
 def cmd_bounds(args):
@@ -369,9 +336,7 @@ def cmd_bounds(args):
     from .ordinal import format_ordinal
     report = orderings.bounds_report(args.m)
     payload = {k: format_ordinal(v) for k, v in report.items()}
-    text = "".join(f"{k} = {v}\n" for k, v in payload.items())
-    _emit(args, payload, text)
-    return EX_OK
+    return payload, "".join(f"{k} = {v}\n" for k, v in payload.items())
 
 
 def cmd_ordinal_eval(args):
@@ -379,13 +344,9 @@ def cmd_ordinal_eval(args):
     vals = [parse_ordinal(x) for x in args.exprs]
     if args.op is None:
         out = [format_ordinal(v) for v in vals]
-        _emit(args, {"ordinals": out}, "\n".join(out) + "\n")
-        return EX_OK
-    acc = vals[0]
-    for v in vals[1:]:
-        acc = nat_sum(acc, v) if args.op == "sum" else nat_prod(acc, v)
-    _emit(args, {"ordinal": format_ordinal(acc)}, format_ordinal(acc))
-    return EX_OK
+        return {"ordinals": out}, "\n".join(out) + "\n"
+    acc = reduce(nat_sum if args.op == "sum" else nat_prod, vals)
+    return {"ordinal": format_ordinal(acc)}, format_ordinal(acc)
 
 
 COMMANDS = {
@@ -406,13 +367,16 @@ COMMANDS = {
 def main(argv=None):
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # the budget bounds value sizes
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else EX_OK
     try:
-        return COMMANDS[args.command](args)
+        out = COMMANDS[args.command](args)
+        if type(out) is int:  # compare: its exit code is its answer
+            return out
+        _emit(args, *out)
+        return EX_OK
     except BudgetExceeded as exc:
         message, code = str(exc), EX_RESOURCE
     except MemoryError:

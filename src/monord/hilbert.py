@@ -13,15 +13,14 @@ pivot recursion rather than by summing over the 2^n subsets, and kept on
 the ideal with p_E.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import accumulate, repeat
 from math import comb
 from typing import NamedTuple
 
 from .errors import DataError, natural
-from .ideal import _checked_ideal, _memo, check_dim, minimal_points, normalize
+from .ideal import (_checked_ideal, _memo, check_dim, check_ideal,
+                    minimal_points, normalize)
 from .ivpoly import IVPoly, binom_poly, macaulay_next
 from .monom import degree, points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
@@ -117,12 +116,14 @@ def threshold(e):
 
 def hilbert_fn(e, n):
     """H_E(n): the number of degree-n points of N^m outside E."""
-    return _hilbert_value(_numerator(e), e.dim, natural(n, "degree"))
+    return _hilbert_value(_numerator(check_ideal(e)), e.dim,
+                          natural(n, "degree"))
 
 
 def hilbert_samuel_fn(e, s):
     """h_E(s): the number of points of degree <= s outside E."""
-    return _hilbert_value(_numerator(e), e.dim + 1, natural(s, "degree"))
+    return _hilbert_value(_numerator(check_ideal(e)), e.dim + 1,
+                          natural(s, "degree"))
 
 
 def hilbert_samuel_poly(e):

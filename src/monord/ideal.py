@@ -5,8 +5,6 @@ points under divisibility, sorted by deglex.  The zero ideal is the empty
 antichain and the unit ideal is generated by the origin.
 """
 
-from __future__ import annotations
-
 from operator import le
 
 from .errors import DataError, natural
@@ -63,12 +61,12 @@ class MonomialIdeal:
 
     def __le__(self, other):
         """Containment: self is a subset of other."""
-        check_same_dim(self.dim, other.dim)
+        check_same_dim(self.dim, check_ideal(other).dim)
         return all(any(all(map(le, h, g)) for h in other.gens)
                    for g in self.gens)
 
     def __ge__(self, other):
-        return other <= self
+        return check_ideal(other) <= self
 
     def __str__(self):
         if self.is_zero():
@@ -88,6 +86,13 @@ def check_dim(dim):
     return dim
 
 
+def check_ideal(e):
+    """e, when it has an ideal's dim and gens; else a DataError."""
+    if not (hasattr(e, "dim") and hasattr(e, "gens")):
+        raise DataError(f"not a monomial ideal: {e!r}")
+    return e
+
+
 def check_point_in(dim, v):
     """check_point, and that v has dim coordinates."""
     check_point(v)
@@ -98,7 +103,10 @@ def check_point_in(dim, v):
 
 def normalize(dim, points):
     """The ideal generated by a finite set of points, each any sequence."""
-    return MonomialIdeal(dim, [tuple(p) for p in points])
+    try:
+        return MonomialIdeal(dim, [tuple(p) for p in points])
+    except TypeError:
+        raise DataError("normalize takes point sequences") from None
 
 
 def _checked_ideal(dim, gens):

@@ -5,8 +5,6 @@ C(T+i, i), so p(T) = sum b_i * C(T+i, i).  Every polynomial taking integer
 values on the integers has a unique such expansion with integer b_i.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -42,7 +40,13 @@ class IVPoly:
         return not self.coeffs
 
     def __call__(self, t):
-        return sum(b * binomial(t + i, i) for i, b in enumerate(self.coeffs))
+        if type(t) is not int:
+            raise DataError(f"polynomial argument {t!r} is not an integer")
+        value, c = 0, 1
+        for i, b in enumerate(self.coeffs):  # c = C(t+i, i), exactly
+            c = c * (t + i) // i if i else 1
+            value += b * c
+        return value
 
     def __eq__(self, other):
         return isinstance(other, IVPoly) and self.coeffs == other.coeffs

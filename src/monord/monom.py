@@ -6,8 +6,6 @@ embedding quasi-orders used for ideal generators: subsequence (Higman),
 commutative image (bipartite matching), and multiset.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from math import comb
 from operator import le

@@ -7,8 +7,6 @@ sequences, and ``min_type_cmp`` sorts by the ordinal invariant first and
 breaks ties with the triangle order.
 """
 
-from __future__ import annotations
-
 from math import inf
 
 from .errors import DataError
@@ -33,9 +31,9 @@ def kb_cmp(e, f, order=DEGLEX):
 def _kb(e, f, order):
     """kb_cmp and the index of the deciding generator (None when the
     words agree on their common prefix), for ideals of one dimension."""
-    if not order.is_type_omega():
-        raise DataError(
-            f"{order.kind} order does not have type omega; KB needs one")
+    if not (hasattr(order, "is_type_omega") and order.is_type_omega()):
+        raise DataError(f"{getattr(order, 'kind', repr(order))} order does "
+                        "not have type omega; KB needs one")
     u = generator_word(e, order)
     v = generator_word(f, order)
     for i, (x, y) in enumerate(zip(u, v)):

@@ -10,14 +10,13 @@ orders needs.  An Ord wraps its *form*, the nested tuple
 tuple order on forms is the ordinal order.
 """
 
-from __future__ import annotations
-
 from functools import total_ordering
 
 from .errors import DataError, ParseError, natural
 
 # Parenthesised exponents nest at most this deep in parse_ordinal, so that
-# parsing and the recursive arithmetic stay far from Python's recursion limit.
+# parsing and the recursive arithmetic stay far from Python's recursion limit;
+# Ord(terms) and omega_pow refuse forms deeper than parse_ordinal builds.
 MAX_NESTING = 100
 
 
@@ -33,14 +32,23 @@ class Ord:
     __slots__ = ("form",)
 
     def __init__(self, terms=()):
-        terms = tuple(terms)
+        try:
+            terms = tuple((e, c) for e, c in terms)
+        except (TypeError, ValueError):
+            raise DataError(f"bad CNF terms {terms!r}") from None
         for i, (e, c) in enumerate(terms):
             if not isinstance(e, Ord):
                 raise DataError(f"bad CNF term {terms[i]!r}")
             natural(c, "bad CNF term: coefficient", 1)
             if i > 0 and terms[i - 1][0].form <= e.form:
                 raise DataError("CNF exponents must strictly decrease")
-        object.__setattr__(self, "form", tuple((e.form, c) for e, c in terms))
+        form = tuple((e.form, c) for e, c in terms)
+        depth, g = 0, form
+        while g:  # a larger ordinal never nests less deeply
+            depth, g = depth + 1, g[0][0]
+        if depth > MAX_NESTING + 3:  # w^( MAX_NESTING times, then w^w
+            raise DataError(f"ordinal nests deeper than {MAX_NESTING + 3}")
+        object.__setattr__(self, "form", form)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ord is immutable")
@@ -158,7 +166,7 @@ def nat_pow(a, n):
 
 def omega_pow(a):
     """w^a for an ordinal (or natural number) a."""
-    return _wrap(((_coerce(a).form, 1),))
+    return Ord(((_coerce(a), 1),))
 
 
 def ot_decreasing_sequences(a):

@@ -8,6 +8,7 @@ be checked against.
 import itertools
 import json
 import random
+from collections.abc import Iterator
 from functools import lru_cache
 from math import comb, factorial
 
@@ -254,6 +255,22 @@ def listing_hilbert_output(e, as_json):
             f"c = {payload['c']}\npsi = {payload['psi']}\n"
             f"phi = {payload['phi']}\nn0 = {payload['n0']}\n"
             f"height = {payload['height']}\n")
+
+
+def printing_emit(args, payload, text):
+    """The CLI's writer before one streaming writer served every
+    subcommand: the whole payload through json.dumps, or the text through
+    print, with each Iterator (a list the CLI streams) read whole first."""
+    if args.json:
+        print(json.dumps({k: list(v) if isinstance(v, Iterator) else v
+                          for k, v in payload.items()},
+                         indent=2, sort_keys=True))
+        return
+    if not isinstance(text, str):
+        text = "".join(", ".join(map(str, part))
+                       if isinstance(part, Iterator) else part
+                       for part in text)
+    print(text, end="" if text.endswith("\n") else "\n")
 
 
 def irreducible_component_ideal(dim, nu):

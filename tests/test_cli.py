@@ -1,5 +1,6 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
+import argparse
 import inspect
 import json
 import random
@@ -12,7 +13,8 @@ from monord import (MonomialIdeal, MonordError, ParseError, cli, hilbert,
                     ideal, normalize, unit_ideal, zero_ideal)
 from monord.cli import main, parse_ideal_text, parse_point
 from monord.ordinal import MAX_NESTING
-from oracles import affine_ell, listing_hilbert_output, random_ideal
+from oracles import (affine_ell, listing_hilbert_output, printing_emit,
+                     random_ideal)
 
 
 def write(tmp_path, name, text):
@@ -395,6 +397,61 @@ class TestOrdinalEval:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, ["ordinal-eval", "w^"])
         assert code == 65
+
+
+class TestOneWriter:
+    """main writes each subcommand's (payload, text) through _emit."""
+
+    def test_matches_the_printing_writer(self, capsys, tmp_path,
+                                         monkeypatch):
+        # every argv through the streaming writer, then through the
+        # whole-payload writer it replaced: stdout, stderr and exit code
+        # must agree byte for byte
+        rng = random.Random(18)
+        ideals = ([zero_ideal(m) for m in range(1, 5)]
+                  + [unit_ideal(m) for m in range(1, 5)]
+                  + [random_ideal(rng, rng.randint(1, 4), 5, 4)
+                     for _ in range(24)]
+                  # supports {2} and {10}: "10" sorts before "2" in JSON
+                  + [parse_ideal_text("dim 10\nx2*x10\nx1^2\n")])
+        paths = [write(tmp_path, f"{i}.ideal", cli.format_ideal(e))
+                 for i, e in enumerate(ideals)]
+        argvs = []
+        for path, e in zip(paths, ideals):
+            other = rng.choice([p for p, f in zip(paths, ideals)
+                                if f.dim == e.dim])
+            point = " ".join(str(rng.randint(0, 4)) for _ in range(e.dim))
+            order = rng.choice(["kb", "triangle", "mintype"])
+            argvs += [["normalize", path], ["contains", path, point],
+                      ["hilbert", path], ["decompose", path],
+                      ["lexify", path, "--degree", str(rng.randint(0, 8))],
+                      ["cone", path], ["directsum", path, other],
+                      ["compare", "--order", order, path, other]]
+        bad = write(tmp_path, "bad.ideal", "dim 2\n1 0\noops\n")
+        argvs += [
+            ["chainbound", "--m", "2", "--affine", "3,1"],
+            ["chainbound", "--m", "1", "--affine", "3,1", "--tm"],
+            ["bounds", "1"], ["bounds", "2"], ["bounds", "3"],
+            ["ordinal-eval", "w^2*3 + 1", "w + 1"],
+            ["ordinal-eval", "--op", "prod", "w + 1", "w^w"],
+            ["normalize", bad], ["ordinal-eval", "w^"],  # exit 65
+            ["hilbert", paths[0], "--budget", "-1"],
+            ["hilbert", paths[-1], "--budget", "10"],  # exit 69
+            ["chainbound", "--m", "3", "--affine", "3,2", "--budget", "10"]]
+        argvs += [argv + ["--json"] for argv in argvs]
+        streamed = [run(capsys, argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_emit", printing_emit)
+        for argv, got in zip(argvs, streamed):
+            assert got == run(capsys, argv), argv
+        assert {0, 10, 11, 12, 65, 69} <= {code for code, _, _ in streamed}
+
+    def test_every_subcommand_has_a_command(self, capsys):
+        # a subcommand missing from COMMANDS escaped main as a KeyError
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(cli.COMMANDS)
+        for name in cli.COMMANDS:
+            assert run(capsys, [name, "--help"])[0] == 0
 
 
 class TestExitCodes:

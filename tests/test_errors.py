@@ -5,8 +5,9 @@ import pytest
 from monord import (OMEGA, ONE, BoundFn, BudgetExceeded, DataError,
                     DimensionMismatch, IVPoly, MonordError, Ord, TermOrder,
                     dominance_cmp, ell, h_bound, hilbert_fn,
-                    minimizing_coefficients, multiset_leq, nat_pow, nat_sum,
-                    normalize, poly_from_a_sequence, psi_poly, slice_last)
+                    hilbert_samuel_fn, kb_cmp, minimizing_coefficients,
+                    multiset_leq, nat_pow, nat_sum, normalize,
+                    poly_from_a_sequence, psi_poly, slice_last)
 from monord.errors import Budget
 
 E = normalize(2, [(2, 0), (1, 1)])
@@ -35,6 +36,20 @@ BAD_CALLS = {
     "matrix of lists": lambda: TermOrder("matrix", [[1, 0], [0, 1]]),
     "multiset_leq mixed dimensions":
         lambda: multiset_leq([(1, 0)], [(1, 0), (1, 0, 0)]),
+    # these raised TypeError, AttributeError or RecursionError
+    "Ord of an int": lambda: Ord(5),
+    "Ord term without a coefficient": lambda: Ord((1,)),
+    "normalize an int": lambda: normalize(2, 5),
+    "normalize int points": lambda: normalize(2, [5]),
+    "kb_cmp str order": lambda: kb_cmp(E, E, order="deglex"),
+    "hilbert_fn int ideal": lambda: hilbert_fn(3, 1),
+    "hilbert_samuel_fn int ideal": lambda: hilbert_samuel_fn(3, 1),
+    "ideal >= int": lambda: E >= 3,
+    "int <= ideal": lambda: 3 <= E,
+    "ideal <= int": lambda: E <= 3,
+    "IVPoly at a bool": lambda: IVPoly((1, 1))(True),
+    "IVPoly at a float": lambda: IVPoly((1, 1))(2.0),
+    "IVPoly at a str": lambda: IVPoly((1, 1))("2"),
 }
 
 

@@ -178,6 +178,30 @@ class TestCliStartCost:
         assert not dataclasses
 
 
+def test_subcommands_leave_the_writing_to_main():
+    """The subcommands return (payload, text) and main alone writes it,
+    through _emit; compare prints its own trace, as its exit code is its
+    answer."""
+    with open(os.path.join(SRC, "monord", "cli.py")) as fh:
+        tree = ast.parse(fh.read())
+    commands, found = [], []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        command = fn.name.startswith("cmd_") and fn.name != "cmd_compare"
+        commands += [fn.name] * command
+        for node in ast.walk(fn):
+            call = (node.func.id if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) else None)
+            stdout = (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                      and getattr(node.value, "id", None) == "sys")
+            if call == "_emit" and fn.name != "main":
+                found.append(f"{fn.name}:{node.lineno} calls _emit")
+            if command and (call == "print" or stdout):
+                found.append(f"{fn.name}:{node.lineno} writes")
+    assert len(commands) == 10 and not found
+
+
 def test_modules_raise_no_builtin_exceptions():
     """Every public call raises a MonordError on bad input; the one builtin
     exception a module may raise is AttributeError, for writes to an

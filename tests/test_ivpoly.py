@@ -47,6 +47,13 @@ class TestEvaluate:
     def test_negative_argument(self):
         assert binom_poly(0, 1)(-1) == 0
 
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12),
+           st.integers(-40, 40) | st.integers(-10 ** 30, 10 ** 30))
+    def test_matches_the_binomial_sum(self, coeffs, t):
+        # evaluation reads C(t+i, i) off a running product, not binomial
+        assert IVPoly(coeffs)(t) == sum(b * binomial(t + i, i)
+                                        for i, b in enumerate(coeffs))
+
     def test_negative_upper_binomial(self):
         # falling-factorial convention: C(-2, 2) = (-2)(-3)/2 = 3
         assert binomial(-2, 2) == 3

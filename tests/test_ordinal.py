@@ -7,9 +7,10 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monord import (OMEGA, ONE, ZERO, MonordError, Ord, ParseError, cmp,
-                    format_ordinal, nat_pow, nat_prod, nat_sum, omega_pow,
-                    ot_decreasing_sequences, parse_ordinal)
+from monord import (OMEGA, ONE, ZERO, DataError, MonordError, Ord,
+                    ParseError, cmp, format_ordinal, nat_pow, nat_prod,
+                    nat_sum, omega_pow, ot_decreasing_sequences,
+                    parse_ordinal)
 from monord.ordinal import MAX_NESTING
 from oracles import cnf_cmp
 
@@ -251,6 +252,24 @@ class TestFormatParse:
         for depth in (MAX_NESTING + 1, 600, 5000):
             with pytest.raises(ParseError, match="nest"):
                 parse_ordinal(nested(depth))
+
+    def test_constructors_nest_no_deeper_than_the_parser(self):
+        # omega_pow applied 1,500 times built an ordinal that format_ordinal
+        # and pickle ran out of frames on
+        text = "w^(" * MAX_NESTING + "w^w" + ")" * MAX_NESTING
+        deepest = parse_ordinal(text)
+        assert format_ordinal(deepest) == text
+        assert parse_ordinal(format_ordinal(deepest)) == deepest
+        assert pickle.loads(pickle.dumps(deepest)) == deepest
+        assert cmp(deepest, nat_sum(deepest, ONE)) == -1
+        assert nat_pow(nat_prod(deepest, deepest), 3) > deepest
+        for build in (omega_pow, lambda a: Ord(((a, 1),))):
+            with pytest.raises(DataError, match="nests deeper"):
+                build(deepest)
+        a = ONE
+        with pytest.raises(DataError, match="nests deeper"):
+            for _ in range(1500):
+                a = omega_pow(a)
 
     def test_error_position(self):
         with pytest.raises(ParseError) as exc:
