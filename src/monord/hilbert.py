@@ -111,7 +111,7 @@ def threshold(e):
     This equals the largest lcm degree over generator subsets, since lcms
     only grow as subsets do.  Zero for the zero and unit ideals.
     """
-    return sum(map(max, zip(*e.gens)))
+    return sum(map(max, zip(*check_ideal(e).gens)))
 
 
 def hilbert_fn(e, n):
@@ -131,8 +131,8 @@ def hilbert_samuel_poly(e):
 
     Returns the pair (p_E, threshold).
     """
-    p = _memo(e, "poly", lambda e: _samuel_poly(_numerator(e), e.dim))
-    return p, threshold(e)
+    t = threshold(e)  # checks e
+    return _memo(e, "poly", lambda e: _samuel_poly(_numerator(e), e.dim)), t
 
 
 class MinimizingCoefficients(NamedTuple):
@@ -269,7 +269,7 @@ def psi_ideal(e):
 def height(e):
     """Height of E in the containment order: 0 for the unit ideal, w^m for
     the zero ideal, psi(E) in between."""
-    if e.is_unit():
+    if check_ideal(e).is_unit():
         return ZERO
     if e.is_zero():
         return omega_pow(e.dim)
@@ -292,7 +292,7 @@ def stability_index(e):
     threshold itself, n0 is the Gotzmann number of the Hilbert polynomial
     of H.
     """
-    if e.is_zero() or e.is_unit():
+    if check_ideal(e).is_zero() or e.is_unit():
         raise DataError("stability index needs a nonzero proper ideal")
     return _stability_index(_numerator(e), e.dim, threshold(e))
 
@@ -320,7 +320,7 @@ def lex_segment_ideal(e, bound):
     are the degree-n points past the first r_n = H(n - 1)^<n - 1> (r_0 = 1,
     r_1 = m H(0)), so its degree-n generators have lex ranks [H(n), r_n).
     """
-    m = e.dim
+    m = check_ideal(e).dim
     natural(bound, "degree bound")
     if any(degree(g) > bound for g in e.gens):
         raise DataError(f"bound {bound} is below a generator degree")
@@ -346,7 +346,7 @@ class HilbertProfile(NamedTuple):
 
 def hilbert_profile(e):
     """Assemble the HilbertProfile of an ideal from one numerator."""
-    m = e.dim
+    m = check_ideal(e).dim
     num = _numerator(e)
     p, t = hilbert_samuel_poly(e)
     if e.is_zero() or e.is_unit():

@@ -16,8 +16,8 @@ class MonomialIdeal:
     """A finitely generated final segment of N^m in canonical form.
 
     Instances are immutable and compare and hash by (dim, gens).  Derived
-    data (the numerator, p_E, slices, the decomposition) is computed at
-    most once per instance and kept on it by ``_memo``.
+    data (the numerator, p_E, the decomposition) is computed at most once
+    per instance and kept on it by ``_memo``; slices are built per call.
     """
 
     def __init__(self, dim, gens):
@@ -150,20 +150,20 @@ def unit_ideal(dim):
 
 def ideal_sum(e, f):
     """Smallest ideal containing both: union of generators."""
-    check_same_dim(e.dim, f.dim)
+    check_same_dim(check_ideal(e).dim, check_ideal(f).dim)
     return _checked_ideal(e.dim, minimal_points(e.gens + f.gens))
 
 
 def ideal_intersect(e, f):
     """Intersection: generated by pairwise lcms."""
-    check_same_dim(e.dim, f.dim)
+    check_same_dim(check_ideal(e).dim, check_ideal(f).dim)
     return _checked_ideal(e.dim, minimal_points(
         vec_max(g, h) for g in e.gens for h in f.gens))
 
 
 def colon(e, v):
     """The quotient (e : v) = {u : u + v in e}."""
-    check_point_in(e.dim, v)
+    check_point_in(check_ideal(e).dim, v)
     return _checked_ideal(e.dim, minimal_points(
         tuple(max(a - b, 0) for a, b in zip(g, v)) for g in e.gens))
 
@@ -172,24 +172,18 @@ def slice_last(e, j):
     """The slice at last coordinate j: points u of N^(m-1) with (u, j) in e.
 
     Requires m >= 2.  Slices grow with j and stabilize once j reaches the
-    largest last coordinate among the generators, so each ideal computes
-    the slice for min(j, that coordinate) once.
+    largest last coordinate among the generators.
     """
-    if e.dim < 2:
+    if check_ideal(e).dim < 2:
         raise DataError("slicing needs ambient dimension >= 2")
-    return _slice(e, natural(j, "slice index"))
-
-
-def _slice(e, j):
-    """slice_last for an ideal of dimension >= 2 and a natural j."""
-    j = min(j, max((g[-1] for g in e.gens), default=0))
-    return _memo(e, ("slice", j), lambda e: _checked_ideal(
-        e.dim - 1, minimal_points(g[:-1] for g in e.gens if g[-1] <= j)))
+    j = natural(j, "slice index")
+    return _checked_ideal(e.dim - 1, minimal_points(
+        g[:-1] for g in e.gens if g[-1] <= j))
 
 
 def cone(e):
     """Extend by one fresh variable: same generators, one more coordinate."""
-    check_dim(e.dim + 1)
+    check_dim(check_ideal(e).dim + 1)
     return _checked_ideal(e.dim + 1, tuple(g + (0,) for g in e.gens))
 
 
@@ -199,7 +193,7 @@ def direct_sum(e, f):
 
     Both inputs must be nonzero and proper.
     """
-    if e.is_zero() or f.is_zero() or e.is_unit() or f.is_unit():
+    if any(x.is_zero() or x.is_unit() for x in map(check_ideal, (e, f))):
         raise DataError("direct sum needs nonzero proper ideals")
     m, n = e.dim, f.dim
     gens = [g + (0,) * n for g in e.gens]
@@ -207,16 +201,6 @@ def direct_sum(e, f):
     gens += [unit_vec(m, i) + unit_vec(n, j)
              for i in range(m) for j in range(n)]
     return _checked_ideal(m + n, minimal_points(gens))
-
-
-def _irr_contains(nu, mu):
-    """Whether the irreducible ideal for nu contains the one for mu.
-
-    The ideal for nu is generated by x_i^(nu_i) over the support of nu;
-    containment holds iff every bounded direction of mu is bounded at
-    least as tightly by nu.
-    """
-    return all(n > 0 and n <= m for n, m in zip(nu, mu) if m > 0)
 
 
 def irreducible_decomposition(e):
@@ -233,25 +217,32 @@ def irreducible_decomposition(e):
     Requires e nonzero and proper.  Each ideal decomposes once; every call
     returns a fresh list.
     """
-    if e.is_zero() or e.is_unit():
+    if check_ideal(e).is_zero() or e.is_unit():
         raise DataError("decomposition needs a nonzero proper ideal")
     return list(_memo(e, "decomposition", _decompose))
 
 
 def _decompose(e):
-    """irreducible_decomposition as a tuple, computed."""
-    comps = [(0,) * e.dim]
+    """irreducible_decomposition as a tuple, computed.
+
+    Each nu is kept with its zeros written as inf, one past the largest
+    exponent: then nu holds x^g iff nu_i <= g_i for some i, and nu's
+    ideal contains mu's iff nu <= mu componentwise.
+    """
+    inf = max(map(max, e.gens)) + 1
+    comps = [(inf,) * e.dim]
     for g in e.gens:
         kept, new = [], set()
         for nu in comps:
-            if any(0 < n <= x for n, x in zip(nu, g)):
+            if any(map(le, nu, g)):
                 kept.append(nu)
             else:
                 new.update(nu[:i] + (g[i],) + nu[i + 1:] for i in support(g))
         pool = kept + list(new)
         comps = kept + [nu for nu in new if not any(
-            mu != nu and _irr_contains(nu, mu) for mu in pool)]
-    return tuple(sorted(comps, key=DEGLEX.key))
+            mu != nu and all(map(le, nu, mu)) for mu in pool)]
+    return tuple(sorted((tuple(x % inf for x in nu) for nu in comps),
+                        key=DEGLEX.key))
 
 
 def components_by_support(e):
@@ -273,7 +264,7 @@ def generator_word(e, order=DEGLEX):
     A matrix order that gives two generators one key does not order them
     and raises a DataError.
     """
-    word = sorted((order.key(g), g) for g in e.gens)
+    word = sorted((order.key(g), g) for g in check_ideal(e).gens)
     if any(a[0] == b[0] for a, b in zip(word, word[1:])):
         raise DataError("matrix does not totally order these points")
     return [g for _, g in word]

@@ -2,15 +2,15 @@
 
 Each comparator returns -1/0/1 and satisfies: E a strict superset of F
 implies E strictly less.  ``kb_cmp`` orders ideals through their sorted
-generator words Kleene-Brouwer style, ``triangle_cmp`` recurses on slice
-sequences, and ``min_type_cmp`` sorts by the ordinal invariant first and
-breaks ties with the triangle order.
+generator words Kleene-Brouwer style, ``triangle_cmp`` compares slice
+sequences, read off the generators, and ``min_type_cmp`` sorts by the
+ordinal invariant first and breaks ties with the triangle order.
 """
 
-from math import inf
+from operator import le
 
 from .errors import DataError
-from .ideal import _slice, check_dim, generator_word
+from .ideal import check_dim, check_ideal, generator_word
 from .ivpoly import dominance_cmp
 from .monom import DEGLEX, check_same_dim, term_cmp
 from .ordinal import ONE, OMEGA, nat_pow, nat_sum, omega_pow
@@ -24,7 +24,7 @@ def kb_cmp(e, f, order=DEGLEX):
     generators decide.  The zero ideal (empty word) is the maximum.  The
     term order must have order type omega, so lex is rejected.
     """
-    check_same_dim(e.dim, f.dim)
+    check_same_dim(check_ideal(e).dim, check_ideal(f).dim)
     return _kb(e, f, order)[0]
 
 
@@ -50,34 +50,30 @@ def triangle_cmp(e, f):
     recursing in one dimension less; in dimension 1, containment decides
     (bigger set first, the zero ideal last).
 
-    Slices are constant once j passes every generator's last coordinate,
-    so comparing up to that bound decides equality.
+    So the least point of the symmetric difference, in lex order read from
+    the last coordinate, decides: the ideal holding it comes first.  That
+    order is a term order, so the point is the least generator of either
+    ideal that the other one misses.
     """
-    check_same_dim(e.dim, f.dim)
+    check_same_dim(check_ideal(e).dim, check_ideal(f).dim)
     return _triangle(e, f)[0]
 
 
 def _triangle(e, f):
     """triangle_cmp and the deciding slice index (None in dimension 1 or
     when the ideals are equal), for ideals of one dimension."""
-    if e.dim == 1:
-        # generator exponent orders by containment; no generator = empty
-        # final segment, the largest element
-        a = e.gens[0][0] if e.gens else inf
-        b = f.gens[0][0] if f.gens else inf
-        return (a > b) - (a < b), None
-    bound = max((g[-1] for g in e.gens + f.gens), default=0)
-    for j in range(bound + 1):
-        c, _ = _triangle(_slice(e, j), _slice(f, j))
-        if c != 0:
-            return c, j
+    gens = sorted([(g, -1, f.gens) for g in e.gens] +
+                  [(g, 1, e.gens) for g in f.gens], key=lambda t: t[0][::-1])
+    for g, side, other in gens:
+        if not any(all(map(le, h, g)) for h in other):
+            return side, (g[-1] if len(g) > 1 else None)
     return 0, None
 
 
 def min_type_cmp(e, f):
     """Order by the Hilbert-Samuel polynomial under dominance (equivalently
     by psi), breaking ties with the triangle order."""
-    check_same_dim(e.dim, f.dim)
+    check_same_dim(check_ideal(e).dim, check_ideal(f).dim)
     return _min_type(e, f)[0]
 
 

@@ -14,7 +14,7 @@ from math import comb, factorial
 
 from monord import (DataError, IVPoly, binomial, divides, format_ordinal,
                     from_samples, hilbert_fn, hilbert_profile, macaulay_next,
-                    normalize, phi_poly)
+                    normalize, phi_poly, slice_last)
 from monord.chains import as_bound_fn
 from monord.hilbert import _hilbert_value, _realizable
 from monord.monom import unit_vec
@@ -278,6 +278,13 @@ def irreducible_component_ideal(dim, nu):
     return normalize(dim, (unit_vec(dim, i, x) for i, x in enumerate(nu) if x))
 
 
+def irr_contains(nu, mu):
+    """Whether the irreducible ideal m^nu contains m^mu: every direction
+    mu bounds, nu bounds at least as tightly.  One coordinate at a time,
+    with 0 meaning unbounded, as the library once tested it."""
+    return all(0 < n <= m for n, m in zip(nu, mu) if m > 0)
+
+
 def split_decomposition(e):
     """The irreducible components of a nonzero proper ideal as the library
     once computed them: split a mixed generator g into x_i^(g_i) and the
@@ -302,12 +309,28 @@ def split_decomposition(e):
         stack.append(normalize(f.dim, f.gens + (u,)))
         stack.append(normalize(f.dim, f.gens + (v,)))
 
-    def contains(nu, mu):  # m^nu contains m^mu
-        return all(0 < n <= m for n, m in zip(nu, mu) if m > 0)
-
     comps = sorted(out, key=lambda nu: (sum(nu),) + nu)
     return [nu for nu in comps
-            if not any(mu != nu and contains(nu, mu) for mu in comps)]
+            if not any(mu != nu and irr_contains(nu, mu) for mu in comps)]
+
+
+def slice_triangle(e, f):
+    """The triangle order and its deciding slice as the library once
+    computed them: compare the slice sequences (j = 0, 1, ... up to the
+    largest last coordinate) lexicographically, recursing in one dimension
+    less; in dimension 1 the smaller generator (the bigger set) comes
+    first and the zero ideal last.  Returns (sign, j), j None in
+    dimension 1 or when the ideals are equal."""
+    if e.dim == 1:
+        a = e.gens[0][0] if e.gens else float("inf")
+        b = f.gens[0][0] if f.gens else float("inf")
+        return (a > b) - (a < b), None
+    bound = max((g[-1] for g in e.gens + f.gens), default=0)
+    for j in range(bound + 1):
+        c, _ = slice_triangle(slice_last(e, j), slice_last(f, j))
+        if c != 0:
+            return c, j
+    return 0, None
 
 
 def brute_comm_leq(u, v):

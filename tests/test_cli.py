@@ -501,34 +501,57 @@ class TestExitCodes:
         assert run(capsys, ["hilbert", path]) == (
             69, "", "error: out of memory\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["compare", "--order", "mintype", "{a990}", "{b990}"],
-        ["compare", "--order", "triangle", "{a990}", "{b990}"],
-        ["chainbound", "--m", "1000", "--affine", "1,1"]])
-    def test_large_dimensions_run_out_of_frames(self, capsys, tmp_path, argv):
-        # each recursed once per dimension and exited 1 with a traceback;
-        # mintype reaches the recursion in the triangle tie-break
-        paths = {"a990": write(tmp_path, "a990", "dim 990\nx1^2*x990\n"),
-                 "b990": write(tmp_path, "b990", "dim 990\nx2*x990^2\n")}
-        code, out, err = run(capsys, [a.format(**paths) for a in argv])
+    def test_chainbound_at_m_1000_runs_out_of_frames(self, capsys):
+        # ell recurses once per dimension; it exited 1 with a traceback
+        code, out, err = run(capsys, ["chainbound", "--m", "1000",
+                                      "--affine", "1,1"])
         assert (code, out) == (69, "")
         assert err == "error: recursion too deep for this input\n"
 
-    def test_mintype_runs_out_of_frames(self, capsys, tmp_path):
-        # mintype breaks the tie of equal polynomials with the triangle
-        # order, which recurses once per dimension: with the frame limit
-        # lowered, dim 300 runs out of frames too
-        a = write(tmp_path, "a", "dim 300\nx1^2*x300\n")
-        b = write(tmp_path, "b", "dim 300\nx2*x300^2\n")
+    # the triangle order, and mintype's tie-break through it, recursed once
+    # per dimension and exited 69 on these; both now read the generators.
+    # (first file, second file, exit code, stdout) per order
+    COMPARE = {
+        "triangle": [
+            ("a", "b", 10, '{"deciding_slice": 1, "order": "triangle", '
+                           '"result": "less"}\n'),
+            ("b", "a", 12, '{"deciding_slice": 1, "order": "triangle", '
+                           '"result": "greater"}\n'),
+            ("a", "a", 11, '{"deciding_slice": null, "order": "triangle", '
+                           '"result": "equal"}\n')],
+        "mintype": [
+            ("a", "b", 10, '{"deciding_key": "triangle", "order": "mintype", '
+                           '"result": "less"}\n'),
+            ("b", "a", 12, '{"deciding_key": "triangle", "order": "mintype", '
+                           '"result": "greater"}\n'),
+            ("a", "a", 11, '{"deciding_key": "triangle", "order": "mintype", '
+                           '"result": "equal"}\n')]}
+
+    @pytest.mark.parametrize("order", ["triangle", "mintype"])
+    def test_compare_at_dim_990(self, capsys, tmp_path, order):
+        paths = {"a": write(tmp_path, "a", "dim 990\nx1^2*x990\n"),
+                 "b": write(tmp_path, "b", "dim 990\nx2*x990^2\n")}
+        for x, y, code, out in self.COMPARE[order]:
+            argv = ["compare", "--order", order, paths[x], paths[y]]
+            assert run(capsys, argv) == (code, out, "")
+
+    @pytest.mark.parametrize("order", ["triangle", "mintype"])
+    def test_compare_under_a_lowered_frame_limit(self, capsys, tmp_path,
+                                                 order):
+        # with the frame limit 200 above the caller's stack, dim 300 ran
+        # out of frames too
+        paths = {"a": write(tmp_path, "a", "dim 300\nx1^2*x300\n"),
+                 "b": write(tmp_path, "b", "dim 300\nx2*x300^2\n")}
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 200)
         try:
-            code, out, err = run(capsys, ["compare", "--order", "mintype",
-                                          a, b])
+            got = [run(capsys, ["compare", "--order", order, paths[x],
+                                paths[y]])
+                   for x, y, _, _ in self.COMPARE[order]]
         finally:
             sys.setrecursionlimit(limit)
-        assert (code, out) == (69, "")
-        assert err == "error: recursion too deep for this input\n"
+        assert got == [(code, out, "") for _, _, code, out
+                       in self.COMPARE[order]]
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "100000"], ["bounds", "0"],

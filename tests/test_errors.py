@@ -4,10 +4,14 @@ import pytest
 
 from monord import (OMEGA, ONE, BoundFn, BudgetExceeded, DataError,
                     DimensionMismatch, IVPoly, MonordError, Ord, TermOrder,
-                    dominance_cmp, ell, h_bound, hilbert_fn,
-                    hilbert_samuel_fn, kb_cmp, minimizing_coefficients,
-                    multiset_leq, nat_pow, nat_sum, normalize,
-                    poly_from_a_sequence, psi_poly, slice_last)
+                    colon, cone, direct_sum, dominance_cmp, ell,
+                    generator_word, h_bound, height, hilbert_fn,
+                    hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
+                    ideal_intersect, ideal_sum, irreducible_decomposition,
+                    is_bad_sequence, kb_cmp, lex_segment_ideal, min_type_cmp,
+                    minimizing_coefficients, multiset_leq, nat_pow, nat_sum,
+                    normalize, poly_from_a_sequence, psi_ideal, psi_poly,
+                    slice_last, stability_index, threshold, triangle_cmp)
 from monord.errors import Budget
 
 E = normalize(2, [(2, 0), (1, 1)])
@@ -50,6 +54,27 @@ BAD_CALLS = {
     "IVPoly at a bool": lambda: IVPoly((1, 1))(True),
     "IVPoly at a float": lambda: IVPoly((1, 1))(2.0),
     "IVPoly at a str": lambda: IVPoly((1, 1))("2"),
+    # and these raised AttributeError: an int where an ideal belongs
+    "triangle_cmp int ideal": lambda: triangle_cmp(E, 3),
+    "min_type_cmp int ideal": lambda: min_type_cmp(E, 3),
+    "kb_cmp int ideal": lambda: kb_cmp(E, 3),
+    "irreducible_decomposition int ideal":
+        lambda: irreducible_decomposition(3),
+    "cone int ideal": lambda: cone(3),
+    "direct_sum int ideal": lambda: direct_sum(E, 3),
+    "ideal_sum int ideal": lambda: ideal_sum(E, 3),
+    "ideal_intersect int ideal": lambda: ideal_intersect(E, 3),
+    "colon int ideal": lambda: colon(3, (0, 0)),
+    "slice_last int ideal": lambda: slice_last(3, 0),
+    "generator_word int ideal": lambda: generator_word(3),
+    "threshold int ideal": lambda: threshold(3),
+    "height int ideal": lambda: height(3),
+    "hilbert_profile int ideal": lambda: hilbert_profile(3),
+    "hilbert_samuel_poly int ideal": lambda: hilbert_samuel_poly(3),
+    "psi_ideal int ideal": lambda: psi_ideal(3),
+    "stability_index int ideal": lambda: stability_index(3),
+    "lex_segment_ideal int ideal": lambda: lex_segment_ideal(3, 2),
+    "is_bad_sequence int ideal": lambda: is_bad_sequence([E, 3]),
 }
 
 

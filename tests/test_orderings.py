@@ -9,8 +9,9 @@ from monord import (DEGLEX, LEX, DataError, TermOrder, bounds_report,
                     dominance_cmp, hilbert_samuel_poly, kb_cmp,
                     lex_segment_ideal, min_type_cmp, normalize, parse_ordinal,
                     term_cmp, triangle_cmp, unit_ideal, zero_ideal)
-from monord.orderings import _kb
-from oracles import antichains, points_of_degree, points_up_to, random_ideal
+from monord.orderings import _kb, _triangle
+from oracles import (antichains, points_of_degree, points_up_to, random_ideal,
+                     slice_triangle)
 
 
 def o(text):
@@ -107,6 +108,31 @@ class TestTriangle:
         # slice at j=0: zero ideal vs {(2)}, and zero is the base-case max
         assert triangle_cmp(normalize(2, [(1, 1)]),
                             normalize(2, [(2, 0)])) == 1
+
+    def test_matches_the_slice_recursion(self):
+        # sign and deciding slice, against the slice sequences compared
+        # recursively; f is e itself, a random ideal, or an ideal nested
+        # in or around e
+        rng = random.Random(67)
+        for case in range(3000):
+            m = case % 6 + 1
+            e = random_ideal(rng, m, 7, 5, allow_zero=True, allow_unit=True)
+            g = random_ideal(rng, m, 7, 5, allow_zero=True, allow_unit=True)
+            for f in (g, e, normalize(m, e.gens + g.gens[:2]),
+                      zero_ideal(m), unit_ideal(m)):
+                for a, b in ((e, f), (f, e)):
+                    assert _triangle(a, b) == slice_triangle(a, b)
+
+    def test_dimension_1000(self):
+        # the slice recursion ran out of frames from about dimension 992
+        m = 1000
+        a = normalize(m, [(1,) + (0,) * (m - 1)])
+        b = normalize(m, [(0,) * (m - 1) + (1,)])
+        # slice 0 of (x1) is (x1), of (x1000) the zero ideal
+        assert _triangle(a, b) == (-1, 0)
+        assert triangle_cmp(b, a) == 1 and triangle_cmp(a, a) == 0
+        # equal Hilbert-Samuel polynomials, so the triangle order decides
+        assert min_type_cmp(a, b) == -1 and min_type_cmp(b, a) == 1
 
 
 class TestMinType:
