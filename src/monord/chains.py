@@ -186,7 +186,10 @@ def is_bad_sequence(ideals):
     A sequence is good when E_i is a superset of E_j for some i < j;
     the witness returned is the earliest such pair ordered by (j, i).
     """
-    ideals = list(map(check_ideal, ideals))
+    try:
+        ideals = list(map(check_ideal, ideals))
+    except TypeError:
+        raise DataError(f"not a sequence of ideals: {ideals!r}") from None
     for e in ideals[1:]:
         check_same_dim(ideals[0].dim, e.dim)
     for j in range(1, len(ideals)):

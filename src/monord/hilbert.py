@@ -11,16 +11,23 @@ N(t) = sum over generator subsets S of (-1)^|S| t^(deg lcm S), so that
 sum_n H_E(n) t^n = N(t) / (1 - t)^m.  It is computed once per ideal by
 pivot recursion rather than by summing over the 2^n subsets, and kept on
 the ideal with p_E.
+
+The recursion runs on packed exponent vectors: each generator becomes one
+int of b-bit fields, b one more than the bit length of the larger of the
+top exponent and the generator count, so the top bit of every field is a
+guard bit that stays clear.  Subtracting q from p with every guard bit set
+leaves all of them set exactly when q divides p, so divisibility, supports
+and per-variable counts are a few int operations each (see _numerator).
 """
 
-from collections import Counter
+from functools import reduce
 from itertools import accumulate, repeat
+from operator import or_
 from math import comb
 from typing import NamedTuple
 
 from .errors import DataError, natural
-from .ideal import (_checked_ideal, _memo, check_dim, check_ideal,
-                    minimal_points, normalize)
+from .ideal import _checked_ideal, _memo, check_dim, check_ideal, normalize
 from .ivpoly import IVPoly, binom_poly, macaulay_next
 from .monom import degree, points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
@@ -28,51 +35,101 @@ from .ordinal import ZERO, Ord, omega_pow
 
 def _numerator(e):
     """The K-polynomial N(t) of e as (degree, coefficient) pairs, in
-    increasing degree, with nonzero coefficients."""
-    return _memo(e, "numerator", _pivot_numerator)
-
-
-def _pivot_numerator(e):
-    """_numerator, computed.
+    increasing degree, with nonzero coefficients.
 
     Pivot recursion (Bayer-Stillman, JSC 14 (1992); Bigatti, JPAA 119
     (1997)): N(I) = N(I + x_i^a) + t^a N(I : x_i^a).  The pivot variable
     x_i is the one in the most mixed generators (those with two or more
-    variables) and a is the median exponent of x_i among them, so x_i^a is
-    not in I and both sides have a smaller total generator degree.  Once
-    the generators have pairwise disjoint supports,
-    N = prod over generators g of (1 - t^deg g): 1 for the zero ideal and 0
-    for the unit ideal.
+    variables); on a tie, the first of the tied variables met in the mixed
+    generators read in deglex order.  a is the upper median exponent of
+    x_i among them, so x_i^a is not in I and both sides have a smaller
+    total generator degree.  Once the generators have pairwise disjoint
+    supports, N = prod over generators g of (1 - t^deg g): 1 for the zero
+    ideal and 0 for the unit ideal.
+
+    The recursion runs on (degree, packed) pairs and never unpacks.  Each
+    generator is packed once into an int of b-bit fields, x_1 in the top
+    one, so that packed ints of one degree compare as their points do in
+    lex order.  b is one more than the bit length of the larger of the top
+    exponent and the generator count.  The top bit of each field, its
+    guard bit, starts clear, and no exponent or count reaches it, since
+    exponents only fall and the generator count never grows.  With G the
+    guard bits and F the bits below them:
+    - q divides p exactly when ((p | G) - q) & G == G: each field
+      subtracts without borrowing from the next, and keeps its guard bit
+      unless q's coordinate is the larger;
+    - ((p + F) & G) >> (b - 1) marks p's support by the low bit of each
+      field, and supports are pairwise disjoint when these masks sum to
+      their union;
+    - the masks of the mixed generators sum to how many of them use each
+      variable, field by field;
+    - the colon by x_i^a subtracts min(p_i, a), shifted to x_i's field,
+      from each p, and a sort by (degree, packed) and the divisibility test
+      keep the minimal results.
     """
-    acc = Counter()
-    todo = [(e.gens, 0)]
-    while todo:
-        gens, offset = todo.pop()
-        pivot = _pivot(gens)
-        if pivot is None:
-            terms = Counter({offset: 1})
-            for g in gens:
-                terms.subtract({k + sum(g): c for k, c in terms.items()})
-            acc.update(terms)
+    return _memo(e, "numerator", _pivot_numerator)
+
+
+def _pivot_numerator(e):
+    """_numerator, computed."""
+    gens = e.gens
+    b = max(max(map(max, gens), default=0), len(gens)).bit_length() + 1
+    value = (1 << b - 1) - 1  # a field's bits below its guard
+    guards = sum(1 << i * b for i in range(e.dim)) << b - 1
+    fill = guards - (guards >> b - 1)
+    acc = {}
+    todo = [([(sum(g), sum(x << i * b for i, x in enumerate(reversed(g))
+                           if x)) for g in gens], 0)]
+    while todo:  # pairs in deglex order, but a pure power may come last
+        pairs, offset = todo.pop()
+        masks = [(p + fill & guards) >> b - 1 for _, p in pairs]
+        if sum(masks) == reduce(or_, masks, 0):
+            terms = {offset: 1}
+            for d, _ in pairs:
+                for k, c in list(terms.items()):
+                    terms[k + d] = terms.get(k + d, 0) - c
+            for k, c in terms.items():
+                acc[k] = acc.get(k, 0) + c
             continue
-        i, a = pivot
-        todo.append((tuple(g for g in gens if g[i] < a)
-                     + (unit_vec(len(gens[0]), i, a),), offset))
-        todo.append((minimal_points(g[:i] + (max(g[i] - a, 0),) + g[i + 1:]
-                                    for g in gens), offset + a))
+        mixed = [(p, mask) for (_, p), mask in zip(pairs, masks)
+                 if mask & mask - 1]
+        counts = rest = best = 0
+        for _, mask in mixed:
+            counts += mask
+            rest |= mask
+        while rest:  # ties: the low bits of the most frequent variables
+            low = rest & -rest
+            rest ^= low
+            count = counts >> low.bit_length() - 1 & value
+            if count > best:
+                best, ties = count, low
+            elif count == best:
+                ties |= low
+        for _, mask in mixed:
+            if mask & ties:  # i: the shift of the pivot variable's field
+                i = (mask & ties).bit_length() - 1
+                break
+        exps = sorted([p >> i & value for p, mask in mixed if mask >> i & 1])
+        a = exps[len(exps) // 2]
+        todo.append(([(d, p) for d, p in pairs if p >> i & value < a]
+                     + [(a, a << i)], offset))
+        # I's generators are minimal, so in I : x_i^a only a cut one can
+        # divide another, and the uncut ones may follow the sorted cut ones
+        cut, same = [], []
+        for d, p in pairs:
+            c = min(p >> i & value, a)
+            (cut if c else same).append((d - c, p - (c << i)))
+        kept = []
+        for d, p in sorted(cut) + same:
+            over = p | guards
+            for _, q in kept:
+                if over - q & guards == guards:
+                    break
+            else:
+                kept.append((d, p))
+        kept.sort()
+        todo.append((kept, offset + a))
     return tuple(sorted((k, c) for k, c in acc.items() if c))
-
-
-def _pivot(gens):
-    """The pivot (i, a) for _pivot_numerator, or None when the generators
-    have pairwise disjoint supports."""
-    supports = [[i for i, x in enumerate(g) if x] for g in gens]
-    if sum(map(len, supports)) == len(set().union(*supports)):
-        return None
-    mixed = [(g, sup) for g, sup in zip(gens, supports) if len(sup) > 1]
-    i = Counter(i for _, sup in mixed for i in sup).most_common(1)[0][0]
-    exps = sorted(g[i] for g, _ in mixed if g[i])
-    return i, exps[len(exps) // 2]
 
 
 def _hilbert_value(num, m, n):

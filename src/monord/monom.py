@@ -191,26 +191,33 @@ def comm_leq(u, v):
     """Embedding with positions permuted freely: an injection from the
     letters of u to letters of v with each letter mapped above itself.
 
-    Solved as bipartite matching (Kuhn's augmenting paths).
+    Solved as bipartite matching, one letter of u at a time, each along an
+    augmenting path that a breadth-first search finds, so that no path
+    length costs a stack frame.
     """
     u, v = _words(u, v)
     if len(u) > len(v):
         return False
-    match = [-1] * len(v)
+    match, place = [-1] * len(v), [-1] * len(u)  # the matching, both ways
+    return all(_augment(u, v, match, place, i) for i in range(len(u)))
 
-    def augment(i, seen):
-        for j in range(len(v)):
-            if not seen[j] and all(map(le, u[i], v[j])):
-                seen[j] = True
-                if match[j] < 0 or augment(match[j], seen):
-                    match[j] = i
+
+def _augment(u, v, match, place, i):
+    """Match the free letter u[i] along a shortest augmenting path, moving
+    the letters on it; False when there is none."""
+    parent = {}  # j: the letter of u whose search reached v[j] first
+    queue = [i]
+    for k in queue:
+        for j, y in enumerate(v):
+            if j not in parent and all(map(le, u[k], y)):
+                parent[j] = k
+                if match[j] < 0:
+                    while j >= 0:  # back along the path to u[i], unplaced
+                        k = parent[j]
+                        match[j], place[k], j = k, j, place[k]
                     return True
-        return False
-
-    for i in range(len(u)):
-        if not augment(i, [False] * len(v)):
-            return False
-    return True
+                queue.append(match[j])
+    return False
 
 
 def multiset_leq(u, v):
@@ -226,9 +233,13 @@ def multiset_leq(u, v):
 
 def _words(u, v):
     """The words u and v as lists, once every letter of both is checked to
-    have one dimension, so that the embeddings compare letters unchecked."""
-    u, v = list(u), list(v)
+    be a point, all of one dimension, so that the embeddings compare
+    letters unchecked."""
+    try:
+        u, v = list(u), list(v)
+    except TypeError:
+        raise DataError("a word is a sequence of points") from None
     letters = u + v
     for x in letters:
-        check_same_dim(len(letters[0]), len(x))
+        check_same_dim(len(check_point(x)), len(letters[0]))
     return u, v

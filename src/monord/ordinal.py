@@ -128,6 +128,8 @@ OMEGA = Ord(((ONE, 1),))
 
 def cmp(a, b):
     """Three-way comparison of two ordinals: -1, 0, or 1."""
+    if not (isinstance(a, Ord) and isinstance(b, Ord)):
+        raise DataError(f"cmp compares two ordinals, not {a!r} and {b!r}")
     return (a.form > b.form) - (a.form < b.form)
 
 

@@ -8,6 +8,7 @@ be checked against.
 import itertools
 import json
 import random
+from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
 from math import comb, factorial
@@ -17,6 +18,7 @@ from monord import (DataError, IVPoly, binomial, divides, format_ordinal,
                     normalize, phi_poly, slice_last)
 from monord.chains import as_bound_fn
 from monord.hilbert import _hilbert_value, _realizable
+from monord.ideal import minimal_points
 from monord.monom import unit_vec
 
 
@@ -100,6 +102,35 @@ def ie_numerator(e):
     acc = {0: 1}
     for sign, c in subset_lcm_degrees(e.gens):
         acc[c] = acc.get(c, 0) - sign
+    return tuple(sorted((k, c) for k, c in acc.items() if c))
+
+
+def tuple_pivot_numerator(e):
+    """The K-polynomial by pivot recursion on exponent tuples, the engine
+    the library ran before it packed exponent vectors into ints:
+    N(I) = N(I + x_i^a) + t^a N(I : x_i^a), x_i the variable in the most
+    mixed generators (the first met on a tie) and a the upper median of
+    its exponents among them, down to generators with pairwise disjoint
+    supports, where N = prod (1 - t^deg g)."""
+    acc = Counter()
+    todo = [(e.gens, 0)]
+    while todo:
+        gens, offset = todo.pop()
+        supports = [[i for i, x in enumerate(g) if x] for g in gens]
+        if sum(map(len, supports)) == len(set().union(*supports)):
+            terms = Counter({offset: 1})
+            for g in gens:
+                terms.subtract({k + sum(g): c for k, c in terms.items()})
+            acc.update(terms)
+            continue
+        mixed = [(g, sup) for g, sup in zip(gens, supports) if len(sup) > 1]
+        i = Counter(i for _, sup in mixed for i in sup).most_common(1)[0][0]
+        exps = sorted(g[i] for g, _ in mixed if g[i])
+        a = exps[len(exps) // 2]
+        todo.append((tuple(g for g in gens if g[i] < a)
+                     + (unit_vec(len(gens[0]), i, a),), offset))
+        todo.append((minimal_points(g[:i] + (max(g[i] - a, 0),) + g[i + 1:]
+                                    for g in gens), offset + a))
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 

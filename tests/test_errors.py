@@ -4,14 +4,15 @@ import pytest
 
 from monord import (OMEGA, ONE, BoundFn, BudgetExceeded, DataError,
                     DimensionMismatch, IVPoly, MonordError, Ord, TermOrder,
-                    colon, cone, direct_sum, dominance_cmp, ell,
-                    generator_word, h_bound, height, hilbert_fn,
-                    hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
-                    ideal_intersect, ideal_sum, irreducible_decomposition,
-                    is_bad_sequence, kb_cmp, lex_segment_ideal, min_type_cmp,
-                    minimizing_coefficients, multiset_leq, nat_pow, nat_sum,
-                    normalize, poly_from_a_sequence, psi_ideal, psi_poly,
-                    slice_last, stability_index, threshold, triangle_cmp)
+                    cmp, colon, comm_leq, cone, direct_sum, dominance_cmp,
+                    ell, generator_word, h_bound, height, higman_leq,
+                    hilbert_fn, hilbert_profile, hilbert_samuel_fn,
+                    hilbert_samuel_poly, ideal_intersect, ideal_sum,
+                    irreducible_decomposition, is_bad_sequence, kb_cmp,
+                    lex_segment_ideal, min_type_cmp, minimizing_coefficients,
+                    multiset_leq, nat_pow, nat_sum, normalize,
+                    poly_from_a_sequence, psi_ideal, psi_poly, slice_last,
+                    stability_index, threshold, triangle_cmp)
 from monord.errors import Budget
 
 E = normalize(2, [(2, 0), (1, 1)])
@@ -75,6 +76,13 @@ BAD_CALLS = {
     "stability_index int ideal": lambda: stability_index(3),
     "lex_segment_ideal int ideal": lambda: lex_segment_ideal(3, 2),
     "is_bad_sequence int ideal": lambda: is_bad_sequence([E, 3]),
+    # and these raised AttributeError or TypeError: an int where an
+    # ordinal, a word or a sequence belongs
+    "cmp int operand": lambda: cmp(ONE, 3),
+    "higman_leq int words": lambda: higman_leq(3, 4),
+    "higman_leq int letters": lambda: higman_leq([3], [4]),
+    "comm_leq int word": lambda: comm_leq([(1, 0)], 5),
+    "is_bad_sequence int": lambda: is_bad_sequence(3),
 }
 
 

@@ -18,13 +18,15 @@ from monord import (ZERO, DataError, IVPoly,
                     stability_index, threshold, unit_ideal, zero_ideal)
 from monord.hilbert import _numerator, a_sequence
 from monord.ivpoly import binom_poly
+from monord.monom import points_of_degree, unit_vec
 from oracles import (certified_stability_index, ie_hilbert_samuel_poly,
                      ie_numerator, listing_lex_segment, naive_hilbert,
                      naive_hilbert_samuel, peel_realize_poly,
                      persistence_stability_index, points_up_to,
                      random_artinian_staircase, random_ideal,
                      random_wide_ideal, shift, shift_coeff_recursion,
-                     slice_count, slice_counter, stepwise_macaulay_next)
+                     slice_count, slice_counter, stepwise_macaulay_next,
+                     tuple_pivot_numerator)
 
 
 def o(text):
@@ -140,8 +142,60 @@ class TestNumerator:
                               allow_zero=True, allow_unit=True)
                  for _ in range(300)]
         for e in pool:
-            assert _numerator(e) == ie_numerator(e)
+            assert _numerator(e) == ie_numerator(e) == tuple_pivot_numerator(e)
             assert hilbert_samuel_poly(e)[0] == ie_hilbert_samuel_poly(e)
+
+    def test_trivial_ideals_at_every_width(self):
+        for m in (*range(1, 7), 1000):
+            for e, num in ((zero_ideal(m), ((0, 1),)), (unit_ideal(m), ())):
+                assert _numerator(e) == ie_numerator(e) == num
+                assert tuple_pivot_numerator(e) == num
+
+    def test_exponents_past_two_to_the_twenty(self):
+        big = 10 ** 6
+        for m in (3, 1000):
+            e = normalize(m, [unit_vec(m, 0, big), unit_vec(m, 1),
+                              unit_vec(m, 2)])
+            # (1 - t^big)(1 - t)^2
+            assert _numerator(e) == ie_numerator(e) == (
+                (0, 1), (1, -2), (2, 1), (big, -1), (big + 1, 2),
+                (big + 2, -1))
+        rng = random.Random(137)
+        for _ in range(30):
+            m = rng.randint(2, 5)
+            e = normalize(m, [
+                tuple(rng.choice((0, 0, rng.randint(1, 9),
+                                  rng.randint(2 ** 20, 2 ** 22)))
+                      for _ in range(m))
+                for _ in range(rng.randint(1, 8))])
+            assert _numerator(e) == ie_numerator(e) == tuple_pivot_numerator(e)
+
+    def test_sparse_ideals_at_dim_1000(self):
+        rng = random.Random(139)
+        for _ in range(12):
+            axes = rng.sample(range(1000), 5)  # so that supports meet
+            gens = []
+            for _ in range(rng.randint(1, 9)):
+                g = [0] * 1000
+                for i in rng.sample(axes, rng.randint(1, 3)):
+                    g[i] = rng.randint(1, 4)
+                gens.append(g)
+            e = normalize(1000, gens)
+            assert _numerator(e) == ie_numerator(e) == tuple_pivot_numerator(e)
+
+    def test_generator_count_sets_the_field_width(self):
+        # squarefree generators: exponents need 1 bit a field, but the
+        # count of mixed generators at a variable needs more
+        rng = random.Random(149)
+        squarefree = [p for d in (2, 3, 4) for p in points_of_degree(6, d)
+                      if max(p) == 1]  # 50 points, antichains of 10 to 20
+        pool = [normalize(6, [p for p in squarefree if sum(p) == 3])]
+        pool += [normalize(6, rng.sample(squarefree, 40)) for _ in range(20)]
+        for e in pool:
+            assert len(e.gens).bit_length() > 1
+            assert _numerator(e) == tuple_pivot_numerator(e)
+            if len(e.gens) <= 12:
+                assert _numerator(e) == ie_numerator(e)
 
     def test_wide_ideals_match_enumeration(self):
         rng = random.Random(127)

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -210,6 +211,21 @@ class TestCommLeq:
     @given(words2, words2)
     def test_matches_brute_force(self, u, v):
         assert comm_leq(u, v) == brute_comm_leq(u, v)
+
+    def test_long_augmenting_path(self):
+        # each (1, 0) of u takes the place of the one before it, so the
+        # last augmenting path is 1,199 letters long; a search that
+        # recursed along it ran out of frames under the default limit
+        u = [(0, 1)] + [(1, 0)] * 1199
+        v = [(1, 0)] * 1199 + [(1, 1)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            assert comm_leq(u, v)
+            assert not comm_leq(v, u)
+            assert not comm_leq(u[1:] + [(0, 1)] * 2, v)
+        finally:
+            sys.setrecursionlimit(limit)
 
     @given(words2, words2)
     def test_implies_multiset(self, u, v):
