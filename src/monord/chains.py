@@ -241,7 +241,8 @@ def max_bad_degree_growth(m, f, cap):
     natural(cap, "cap")
 
     # per bound d: its box of points in deglex order, the masks of earlier
-    # points incomparable to each, members' outside masks, built ideals
+    # points incomparable to each, and members' outside masks.  A box is a
+    # prefix of every larger box, so a member is kept as its antichain mask
     boxes = {}
 
     def box(d):
@@ -250,16 +251,17 @@ def max_bad_degree_growth(m, f, cap):
             inc = [sum(1 << j for j in range(k)
                        if not all(map(le, pts[j], p)))
                    for k, p in enumerate(pts)]
-            boxes[d] = pts, inc, {}, {}
+            boxes[d] = pts, inc, {}
         return boxes[d]
 
-    def outside(d, e):
-        pts, _, outs, _ = box(d)
-        if e.gens not in outs:
-            outs[e.gens] = sum(1 << j for j, p in enumerate(pts)
-                               if not any(all(map(le, g, p))
-                                          for g in e.gens))
-        return outs[e.gens]
+    def outside(d, c):
+        pts, _, outs = box(d)
+        if c not in outs:
+            gens = [g for j, g in enumerate(pts[:c.bit_length()])
+                    if c >> j & 1]
+            outs[c] = sum(1 << j for j, p in enumerate(pts)
+                          if not any(all(map(le, g, p)) for g in gens))
+        return outs[c]
 
     best = []
     nodes = 0
@@ -274,22 +276,22 @@ def max_bad_degree_growth(m, f, cap):
         if len(seq) > len(best):
             best = list(seq)
         d = f._at(len(seq))
-        pts, inc, _, built = box(d)
+        pts, inc, _ = box(d)
         if d == parent_d:
             out = outside(d, seq[-1])
             cands = [c for c in cands if c & out]
         else:
             cands = list(_antichains(inc, (1 << len(pts)) - 1,
-                                     [outside(d, e) for e in seq]))
+                                     [outside(d, c) for c in seq]))
         for c in cands:
-            if c not in built:
-                built[c] = _checked_ideal(m, tuple(
-                    p for j, p in enumerate(pts) if c >> j & 1))
-            seq.append(built[c])
+            seq.append(c)
             dfs(seq, d, cands)
             seq.pop()
             if not exhausted:
                 return
 
     dfs([], None, None)
-    return SearchResult(best, exhausted, nodes)
+    pts = box(f._at(len(best) - 1))[0] if best else ()
+    return SearchResult([_checked_ideal(m, tuple(
+        p for j, p in enumerate(pts) if c >> j & 1)) for c in best],
+        exhausted, nodes)

@@ -1,5 +1,5 @@
-"""Exception types shared across the library, its one input check and its
-one budget type."""
+"""Exception types shared across the library, its one input check, its one
+budget type and its one immutability guard, ``immutable``."""
 
 
 class MonordError(Exception):
@@ -56,6 +56,13 @@ def natural(x, what, least=0):
     if type(x) is not int:
         raise DataError(f"{what} {x!r} is not an integer, so not {need}")
     raise DataError(f"{what} {x} is not {need}")
+
+
+def immutable(self, *_):
+    """``__setattr__`` and ``__delattr__`` of every value class.  It refuses
+    all writes, so constructors set fields by ``object.__setattr__`` and
+    each class's ``__reduce__`` loads through its checked constructor."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class Budget:

@@ -113,21 +113,15 @@ def _pivot_numerator(e):
         a = exps[len(exps) // 2]
         todo.append(([(d, p) for d, p in pairs if p >> i & value < a]
                      + [(a, a << i)], offset))
-        # I's generators are minimal, so in I : x_i^a only a cut one can
-        # divide another, and the uncut ones may follow the sorted cut ones
-        cut, same = [], []
-        for d, p in pairs:
-            c = min(p >> i & value, a)
-            (cut if c else same).append((d - c, p - (c << i)))
         kept = []
-        for d, p in sorted(cut) + same:
+        for d, p in sorted((d - (c := min(p >> i & value, a)), p - (c << i))
+                           for d, p in pairs):
             over = p | guards
             for _, q in kept:
                 if over - q & guards == guards:
                     break
             else:
                 kept.append((d, p))
-        kept.sort()
         todo.append((kept, offset + a))
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
@@ -240,7 +234,8 @@ def psi_poly(p, m):
     other polynomial must have degree < m and nonnegative minimizing
     coefficients.
     """
-    if p == binom_poly(0, check_dim(m)):
+    # p's coordinates, not its class, are read, as in minimizing_coefficients
+    if getattr(p, "coeffs", None) == binom_poly(0, check_dim(m)).coeffs:
         return omega_pow(m)
     return _psi_of(_realizable(p, m))
 

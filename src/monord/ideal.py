@@ -7,9 +7,8 @@ antichain and the unit ideal is generated by the origin.
 
 from operator import le
 
-from .errors import DataError, natural
-from .monom import (DEGLEX, check_point, check_same_dim, support, unit_vec,
-                    vec_max)
+from .errors import DataError, immutable, natural
+from .monom import DEGLEX, check_point, check_same_dim, support, unit_vec
 
 
 class MonomialIdeal:
@@ -27,11 +26,7 @@ class MonomialIdeal:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gens", gens)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialIdeal is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MonomialIdeal is immutable")
+    __setattr__ = __delattr__ = immutable
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -158,7 +153,7 @@ def ideal_intersect(e, f):
     """Intersection: generated by pairwise lcms."""
     check_same_dim(check_ideal(e).dim, check_ideal(f).dim)
     return _checked_ideal(e.dim, minimal_points(
-        vec_max(g, h) for g in e.gens for h in f.gens))
+        tuple(map(max, g, h)) for g in e.gens for h in f.gens))
 
 
 def colon(e, v):

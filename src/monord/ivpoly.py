@@ -8,7 +8,7 @@ values on the integers has a unique such expansion with integer b_i.
 import math
 from typing import NamedTuple
 
-from .errors import DataError, natural
+from .errors import DataError, immutable, natural
 
 
 def binomial(x, k):
@@ -21,7 +21,8 @@ def binomial(x, k):
 
 
 class IVPoly:
-    """An integer-valued polynomial in the binomial basis."""
+    """An integer-valued polynomial in the binomial basis; immutable, and
+    compared and hashed by ``coeffs``."""
 
     __slots__ = ("coeffs",)
 
@@ -29,7 +30,12 @@ class IVPoly:
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    __setattr__ = __delattr__ = immutable
+
+    def __reduce__(self):
+        return IVPoly, (self.coeffs,)
 
     @property
     def degree(self):

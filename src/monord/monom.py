@@ -10,7 +10,7 @@ from collections import Counter
 from math import comb
 from operator import le
 
-from .errors import DataError, DimensionMismatch
+from .errors import DataError, DimensionMismatch, immutable
 
 
 def check_point(v):
@@ -40,12 +40,6 @@ def divides(u, v):
     library's own callers run it unchecked, as ``all(map(le, u, v))``."""
     check_same_dim(len(u), len(v))
     return all(map(le, u, v))
-
-
-def vec_max(u, v):
-    """Componentwise max (the lcm of the two monomials) of two points of one
-    N^m; the caller checks the dimensions."""
-    return tuple(max(a, b) for a, b in zip(u, v))
 
 
 def unit_vec(m, i, scale=1):
@@ -117,11 +111,10 @@ class TermOrder:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "matrix", matrix)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TermOrder is immutable")
+    __setattr__ = __delattr__ = immutable
 
-    def __delattr__(self, name):
-        raise AttributeError("TermOrder is immutable")
+    def __reduce__(self):
+        return TermOrder, (self.kind, self.matrix)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

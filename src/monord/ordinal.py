@@ -12,7 +12,7 @@ tuple order on forms is the ordinal order.
 
 from functools import total_ordering
 
-from .errors import DataError, ParseError, natural
+from .errors import DataError, ParseError, immutable, natural
 
 # Parenthesised exponents nest at most this deep in parse_ordinal, so that
 # parsing and the recursive arithmetic stay far from Python's recursion limit;
@@ -50,8 +50,7 @@ class Ord:
             raise DataError(f"ordinal nests deeper than {MAX_NESTING + 3}")
         object.__setattr__(self, "form", form)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Ord is immutable")
+    __setattr__ = __delattr__ = immutable
 
     def __reduce__(self):
         # pickles and copies go through __init__, so each load is checked

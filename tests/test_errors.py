@@ -1,8 +1,12 @@
-"""The input contract: a bad argument to a public call raises DataError."""
+"""The input contract: a bad argument to a public call raises DataError,
+and the value classes load through their checked constructors."""
+
+import copy
+import pickle
 
 import pytest
 
-from monord import (OMEGA, ONE, BoundFn, BudgetExceeded, DataError,
+from monord import (DEGLEX, OMEGA, ONE, BoundFn, BudgetExceeded, DataError,
                     DimensionMismatch, IVPoly, MonordError, Ord, TermOrder,
                     cmp, colon, comm_leq, cone, direct_sum, dominance_cmp,
                     ell, generator_word, h_bound, height, higman_leq,
@@ -113,3 +117,18 @@ def test_budget():
     for limit in (-1, 2.5, "9", True):
         with pytest.raises(DataError, match="budget"):
             Budget(limit, 5)
+
+
+def test_values_round_trip_through_pickle_and_copy():
+    # every value class loads through its checked constructor; IVPoly
+    # did not pickle at protocols 0 and 1
+    e = normalize(3, [(2, 1, 0), (0, 1, 3), (1, 0, 1)])
+    profile = hilbert_profile(e)
+    for value in (e, DEGLEX, TermOrder("matrix", ((1, 1, 1), (0, -1, 2))),
+                  nat_sum(nat_pow(OMEGA, 3), ONE), IVPoly((4, -2, 1)),
+                  profile, profile.p, profile.psi):
+        backs = [pickle.loads(pickle.dumps(value, proto))
+                 for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in backs + [copy.copy(value), copy.deepcopy(value)]:
+            assert type(back) is type(value) and back == value
+            assert repr(back) == repr(value) and hash(back) == hash(value)

@@ -627,6 +627,19 @@ class TestMemo:
         polys = [e for e, key in memo_log if key == "poly"]
         assert len(polys) == len(set(map(id, polys))) == len(pool)
 
+    def test_rebinding_the_kept_poly_is_refused(self):
+        # p_E is kept on the ideal and handed out by reference: rebinding its
+        # coeffs made psi_ideal, height and the profile's psi read 7
+        e = normalize(2, [(1, 1)])
+        p, _ = hilbert_samuel_poly(e)
+        for write in (lambda: setattr(p, "coeffs", (7,)),
+                      lambda: delattr(p, "coeffs")):
+            with pytest.raises(AttributeError, match="^IVPoly is immutable$"):
+                write()
+        assert hilbert_samuel_poly(e)[0] is p
+        assert (psi_ideal(e) == height(e) == hilbert_profile(e).psi
+                == parse_ordinal("w*2"))
+
     def test_consumers_share_one_numerator(self, memo_log):
         e = normalize(3, [(2, 1, 0), (0, 1, 3), (1, 0, 1)])
         hilbert_fn(e, 4)

@@ -467,7 +467,8 @@ class TestValueSemantics:
                       lambda: setattr(e, "other", 1),
                       lambda: delattr(e, "dim"),
                       lambda: delattr(e, "gens")):
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError,
+                               match="^MonomialIdeal is immutable$"):
                 write()
         assert vars(e) == {"dim": 2, "gens": ((1, 0), (0, 3))}
 

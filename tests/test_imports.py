@@ -63,6 +63,17 @@ def loaded():
                   if n == "monord" or n.startswith("monord."))
 """
 
+# a fresh copy of monord, as a benchmark that drops monord.* from
+# sys.modules imports it
+FRESH_IMPORT = """
+import importlib
+def fresh_import():
+    for name in [n for n in sys.modules
+                 if n == "monord" or n.startswith("monord.")]:
+        del sys.modules[name]
+    return importlib.import_module("monord")
+"""
+
 
 class TestLazyPackage:
     def test_star_import_gives_the_eager_exports(self):
@@ -103,13 +114,7 @@ print(json.dumps([loaded(), bound]))
         """Importing monord afresh while an older copy is in use (as a
         benchmark that drops monord.* from sys.modules does) must not
         mix the copies' classes in either package object."""
-        got = fresh(LOADED + """
-import importlib
-def fresh_import():
-    for name in [n for n in sys.modules
-                 if n == "monord" or n.startswith("monord.")]:
-        del sys.modules[name]
-    return importlib.import_module("monord")
+        got = fresh(LOADED + FRESH_IMPORT + """
 def consistent(p):
     values = [p.ONE, p.nat_sum(p.OMEGA, p.ONE), p.parse_ordinal("w^2 + 1"),
               p.bounds_report(2)["height"],
@@ -126,6 +131,21 @@ out.append(first.Ord is not second.Ord)   # two copies really are in use
 print(json.dumps(out))
 """)
         assert got == [True, True, True, True]
+
+    def test_psi_poly_reads_another_copys_polynomial(self):
+        """psi_poly compares p's coordinates, not its class, with
+        C(T+m, m): the zero ideal's polynomial built by another copy of
+        the package still gives w^m, where it raised a DataError."""
+        got = fresh(LOADED + FRESH_IMPORT + """
+first = fresh_import()
+polys = [first.ivpoly.binom_poly(0, 3), first.hilbert_samuel_poly(
+    first.normalize(3, [(1, 1, 0), (0, 0, 2)]))[0]]
+second = fresh_import()
+out = [[str(p.psi_poly(q, 3)) for q in polys] for p in (first, second)]
+out.append(type(polys[0]) is not second.IVPoly)
+print(json.dumps(out))
+""")
+        assert got == [["w^3", "w*4 + 2"], ["w^3", "w*4 + 2"], True]
 
 
 CLI = LOADED + """

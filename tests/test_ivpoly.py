@@ -93,6 +93,15 @@ class TestArithmetic:
     def test_printing(self):
         assert str(IVPoly([-2, 3, 1])) == "C(T+2,2) + 3*C(T+1,1) - 2"
 
+    def test_fields_are_read_only(self):
+        p = IVPoly([2, -1, 3])
+        for write in (lambda: setattr(p, "coeffs", (7,)),
+                      lambda: setattr(p, "other", 1),
+                      lambda: delattr(p, "coeffs")):
+            with pytest.raises(AttributeError, match="^IVPoly is immutable$"):
+                write()
+        assert p == IVPoly([2, -1, 3]) and p.coeffs == (2, -1, 3)
+
 
 class TestDominance:
     def test_reflexive(self):

@@ -121,10 +121,25 @@ class TestTermCmp:
     def test_fields_are_read_only(self):
         for write in (lambda: setattr(DEGLEX, "kind", "lex"),
                       lambda: setattr(DEGLEX, "matrix", ((1,),)),
-                      lambda: delattr(DEGLEX, "kind")):
-            with pytest.raises(AttributeError):
+                      lambda: setattr(DEGLEX, "other", 1),
+                      lambda: delattr(DEGLEX, "kind"),
+                      lambda: delattr(DEGLEX, "matrix")):
+            with pytest.raises(AttributeError,
+                               match="^TermOrder is immutable$"):
                 write()
         assert DEGLEX == TermOrder("deglex")
+
+    def test_loading_checks_the_fields(self):
+        # a pickle edited to an unknown kind loaded, and term_cmp on it then
+        # raised a bare IndexError
+        for t, field, bogus in ((DEGLEX, b"deglex", b"bogus!"),
+                                (TermOrder("matrix", ((1, 1), (0, 1))),
+                                 b"matrix", b"lexlex")):
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+                data = pickle.dumps(t, proto)
+                assert data.count(field) == 1
+                with pytest.raises(DataError, match="unknown term order"):
+                    pickle.loads(data.replace(field, bogus))
 
     def test_type_omega(self):
         assert DEGLEX.is_type_omega()

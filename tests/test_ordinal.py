@@ -98,6 +98,16 @@ class TestForm:
             with pytest.raises(ValueError, match="natural"):
                 Ord.from_int(n)
 
+    def test_fields_are_read_only(self):
+        # del a.form succeeded and left an Ord with no form
+        a = o("w^2 + 3")
+        for write in (lambda: setattr(a, "form", ()),
+                      lambda: setattr(a, "other", 1),
+                      lambda: delattr(a, "form")):
+            with pytest.raises(AttributeError, match="^Ord is immutable$"):
+                write()
+        assert a == o("w^2 + 3") and format_ordinal(a) == "w^2 + 3"
+
     def test_copy_and_pickle(self):
         deepest = "w^(" * MAX_NESTING + "2" + ")" * MAX_NESTING + " + w*3 + 2"
         for text in ("0", "7", "w", "w^(w + 1)*2 + w + 3", deepest):
