@@ -10,7 +10,7 @@ from math import comb, inf
 from operator import le
 from typing import NamedTuple
 
-from .errors import Budget, DataError, natural
+from .errors import Budget, DataError, listed, natural
 from .ideal import _checked_ideal, check_dim, check_ideal
 from .ivpoly import IVPoly, from_samples
 from .monom import check_same_dim, points_of_degree
@@ -186,10 +186,7 @@ def is_bad_sequence(ideals):
     A sequence is good when E_i is a superset of E_j for some i < j;
     the witness returned is the earliest such pair ordered by (j, i).
     """
-    try:
-        ideals = list(map(check_ideal, ideals))
-    except TypeError:
-        raise DataError(f"not a sequence of ideals: {ideals!r}") from None
+    ideals = list(map(check_ideal, listed(ideals, "ideal sequence")))
     for e in ideals[1:]:
         check_same_dim(ideals[0].dim, e.dim)
     for j in range(1, len(ideals)):

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, its one input check, its one
+"""Exception types shared across the library, its input checks, its one
 budget type and its one immutability guard, ``immutable``."""
 
 
@@ -56,6 +56,14 @@ def natural(x, what, least=0):
     if type(x) is not int:
         raise DataError(f"{what} {x!r} is not an integer, so not {need}")
     raise DataError(f"{what} {x} is not {need}")
+
+
+def listed(x, what):
+    """x as a list, or a DataError that names ``what`` if x is not iterable."""
+    try:
+        return list(x)
+    except TypeError:
+        raise DataError(f"{what} {x!r} is not a sequence") from None
 
 
 def immutable(self, *_):

@@ -21,14 +21,14 @@ and per-variable counts are a few int operations each (see _numerator).
 """
 
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat, zip_longest
 from operator import or_
 from math import comb
 from typing import NamedTuple
 
-from .errors import DataError, natural
+from .errors import DataError, listed, natural
 from .ideal import _checked_ideal, _memo, check_dim, check_ideal, normalize
-from .ivpoly import IVPoly, binom_poly, macaulay_next
+from .ivpoly import IVPoly, _binom_row, macaulay_next
 from .monom import degree, points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
 
@@ -150,8 +150,8 @@ def _hilbert_prefix(num, m, size):
 
 
 def _samuel_poly(num, m):
-    """p_E = sum_k N_k C(T - k + m, m), the sum of N_k * binom_poly(k, m),
-    summed coordinate by coordinate."""
+    """p_E = sum_k N_k C(T - k + m, m) by column sums of math.comb: twice as
+    fast here as adding up N_k * _binom_row(k, m), stepped in Python."""
     return IVPoly((-1) ** (m - i) * sum(c * comb(k, m - i) for k, c in num)
                   for i in range(m + 1))
 
@@ -201,11 +201,11 @@ def minimizing_coefficients(p, m):
     polynomial of some nonzero proper ideal exactly when all c_i come out
     nonnegative; ``valid`` reports that, with the offending position.
 
-    One loop peels the c_j off from the top degree down: c_j is the
-    degree-j coordinate of what is left, and its c_j summands in
-    poly_from_a_sequence add up (hockey stick) to binom_poly(S, j + 1) -
-    binom_poly(S + c_j, j + 1), S the sum of the c above; subtracting that
-    clears degree j.
+    One loop peels the c_j off p's coordinates from the top degree down:
+    c_j is the degree-j coordinate of what is left, and its c_j summands
+    in poly_from_a_sequence add up (hockey stick) to C(T - S + j + 1, j + 1)
+    - C(T - S - c_j + j + 1, j + 1), S the sum of the c above; subtracting
+    that difference of two _binom_rows clears degree j.
     """
     check_dim(m)
     # p's coordinates, not its class, are read: an IVPoly built by a copy
@@ -216,11 +216,12 @@ def minimizing_coefficients(p, m):
         raise DataError("p must be nonzero (the unit ideal has no psi)")
     if p.degree >= m:
         raise DataError(f"degree {p.degree} is too big for N^{m}")
-    c, s = [], 0
+    b, c, s = list(p.coeffs) + [0] * (m - len(p.coeffs)), [], 0
     for j in range(m - 1, -1, -1):
-        cj = p.coeffs[j] if j < len(p.coeffs) else 0
-        if cj:
-            p = p - binom_poly(s, j + 1) + binom_poly(s + cj, j + 1)
+        cj = b[j]
+        if cj:  # b is 0 above j, so zip may cut it off at the rows' end
+            b = [x - y + z for x, y, z in
+                 zip(b, _binom_row(s, j + 1), _binom_row(s + cj, j + 1))]
             s += cj
         c.append(cj)
     first_neg = next((i for i, ci in enumerate(reversed(c)) if ci < 0), None)
@@ -234,8 +235,8 @@ def psi_poly(p, m):
     other polynomial must have degree < m and nonnegative minimizing
     coefficients.
     """
-    # p's coordinates, not its class, are read, as in minimizing_coefficients
-    if getattr(p, "coeffs", None) == binom_poly(0, check_dim(m)).coeffs:
+    # p's coordinates, not its class, are read: C(T + m, m)'s are (0,...,0, 1)
+    if getattr(p, "coeffs", None) == (0,) * check_dim(m) + (1,):
         return omega_pow(m)
     return _psi_of(_realizable(p, m))
 
@@ -260,20 +261,22 @@ def _realizable(p, m):
 def a_sequence(c):
     """The canonical weakly decreasing exponent list: c_i copies of i,
     read from the top coefficient down."""
-    m = len(c)
-    out = []
-    for i, ci in enumerate(c):
-        out.extend([m - 1 - i] * natural(ci, "coefficient"))
-    return out
+    c = listed(c, "coefficient list")
+    return [len(c) - 1 - i for i, ci in enumerate(c)
+            for _ in range(natural(ci, "coefficient"))]
 
 
 def poly_from_a_sequence(seq):
     """Rebuild the polynomial sum_k C(T + a_k - (k-1), a_k) from its
-    canonical exponent list."""
-    p = IVPoly()
-    for k, a in enumerate(seq, start=1):
-        p = p + binom_poly(k - 1, natural(a, "exponent"))
-    return p
+    canonical exponent list: as in the peel, a run of copies of a, entries
+    r + 1 to s, adds up to _binom_row(r, a + 1) - _binom_row(s, a + 1)."""
+    b, s = [], 0
+    for a, run in groupby(map(natural, listed(seq, "exponent list"),
+                              repeat("exponent"))):
+        r, s = s, s + len(list(run))
+        b = [x + y - z for x, y, z in zip_longest(
+            b, _binom_row(r, a + 1), _binom_row(s, a + 1), fillvalue=0)]
+    return IVPoly(b)
 
 
 def canonical_decomposition(p, m):

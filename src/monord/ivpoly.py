@@ -8,12 +8,14 @@ values on the integers has a unique such expansion with integer b_i.
 import math
 from typing import NamedTuple
 
-from .errors import DataError, immutable, natural
+from .errors import DataError, immutable, listed, natural
 
 
 def binomial(x, k):
     """C(x, k) for any integer x and natural k, extended polynomially in x:
     below zero, C(x, k) = (-1)^k C(k - x - 1, k)."""
+    if type(x) is not int:
+        raise DataError(f"upper index {x!r} is not an integer")
     natural(k, "lower index")
     if x >= 0:
         return math.comb(x, k)
@@ -27,7 +29,9 @@ class IVPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
+        coeffs = listed(coeffs, "coordinate list")
+        if any(type(b) is not int for b in coeffs):
+            raise DataError(f"IVPoly coordinates {coeffs!r} are not all ints")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -98,7 +102,18 @@ class IVPoly:
 def binom_poly(c, k):
     """The polynomial C(T - c + k, k) as an IVPoly: its generating function
     is x^c / (1 - x)^(k + 1), and x^c = (1 - (1 - x))^c."""
-    return IVPoly((-1) ** (k - i) * binomial(c, k - i) for i in range(k + 1))
+    if type(c) is not int:
+        raise DataError(f"c = {c!r} is not an integer")
+    return IVPoly(_binom_row(c, natural(k, "k =")))
+
+
+def _binom_row(c, k):
+    """The coordinates (-1)^(k - i) C(c, k - i), i = 0..k, of C(T - c + k, k),
+    unchecked: (-1)^j C(c, j) is (-1)^(j-1) C(c, j-1) (j - 1 - c) / j."""
+    row = [1]
+    for j in range(1, k + 1):
+        row.append(row[-1] * (j - 1 - c) // j)
+    return row[::-1]
 
 
 def from_samples(values):

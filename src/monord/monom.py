@@ -10,7 +10,7 @@ from collections import Counter
 from math import comb
 from operator import le
 
-from .errors import DataError, DimensionMismatch, immutable
+from .errors import DataError, DimensionMismatch, immutable, listed
 
 
 def check_point(v):
@@ -228,10 +228,7 @@ def _words(u, v):
     """The words u and v as lists, once every letter of both is checked to
     be a point, all of one dimension, so that the embeddings compare
     letters unchecked."""
-    try:
-        u, v = list(u), list(v)
-    except TypeError:
-        raise DataError("a word is a sequence of points") from None
+    u, v = listed(u, "word"), listed(v, "word")
     letters = u + v
     for x in letters:
         check_same_dim(len(check_point(x)), len(letters[0]))

@@ -19,6 +19,7 @@ from monord import (DataError, IVPoly, binomial, divides, format_ordinal,
 from monord.chains import as_bound_fn
 from monord.hilbert import _hilbert_value, _realizable
 from monord.ideal import minimal_points
+from monord.ivpoly import binom_poly
 from monord.monom import unit_vec
 
 
@@ -194,6 +195,30 @@ def shift_coeff_recursion(p):
     assert q.degree < d, "leading terms failed to cancel"
     inner = shift_coeff_recursion(q)
     return [bd] + [0] * (d - len(inner)) + inner
+
+
+def ivpoly_peel(p, m):
+    """The minimizing coefficients (c_{m-1}, ..., c_0) of p by the IVPoly
+    arithmetic the library once used: at each nonzero c_j, subtract
+    binom_poly(S, j + 1) and add binom_poly(S + c_j, j + 1), S the sum of
+    the c above."""
+    c, s = [], 0
+    for j in range(m - 1, -1, -1):
+        cj = p.coeffs[j] if j < len(p.coeffs) else 0
+        if cj:
+            p = p - binom_poly(s, j + 1) + binom_poly(s + cj, j + 1)
+            s += cj
+        c.append(cj)
+    return tuple(c)
+
+
+def ivpoly_sum(seq):
+    """poly_from_a_sequence as the library once built it: one IVPoly sum
+    per exponent."""
+    p = IVPoly()
+    for k, a in enumerate(seq, start=1):
+        p = p + binom_poly(k - 1, a)
+    return p
 
 
 def certified_stability_index(e, margin=8):

@@ -6,18 +6,22 @@ import pickle
 
 import pytest
 
+import monord
 from monord import (DEGLEX, OMEGA, ONE, BoundFn, BudgetExceeded, DataError,
                     DimensionMismatch, IVPoly, MonordError, Ord, TermOrder,
-                    cmp, colon, comm_leq, cone, direct_sum, dominance_cmp,
-                    ell, generator_word, h_bound, height, higman_leq,
-                    hilbert_fn, hilbert_profile, hilbert_samuel_fn,
-                    hilbert_samuel_poly, ideal_intersect, ideal_sum,
-                    irreducible_decomposition, is_bad_sequence, kb_cmp,
-                    lex_segment_ideal, min_type_cmp, minimizing_coefficients,
+                    binomial, cmp, colon, comm_leq, cone, direct_sum,
+                    dominance_cmp, ell, from_samples, generator_word, h_bound,
+                    height, higman_leq, hilbert_fn, hilbert_profile,
+                    hilbert_samuel_fn, hilbert_samuel_poly, ideal_intersect,
+                    ideal_sum, irreducible_decomposition, is_bad_sequence,
+                    is_osequence, kb_cmp, lex_segment_ideal, macaulay_next,
+                    macaulay_rep, min_type_cmp, minimizing_coefficients,
                     multiset_leq, nat_pow, nat_sum, normalize,
                     poly_from_a_sequence, psi_ideal, psi_poly, slice_last,
                     stability_index, threshold, triangle_cmp)
 from monord.errors import Budget
+from monord.hilbert import a_sequence
+from monord.ivpoly import binom_poly
 
 E = normalize(2, [(2, 0), (1, 1)])
 
@@ -87,6 +91,23 @@ BAD_CALLS = {
     "higman_leq int letters": lambda: higman_leq([3], [4]),
     "comm_leq int word": lambda: comm_leq([(1, 0)], 5),
     "is_bad_sequence int": lambda: is_bad_sequence(3),
+    # the polynomial calls: these were answered, with a float coordinate
+    # or 0, or raised TypeError
+    "IVPoly float coordinate": lambda: IVPoly([1.5]),
+    "IVPoly bool coordinate": lambda: IVPoly([True]),
+    "IVPoly of an int": lambda: IVPoly(5),
+    "from_samples float sample": lambda: from_samples([1.5, 2]),
+    "binomial float x": lambda: binomial(1.5, 2),
+    "binomial str x": lambda: binomial("a", 2),
+    "binom_poly float k": lambda: binom_poly(0, 1.5),
+    "binom_poly negative k": lambda: binom_poly(0, -1),
+    "binom_poly str c": lambda: binom_poly("a", 2),
+    "poly_from_a_sequence None": lambda: poly_from_a_sequence(None),
+    "a_sequence None": lambda: a_sequence(None),
+    # and these were checked already: each polynomial call has a row
+    "macaulay_rep negative a": lambda: macaulay_rep(-1, 2),
+    "macaulay_next float a": lambda: macaulay_next(1.5, 2),
+    "is_osequence m = 0": lambda: is_osequence([1], 0),
 }
 
 
@@ -94,6 +115,18 @@ BAD_CALLS = {
 def test_bad_arguments_raise_data_error(call):
     with pytest.raises(DataError):
         call()
+
+
+def test_every_polynomial_call_has_a_bad_call_row():
+    """Each callable that monord.ivpoly exports, its NamedTuple records
+    aside, and binom_poly is the first word of a BAD_CALLS row, so a new
+    public call on polynomials cannot skip the input contract."""
+    calls = {"binom_poly"} | {
+        name for name in monord.__all__
+        if getattr(getattr(monord, name), "__module__", None)
+        == "monord.ivpoly" and not hasattr(getattr(monord, name), "_fields")}
+    assert {"IVPoly", "binomial", "macaulay_rep"} < calls
+    assert calls <= {row.split()[0] for row in BAD_CALLS}
 
 
 def test_data_error_is_a_value_error():

@@ -20,7 +20,8 @@ from monord.hilbert import _numerator, a_sequence
 from monord.ivpoly import binom_poly
 from monord.monom import points_of_degree, unit_vec
 from oracles import (certified_stability_index, ie_hilbert_samuel_poly,
-                     ie_numerator, listing_lex_segment, naive_hilbert,
+                     ie_numerator, ivpoly_peel, ivpoly_sum,
+                     listing_lex_segment, naive_hilbert,
                      naive_hilbert_samuel, peel_realize_poly,
                      persistence_stability_index, points_up_to,
                      random_artinian_staircase, random_ideal,
@@ -248,9 +249,10 @@ class TestMinimizingCoefficients:
             minimizing_coefficients(binom_poly(0, 2), 2)
 
     def test_matches_shift_recursion(self):
-        # the peeling loop against the recursion through p(T + b_d), on
-        # random coordinates (about half of them unrealizable) and on the
-        # polynomials of seeded a-sequences
+        # the peeling loop against the recursion through p(T + b_d) and the
+        # IVPoly peel, on random coordinates (about half of them
+        # unrealizable) and on the polynomials of seeded a-sequences, which
+        # are checked against the IVPoly sum
         rng = random.Random(1409)
         cases = []
         while len(cases) < 20000:
@@ -264,7 +266,9 @@ class TestMinimizingCoefficients:
             c = tuple(rng.choice((0, 0, 1, 2, rng.randint(3, 9)))
                       for _ in range(m))
             if any(c):
-                cases.append((poly_from_a_sequence(a_sequence(c)), m))
+                seq = a_sequence(c)
+                cases.append((poly_from_a_sequence(seq), m))
+                assert cases[-1][0] == ivpoly_sum(seq), seq
                 seqs += 1
         valid = 0
         for p, m in cases:
@@ -272,7 +276,7 @@ class TestMinimizingCoefficients:
             c = (0,) * (m - len(c)) + tuple(c)
             negative = [i for i in range(m) if c[m - 1 - i] < 0]
             mc = minimizing_coefficients(p, m)
-            assert mc.c == c, (p, m)
+            assert mc.c == c == ivpoly_peel(p, m), (p, m)
             assert mc.valid == (not negative)
             assert mc.first_negative == (negative[0] if negative else None)
             valid += mc.valid
@@ -319,6 +323,38 @@ class TestCanonicalDecomposition:
     def test_phi_rejects_zero_ideal_poly(self):
         with pytest.raises(DataError):
             phi_poly(binom_poly(0, 2), 2)
+
+    def test_inverse_matches_the_ivpoly_sum(self):
+        # the run-by-run inverse on lists no peel gives: empty, not
+        # monotone, and long, phi >= 10^4 with one run or many
+        rng = random.Random(1433)
+        seqs = [[], [0], [3, 3, 0, 0, 5, 1, 1, 2],
+                a_sequence((3, 40, 10 ** 4)),
+                [rng.randint(0, 4) for _ in range(10 ** 4)]]
+        for _ in range(500):
+            seqs.append([rng.randint(0, 6) for _ in range(rng.randint(1, 30))])
+        for seq in seqs:
+            assert poly_from_a_sequence(seq) == ivpoly_sum(seq), seq
+        assert poly_from_a_sequence(iter([2, 2, 1])) == ivpoly_sum([2, 2, 1])
+
+    def test_peel_and_inverse_build_no_ivpoly_but_the_result(self,
+                                                             monkeypatch):
+        # the IVPoly arithmetic they replaced built five IVPolys a peel
+        # step and one sum per exponent
+        built, init = [], IVPoly.__init__
+        p = poly_from_a_sequence(a_sequence((2, 0, 3, 40)))
+
+        def counting(self, coeffs=()):
+            built.append(coeffs)
+            init(self, coeffs)
+
+        monkeypatch.setattr(IVPoly, "__init__", counting)
+        for call in (minimizing_coefficients, psi_poly, phi_poly,
+                     canonical_decomposition, realize_poly):
+            call(p, 4)
+            assert not built, call
+        poly_from_a_sequence(a_sequence((2, 0, 3, 10 ** 4)))
+        assert len(built) == 1
 
     def test_reconstruction(self):
         rng = random.Random(67)
