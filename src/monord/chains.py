@@ -1,8 +1,8 @@
 """Quantitative chain bounds and bad-sequence checking.
 
 ell(m, f) is the exact maximal length of an f-bounded lex-decreasing
-sequence in N^m; it grows Ackermann-like in m, so every recursion here
-runs under an explicit budget rather than a value bound.
+sequence in N^m; it grows Ackermann-like in m, so the one walk behind
+ell, t_m and the extremal sequences runs under a budget, not a value bound.
 """
 
 from itertools import accumulate
@@ -12,23 +12,22 @@ from typing import NamedTuple
 
 from .errors import Budget, DataError, listed, natural
 from .ideal import _checked_ideal, check_dim, check_ideal
-from .ivpoly import IVPoly, from_samples
+from .ivpoly import IVPoly
 from .monom import check_same_dim, points_of_degree
 
 DEFAULT_BUDGET = 1_000_000
 
 
 def _step(budget, off):
-    """Charge one recursion step: one unit plus one per byte of the offset
-    its bound is shifted by, so that the budget bounds the size of the
-    values built.  The chains also charge one unit per value a callable
-    bound adds to its table and one per h_m sample."""
+    """Charge one step of the walk: one unit plus one per byte of the offset
+    its bound is shifted by, so that the budget bounds the values built;
+    callables charge their new table values, and t_m each h_m(s) it takes."""
     budget.charge(1 + (off.bit_length() + 7) // 8)
 
 
 class BoundFn:
     """A degree bound i -> f(i), replaced by its increasing envelope
-    i -> max(f(0), ..., f(i)), which the length recursion assumes.
+    i -> max(f(0), ..., f(i)), which the walk assumes.
 
     A table of envelope values, then f(i) = tail(i - len(table)) for an
     IVPoly tail; or, with no tail, a callable read lazily into the table.
@@ -44,13 +43,12 @@ class BoundFn:
             while self._flat and self._vals[self._flat - 1] == c:
                 self._flat -= 1
 
-    def __call__(self, i, budget=None):
-        """f(i); a callable's new table values are charged to ``budget``
-        before they are read."""
-        return self._at(natural(i, "bound index"), budget)
+    def __call__(self, i):
+        return self._at(natural(i, "bound index"))
 
     def _at(self, i, budget=None):
-        """f(i) for a natural i, as the engines read it."""
+        """f(i) for a natural i, as the engines read it; a callable's new
+        table values are charged to ``budget`` before they are read."""
         vals = self._vals
         if i >= len(vals) and self._tail is not None:
             return self._tail(i - len(vals))
@@ -78,15 +76,6 @@ class BoundFn:
         values = list(accumulate(values, max))
         return cls(table=values, tail=IVPoly((values[-1],)))
 
-    def mapped(self, g, degree):
-        """j -> g(f(j)) in the same form, for g nondecreasing and of the
-        given degree on the naturals: a tail of degree d maps to d * degree."""
-        if self._tail is None:
-            return BoundFn(lambda j: g(self._at(j)))
-        samples = max(self._tail.degree, 0) * degree + 1
-        tail = from_samples([g(self._tail(j)) for j in range(samples)])
-        return BoundFn(table=[g(v) for v in self._vals], tail=tail)
-
 
 def as_bound_fn(f):
     if isinstance(f, BoundFn):
@@ -94,6 +83,35 @@ def as_bound_fn(f):
     if callable(f):
         return BoundFn(f)
     return BoundFn.from_table([natural(f, "constant bound")])
+
+
+def _walk(m, read, flat, budget):
+    """ell's recursion as one walk: the blocks (v, size), v reused, of the
+    greedy lex-decreasing sequence from (f(0), 0, ..., 0).  Block j keeps
+    v[:j]; at j = m - 1, or from index flat on, it is the C(v[j] + m - j,
+    m - j) points whose rest has degree <= v[j], else one point.  Then the
+    last positive v[i], i < m - 1, drops by one, a step is charged for its
+    block's length so far, and v[i + 1] is filled up to the bound there."""
+    v = [read(0, budget)] + [0] * (m - 1)
+    starts = [0] * m  # where the block at each index began
+    j = total = 0
+    while True:
+        closed = j == m - 1 or starts[j] >= flat
+        size = comb(v[j] + m - j, m - j) if closed else 1
+        yield v, size
+        total += size
+        if closed:
+            v[j] = 0
+        i = min(j, m - 2)
+        while i >= 0 and not v[i]:
+            i -= 1
+        if i < 0:
+            return
+        _step(budget, total - starts[i])
+        v[i] -= 1
+        j = i + 1
+        starts[j] = total
+        v[j] = read(total, budget) - sum(v)
 
 
 def ell(m, f, budget=None):
@@ -109,45 +127,26 @@ def ell(m, f, budget=None):
     """
     f = as_bound_fn(f)
     check_dim(m)
-    return _ell(m, f, 0, 0, Budget(budget, DEFAULT_BUDGET))
-
-
-def _ell(m, f, off, k, budget):
-    """ell(m, j -> f(j + off) + k): every shifted bound is f at an offset
-    plus an addend, so the recursion passes the two ints down."""
-    f0 = f._at(off, budget) + k
-    if m == 1 or off >= f._flat:
-        return comb(f0 + m, m)
-    out = 1
-    for i in range(1, f0 + 1):
-        _step(budget, out)
-        out += _ell(m - 1, f, off + out, k - f0 + i, budget)
-    return out
+    budget = Budget(budget, DEFAULT_BUDGET)
+    return sum(size for _, size in _walk(m, f._at, f._flat, budget))
 
 
 def extremal_sequence(m, f, cap, budget=None):
     """A longest f-bounded lex-decreasing sequence, truncated to ``cap``
     entries; uncapped it has length exactly ell(m, f).  From
     (f(0), 0, ..., 0), each entry is the lex-largest point below the last
-    within the bound: the last coordinate runs down to 0, then the last
-    nonzero one among the first m - 1 drops by one and the next is filled
-    up to f at that index, the only place f is read and a step charged."""
+    within the bound: ell's walk with no flat index, so that each block is
+    one point or a run of the last coordinate, stopped at ``cap``."""
     f = as_bound_fn(f)
     check_dim(m)
     natural(cap, "cap")
     budget = Budget(budget, DEFAULT_BUDGET)
-    v, seq = [f._at(0, budget)] + [0] * (m - 1), []
-    while len(seq) < cap:
+    seq = []
+    for v, size in _walk(m, f._at, inf, budget):
         head, last = tuple(v[:-1]), v[-1]
-        seq += [head + (last - j,)
-                for j in range(min(last + 1, cap - len(seq)))]
-        i = next((i for i in range(m - 2, -1, -1) if v[i]), None)
-        if i is None or len(seq) == cap:
+        seq += [head + (last - j,) for j in range(min(size, cap - len(seq)))]
+        if len(seq) == cap:
             break
-        _step(budget, len(seq))
-        v[i] -= 1
-        v[i + 1:] = [0] * (m - i - 1)
-        v[i + 1] = f._at(len(seq), budget) - sum(v[:i + 1])
     return seq
 
 
@@ -160,19 +159,19 @@ def h_bound(s, m):
 
 
 def t_bound(m, f, budget=None):
-    """t_m(f) = ell(m, h_m o f): a length bound for bad sequences of
-    ideals in N^m whose i-th member is generated in degrees <= f(i).
-    h_m, of degree m on the naturals, is composed into f's tail from
-    samples of h_bound, each charged before it is taken."""
+    """t_m(f) = ell(m, h_m o f), bounding bad sequences of ideals in N^m
+    whose i-th member is generated in degrees <= f(i).  The walk reads each
+    f(i) = s through h_m after charging 1 + m * bytes(s), its result's size."""
     f = as_bound_fn(f)
     check_dim(m)
     budget = Budget(budget, DEFAULT_BUDGET)
 
-    def h(s):
-        budget.charge(1)
-        return h_bound(s, m)
+    def read(i, budget):
+        s = f._at(i, budget)
+        budget.charge(1 + m * ((s.bit_length() + 7) // 8))
+        return s + comb(s - 1 + m, m)
 
-    return _ell(m, f.mapped(h, m), 0, 0, budget)
+    return sum(size for _, size in _walk(m, read, f._flat, budget))
 
 
 class BadnessVerdict(NamedTuple):

@@ -326,9 +326,9 @@ def cmd_chainbound(args):
         p, q = (int(x) for x in args.affine.split(","))
     except ValueError:
         raise DataError(f"--affine expects 'p,q', got {args.affine!r}")
-    value = (chains.t_bound if args.tm else chains.ell)(
-        args.m, chains.BoundFn.affine(p, q), budget=args.budget)
-    return {"value": str(value)}, str(value)
+    value = str((chains.t_bound if args.tm else chains.ell)(
+        args.m, chains.BoundFn.affine(p, q), budget=args.budget))
+    return {"value": value}, value
 
 
 def cmd_bounds(args):

@@ -37,7 +37,7 @@ class DimensionMismatch(DataError):
 class BudgetExceeded(MonordError):
     """A computation ran out of its Budget.  One budget type serves both
     places that need one: the chain bounds count loop steps, bytes of the
-    values they build, bound values read and samples taken, and
+    values they build, bound values read and the size of each h_m value, and
     ``monord hilbert`` counts the bytes of the H and h lists it prints."""
 
     def __init__(self, message, spent=None):

@@ -16,7 +16,7 @@ from math import comb, factorial
 from monord import (DataError, IVPoly, binomial, divides, format_ordinal,
                     from_samples, hilbert_fn, hilbert_profile, macaulay_next,
                     normalize, phi_poly, slice_last)
-from monord.chains import as_bound_fn
+from monord.chains import _step, as_bound_fn
 from monord.hilbert import _hilbert_value, _realizable
 from monord.ideal import minimal_points
 from monord.ivpoly import binom_poly
@@ -711,6 +711,22 @@ def recurrence_ell(m, f):
         total += recurrence_ell(
             m - 1, lambda j, off=total, i=i: f(j + off) - f(0) + i)
     return total
+
+
+def recursive_ell(m, f, budget, off=0, k=0):
+    """ell(m, j -> f(j + off) + k) for a BoundFn f by the recursion the
+    library's walk replaced, one frame per block below a first point: each
+    child's bound is f at a larger offset plus an addend.  It charges
+    ``budget`` exactly as the walk does, a step before each child, so the
+    two agree on ``BudgetExceeded.spent`` too."""
+    f0 = f._at(off, budget) + k
+    if m == 1 or off >= f._flat:
+        return comb(f0 + m, m)
+    out = 1
+    for i in range(1, f0 + 1):
+        _step(budget, out)
+        out += recursive_ell(m - 1, f, budget, off + out, k - f0 + i)
+    return out
 
 
 def cnf_cmp(a, b):

@@ -8,9 +8,11 @@ import pytest
 from monord import (BoundFn, BudgetExceeded, DataError, IVPoly, ell,
                     extremal_sequence, h_bound, is_bad_sequence,
                     max_bad_degree_growth, normalize, t_bound, zero_ideal)
+from monord.chains import DEFAULT_BUDGET
+from monord.errors import Budget
 from oracles import (affine_ell, antichains, max_decreasing_sequence,
-                     points_up_to, random_ideal, reference_bad_search,
-                     trie_ell, trie_extremal)
+                     points_up_to, random_ideal, recursive_ell,
+                     reference_bad_search, trie_ell, trie_extremal)
 
 # small grid of eventually constant bound functions for oracle comparisons
 TABLES = [(0,), (1,), (2,), (3,), (0, 2), (1, 2), (2, 3), (1, 1, 3), (3, 1)]
@@ -30,8 +32,21 @@ TB_GRID = ([(2, p, q) for p, q in
            + [(3, p, q) for p, q in ((0, 0), (1, 0), (2, 0), (0, 1))])
 
 
+# callables that are neither constant nor affine, at m = 4 and 5
+CALLABLES = [lambda i: min(3, 1 + i), lambda i: (2, 0, 3, 1)[i % 4] + i // 5,
+             lambda i: 1 + i * i]
+
+
 def table_fn(table):
     return lambda i: table[min(i, len(table) - 1)]
+
+
+def outcome(run):
+    """run(), or the units it spent when it ran out of budget."""
+    try:
+        return run()
+    except BudgetExceeded as exc:
+        return "spent", exc.spent
 
 
 class TestBoundFn:
@@ -168,22 +183,76 @@ class TestAgainstTrieEngine:
                  for m in (1, 2, 3) for t in TABLES]
         cases += [(m, BoundFn.affine(p, q), lambda i, p=p, q=q: p + i * q)
                   for m, p, q in AFFINE_GRID]
-        cases += [(m, fn, fn) for m in (4, 5) for fn in (
-            lambda i: min(3, 1 + i), lambda i: (2, 0, 3, 1)[i % 4] + i // 5,
-            lambda i: 1 + i * i)]
+        cases += [(m, fn, fn) for m in (4, 5) for fn in CALLABLES]
         for m, f, fn in cases:
             for cap in (1, 7, 50):
                 assert extremal_sequence(m, f, cap) == \
                     trie_extremal(m, fn, cap), (m, cap)
 
     def test_constant_bounds(self):
-        # a callable is never known to be constant, so it runs the recursion
+        # a callable is never known to be constant, so it runs the whole walk
         for m in range(1, 5):
             for c in range(8):
                 assert ell(m, c) == ell(m, lambda i, c=c: c), (m, c)
         for m in range(1, 13):
             for c in range(41):
                 assert ell(m, c) == comb(c + m, m), (m, c)
+
+
+class TestAgainstRecursion:
+    """The walk against the recursion it replaced, oracles.recursive_ell,
+    on values and on BudgetExceeded.spent: both read the bound at the same
+    offsets and charge a step before each block below a first point.  Each
+    run gets a fresh bound, as a callable's table charges only new values."""
+
+    CASES = ([(m, lambda t=t: BoundFn.from_table(t))
+              for m in (1, 2, 3, 4) for t in TABLES]
+             + [(m, lambda p=p, q=q: BoundFn.affine(p, q))
+                for m, p, q in AFFINE_GRID]
+             + [(m, lambda c=c, p=p: BoundFn(lambda i: min(c, p + i)))
+                for m in (1, 2, 3) for c in range(6) for p in range(6)])
+    # bounds that grow, where small budgets run out at every depth
+    GROWING = [(2, lambda: BoundFn.affine(3, 1)),
+               (3, lambda: BoundFn.affine(3, 2)),
+               (4, lambda: BoundFn.affine(2, 1)),
+               (3, lambda: BoundFn(lambda i: 3 + i)),
+               (4, lambda: BoundFn(CALLABLES[1])),
+               (5, lambda: BoundFn(CALLABLES[2])),
+               (3, lambda: BoundFn.from_table((1, 1, 3))),
+               (4, lambda: BoundFn(lambda i: min(4, 1 + i)))]
+
+    @staticmethod
+    def both(m, make, budget):
+        return (outcome(lambda: ell(m, make(), budget=budget)),
+                outcome(lambda: recursive_ell(
+                    m, make(), Budget(budget, DEFAULT_BUDGET))))
+
+    def test_values(self):
+        for m, make in self.CASES:
+            walk, rec = self.both(m, make, None)
+            assert walk == rec and type(walk) is int, (m, make())
+
+    def test_small_budgets(self):
+        for m, make in self.CASES[::7] + self.GROWING:
+            for budget in list(range(40)) + [100, 1000, 10_000]:
+                walk, rec = self.both(m, make, budget)
+                assert walk == rec, (m, budget)
+
+
+class TestAtDimension1000:
+    """ell and t_bound walk one list of m coordinates, so dimension 1000
+    ends in BudgetExceeded under the default frame limit; the recursion
+    ran out of frames there."""
+
+    def test_ell(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            ell(1000, BoundFn.affine(1, 1))
+        assert exc.value.spent <= DEFAULT_BUDGET
+
+    def test_t_bound(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            t_bound(1000, BoundFn.affine(1, 1))
+        assert exc.value.spent <= DEFAULT_BUDGET
 
 
 class TestExtremal:
@@ -197,17 +266,24 @@ class TestExtremal:
         assert extremal_sequence(2, 3, cap=0) == []
 
     def test_achieves_ell_and_is_valid(self):
-        for m in (1, 2, 3):
-            for table in TABLES:
-                f = BoundFn.from_table(table)
-                length = ell(m, f)
-                seq = extremal_sequence(m, BoundFn.from_table(table),
-                                        cap=length + 5)
-                assert len(seq) == length
-                for i, v in enumerate(seq):
-                    assert sum(v) <= f(i)
-                for u, v in zip(seq, seq[1:]):
-                    assert v < u  # lex-decreasing
+        # where ell runs out of the default budget, a prefix of 2,000
+        cases = [(m, lambda t=t: BoundFn.from_table(t))
+                 for m in (1, 2, 3) for t in TABLES]
+        cases += [(m, lambda p=p, q=q: BoundFn.affine(p, q))
+                  for m, p, q in AFFINE_GRID]
+        cases += [(m, lambda fn=fn: BoundFn(fn))
+                  for m in (4, 5) for fn in CALLABLES]
+        for m, make in cases:
+            f = make()
+            length = outcome(lambda: ell(m, make()))
+            fits = type(length) is int
+            seq = extremal_sequence(m, make(),
+                                    cap=length + 5 if fits else 2000)
+            assert len(seq) == (length if fits else 2000)
+            for i, v in enumerate(seq):
+                assert sum(v) <= f(i)
+            for u, v in zip(seq, seq[1:]):
+                assert v < u  # lex-decreasing
 
 
 class TestBounds:

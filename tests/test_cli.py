@@ -501,12 +501,15 @@ class TestExitCodes:
         assert run(capsys, ["hilbert", path]) == (
             69, "", "error: out of memory\n")
 
-    def test_chainbound_at_m_1000_runs_out_of_frames(self, capsys):
-        # ell recurses once per dimension; it exited 1 with a traceback
+    def test_chainbound_at_m_1000_runs_out_of_budget(self, capsys):
+        # ell recursed once per dimension: it exited 1 with a traceback,
+        # then 69 "recursion too deep"; the walk spends its budget instead
         code, out, err = run(capsys, ["chainbound", "--m", "1000",
                                       "--affine", "1,1"])
         assert (code, out) == (69, "")
-        assert err == "error: recursion too deep for this input\n"
+        assert err == ("error: budget of 1000000 units exhausted: 999577 "
+                       "spent, 499 more asked (raise it with budget= or "
+                       "--budget)\n")
 
     # the triangle order, and mintype's tie-break through it, recursed once
     # per dimension and exited 69 on these; both now read the generators.
