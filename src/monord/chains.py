@@ -12,7 +12,6 @@ from typing import NamedTuple
 
 from .errors import Budget, DataError, listed, natural
 from .ideal import _checked_ideal, check_dim, check_ideal
-from .ivpoly import IVPoly
 from .monom import check_same_dim, points_of_degree
 
 DEFAULT_BUDGET = 1_000_000
@@ -26,22 +25,16 @@ def _step(budget, off):
 
 
 class BoundFn:
-    """A degree bound i -> f(i), replaced by its increasing envelope
-    i -> max(f(0), ..., f(i)), which the walk assumes.
+    """A degree bound i -> f(i), read as its increasing envelope
+    max(f(0), ..., f(i)): a callable fn, ``BoundFn(fn)``, read lazily into a
+    table of envelope values, or such a table continued by p + (i - len) * q,
+    p >= its last value, from ``affine`` and ``from_table``."""
 
-    A table of envelope values, then f(i) = tail(i - len(table)) for an
-    IVPoly tail; or, with no tail, a callable read lazily into the table.
-    """
-
-    def __init__(self, fn=None, table=(), tail=None):
-        self._fn = fn
-        self._vals = list(table)
-        self._tail = tail
-        self._flat = inf  # f is constant from index _flat on
-        if tail is not None and tail.degree <= 0:
-            c, self._flat = tail(0), len(self._vals)
-            while self._flat and self._vals[self._flat - 1] == c:
-                self._flat -= 1
+    def __init__(self, fn):
+        if not callable(fn):
+            raise DataError(f"a bound is a callable, not {fn!r}")
+        # f is constant from index _flat on; a callable is never known to be
+        self._fn, self._vals, self._flat = fn, [], inf
 
     def __call__(self, i):
         return self._at(natural(i, "bound index"))
@@ -50,8 +43,8 @@ class BoundFn:
         """f(i) for a natural i, as the engines read it; a callable's new
         table values are charged to ``budget`` before they are read."""
         vals = self._vals
-        if i >= len(vals) and self._tail is not None:
-            return self._tail(i - len(vals))
+        if i >= len(vals) and self._fn is None:
+            return self._p + (i - len(vals)) * self._q
         if i >= len(vals) and budget is not None:
             budget.charge(i + 1 - len(vals))
         while len(vals) <= i:
@@ -65,24 +58,33 @@ class BoundFn:
         """i -> p + i*q."""
         natural(p, "affine bound needs naturals p, q; p =")
         natural(q, "affine bound needs naturals p, q; q =")
-        return cls(tail=IVPoly((p - q, q)))
+        f = object.__new__(cls)
+        f._fn, f._vals, f._p, f._q, f._flat = None, [], p, q, inf if q else 0
+        return f
 
     @classmethod
     def from_table(cls, values):
         """Finite table, continued by its last value."""
-        values = [natural(v, "table value") for v in values]
+        values = [natural(v, "table value") for v in listed(values, "table")]
         if not values:
             raise DataError("table must be nonempty")
         values = list(accumulate(values, max))
-        return cls(table=values, tail=IVPoly((values[-1],)))
+        f = cls.affine(values[-1], 0)
+        f._vals, f._flat = values, values.index(values[-1])
+        return f
 
 
 def as_bound_fn(f):
-    if isinstance(f, BoundFn):
+    if hasattr(f, "_flat"):  # a BoundFn, of this copy of monord or another
         return f
-    if callable(f):
-        return BoundFn(f)
-    return BoundFn.from_table([natural(f, "constant bound")])
+    return BoundFn(f) if callable(f) else BoundFn.affine(
+        natural(f, "constant bound"), 0)
+
+
+def _preamble(m, f, budget):
+    """The checked arguments of ell, t_bound and extremal_sequence."""
+    check_dim(m)
+    return as_bound_fn(f), Budget(budget, DEFAULT_BUDGET)
 
 
 def _walk(m, read, flat, budget):
@@ -125,9 +127,7 @@ def ell(m, f, budget=None):
     ell(m, f) = 1 + sum of ell(m-1, f_i) for i = 1..f(0).  A constant
     bound c admits every point of degree <= c: ell(m, c) = C(c + m, m).
     """
-    f = as_bound_fn(f)
-    check_dim(m)
-    budget = Budget(budget, DEFAULT_BUDGET)
+    f, budget = _preamble(m, f, budget)
     return sum(size for _, size in _walk(m, f._at, f._flat, budget))
 
 
@@ -137,10 +137,8 @@ def extremal_sequence(m, f, cap, budget=None):
     (f(0), 0, ..., 0), each entry is the lex-largest point below the last
     within the bound: ell's walk with no flat index, so that each block is
     one point or a run of the last coordinate, stopped at ``cap``."""
-    f = as_bound_fn(f)
-    check_dim(m)
+    f, budget = _preamble(m, f, budget)
     natural(cap, "cap")
-    budget = Budget(budget, DEFAULT_BUDGET)
     seq = []
     for v, size in _walk(m, f._at, inf, budget):
         head, last = tuple(v[:-1]), v[-1]
@@ -153,8 +151,11 @@ def extremal_sequence(m, f, cap, budget=None):
 def h_bound(s, m):
     """h_m(s) = s + C(s - 1 + m, m), the degree bound fed to ell when
     translating ideal chains into vector sequences."""
-    natural(s, "degree")
-    check_dim(m)
+    return _h(natural(s, "degree"), check_dim(m))
+
+
+def _h(s, m):
+    """h_m(s), unchecked."""
     return s + comb(s - 1 + m, m)
 
 
@@ -162,14 +163,12 @@ def t_bound(m, f, budget=None):
     """t_m(f) = ell(m, h_m o f), bounding bad sequences of ideals in N^m
     whose i-th member is generated in degrees <= f(i).  The walk reads each
     f(i) = s through h_m after charging 1 + m * bytes(s), its result's size."""
-    f = as_bound_fn(f)
-    check_dim(m)
-    budget = Budget(budget, DEFAULT_BUDGET)
+    f, budget = _preamble(m, f, budget)
 
     def read(i, budget):
         s = f._at(i, budget)
         budget.charge(1 + m * ((s.bit_length() + 7) // 8))
-        return s + comb(s - 1 + m, m)
+        return _h(s, m)
 
     return sum(size for _, size in _walk(m, read, f._flat, budget))
 

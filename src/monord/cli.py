@@ -4,12 +4,12 @@ Exit codes: 0 success, 64 usage error, 65 data error, 69 budget exhausted,
 out of memory or recursion too deep.  ``compare`` exits 10/11/12 for
 less/equal/greater so shell pipelines can branch without parsing output.
 
-Each subcommand imports the engine modules it uses when it runs, so a
-process pays only for its own: ``ordinal-eval`` loads ``ordinal`` alone,
-and ``normalize`` loads ``monom`` and ``ideal``.  It returns a (payload,
-text) pair, which ``main`` writes through ``_emit``, the one writer: the
-payload as JSON under ``--json``, else the text.  ``compare`` prints its
-own one-line trace instead, as its exit code is its answer.
+Subcommand ``a-b`` runs ``cmd_a_b``, which imports the engine modules it
+uses and no others: ``ordinal-eval`` loads ``ordinal`` alone, and
+``normalize`` loads ``monom`` and ``ideal``.  It returns a (payload, text)
+pair, which ``main`` writes through ``_emit``, the one writer: the payload
+as JSON under ``--json``, else the text.  ``compare`` prints its own
+one-line trace instead, as its exit code is its answer.
 
 ``hilbert`` returns H and h as iterators, which ``_emit`` writes a chunk
 at a time, so it needs memory for the ideal and one chunk however long
@@ -164,6 +164,7 @@ def build_parser():
 
     def add(name, help_text, *files):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=globals()["cmd_" + name.replace("-", "_")])
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
         for file in files:
@@ -349,21 +350,6 @@ def cmd_ordinal_eval(args):
     return {"ordinal": format_ordinal(acc)}, format_ordinal(acc)
 
 
-COMMANDS = {
-    "normalize": cmd_normalize,
-    "contains": cmd_contains,
-    "compare": cmd_compare,
-    "hilbert": cmd_hilbert,
-    "decompose": cmd_decompose,
-    "lexify": cmd_lexify,
-    "cone": cmd_cone,
-    "directsum": cmd_directsum,
-    "chainbound": cmd_chainbound,
-    "bounds": cmd_bounds,
-    "ordinal-eval": cmd_ordinal_eval,
-}
-
-
 def main(argv=None):
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # the budget bounds value sizes
@@ -372,7 +358,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else EX_OK
     try:
-        out = COMMANDS[args.command](args)
+        out = args.run(args)
         if type(out) is int:  # compare: its exit code is its answer
             return out
         _emit(args, *out)

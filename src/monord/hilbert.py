@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .errors import DataError, listed, natural
 from .ideal import _checked_ideal, _memo, check_dim, check_ideal, normalize
 from .ivpoly import IVPoly, _binom_row, macaulay_next
-from .monom import degree, points_of_degree, unit_vec
+from .monom import points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
 
 
@@ -377,7 +377,7 @@ def lex_segment_ideal(e, bound):
     """
     m = check_ideal(e).dim
     natural(bound, "degree bound")
-    if any(degree(g) > bound for g in e.gens):
+    if any(sum(g) > bound for g in e.gens):
         raise DataError(f"bound {bound} is below a generator degree")
     gens, r = [], 1
     for n, h in enumerate(_hilbert_prefix(_numerator(e), m, bound + 1)):

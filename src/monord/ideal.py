@@ -8,7 +8,8 @@ antichain and the unit ideal is generated by the origin.
 from operator import le
 
 from .errors import DataError, immutable, natural
-from .monom import DEGLEX, check_point, check_same_dim, support, unit_vec
+from .monom import (DEGLEX, _support, check_order, check_point,
+                    check_same_dim, unit_vec)
 
 
 class MonomialIdeal:
@@ -90,8 +91,7 @@ def check_ideal(e):
 
 def check_point_in(dim, v):
     """check_point, and that v has dim coordinates."""
-    check_point(v)
-    if len(v) != dim:
+    if len(check_point(v)) != dim:
         raise DataError(f"point {v!r} does not live in N^{dim}")
     return v
 
@@ -227,12 +227,12 @@ def _decompose(e):
     inf = max(map(max, e.gens)) + 1
     comps = [(inf,) * e.dim]
     for g in e.gens:
-        kept, new = [], set()
+        kept, new, supp = [], set(), _support(g)
         for nu in comps:
             if any(map(le, nu, g)):
                 kept.append(nu)
             else:
-                new.update(nu[:i] + (g[i],) + nu[i + 1:] for i in support(g))
+                new.update(nu[:i] + (g[i],) + nu[i + 1:] for i in supp)
         pool = kept + list(new)
         comps = kept + [nu for nu in new if not any(
             mu != nu and all(map(le, nu, mu)) for mu in pool)]
@@ -248,7 +248,7 @@ def components_by_support(e):
     """
     grouped = {}
     for nu in irreducible_decomposition(e):
-        s = support(nu)
+        s = _support(nu)
         grouped.setdefault(s, []).append(tuple(nu[i] for i in s))
     return {s: sorted(vs, key=DEGLEX.key) for s, vs in sorted(grouped.items())}
 
@@ -259,6 +259,7 @@ def generator_word(e, order=DEGLEX):
     A matrix order that gives two generators one key does not order them
     and raises a DataError.
     """
+    check_order(order)
     word = sorted((order.key(g), g) for g in check_ideal(e).gens)
     if any(a[0] == b[0] for a, b in zip(word, word[1:])):
         raise DataError("matrix does not totally order these points")

@@ -121,9 +121,9 @@ def from_samples(values):
     p(0), p(1), ...: as D C(T+i, i) = C(T+i, i-1), b_k = D^k p(-k-1), left
     in place k of the forward-difference column once it is stepped k + 1
     places left by D^j p(x-1) = D^j p(x) - D^{j+1} p(x-1)."""
-    if not values:
-        raise DataError("need at least one sample")
-    col, row = [], list(values)
+    col, row = [], listed(values, "sample list")
+    if not row or any(type(x) is not int for x in row):
+        raise DataError(f"samples {values!r} are not a nonempty list of ints")
     while row:
         col.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]

@@ -26,26 +26,36 @@ def check_same_dim(m, n):
         raise DimensionMismatch(f"dimensions {m} and {n} differ")
 
 
+def check_order(order):
+    """order, when its kind is a term order's; else a DataError."""
+    if getattr(order, "kind", None) not in ("lex", "deglex", "matrix"):
+        raise DataError(f"not a term order: {order!r}")
+    return order
+
+
 def degree(v):
-    return sum(v)
+    return sum(check_point(v))
 
 
 def support(v):
     """Indices (0-based) of the nonzero coordinates."""
+    return _support(check_point(v))
+
+
+def _support(v):
+    """support, unchecked, for the library's own points."""
     return tuple(i for i, x in enumerate(v) if x)
 
 
 def divides(u, v):
     """Whether u <= v componentwise (the monomial x^u divides x^v).  The
     library's own callers run it unchecked, as ``all(map(le, u, v))``."""
-    check_same_dim(len(u), len(v))
+    check_same_dim(len(check_point(u)), len(check_point(v)))
     return all(map(le, u, v))
 
 
 def unit_vec(m, i, scale=1):
-    v = [0] * m
-    v[i] = scale
-    return tuple(v)
+    return (0,) * i + (scale,) + (0,) * (m - i - 1)
 
 
 def points_of_degree(m, n, start=0, stop=None):
@@ -101,10 +111,8 @@ class TermOrder:
                     or any(type(x) is not int for x in r) for r in rows):
                 raise DataError("matrix order needs a rectangular tuple of "
                                 "tuples of ints")
-            for j in range(len(rows[0])):
-                col = [r[j] for r in rows]
-                nz = next((x for x in col if x != 0), 0)
-                if nz <= 0:
+            for j, col in enumerate(zip(*rows)):
+                if next((x for x in col if x), 0) <= 0:
                     raise DataError(
                         f"matrix order column {j} does not order x{j + 1} "
                         "above 1")
@@ -155,7 +163,12 @@ DEGLEX = TermOrder("deglex")
 
 def term_cmp(order, u, v):
     """Three-way comparison of two points under a term order."""
-    check_same_dim(len(u), len(v))
+    check_same_dim(len(check_point(u)), len(check_point(v)))
+    return _term_cmp(check_order(order), u, v)
+
+
+def _term_cmp(order, u, v):
+    """term_cmp on points of one dimension, unchecked."""
     ku, kv = order.key(u), order.key(v)
     if order.kind == "matrix" and ku == kv and u != v:
         raise DataError("matrix does not totally order these points")

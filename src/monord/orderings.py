@@ -12,7 +12,7 @@ from operator import le
 from .errors import DataError
 from .ideal import check_dim, check_ideal, generator_word
 from .ivpoly import dominance_cmp
-from .monom import DEGLEX, check_same_dim, term_cmp
+from .monom import DEGLEX, _term_cmp, check_order, check_same_dim
 from .ordinal import ONE, OMEGA, nat_pow, nat_sum, omega_pow
 
 
@@ -31,14 +31,14 @@ def kb_cmp(e, f, order=DEGLEX):
 def _kb(e, f, order):
     """kb_cmp and the index of the deciding generator (None when the
     words agree on their common prefix), for ideals of one dimension."""
-    if not (hasattr(order, "is_type_omega") and order.is_type_omega()):
-        raise DataError(f"{getattr(order, 'kind', repr(order))} order does "
-                        "not have type omega; KB needs one")
+    if not check_order(order).is_type_omega():
+        raise DataError(f"{order.kind} order does not have type omega; KB "
+                        "needs one")
     u = generator_word(e, order)
     v = generator_word(f, order)
     for i, (x, y) in enumerate(zip(u, v)):
         if x != y:  # the words are sorted: the first difference decides
-            return term_cmp(order, x, y), i
+            return _term_cmp(order, x, y), i
     if len(u) != len(v):
         # the longer word is an extension and precedes its truncation
         return (-1 if len(u) > len(v) else 1), None

@@ -11,7 +11,7 @@ import random
 from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, inf
 
 from monord import (DataError, IVPoly, binomial, divides, format_ordinal,
                     from_samples, hilbert_fn, hilbert_profile, macaulay_next,
@@ -711,6 +711,34 @@ def recurrence_ell(m, f):
         total += recurrence_ell(
             m - 1, lambda j, off=total, i=i: f(j + off) - f(0) + i)
     return total
+
+
+class TailBound:
+    """The chain bound's normal form before BoundFn had two forms, the
+    reference for its table form: a table of values, then
+    f(i) = tail(i - len(table)) for an IVPoly tail, and the index from which
+    f is constant, found by a scan when the tail is."""
+
+    def __init__(self, table, tail):
+        self.table, self.tail, self.flat = list(table), tail, inf
+        if tail.degree <= 0:
+            c, self.flat = tail(0), len(self.table)
+            while self.flat and self.table[self.flat - 1] == c:
+                self.flat -= 1
+
+    def __call__(self, i):
+        if i < len(self.table):
+            return self.table[i]
+        return self.tail(i - len(self.table))
+
+    @classmethod
+    def affine(cls, p, q):
+        return cls((), IVPoly((p - q, q)))
+
+    @classmethod
+    def from_table(cls, values):
+        values = list(itertools.accumulate(values, max))
+        return cls(values, IVPoly((values[-1],)))
 
 
 def recursive_ell(m, f, budget, off=0, k=0):

@@ -1,5 +1,6 @@
 """Chain-length bounds, extremal sequences, and bad-sequence checking."""
 
+import inspect
 import random
 from math import comb
 
@@ -8,11 +9,12 @@ import pytest
 from monord import (BoundFn, BudgetExceeded, DataError, IVPoly, ell,
                     extremal_sequence, h_bound, is_bad_sequence,
                     max_bad_degree_growth, normalize, t_bound, zero_ideal)
-from monord.chains import DEFAULT_BUDGET
+from monord.chains import DEFAULT_BUDGET, as_bound_fn
 from monord.errors import Budget
-from oracles import (affine_ell, antichains, max_decreasing_sequence,
-                     points_up_to, random_ideal, recursive_ell,
-                     reference_bad_search, trie_ell, trie_extremal)
+from oracles import (TailBound, affine_ell, antichains,
+                     max_decreasing_sequence, points_up_to, random_ideal,
+                     recursive_ell, reference_bad_search, trie_ell,
+                     trie_extremal)
 
 # small grid of eventually constant bound functions for oracle comparisons
 TABLES = [(0,), (1,), (2,), (3,), (0, 2), (1, 2), (2, 3), (1, 1, 3), (3, 1)]
@@ -59,14 +61,28 @@ class TestBoundFn:
         assert [f(i) for i in range(3)] == [2, 5, 8]
 
     def test_table_tail(self):
-        f = BoundFn(table=[1, 2], tail=IVPoly((7,)))
-        assert [f(i) for i in range(4)] == [1, 2, 7, 7]
+        # the constructor took a table and an IVPoly tail unchecked:
+        # table=[10] with tail 3 read 10, 3, 3 where its envelope reads 10
+        f = BoundFn.from_table([1, 2, 7])
+        assert [f(i) for i in range(5)] == [1, 2, 7, 7, 7]
+        assert f._flat == 2
+        assert list(inspect.signature(BoundFn).parameters) == ["fn"]
 
     def test_rejects_bad_values(self):
         with pytest.raises(DataError):
             BoundFn(lambda i: -1)(0)
         with pytest.raises(DataError):
             BoundFn(lambda i: 1)(-2)
+
+    def test_polynomial_bounds_are_callables(self):
+        # an IVPoly of any degree is read as a callable, into its envelope;
+        # one that goes negative is refused where the walk reads it, and
+        # the tail 4 - i was read as it was, giving ell(2, .) = 5
+        f = BoundFn(IVPoly((0, 0, 1)))
+        assert [f(i) for i in range(4)] == [1, 3, 6, 10]
+        assert ell(3, f) == ell(3, lambda i: comb(i + 2, 2))
+        with pytest.raises(DataError, match="f\\(5\\) = -1"):
+            ell(2, BoundFn(IVPoly((5, -1))))
 
     def test_affine_rejects_negatives_at_construction(self):
         for p, q in [(-1, 0), (0, -1), (3, -2)]:
@@ -197,6 +213,23 @@ class TestAgainstTrieEngine:
         for m in range(1, 13):
             for c in range(41):
                 assert ell(m, c) == comb(c + m, m), (m, c)
+
+
+class TestAgainstTailForm:
+    """The table form against the table-plus-IVPoly-tail form it replaced,
+    oracles.TailBound: the same values, and the same index from which the
+    bound is constant, on TABLES, the affine grid and TB_GRID."""
+
+    CASES = ([(BoundFn.from_table(t), TailBound.from_table(t))
+              for t in TABLES]
+             + [(BoundFn.affine(p, q), TailBound.affine(p, q))
+                for _, p, q in AFFINE_GRID + TB_GRID]
+             + [(as_bound_fn(c), TailBound.from_table([c])) for c in range(4)])
+
+    def test_values_and_flat_index(self):
+        for f, ref in self.CASES:
+            assert [f(i) for i in range(12)] == [ref(i) for i in range(12)]
+            assert f._flat == ref.flat, ref.table
 
 
 class TestAgainstRecursion:

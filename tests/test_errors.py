@@ -7,18 +7,20 @@ import pickle
 import pytest
 
 import monord
-from monord import (DEGLEX, OMEGA, ONE, BoundFn, BudgetExceeded, DataError,
-                    DimensionMismatch, IVPoly, MonordError, Ord, TermOrder,
-                    binomial, cmp, colon, comm_leq, cone, direct_sum,
-                    dominance_cmp, ell, from_samples, generator_word, h_bound,
+from monord import (DEGLEX, LEX, OMEGA, ONE, BoundFn, BudgetExceeded,
+                    DataError, DimensionMismatch, IVPoly, MonordError, Ord,
+                    TermOrder, binomial, cmp, colon, comm_leq, cone, degree,
+                    direct_sum, divides, dominance_cmp, ell,
+                    extremal_sequence, from_samples, generator_word, h_bound,
                     height, higman_leq, hilbert_fn, hilbert_profile,
                     hilbert_samuel_fn, hilbert_samuel_poly, ideal_intersect,
                     ideal_sum, irreducible_decomposition, is_bad_sequence,
                     is_osequence, kb_cmp, lex_segment_ideal, macaulay_next,
-                    macaulay_rep, min_type_cmp, minimizing_coefficients,
-                    multiset_leq, nat_pow, nat_sum, normalize,
-                    poly_from_a_sequence, psi_ideal, psi_poly, slice_last,
-                    stability_index, threshold, triangle_cmp)
+                    macaulay_rep, max_bad_degree_growth, min_type_cmp,
+                    minimizing_coefficients, multiset_leq, nat_pow, nat_sum,
+                    normalize, poly_from_a_sequence, psi_ideal, psi_poly,
+                    slice_last, stability_index, support, t_bound, term_cmp,
+                    threshold, triangle_cmp)
 from monord.errors import Budget
 from monord.hilbert import a_sequence
 from monord.ivpoly import binom_poly
@@ -108,6 +110,27 @@ BAD_CALLS = {
     "macaulay_rep negative a": lambda: macaulay_rep(-1, 2),
     "macaulay_next float a": lambda: macaulay_next(1.5, 2),
     "is_osequence m = 0": lambda: is_osequence([1], 0),
+    # the point helpers and chain bounds: a bound that is not callable was
+    # accepted and raised TypeError when read; the rest raised TypeError or
+    # AttributeError
+    "BoundFn int": lambda: BoundFn(5),
+    "BoundFn None": lambda: BoundFn(None),
+    "from_table int": lambda: BoundFn.from_table(5),
+    "divides int point": lambda: divides(5, (1,)),
+    "degree int": lambda: degree(5),
+    "support int": lambda: support(5),
+    "term_cmp int point": lambda: term_cmp(LEX, 5, (1,)),
+    "term_cmp str order": lambda: term_cmp("lex", (1, 0), (0, 1)),
+    "generator_word str order": lambda: generator_word(E, "lex"),
+    "from_samples int": lambda: from_samples(5),
+    "from_samples str samples": lambda: from_samples(["a", "b"]),
+    # and these were checked already: each point and chain call has a row
+    "TermOrder unknown kind": lambda: TermOrder("lax"),
+    "ell m = 0": lambda: ell(0, 1),
+    "t_bound bool m": lambda: t_bound(True, 1),
+    "extremal_sequence negative cap": lambda: extremal_sequence(2, 1, -1),
+    "max_bad_degree_growth float cap":
+        lambda: max_bad_degree_growth(2, 1, 2.5),
 }
 
 
@@ -118,14 +141,20 @@ def test_bad_arguments_raise_data_error(call):
 
 
 def test_every_polynomial_call_has_a_bad_call_row():
-    """Each callable that monord.ivpoly exports, its NamedTuple records
-    aside, and binom_poly is the first word of a BAD_CALLS row, so a new
-    public call on polynomials cannot skip the input contract."""
+    """Each callable that monord.ivpoly, monord.monom or monord.chains
+    exports, NamedTuple records aside, and binom_poly is the first word of
+    a BAD_CALLS row, so a new public call on polynomials, points or chain
+    bounds cannot skip the input contract.  LEX and DEGLEX are term orders,
+    not calls."""
+    modules = {"monord.ivpoly", "monord.monom", "monord.chains"}
+    exports = {name: getattr(monord, name) for name in monord.__all__}
     calls = {"binom_poly"} | {
-        name for name in monord.__all__
-        if getattr(getattr(monord, name), "__module__", None)
-        == "monord.ivpoly" and not hasattr(getattr(monord, name), "_fields")}
-    assert {"IVPoly", "binomial", "macaulay_rep"} < calls
+        name for name, value in exports.items()
+        if getattr(value, "__module__", None) in modules and callable(value)
+        and not hasattr(value, "_fields")}
+    assert {"IVPoly", "binomial", "macaulay_rep", "TermOrder", "term_cmp",
+            "BoundFn", "ell", "max_bad_degree_growth"} < calls
+    assert not {"LEX", "DEGLEX", "MacaulayRep"} & calls
     assert calls <= {row.split()[0] for row in BAD_CALLS}
 
 

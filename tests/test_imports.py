@@ -96,8 +96,7 @@ value = monord.chains.ell(2, 3)
 print(json.dumps([before, loaded(), value]))
 """)
         assert got == [["monord"], ["monord", "monord.chains", "monord.errors",
-                                    "monord.ideal", "monord.ivpoly",
-                                    "monord.monom"], 10]
+                                    "monord.ideal", "monord.monom"], 10]
 
     def test_first_name_binds_every_export(self):
         got = fresh(LOADED + """
@@ -147,6 +146,19 @@ print(json.dumps(out))
 """)
         assert got == [["w^3", "w*4 + 2"], ["w^3", "w*4 + 2"], True]
 
+    def test_chains_read_another_copys_bound(self):
+        """A BoundFn built by another copy of the package keeps its form:
+        a constant one is still summed in closed form, at no cost, where
+        it was read as a callable and charged for its table."""
+        got = fresh(LOADED + FRESH_IMPORT + """
+first = fresh_import()
+bound = first.BoundFn.affine(40, 0)
+second = fresh_import()
+print(json.dumps([second.ell(3, bound, budget=0),
+                  type(bound) is not second.BoundFn]))
+""")
+        assert got == [12341, True]
+
 
 CLI = LOADED + """
 before = "dataclasses" in sys.modules
@@ -189,7 +201,7 @@ class TestCliStartCost:
          {"chains", "orderings"}),
         (["lexify", "a.ideal", "--degree", "4"], 0, {"chains", "orderings"}),
         (["chainbound", "--m", "2", "--affine", "2,1"], 0,
-         {"hilbert", "orderings", "ordinal"}),
+         {"hilbert", "orderings", "ordinal", "ivpoly"}),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_loads_only_what_it_uses(self, files, argv, code, absent):
         got_code, loaded, dataclasses = fresh(CLI, *argv, cwd=files)
