@@ -200,22 +200,25 @@ class SearchResult(NamedTuple):
     nodes: int
 
 
-def _antichains(inc, allowed, outs):
+def _antichains(div, allowed, outs):
     """The antichains within the point mask ``allowed`` that meet every
-    mask in ``outs``, as point masks in increasing order.  inc[k] masks
-    the earlier points incomparable to point k."""
-    if not outs:
-        yield 0
-    left = allowed
-    while left:
-        bit = left & -left
-        left ^= bit
-        below = allowed & inc[bit.bit_length() - 1]
-        # the masks this point leaves unmet, cut to the points still allowed
-        unmet = [o & below for o in outs if not o & bit]
-        if all(unmet):
-            for c in _antichains(inc, below, unmet):
-                yield c | bit
+    mask in ``outs``, as point masks in increasing order.  div[k] masks
+    the points that divide point k, itself included; all come before it."""
+    found, stack = [], [(0, allowed, outs)]
+    while stack:
+        c, allowed, outs = stack.pop()
+        if not outs:
+            found.append(c)
+        left = allowed
+        while left:  # the highest point first, so the lowest is popped first
+            k = left.bit_length() - 1
+            left ^= 1 << k
+            below = allowed & (1 << k) - 1 & ~div[k]
+            # the masks point k leaves unmet, cut to the points still allowed
+            unmet = [o & below for o in outs if not o >> k & 1]
+            if all(unmet):
+                stack.append((c | 1 << k, below, unmet))
+    return found
 
 
 def max_bad_degree_growth(m, f, cap):
@@ -235,58 +238,47 @@ def max_bad_degree_growth(m, f, cap):
     check_dim(m)
     natural(cap, "cap")
 
-    # per bound d: its box of points in deglex order, the masks of earlier
-    # points incomparable to each, and members' outside masks.  A box is a
-    # prefix of every larger box, so a member is kept as its antichain mask
-    boxes = {}
+    # the points in deglex order, each with the mask of its divisors, itself
+    # included: the box of a degree bound is a prefix, so a member is kept
+    # as its antichain mask; outs caches members' outside masks per box
+    pts, div, outs = [(0,) * m], [1], {}
 
     def box(d):
-        if d not in boxes:
-            pts = [v for n in range(d + 1) for v in points_of_degree(m, n)]
-            inc = [sum(1 << j for j in range(k)
-                       if not all(map(le, pts[j], p)))
-                   for k, p in enumerate(pts)]
-            boxes[d] = pts, inc, {}
-        return boxes[d]
+        """The size of the box of degree bound d, its points added first."""
+        n = comb(d + m, m)
+        while len(pts) < n:
+            for p in points_of_degree(m, sum(pts[-1]) + 1):
+                pts.append(p)
+                div.append(sum(1 << j for j, q in enumerate(pts)
+                               if all(map(le, q, p))))
+        return n
 
-    def outside(d, c):
-        pts, _, outs = box(d)
-        if c not in outs:
-            gens = [g for j, g in enumerate(pts[:c.bit_length()])
-                    if c >> j & 1]
-            outs[c] = sum(1 << j for j, p in enumerate(pts)
-                          if not any(all(map(le, g, p)) for g in gens))
-        return outs[c]
+    def outside(n, c):
+        """The first n points that lie outside the ideal of member c."""
+        if (n, c) not in outs:
+            outs[n, c] = sum(1 << j for j in range(n) if not div[j] & c)
+        return outs[n, c]
 
-    best = []
-    nodes = 0
-    exhausted = True
-
-    def dfs(seq, parent_d, cands):
-        nonlocal best, nodes, exhausted
-        if nodes >= cap:
-            exhausted = False
-            return
+    # per node on the path: its box size, its candidates and their iterator
+    seq, stack, best, nodes, exhaustive = [], [], [], 0, False
+    while nodes < cap:
         nodes += 1
         if len(seq) > len(best):
-            best = list(seq)
-        d = f._at(len(seq))
-        pts, inc, _ = box(d)
-        if d == parent_d:
-            out = outside(d, seq[-1])
-            cands = [c for c in cands if c & out]
+            best = seq[:]
+        n = box(f._at(len(seq)))
+        if stack and stack[-1][0] == n:
+            out = outside(n, seq[-1])
+            cands = [c for c in stack[-1][1] if c & out]
         else:
-            cands = list(_antichains(inc, (1 << len(pts)) - 1,
-                                     [outside(d, c) for c in seq]))
-        for c in cands:
-            seq.append(c)
-            dfs(seq, d, cands)
-            seq.pop()
-            if not exhausted:
-                return
-
-    dfs([], None, None)
-    pts = box(f._at(len(best) - 1))[0] if best else ()
+            cands = _antichains(div, (1 << n) - 1,
+                                [outside(n, c) for c in seq])
+        stack.append((n, cands, iter(cands)))
+        while stack and (c := next(stack[-1][2], None)) is None:
+            stack.pop()
+        if not stack:
+            exhaustive = True
+            break
+        seq[len(stack) - 1:] = [c]
     return SearchResult([_checked_ideal(m, tuple(
         p for j, p in enumerate(pts) if c >> j & 1)) for c in best],
-        exhausted, nodes)
+        exhaustive, nodes)

@@ -197,44 +197,60 @@ def comm_leq(u, v):
     """Embedding with positions permuted freely: an injection from the
     letters of u to letters of v with each letter mapped above itself.
 
-    Solved as bipartite matching, one letter of u at a time, each along an
-    augmenting path that a breadth-first search finds, so that no path
+    Letters common to both words are matched to each other first, which
+    some injection always does: if one sends a letter x of u to y and a
+    letter z to an equal x of v, sending x to x and z to y is one too, as
+    z <= x <= y (if no letter goes to that x, x can just move there).
+    The rest is bipartite matching, one letter of u at a time, each along
+    an augmenting path that a breadth-first search finds, so that no path
     length costs a stack frame.
     """
-    u, v = _words(u, v)
-    if len(u) > len(v):
+    cu, cv = _cancel(u, v)
+    v = list(cv.elements())
+    above = []  # per letter of u left, the mask of the places of v above it
+    for x, k in cu.items():
+        above += [sum(1 << j for j, y in enumerate(v)
+                      if all(map(le, x, y)))] * k
+    if len(above) > len(v):
         return False
-    match, place = [-1] * len(v), [-1] * len(u)  # the matching, both ways
-    return all(_augment(u, v, match, place, i) for i in range(len(u)))
+    match, place = [-1] * len(v), [-1] * len(above)  # the matching, both ways
+    return all(_augment(above, match, place, i) for i in range(len(above)))
 
 
-def _augment(u, v, match, place, i):
-    """Match the free letter u[i] along a shortest augmenting path, moving
+def _augment(above, match, place, i):
+    """Match the free letter i of u along a shortest augmenting path, moving
     the letters on it; False when there is none."""
-    parent = {}  # j: the letter of u whose search reached v[j] first
+    parent, seen = {}, 0  # j: the letter of u whose search reached j first
     queue = [i]
     for k in queue:
-        for j, y in enumerate(v):
-            if j not in parent and all(map(le, u[k], y)):
-                parent[j] = k
-                if match[j] < 0:
-                    while j >= 0:  # back along the path to u[i], unplaced
-                        k = parent[j]
-                        match[j], place[k], j = k, j, place[k]
-                    return True
-                queue.append(match[j])
+        new = above[k] & ~seen
+        seen |= new
+        while new:
+            j = (new & -new).bit_length() - 1
+            new &= new - 1
+            parent[j] = k
+            if match[j] < 0:
+                while j >= 0:  # back along the path to letter i, unplaced
+                    k = parent[j]
+                    match[j], place[k], j = k, j, place[k]
+                return True
+            queue.append(match[j])
     return False
 
 
 def multiset_leq(u, v):
     """Multiset embedding: cancel letters common to both words, then every
     leftover letter of u must divide some leftover letter of v."""
+    cu, cv = _cancel(u, v)
+    return all(any(all(map(le, x, y)) for y in cv) for x in cu)
+
+
+def _cancel(u, v):
+    """The letters of u and of v, as Counters, left when the letters common
+    to both words are cancelled."""
     cu, cv = map(Counter, _words(u, v))
     common = cu & cv
-    cu -= common
-    cv -= common
-    rest = list(cv)
-    return all(any(all(map(le, x, y)) for y in rest) for x in cu)
+    return cu - common, cv - common
 
 
 def _words(u, v):

@@ -16,11 +16,12 @@ from math import comb, factorial, inf
 from monord import (DataError, IVPoly, binomial, divides, format_ordinal,
                     from_samples, hilbert_fn, hilbert_profile, macaulay_next,
                     normalize, phi_poly, slice_last)
-from monord.chains import _step, as_bound_fn
+from monord import monom
+from monord.chains import SearchResult, _step, as_bound_fn
 from monord.hilbert import _hilbert_value, _realizable
-from monord.ideal import minimal_points
+from monord.ideal import _checked_ideal, minimal_points
 from monord.ivpoly import binom_poly
-from monord.monom import unit_vec
+from monord.monom import _words, unit_vec
 
 
 def points_of_degree(m, n):
@@ -400,6 +401,33 @@ def brute_comm_leq(u, v):
     return False
 
 
+def bfs_comm_leq(u, v):
+    """comm_leq as the library computed it before cancelling common
+    letters: bipartite matching, one letter of u at a time, along an
+    augmenting path that a breadth-first search over all of v finds."""
+    u, v = _words(u, v)
+    if len(u) > len(v):
+        return False
+    match, place = [-1] * len(v), [-1] * len(u)  # the matching, both ways
+
+    def augment(i):
+        parent = {}  # j: the letter of u whose search reached v[j] first
+        queue = [i]
+        for k in queue:
+            for j, y in enumerate(v):
+                if j not in parent and divides(u[k], y):
+                    parent[j] = k
+                    if match[j] < 0:
+                        while j >= 0:  # back along the path, unplaced
+                            k = parent[j]
+                            match[j], place[k], j = k, j, place[k]
+                        return True
+                    queue.append(match[j])
+        return False
+
+    return all(augment(i) for i in range(len(u)))
+
+
 def random_point(rng, m, max_deg):
     d = rng.randint(0, max_deg)
     cuts = sorted(rng.randint(0, d) for _ in range(m - 1))
@@ -544,6 +572,85 @@ def reference_bad_search(m, f, cap):
 
     dfs([])
     return best, exhausted, nodes
+
+
+def recursive_antichains(inc, allowed, outs):
+    """The antichains within the point mask ``allowed`` that meet every
+    mask in ``outs``, as point masks in increasing order.  inc[k] masks
+    the earlier points incomparable to point k."""
+    if not outs:
+        yield 0
+    left = allowed
+    while left:
+        bit = left & -left
+        left ^= bit
+        below = allowed & inc[bit.bit_length() - 1]
+        # the masks this point leaves unmet, cut to the points still allowed
+        unmet = [o & below for o in outs if not o & bit]
+        if all(unmet):
+            for c in recursive_antichains(inc, below, unmet):
+                yield c | bit
+
+
+def recursive_bad_search(m, f, cap):
+    """The bad-sequence search that ``max_bad_degree_growth`` replaced, one
+    frame per node and per antichain point: each degree bound rebuilds its
+    box's points, incomparability masks and outside masks, comparing
+    points as tuples.  Same candidate rule, so the same
+    (sequence, exhaustive, nodes)."""
+    f = as_bound_fn(f)
+    boxes = {}
+
+    def box(d):
+        if d not in boxes:
+            pts = [v for n in range(d + 1)
+                   for v in monom.points_of_degree(m, n)]
+            inc = [sum(1 << j for j in range(k) if not divides(pts[j], p))
+                   for k, p in enumerate(pts)]
+            boxes[d] = pts, inc, {}
+        return boxes[d]
+
+    def outside(d, c):
+        pts, _, outs = box(d)
+        if c not in outs:
+            gens = [g for j, g in enumerate(pts[:c.bit_length()])
+                    if c >> j & 1]
+            outs[c] = sum(1 << j for j, p in enumerate(pts)
+                          if not any(divides(g, p) for g in gens))
+        return outs[c]
+
+    best = []
+    nodes = 0
+    exhausted = True
+
+    def dfs(seq, parent_d, cands):
+        nonlocal best, nodes, exhausted
+        if nodes >= cap:
+            exhausted = False
+            return
+        nodes += 1
+        if len(seq) > len(best):
+            best = list(seq)
+        d = f._at(len(seq))
+        pts, inc, _ = box(d)
+        if d == parent_d:
+            out = outside(d, seq[-1])
+            cands = [c for c in cands if c & out]
+        else:
+            cands = list(recursive_antichains(inc, (1 << len(pts)) - 1,
+                                              [outside(d, c) for c in seq]))
+        for c in cands:
+            seq.append(c)
+            dfs(seq, d, cands)
+            seq.pop()
+            if not exhausted:
+                return
+
+    dfs([], None, None)
+    pts = box(f._at(len(best) - 1))[0] if best else ()
+    return SearchResult([_checked_ideal(m, tuple(
+        p for j, p in enumerate(pts) if c >> j & 1)) for c in best],
+        exhausted, nodes)
 
 
 def stepwise_macaulay_tops(a, d):

@@ -2,6 +2,7 @@
 
 import inspect
 import random
+import sys
 from math import comb
 
 import pytest
@@ -13,8 +14,8 @@ from monord.chains import DEFAULT_BUDGET, as_bound_fn
 from monord.errors import Budget
 from oracles import (TailBound, affine_ell, antichains,
                      max_decreasing_sequence, points_up_to, random_ideal,
-                     recursive_ell, reference_bad_search, trie_ell,
-                     trie_extremal)
+                     recursive_bad_search, recursive_ell,
+                     reference_bad_search, trie_ell, trie_extremal)
 
 # small grid of eventually constant bound functions for oracle comparisons
 TABLES = [(0,), (1,), (2,), (3,), (0, 2), (1, 2), (2, 3), (1, 1, 3), (3, 1)]
@@ -401,6 +402,37 @@ class TestMaxBad:
             for cap in {0, 1, rng.randrange(1, full[2]), full[2], top}:
                 want = full if cap == top else reference_bad_search(m, f, cap)
                 assert tuple(max_bad_degree_growth(m, f, cap)) == want, (m, cap)
+                assert tuple(recursive_bad_search(m, f, cap)) == want, (m, cap)
+
+    def test_matches_recursive_search_at_every_cap(self):
+        # the search the loop replaced, at every cap up to exhaustion or
+        # 400 nodes, and at exhaustion or 3,000; a search in N^3 with a
+        # bound of 2 or more lists thousands of antichains at its root
+        # first, so those take every 16th cap
+        for m in (1, 2, 3):
+            for f in (0, 1, 2, 3, BoundFn.from_table([0, 3, 1, 2])):
+                full = recursive_bad_search(m, f, 3000)
+                step = 16 if m == 3 and f not in (0, 1) else 1
+                for cap in {*range(0, min(full.nodes, 400) + 2, step),
+                            full.nodes}:
+                    assert (max_bad_degree_growth(m, f, cap)
+                            == recursive_bad_search(m, f, cap)), (m, f, cap)
+
+    def test_matches_recursive_search_on_a_growing_bound(self):
+        f = BoundFn.affine(1, 1)
+        assert (max_bad_degree_growth(2, f, 2000)
+                == recursive_bad_search(2, f, 2000))
+
+    def test_runs_under_a_low_frame_limit(self):
+        # the recursive search took a frame per node on the path and per
+        # point of an antichain it listed
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 20)
+        try:
+            res = max_bad_degree_growth(2, BoundFn.affine(1, 1), 2000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(res.sequence) == 16 and res.nodes == 2000
 
     def test_rejects_bad_arguments(self):
         # a negative cap returned an empty search, a bool or float cap was

@@ -254,3 +254,39 @@ def test_modules_raise_no_builtin_exceptions():
                     and issubclass(getattr(builtins, exc.id), BaseException)):
                 found.append(f"{name}:{node.lineno} raises {exc.id}")
     assert not found
+
+
+def test_modules_do_not_recurse():
+    """No function in monord reaches itself through the functions of its
+    module that it names, so no depth of input costs stack frames.  The
+    one cycle allowed is the ordinal printer and parser, which
+    MAX_NESTING caps at 100 levels (test_nesting_cap)."""
+    cyclic = set()
+    package = os.path.join(SRC, "monord")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)]
+        # a function names another by its name or as an attribute, other
+        # than through super(); functions of one name are one node
+        calls = {fn.name: set() for fn in defs}
+        for fn in defs:
+            for node in ast.walk(fn):
+                callee = getattr(node, "id", getattr(node, "attr", None))
+                base = getattr(getattr(node, "value", None), "func", None)
+                if callee in calls and getattr(base, "id", None) != "super":
+                    calls[fn.name].add(callee)
+        for start, todo in calls.items():
+            todo, seen = list(todo), set()
+            while todo:
+                callee = todo.pop()
+                if callee not in seen:
+                    seen.add(callee)
+                    todo += calls[callee]
+            if start in seen:
+                cyclic.add(f"{name[:-3]}.{start}")
+    assert cyclic == {"ordinal._format", "ordinal._parse_sum",
+                      "ordinal._parse_term"}

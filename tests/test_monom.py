@@ -6,6 +6,7 @@ import itertools
 import pickle
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,7 @@ from monord import (DEGLEX, LEX, DataError, DimensionMismatch, TermOrder,
                     comm_leq, degree, divides, higman_leq, multiset_leq,
                     support, term_cmp)
 from monord.monom import points_of_degree
-from oracles import brute_comm_leq, points_up_to
+from oracles import bfs_comm_leq, brute_comm_leq, points_up_to
 from oracles import points_of_degree as recursive_points_of_degree
 
 vecs2 = st.tuples(st.integers(0, 5), st.integers(0, 5))
@@ -228,19 +229,48 @@ class TestCommLeq:
         assert comm_leq(u, v) == brute_comm_leq(u, v)
 
     def test_long_augmenting_path(self):
-        # each (1, 0) of u takes the place of the one before it, so the
-        # last augmenting path is 1,199 letters long; a search that
-        # recursed along it ran out of frames under the default limit
-        u = [(0, 1)] + [(1, 0)] * 1199
-        v = [(1, 0)] * 1199 + [(1, 1)]
+        # u_k fits v_k and v_(k+1) alone and takes v_(k+1) first, and the
+        # last letter fits v_n alone, so the last augmenting path moves all
+        # 1,200 letters of u; a search that recursed along it ran out of
+        # frames under the default limit.  In the second pair the common
+        # letters (1, 0) cancel first
+        n = 1199
+        u = [(k, n - 1 - k, 0) for k in range(n)] + [(0, 0, 1)]
+        v = [(j, n - j, 0) for j in range(n)] + [(n, 0, 1)]
+        v.reverse()
+        u2 = [(0, 1)] + [(1, 0)] * 1199
+        v2 = [(1, 0)] * 1199 + [(1, 1)]
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)  # CPython's default
         try:
             assert comm_leq(u, v)
-            assert not comm_leq(v, u)
-            assert not comm_leq(u[1:] + [(0, 1)] * 2, v)
+            assert not comm_leq(u, v[:-1])
+            assert comm_leq(u2, v2)
+            assert not comm_leq(v2, u2)
+            assert not comm_leq(u2[1:] + [(0, 1)] * 2, v2)
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_matches_breadth_first_search(self):
+        # the matching before common letters cancelled, and brute force
+        rng = random.Random(17)
+        for _ in range(3000):
+            m = rng.randint(1, 3)
+            u, v = ([tuple(rng.randint(0, 2) for _ in range(m))
+                     for _ in range(rng.randint(0, 6))] for _ in "uv")
+            assert comm_leq(u, v) == bfs_comm_leq(u, v) == brute_comm_leq(
+                u, v), (u, v)
+
+    def test_many_common_letters(self):
+        # each augmenting search rescanned all of v, about n^3 letter
+        # tests: 9 s for these two calls
+        rng = random.Random(5)
+        u, v = ([tuple(rng.randint(0, 3) for _ in range(3))
+                 for _ in range(2000)] for _ in "uv")
+        start = time.perf_counter()
+        assert not comm_leq(u, v)
+        assert comm_leq(u, u)
+        assert time.perf_counter() - start < 0.5
 
     @given(words2, words2)
     def test_implies_multiset(self, u, v):
