@@ -7,12 +7,11 @@ ell, t_m and the extremal sequences runs under a budget, not a value bound.
 
 from itertools import accumulate
 from math import comb, inf
-from operator import le
 from typing import NamedTuple
 
 from .errors import Budget, DataError, listed, natural
 from .ideal import _checked_ideal, check_dim, check_ideal
-from .monom import check_same_dim, points_of_degree
+from .monom import _support, check_same_dim, points_of_degree
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -238,19 +237,21 @@ def max_bad_degree_growth(m, f, cap):
     check_dim(m)
     natural(cap, "cap")
 
-    # the points in deglex order, each with the mask of its divisors, itself
-    # included: the box of a degree bound is a prefix, so a member is kept
-    # as its antichain mask; outs caches members' outside masks per box
-    pts, div, outs = [(0,) * m], [1], {}
+    # the points in deglex order, at their positions, with div the masks of
+    # their divisors, themselves included: a bound's box is a prefix, so a
+    # member is kept as its antichain mask; outs caches outside masks per box
+    at, div, outs = {(0,) * m: 0}, [1], {}
 
     def box(d):
-        """The size of the box of degree bound d, its points added first."""
+        """The size of the box of degree bound d, its points added first:
+        p's divisors are p and those of each p - e_i, i in p's support."""
         n = comb(d + m, m)
-        while len(pts) < n:
-            for p in points_of_degree(m, sum(pts[-1]) + 1):
-                pts.append(p)
-                div.append(sum(1 << j for j, q in enumerate(pts)
-                               if all(map(le, q, p))))
+        while len(div) < n:
+            for p in points_of_degree(m, sum(next(reversed(at))) + 1):
+                at[p], mask = len(div), 1 << len(div)
+                for i in _support(p):
+                    mask |= div[at[p[:i] + (p[i] - 1,) + p[i + 1:]]]
+                div.append(mask)
         return n
 
     def outside(n, c):
@@ -280,5 +281,5 @@ def max_bad_degree_growth(m, f, cap):
             break
         seq[len(stack) - 1:] = [c]
     return SearchResult([_checked_ideal(m, tuple(
-        p for j, p in enumerate(pts) if c >> j & 1)) for c in best],
+        p for p, j in at.items() if c >> j & 1)) for c in best],
         exhaustive, nodes)

@@ -138,7 +138,7 @@ def _ideal_output(e):
 
 def parse_term_order(spec):
     from .monom import DEGLEX, LEX, TermOrder
-    if spec == "deglex":
+    if spec in (None, "deglex"):  # None: no --term-order given
         return DEGLEX
     if spec == "lex":
         return LEX
@@ -180,8 +180,8 @@ def build_parser():
             "file_a", "file_b")
     p.add_argument("--order", choices=("kb", "triangle", "mintype"),
                    required=True)
-    p.add_argument("--term-order", default="deglex",
-                   help="deglex | lex | matrix:FILE (kb only)")
+    p.add_argument("--term-order",
+                   help="deglex (default) | lex | matrix:FILE (kb only)")
 
     p = add("hilbert", "Hilbert data, psi, height, n0", "file")
     p.add_argument("--budget", type=int, default=None,
@@ -256,6 +256,8 @@ def cmd_contains(args):
 def cmd_compare(args):
     from . import orderings
     from .monom import check_same_dim
+    if args.term_order is not None and args.order != "kb":
+        raise DataError(f"--term-order applies to kb, not {args.order}")
     a, b = load_ideal(args.file_a), load_ideal(args.file_b)
     check_same_dim(a.dim, b.dim)
     trace = {"order": args.order}
@@ -323,10 +325,8 @@ def cmd_directsum(args):
 
 def cmd_chainbound(args):
     from . import chains
-    try:
-        p, q = (int(x) for x in args.affine.split(","))
-    except ValueError:
-        raise DataError(f"--affine expects 'p,q', got {args.affine!r}")
+    message = f"--affine expects naturals 'p,q', got {args.affine!r}"
+    p, q = (_nat(x, message, None) for x in args.affine.partition(",")[::2])
     value = str((chains.t_bound if args.tm else chains.ell)(
         args.m, chains.BoundFn.affine(p, q), budget=args.budget))
     return {"value": value}, value

@@ -180,10 +180,10 @@ def hilbert_samuel_fn(e, s):
 def hilbert_samuel_poly(e):
     """The polynomial p_E with h_E(s) = p_E(s) for all s >= threshold(e).
 
-    Returns the pair (p_E, threshold).
+    Returns the pair (p_E, threshold), worked out once per ideal.
     """
-    t = threshold(e)  # checks e
-    return _memo(e, "poly", lambda e: _samuel_poly(_numerator(e), e.dim)), t
+    return _memo(check_ideal(e), "poly", lambda e: (
+        _samuel_poly(_numerator(e), e.dim), threshold(e)))
 
 
 class MinimizingCoefficients(NamedTuple):
@@ -323,11 +323,9 @@ def psi_ideal(e):
 
 def height(e):
     """Height of E in the containment order: 0 for the unit ideal, w^m for
-    the zero ideal, psi(E) in between."""
+    the zero ideal (psi_poly's convention), psi(E) in between."""
     if check_ideal(e).is_unit():
         return ZERO
-    if e.is_zero():
-        return omega_pow(e.dim)
     return psi_ideal(e)
 
 

@@ -244,22 +244,23 @@ def components_by_support(e):
     """Group the irreducible components by their support.
 
     Returns a dict mapping a support (tuple of 0-based indices) to the
-    sorted list of components compressed to those coordinates.
+    list of components compressed to those coordinates, in deglex order:
+    dropping the zeros that vectors of one support share keeps it.
     """
     grouped = {}
     for nu in irreducible_decomposition(e):
         s = _support(nu)
         grouped.setdefault(s, []).append(tuple(nu[i] for i in s))
-    return {s: sorted(vs, key=DEGLEX.key) for s, vs in sorted(grouped.items())}
+    return dict(sorted(grouped.items()))
 
 
 def generator_word(e, order=DEGLEX):
-    """The generators of e listed in increasing term order, as a word.
-
-    A matrix order that gives two generators one key does not order them
-    and raises a DataError.
+    """The generators of e listed in increasing term order, as a word:
+    under deglex, e.gens as every ideal stores them.  A matrix order that
+    gives two generators one key does not order them: a DataError.
     """
-    check_order(order)
+    if check_order(order).kind == "deglex":
+        return list(check_ideal(e).gens)
     word = sorted((order.key(g), g) for g in check_ideal(e).gens)
     if any(a[0] == b[0] for a, b in zip(word, word[1:])):
         raise DataError("matrix does not totally order these points")

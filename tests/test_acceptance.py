@@ -9,7 +9,8 @@ from math import comb
 
 import numpy as np
 
-from monord import (BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord, binomial,
+from monord import (DEGLEX, BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord,
+                    binomial,
                     bounds_report, cmp, cone, direct_sum, dominance_cmp, ell,
                     extremal_sequence, format_ordinal, h_bound, height,
                     hilbert_fn,
@@ -217,6 +218,9 @@ def test_criterion_09_decomposition(capsys):
             m = rng.randint(1, 4)
             e = random_ideal(rng, m, 5, 5)
             comps = irreducible_decomposition(e)
+            # the groups keep the decomposition's deglex order
+            assert all(vs == sorted(vs, key=DEGLEX.key)
+                       for vs in components_by_support(e).values())
             parts = [irreducible_component_ideal(m, nu) for nu in comps]
             rebuilt = parts[0]
             for part in parts[1:]:

@@ -4,12 +4,14 @@ import inspect
 import random
 import sys
 from math import comb
+from operator import le
 
 import pytest
 
-from monord import (BoundFn, BudgetExceeded, DataError, IVPoly, ell,
+from monord import (DEGLEX, BoundFn, BudgetExceeded, DataError, IVPoly, ell,
                     extremal_sequence, h_bound, is_bad_sequence,
                     max_bad_degree_growth, normalize, t_bound, zero_ideal)
+from monord import chains
 from monord.chains import DEFAULT_BUDGET, as_bound_fn
 from monord.errors import Budget
 from oracles import (TailBound, affine_ell, antichains,
@@ -417,6 +419,34 @@ class TestMaxBad:
                             full.nodes}:
                     assert (max_bad_degree_growth(m, f, cap)
                             == recursive_bad_search(m, f, cap)), (m, f, cap)
+
+    def test_matches_recursive_search_in_wider_boxes(self):
+        # constant bounds 2 and 3 at m = 3..5 where the root's listing of
+        # every antichain of the box stays small: bound 3 in N^4 and N^5
+        # lists more than 2^20 and 2^35, so only its masks are checked below
+        rng = random.Random(137)
+        for m, f in ((3, 2), (3, 3), (4, 2), (5, 2)):
+            for cap in {0, 1, rng.randrange(2, 3000), 3000}:
+                assert (max_bad_degree_growth(m, f, cap)
+                        == recursive_bad_search(m, f, cap)), (m, f, cap)
+
+    def test_box_masks_are_the_divisor_masks(self, monkeypatch):
+        # a point's divisor mask is built from those of each p - e_i; the
+        # rule it replaced compared p with every earlier point of the box
+        seen = []
+
+        def listed_none(div, allowed, outs):
+            seen.append(div[:])
+            return []
+
+        monkeypatch.setattr(chains, "_antichains", listed_none)
+        for m, top in ((1, 6), (2, 5), (3, 4), (4, 3), (5, 3), (30, 2)):
+            for d in range(top + 1):
+                seen.clear()
+                max_bad_degree_growth(m, d, 1)
+                pts = sorted(points_up_to(m, d), key=DEGLEX.key)
+                assert seen == [[sum(1 << j for j, q in enumerate(pts)
+                                     if all(map(le, q, p))) for p in pts]]
 
     def test_matches_recursive_search_on_a_growing_bound(self):
         f = BoundFn.affine(1, 1)

@@ -163,6 +163,18 @@ class TestCompare:
         assert code == 65
         assert "error" in err
 
+    def test_term_order_is_for_kb_only(self, capsys, tmp_path):
+        # the flag was ignored under triangle and mintype
+        a = write(tmp_path, "a.ideal", "dim 2\n1 0\n")
+        for order in ("triangle", "mintype"):
+            for spec in ("deglex", "lex"):
+                code, out, err = run(capsys, ["compare", "--order", order,
+                                              "--term-order", spec, a, a])
+                assert (code, out) == (65, "") and "kb" in err
+        code, _, _ = run(capsys, ["compare", "--order", "kb",
+                                  "--term-order", "deglex", a, a])
+        assert code == 11
+
 
 class TestHilbert:
     def test_zero_ideal_json(self, capsys, tmp_path):
@@ -356,6 +368,13 @@ class TestChainbound:
         code, _, err = run(capsys, ["chainbound", "--m", "2",
                                     "--affine=-1,0"])
         assert code == 65 and "naturals" in err
+
+    def test_affine_reads_naturals_as_ideal_files_do(self, capsys):
+        # int() took a sign, digit separators and blanks
+        for spec in ("+1,0", "1_0,0", " 1,0", "1, 0", "1,0,0", "1"):
+            code, out, err = run(capsys, ["chainbound", "--m", "2",
+                                          "--affine", spec])
+            assert (code, out) == (65, "") and "naturals" in err, spec
 
     def test_bad_affine(self, capsys):
         code, _, err = run(capsys, ["chainbound", "--m", "2",

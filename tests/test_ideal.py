@@ -349,7 +349,7 @@ class TestComponentsBySupport:
 class TestGeneratorWord:
     def test_sorted_increasing(self):
         e = normalize(2, [(0, 2), (3, 0), (1, 1)])
-        assert generator_word(e) == [(0, 2), (1, 1), (3, 0)]
+        assert generator_word(e) == [(0, 2), (1, 1), (3, 0)] == list(e.gens)
 
     def test_matches_comparator_sort(self):
         rng = random.Random(43)

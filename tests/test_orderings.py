@@ -1,6 +1,8 @@
 """The three total orderings on ideals and the ordinal bound report."""
 
+import importlib
 import random
+import sys
 from functools import cmp_to_key
 
 import pytest
@@ -73,7 +75,7 @@ class TestKb:
         order = TermOrder("matrix", ((1, 1), (1, 0)))
         assert kb_cmp(e, e, order=order) == 0
 
-    def test_matches_comparator_sorted_words(self):
+    def test_matches_comparator_sorted_words(self, monkeypatch):
         # the words sorted by comparing points pairwise, as KB is defined
         def reference(e, f, order):
             key = cmp_to_key(lambda x, y: term_cmp(order, x, y))
@@ -86,13 +88,49 @@ class TestKb:
             return 0, None
 
         rng = random.Random(61)
+        # the last matrix is deglex itself, which the matrix path still sorts
         orders = [DEGLEX, TermOrder("matrix", ((1, 1, 1), (1, 0, 0),
-                                               (0, 1, 0)))]
-        for _ in range(300):
-            e, f = (random_ideal(rng, 3, 6, 4, allow_zero=True,
-                                 allow_unit=True) for _ in range(2))
+                                               (0, 1, 0))),
+                  TermOrder("matrix", ((1, 1, 1), (1, 0, 0), (0, 1, 0),
+                                       (0, 0, 1)))]
+        pairs = [[random_ideal(rng, 3, 6, 4, allow_zero=True, allow_unit=True)
+                  for _ in range(2)] for _ in range(300)]
+        for e, f in pairs:
             for order in orders:
                 assert _kb(e, f, order) == reference(e, f, order)
+        # ideals and DEGLEX of another copy of monord, imported afresh as a
+        # benchmark that drops monord.* from sys.modules does
+        for name in [n for n in sys.modules
+                     if n == "monord" or n.startswith("monord.")]:
+            monkeypatch.delitem(sys.modules, name)
+        other = importlib.import_module("monord")
+        assert other.TermOrder is not TermOrder  # binds the copy's names
+        for e, f in pairs:
+            a, b = (other.normalize(3, x.gens) for x in (e, f))
+            assert _kb(a, b, other.DEGLEX) == reference(e, f, DEGLEX)
+
+    def test_deglex_sort_keys_only_deciding_generators(self, monkeypatch):
+        # every comparison keyed and sorted both ideals' generators; the
+        # deglex words are the stored generators, so at most the deciding
+        # pair is keyed
+        rng = random.Random(73)
+        groups = [[random_ideal(rng, m, 12, 6, allow_zero=True,
+                                allow_unit=True) for _ in range(12)]
+                  for m in (2, 3, 4, 5, 6)]
+        calls, comparisons, key = [0], [0], TermOrder.key
+
+        def counted_key(self, v):
+            calls[0] += 1
+            return key(self, v)
+
+        def counted_cmp(a, b):
+            comparisons[0] += 1
+            return kb_cmp(a, b)
+
+        monkeypatch.setattr(TermOrder, "key", counted_key)
+        for group in groups:
+            sorted(group, key=cmp_to_key(counted_cmp))
+        assert 0 < calls[0] <= 2 * comparisons[0]
 
 
 class TestTriangle:
