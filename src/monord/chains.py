@@ -9,7 +9,7 @@ from itertools import accumulate
 from math import comb, inf
 from typing import NamedTuple
 
-from .errors import Budget, DataError, listed, natural
+from .errors import Budget, DataError, is_a, listed, natural
 from .ideal import _checked_ideal, check_dim, check_ideal
 from .monom import _support, check_same_dim, points_of_degree
 
@@ -74,7 +74,7 @@ class BoundFn:
 
 
 def as_bound_fn(f):
-    if hasattr(f, "_flat"):  # a BoundFn, of this copy of monord or another
+    if is_a(f, BoundFn):
         return f
     return BoundFn(f) if callable(f) else BoundFn.affine(
         natural(f, "constant bound"), 0)

@@ -58,6 +58,14 @@ def natural(x, what, least=0):
     raise DataError(f"{what} {x} is not {need}")
 
 
+def is_a(x, cls):
+    """Whether x is a cls: of that very class, or of the class of the same
+    module and name in a copy of monord imported afresh."""
+    t = type(x)
+    return t is cls or (t.__module__ == cls.__module__
+                        and t.__qualname__ == cls.__qualname__)
+
+
 def listed(x, what):
     """x as a list, or a DataError that names ``what`` if x is not iterable."""
     try:

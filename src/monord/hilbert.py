@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .errors import DataError, listed, natural
 from .ideal import _checked_ideal, _memo, check_dim, check_ideal, normalize
-from .ivpoly import IVPoly, _binom_row, macaulay_next
+from .ivpoly import IVPoly, _binom_row, check_poly, macaulay_next
 from .monom import points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
 
@@ -208,11 +208,7 @@ def minimizing_coefficients(p, m):
     that difference of two _binom_rows clears degree j.
     """
     check_dim(m)
-    # p's coordinates, not its class, are read: an IVPoly built by a copy
-    # of this module imported afresh passes too
-    if any(type(b) is not int for b in getattr(p, "coeffs", [None])):
-        raise DataError(f"{p!r} is not an integer-valued polynomial")
-    if p.is_zero():
+    if check_poly(p).is_zero():
         raise DataError("p must be nonzero (the unit ideal has no psi)")
     if p.degree >= m:
         raise DataError(f"degree {p.degree} is too big for N^{m}")
@@ -235,8 +231,7 @@ def psi_poly(p, m):
     other polynomial must have degree < m and nonnegative minimizing
     coefficients.
     """
-    # p's coordinates, not its class, are read: C(T + m, m)'s are (0,...,0, 1)
-    if getattr(p, "coeffs", None) == (0,) * check_dim(m) + (1,):
+    if check_poly(p).coeffs == (0,) * check_dim(m) + (1,):
         return omega_pow(m)
     return _psi_of(_realizable(p, m))
 

@@ -7,7 +7,7 @@ antichain and the unit ideal is generated by the origin.
 
 from operator import le
 
-from .errors import DataError, immutable, natural
+from .errors import DataError, immutable, is_a, natural
 from .monom import (DEGLEX, _support, check_order, check_point,
                     check_same_dim, unit_vec)
 
@@ -83,8 +83,8 @@ def check_dim(dim):
 
 
 def check_ideal(e):
-    """e, when it has an ideal's dim and gens; else a DataError."""
-    if not (hasattr(e, "dim") and hasattr(e, "gens")):
+    """e, when it is a MonomialIdeal; else a DataError."""
+    if not is_a(e, MonomialIdeal):
         raise DataError(f"not a monomial ideal: {e!r}")
     return e
 
@@ -191,6 +191,7 @@ def direct_sum(e, f):
     if any(x.is_zero() or x.is_unit() for x in map(check_ideal, (e, f))):
         raise DataError("direct sum needs nonzero proper ideals")
     m, n = e.dim, f.dim
+    check_dim(m + n)
     gens = [g + (0,) * n for g in e.gens]
     gens += [(0,) * m + h for h in f.gens]
     gens += [unit_vec(m, i) + unit_vec(n, j)

@@ -8,7 +8,7 @@ values on the integers has a unique such expansion with integer b_i.
 import math
 from typing import NamedTuple
 
-from .errors import DataError, immutable, listed, natural
+from .errors import DataError, immutable, is_a, listed, natural
 
 
 def binomial(x, k):
@@ -65,14 +65,14 @@ class IVPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, check_poly(other).coeffs
         n = max(len(a), len(b))
         a += (0,) * (n - len(a))
         b += (0,) * (n - len(b))
         return IVPoly(x + y for x, y in zip(a, b))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + check_poly(other).scale(-1)
 
     def scale(self, k):
         return IVPoly(k * b for b in self.coeffs)
@@ -97,6 +97,13 @@ class IVPoly:
 
     def __repr__(self):
         return f"IVPoly({self.coeffs!r})"
+
+
+def check_poly(p):
+    """p, when it is an IVPoly; else a DataError."""
+    if not is_a(p, IVPoly):
+        raise DataError(f"not an integer-valued polynomial: {p!r}")
+    return p
 
 
 def binom_poly(c, k):
@@ -136,10 +143,7 @@ def from_samples(values):
 def dominance_cmp(p, q):
     """Compare by the lexicographic order on (b_d, ..., b_0), padding the
     shorter coefficient vector with zeros."""
-    try:
-        a, b = p.coeffs, q.coeffs
-    except AttributeError:
-        raise DataError("dominance compares two IVPoly values") from None
+    a, b = check_poly(p).coeffs, check_poly(q).coeffs
     n = max(len(a), len(b))
     a = (a + (0,) * (n - len(a)))[::-1]
     b = (b + (0,) * (n - len(b)))[::-1]

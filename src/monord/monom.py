@@ -10,7 +10,7 @@ from collections import Counter
 from math import comb
 from operator import le
 
-from .errors import DataError, DimensionMismatch, immutable, listed
+from .errors import DataError, DimensionMismatch, immutable, is_a, listed
 
 
 def check_point(v):
@@ -27,8 +27,8 @@ def check_same_dim(m, n):
 
 
 def check_order(order):
-    """order, when its kind is a term order's; else a DataError."""
-    if getattr(order, "kind", None) not in ("lex", "deglex", "matrix"):
+    """order, when it is a TermOrder; else a DataError."""
+    if not is_a(order, TermOrder):
         raise DataError(f"not a term order: {order!r}")
     return order
 

@@ -14,9 +14,11 @@ from functools import total_ordering
 
 from .errors import DataError, ParseError, immutable, natural
 
-# Parenthesised exponents nest at most this deep in parse_ordinal, so that
-# parsing and the recursive arithmetic stay far from Python's recursion limit;
+# Parenthesised exponents nest at most this deep in parse_ordinal, and
 # Ord(terms) and omega_pow refuse forms deeper than parse_ordinal builds.
+# Parsing and printing are loops, but CPython itself recurses when it
+# compares, hashes or pickles a nested form, so the cap keeps those far from
+# its recursion limit.
 MAX_NESTING = 100
 
 
@@ -192,63 +194,29 @@ def ot_decreasing_sequences(a):
 
 
 def format_ordinal(a):
-    """Render a in the textual CNF syntax, e.g. ``w^(w + 1)*2 + w + 3``."""
-    return _format(_coerce(a).form)
-
-
-def _format(form):
-    parts = []
-    for g, c in form:
-        if not g:
-            parts.append(str(c))
-            continue
-        if g == ONE.form:
-            s = "w"
+    """Render a in the textual CNF syntax, e.g. ``w^(w + 1)*2 + w + 3``, in
+    one loop: a (parts, terms, coefficient) frame per exponent in ( )."""
+    stack, parts, terms = [], [], iter(_coerce(a).form)
+    while True:
+        for g, c in terms:
+            if not g:
+                parts.append(str(c))
+                continue
+            if not g[0][0]:  # a finite exponent, written bare
+                s = "w" if g[0][1] == 1 else f"w^{g[0][1]}"
+            elif g == OMEGA.form:
+                s = "w^w"
+            else:
+                stack.append((parts, terms, c))
+                parts, terms = [], iter(g)
+                break
+            parts.append(f"{s}*{c}" if c > 1 else s)
         else:
-            es = _format(g)
-            if not (es.isdigit() or es == "w"):
-                es = "(" + es + ")"
-            s = "w^" + es
-        if c > 1:
-            s += "*" + str(c)
-        parts.append(s)
-    return " + ".join(parts) or "0"
-
-
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def error(self, msg):
-        raise ParseError(msg, line=1, column=self.pos + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] == " ":
-            self.pos += 1
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def nat(self):
-        start = self.pos
-        while self.peek().isdecimal():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a number")
-        tok = self.text[start:self.pos]
-        if len(tok) > 1 and tok[0] == "0":
-            self.error("no leading zeros")
-        try:
-            return int(tok)
-        except ValueError:  # past Python's int-string digit limit
-            self.error("too many digits")
+            s = " + ".join(parts) or "0"
+            if not stack:
+                return s
+            parts, terms, c = stack.pop()
+            parts.append(f"w^({s})*{c}" if c > 1 else f"w^({s})")
 
 
 def parse_ordinal(text):
@@ -256,70 +224,91 @@ def parse_ordinal(text):
 
     Terms must appear in strictly decreasing exponent order with positive
     coefficients, and parenthesised exponents nest at most MAX_NESTING
-    deep; anything else is a :class:`ParseError`.
+    deep; anything else is a :class:`ParseError`.  One loop reads the text
+    term by term: ``w^(`` opens a sum on ``stack``, and ``)`` closes the
+    innermost into the exponent of the term that opened it.
     """
-    sc = _Scanner(text)
-    sc.skip_ws()
-    form = _parse_sum(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        sc.error("trailing input")
-    return _wrap(form)
-
-
-def _parse_sum(sc):
-    """The form of a sum of terms, checked to be in Cantor normal form."""
-    terms = [_parse_term(sc)]
+    stack, terms, pos = [], [], _blanks(text, 0)
     while True:
-        save = sc.pos
-        sc.skip_ws()
-        if sc.peek() != "+":
-            sc.pos = save
-            break
-        sc.take("+")
-        sc.skip_ws()
-        terms.append(_parse_term(sc))
+        ch = text[pos:pos + 1]
+        if ch.isdecimal():
+            # a bare zero is only valid as the whole ordinal, checked by _cnf
+            c, pos = _nat(text, pos)
+            terms.append(((), c))
+            exp = None
+        elif ch != "w":
+            _fail("expected 'w' or a number", pos)
+        elif text.startswith("^(", pos + 1):
+            pos += 3
+            if len(stack) == MAX_NESTING:
+                _fail(f"exponents nest deeper than {MAX_NESTING}", pos)
+            stack.append(terms)
+            terms, pos = [], _blanks(text, pos)
+            continue
+        elif text.startswith("^w", pos + 1):
+            exp, pos = OMEGA.form, pos + 3
+        elif text.startswith("^", pos + 1):
+            n, pos = _nat(text, pos + 2)
+            exp = (((), n),) if n else ()
+        else:
+            exp, pos = ONE.form, pos + 1
+        while True:
+            if exp is not None:  # the term w^exp reads its coefficient
+                c = 1
+                if text.startswith("*", pos):
+                    c, pos = _nat(text, pos + 1)
+                    if not c:
+                        _fail("coefficient must be positive", pos)
+                if not exp:
+                    _fail("write finite terms as plain numbers", pos)
+                terms.append((exp, c))
+            end = _blanks(text, pos)
+            if text.startswith("+", end):
+                pos = _blanks(text, end + 1)
+                break
+            exp = _cnf(terms, pos)
+            if not stack:
+                if end != len(text):
+                    _fail("trailing input", end)
+                return _wrap(exp)
+            if not text.startswith(")", end):
+                _fail("expected ')'", end)
+            terms, pos = stack.pop(), end + 1
+
+
+def _fail(msg, pos):
+    raise ParseError(msg, line=1, column=pos + 1)
+
+
+def _blanks(text, pos):
+    """The first position at or after pos that holds no blank."""
+    while text.startswith(" ", pos):
+        pos += 1
+    return pos
+
+
+def _nat(text, pos):
+    """The natural number written from pos on, and the position after it."""
+    end = pos
+    while text[end:end + 1].isdecimal():
+        end += 1
+    if end == pos:
+        _fail("expected a number", pos)
+    if end - pos > 1 and text[pos] == "0":
+        _fail("no leading zeros", end)
+    try:
+        return int(text[pos:end]), end
+    except ValueError:  # past Python's int-string digit limit
+        _fail("too many digits", end)
+
+
+def _cnf(terms, pos):
+    """The form of a closed sum of terms, checked to be in CNF at pos."""
     if terms == [((), 0)]:
         return ()
     if any(c == 0 for _, c in terms):
-        sc.error("'0' is only valid on its own")
+        _fail("'0' is only valid on its own", pos)
     for i in range(1, len(terms)):
         if terms[i - 1][0] <= terms[i][0]:
-            sc.error("exponents must strictly decrease")
+            _fail("exponents must strictly decrease", pos)
     return tuple(terms)
-
-
-def _parse_term(sc):
-    if sc.peek().isdecimal():
-        # a bare zero is only valid as the whole ordinal, checked by caller
-        return ((), sc.nat())
-    if sc.peek() != "w":
-        sc.error("expected 'w' or a number")
-    sc.take("w")
-    exp = ONE.form
-    if sc.peek() == "^":
-        sc.take("^")
-        if sc.peek() == "(":
-            sc.take("(")
-            sc.depth += 1
-            if sc.depth > MAX_NESTING:
-                sc.error(f"exponents nest deeper than {MAX_NESTING}")
-            sc.skip_ws()
-            exp = _parse_sum(sc)
-            sc.skip_ws()
-            sc.take(")")
-            sc.depth -= 1
-        elif sc.peek() == "w":
-            sc.take("w")
-            exp = OMEGA.form
-        else:
-            exp = Ord.from_int(sc.nat()).form
-    coeff = 1
-    if sc.peek() == "*":
-        sc.take("*")
-        coeff = sc.nat()
-        if coeff == 0:
-            sc.error("coefficient must be positive")
-    if not exp:
-        sc.error("write finite terms as plain numbers")
-    return (exp, coeff)

@@ -13,15 +13,17 @@ from collections.abc import Iterator
 from functools import lru_cache
 from math import comb, factorial, inf
 
-from monord import (DataError, IVPoly, binomial, divides, format_ordinal,
-                    from_samples, hilbert_fn, hilbert_profile, macaulay_next,
-                    normalize, phi_poly, slice_last)
+from monord import (OMEGA, ONE, DataError, IVPoly, Ord, ParseError, binomial,
+                    divides, format_ordinal, from_samples, hilbert_fn,
+                    hilbert_profile, macaulay_next, normalize, phi_poly,
+                    slice_last)
 from monord import monom
 from monord.chains import SearchResult, _step, as_bound_fn
 from monord.hilbert import _hilbert_value, _realizable
 from monord.ideal import _checked_ideal, minimal_points
 from monord.ivpoly import binom_poly
 from monord.monom import _words, unit_vec
+from monord.ordinal import MAX_NESTING, _coerce, _wrap
 
 
 def points_of_degree(m, n):
@@ -877,3 +879,135 @@ def cnf_cmp(a, b):
     if len(a.terms) != len(b.terms):
         return -1 if len(a.terms) < len(b.terms) else 1
     return 0
+
+
+# -- the recursive ordinal printer and parser the library used before its
+# loops ---------------------------------------------------------------------
+
+def recursive_format_ordinal(a):
+    """format_ordinal by recursion on the exponents."""
+    return _format(_coerce(a).form)
+
+
+def _format(form):
+    parts = []
+    for g, c in form:
+        if not g:
+            parts.append(str(c))
+            continue
+        if g == ONE.form:
+            s = "w"
+        else:
+            es = _format(g)
+            if not (es.isdigit() or es == "w"):
+                es = "(" + es + ")"
+            s = "w^" + es
+        if c > 1:
+            s += "*" + str(c)
+        parts.append(s)
+    return " + ".join(parts) or "0"
+
+
+class _Scanner:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def error(self, msg):
+        raise ParseError(msg, line=1, column=self.pos + 1)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] == " ":
+            self.pos += 1
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch):
+        if self.peek() != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def nat(self):
+        start = self.pos
+        while self.peek().isdecimal():
+            self.pos += 1
+        if start == self.pos:
+            self.error("expected a number")
+        tok = self.text[start:self.pos]
+        if len(tok) > 1 and tok[0] == "0":
+            self.error("no leading zeros")
+        try:
+            return int(tok)
+        except ValueError:  # past Python's int-string digit limit
+            self.error("too many digits")
+
+
+def recursive_parse_ordinal(text):
+    """parse_ordinal by two mutually recursive functions over a scanner."""
+    sc = _Scanner(text)
+    sc.skip_ws()
+    form = _parse_sum(sc)
+    sc.skip_ws()
+    if sc.pos != len(sc.text):
+        sc.error("trailing input")
+    return _wrap(form)
+
+
+def _parse_sum(sc):
+    """The form of a sum of terms, checked to be in Cantor normal form."""
+    terms = [_parse_term(sc)]
+    while True:
+        save = sc.pos
+        sc.skip_ws()
+        if sc.peek() != "+":
+            sc.pos = save
+            break
+        sc.take("+")
+        sc.skip_ws()
+        terms.append(_parse_term(sc))
+    if terms == [((), 0)]:
+        return ()
+    if any(c == 0 for _, c in terms):
+        sc.error("'0' is only valid on its own")
+    for i in range(1, len(terms)):
+        if terms[i - 1][0] <= terms[i][0]:
+            sc.error("exponents must strictly decrease")
+    return tuple(terms)
+
+
+def _parse_term(sc):
+    if sc.peek().isdecimal():
+        # a bare zero is only valid as the whole ordinal, checked by caller
+        return ((), sc.nat())
+    if sc.peek() != "w":
+        sc.error("expected 'w' or a number")
+    sc.take("w")
+    exp = ONE.form
+    if sc.peek() == "^":
+        sc.take("^")
+        if sc.peek() == "(":
+            sc.take("(")
+            sc.depth += 1
+            if sc.depth > MAX_NESTING:
+                sc.error(f"exponents nest deeper than {MAX_NESTING}")
+            sc.skip_ws()
+            exp = _parse_sum(sc)
+            sc.skip_ws()
+            sc.take(")")
+            sc.depth -= 1
+        elif sc.peek() == "w":
+            sc.take("w")
+            exp = OMEGA.form
+        else:
+            exp = Ord.from_int(sc.nat()).form
+    coeff = 1
+    if sc.peek() == "*":
+        sc.take("*")
+        coeff = sc.nat()
+        if coeff == 0:
+            sc.error("coefficient must be positive")
+    if not exp:
+        sc.error("write finite terms as plain numbers")
+    return (exp, coeff)

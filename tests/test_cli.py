@@ -322,6 +322,14 @@ class TestLexifyConeDirectsum:
         code, out, _ = run(capsys, ["directsum", a, b])
         assert parse_ideal_text(out) == normalize(2, [(2, 0), (0, 3), (1, 1)])
 
+    def test_directsum_past_the_dimension_cap(self, capsys, tmp_path):
+        # exited 0 and wrote an N^1001 ideal that normalize refused
+        dim = ideal.MAX_DIM - 1
+        a = write(tmp_path, "a.ideal", f"dim {dim}\n" + "1 " * dim + "\n")
+        b = write(tmp_path, "b.ideal", "dim 2\n1 1\n")
+        code, out, err = run(capsys, ["directsum", a, b])
+        assert (code, out) == (65, "") and "above the cap" in err
+
 
 class TestChainbound:
     def test_ell(self, capsys):

@@ -3,6 +3,8 @@ and the value classes load through their checked constructors."""
 
 import copy
 import pickle
+from collections import namedtuple
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +28,8 @@ from monord.hilbert import a_sequence
 from monord.ivpoly import binom_poly
 
 E = normalize(2, [(2, 0), (1, 1)])
+# an object that carries an ideal's fields, but is no MonomialIdeal
+LookAlike = namedtuple("LookAlike", "dim gens")
 
 # each row was answered, or raised a builtin exception, before the checks
 # moved to the public boundary
@@ -131,6 +135,22 @@ BAD_CALLS = {
     "extremal_sequence negative cap": lambda: extremal_sequence(2, 1, -1),
     "max_bad_degree_growth float cap":
         lambda: max_bad_degree_growth(2, 1, 2.5),
+    # objects that only look like monord values: the first was answered
+    # with the opposite verdict, as namedtuples compare as tuples, the
+    # second with 1 for equal words, and the rest raised AttributeError
+    "is_bad_sequence look-alike ideals": lambda: is_bad_sequence(
+        [LookAlike(2, ((1, 0), (0, 1))), LookAlike(2, ((2, 0), (0, 2)))]),
+    "kb_cmp look-alike ideal": lambda: kb_cmp(
+        LookAlike(2, ((3, 0), (0, 1))), normalize(2, [(0, 1), (3, 0)])),
+    "hilbert_samuel_poly look-alike ideal":
+        lambda: hilbert_samuel_poly(LookAlike(2, ((3, 0), (0, 1)))),
+    "kb_cmp look-alike order":
+        lambda: kb_cmp(E, E, SimpleNamespace(kind="matrix")),
+    "ell look-alike bound": lambda: ell(2, SimpleNamespace(_flat=0)),
+    "psi_poly look-alike polynomial":
+        lambda: psi_poly(SimpleNamespace(coeffs=(1,)), 2),
+    "IVPoly plus an int": lambda: IVPoly([1]) + 5,
+    "IVPoly minus an int": lambda: IVPoly([1]) - 5,
 }
 
 

@@ -9,6 +9,7 @@ from functools import cmp_to_key
 
 import pytest
 
+from monord import ideal
 from monord import (DEGLEX, DataError, DimensionMismatch, MonomialIdeal,
                     TermOrder, colon, comm_leq, components_by_support, cone,
                     direct_sum, divides, generator_word, hilbert_samuel_poly,
@@ -221,6 +222,13 @@ class TestConeAndDirectSum:
                 direct_sum(e, bad)
             with pytest.raises(DataError):
                 direct_sum(bad, e)
+
+    def test_direct_sum_checks_its_dimension(self):
+        # N^999 + N^2 was built, as an ideal no other call accepts
+        big = normalize(ideal.MAX_DIM - 1, [(1,) * (ideal.MAX_DIM - 1)])
+        with pytest.raises(DataError, match="above the cap"):
+            direct_sum(big, normalize(2, [(1, 1)]))
+        assert direct_sum(big, normalize(1, [(2,)])).dim == ideal.MAX_DIM
 
 
 class TestDecomposition:

@@ -234,17 +234,21 @@ def test_subcommands_leave_the_writing_to_main():
     assert len(commands) == 10 and not found
 
 
+def parsed_modules():
+    """(file name, syntax tree) of each module of monord."""
+    package = os.path.join(SRC, "monord")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
 def test_modules_raise_no_builtin_exceptions():
     """Every public call raises a MonordError on bad input; the one builtin
     exception a module may raise is AttributeError, for writes to an
     immutable object and for missing module attributes."""
     found = []
-    package = os.path.join(SRC, "monord")
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in parsed_modules():
         for node in ast.walk(tree):
             exc = node.exc if isinstance(node, ast.Raise) else None
             if isinstance(exc, ast.Call):
@@ -256,18 +260,31 @@ def test_modules_raise_no_builtin_exceptions():
     assert not found
 
 
+def test_modules_sniff_no_attributes():
+    """monord knows its own values by their class, through errors.is_a,
+    not by the attributes they carry: no module calls hasattr or getattr
+    with a default, but for main's probe of the Python version."""
+    found = []
+    for name, tree in parsed_modules():
+        # the function each node sits in, the innermost one for nested defs
+        owner = {id(node): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and (node.func.id == "hasattr" or node.func.id == "getattr"
+                         and len(node.args) == 3)):
+                where = f"{name[:-3]}.{owner.get(id(node), '<module>')}"
+                found.append(f"{where}: {ast.unparse(node)}")
+    assert found == ["cli.main: hasattr(sys, 'set_int_max_str_digits')"]
+
+
 def test_modules_do_not_recurse():
     """No function in monord reaches itself through the functions of its
-    module that it names, so no depth of input costs stack frames.  The
-    one cycle allowed is the ordinal printer and parser, which
-    MAX_NESTING caps at 100 levels (test_nesting_cap)."""
+    module that it names, so no depth of input costs stack frames: the
+    engines and the ordinal printer and parser all run on explicit
+    stacks."""
     cyclic = set()
-    package = os.path.join(SRC, "monord")
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in parsed_modules():
         defs = [node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef)]
         # a function names another by its name or as an attribute, other
@@ -288,5 +305,4 @@ def test_modules_do_not_recurse():
                     todo += calls[callee]
             if start in seen:
                 cyclic.add(f"{name[:-3]}.{start}")
-    assert cyclic == {"ordinal._format", "ordinal._parse_sum",
-                      "ordinal._parse_term"}
+    assert not cyclic

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from functools import cmp_to_key
 
 import pytest
@@ -12,7 +13,8 @@ from monord import (OMEGA, ONE, ZERO, DataError, MonordError, Ord,
                     nat_sum, omega_pow, ot_decreasing_sequences,
                     parse_ordinal)
 from monord.ordinal import MAX_NESTING
-from oracles import cnf_cmp
+from oracles import (cnf_cmp, recursive_format_ordinal,
+                     recursive_parse_ordinal)
 
 
 def o(text):
@@ -282,9 +284,12 @@ class TestFormatParse:
                 a = omega_pow(a)
 
     def test_error_position(self):
-        with pytest.raises(ParseError) as exc:
-            parse_ordinal("w + q")
-        assert exc.value.column == 5
+        # the nesting cap points just past the 101st "("
+        for text, column in (("w + q", 5), ("w^\u00b2", 3),
+                             ("w^(" * (MAX_NESTING + 1) + "1", 304)):
+            with pytest.raises(ParseError) as exc:
+                parse_ordinal(text)
+            assert exc.value.column == column
 
     @pytest.mark.parametrize("bad", ["\u00b2", "w^\u00b2", "w*\u00b2",
                                      "w^(w + \u00b9)"])
@@ -305,3 +310,59 @@ class TestFormatParse:
         except MonordError:
             return
         assert parse_ordinal(format_ordinal(a)) == a
+
+
+def random_ordinal(rng, depth):
+    """A random ordinal whose exponents nest at most ``depth`` deep."""
+    return build((random_ordinal(rng, depth - 1)
+                  if depth and rng.random() < 0.5 else rng.randint(0, 3),
+                  rng.choice((1, 1, 2, 10, 10 ** 30)))
+                 for _ in range(rng.randint(0, 4)))
+
+
+def outcome(parse, text):
+    """What parse makes of text: its value, or the class, message and
+    column of the ParseError it raises."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.column
+
+
+class TestAgainstRecursion:
+    """The printer and the parser are loops; they must agree with the
+    recursive pair they replaced (oracles.recursive_*_ordinal) on every
+    input, error messages and columns included."""
+
+    EDGES = ["w + q", "w^\u00b2", " ", "0", " 0 ", "00", "0 + 0", "w*0",
+             "w^(0)", "w^00", "w^01", "w*01", "w^( w )*3 + 2", "w^(w", "w^(",
+             "w^()", "w)", "w ^2", "w* 2", "w *2", "w^ 2", "w^(w) + 1 ",
+             "w^w^w", "w + 1 +", "+ w", "w  +  1", "1 + 1", "\u0663",
+             "w^\u0663*\u0662", "\u0660\u0663", "w^(\u00b9)", "1" * 5000,
+             "w^(" * 100 + "w^w" + ")" * 100, "w^(" * 101 + "w" + ")" * 101]
+    EDGES += ["w^(" * d + "1" + ")" * d for d in (99, 100, 101, 600, 5000)]
+
+    def test_parse(self, int_digit_limit):
+        rng = random.Random(27)
+        formatted = [format_ordinal(random_ordinal(rng, 4))
+                     for _ in range(5000)]
+        mutated = []
+        for text in formatted:  # drop, double or replace one character
+            i, j = rng.randrange(len(text)), rng.randrange(len(text))
+            mutated += [text[:i] + text[i + 1:], text[:i] + text[i] + text[i:],
+                        text[:i] + text[j] + text[i + 1:]]
+        chars = "w^()*+ 0123456789\u00b2\u0663"
+        texts = self.EDGES + formatted + mutated + [
+            "".join(rng.choices(chars, k=rng.randint(0, 25)))
+            for _ in range(30000)]
+        assert len(texts) >= 50000
+        for text in texts:
+            assert (outcome(parse_ordinal, text)
+                    == outcome(recursive_parse_ordinal, text)), text
+
+    def test_format(self):
+        rng = random.Random(28)
+        deepest = "w^(" * MAX_NESTING + "w^w" + ")" * MAX_NESTING
+        for a in [random_ordinal(rng, 5) for _ in range(5000)] + [
+                parse_ordinal(deepest)]:
+            assert format_ordinal(a) == recursive_format_ordinal(a)
