@@ -92,12 +92,18 @@ def _walk(m, read, flat, budget):
     v[:j]; at j = m - 1, or from index flat on, it is the C(v[j] + m - j,
     m - j) points whose rest has degree <= v[j], else one point.  Then the
     last positive v[i], i < m - 1, drops by one, a step is charged for its
-    block's length so far, and v[i + 1] is filled up to the bound there."""
+    block's length so far, and v[i + 1] is filled up to the bound there.
+    A closed block at j < m - 1 on a v[j] past 64 bits is charged first,
+    (m - j) units per byte of v[j], about the bytes of the C(...) it
+    builds; at j = m - 1 that is v[j] + 1, which the next step's offset
+    charges."""
     v = [read(0, budget)] + [0] * (m - 1)
     starts = [0] * m  # where the block at each index began
     j = total = 0
     while True:
         closed = j == m - 1 or starts[j] >= flat
+        if closed and j < m - 1 and v[j] >> 64:
+            budget.charge((m - j) * ((v[j].bit_length() + 7) // 8))
         size = comb(v[j] + m - j, m - j) if closed else 1
         yield v, size
         total += size

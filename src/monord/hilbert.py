@@ -12,12 +12,9 @@ sum_n H_E(n) t^n = N(t) / (1 - t)^m.  It is computed once per ideal by
 pivot recursion rather than by summing over the 2^n subsets, and kept on
 the ideal with p_E.
 
-The recursion runs on packed exponent vectors: each generator becomes one
-int of b-bit fields, b one more than the bit length of the larger of the
-top exponent and the generator count, so the top bit of every field is a
-guard bit that stays clear.  Subtracting q from p with every guard bit set
-leaves all of them set exactly when q divides p, so divisibility, supports
-and per-variable counts are a few int operations each (see _numerator).
+The recursion runs on points packed into ints by monom.Packing, so that
+divisibility, supports and per-variable counts are a few int operations
+each (see _numerator).
 """
 
 from functools import reduce
@@ -29,7 +26,7 @@ from typing import NamedTuple
 from .errors import DataError, listed, natural
 from .ideal import _checked_ideal, _memo, check_dim, check_ideal, normalize
 from .ivpoly import IVPoly, _binom_row, check_poly, macaulay_next
-from .monom import points_of_degree, unit_vec
+from .monom import Packing, points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
 
 
@@ -48,24 +45,18 @@ def _numerator(e):
     ideal and 0 for the unit ideal.
 
     The recursion runs on (degree, packed) pairs and never unpacks.  Each
-    generator is packed once into an int of b-bit fields, x_1 in the top
-    one, so that packed ints of one degree compare as their points do in
-    lex order.  b is one more than the bit length of the larger of the top
-    exponent and the generator count.  The top bit of each field, its
-    guard bit, starts clear, and no exponent or count reaches it, since
-    exponents only fall and the generator count never grows.  With G the
-    guard bits and F the bits below them:
-    - q divides p exactly when ((p | G) - q) & G == G: each field
-      subtracts without borrowing from the next, and keeps its guard bit
-      unless q's coordinate is the larger;
+    generator is packed once by monom.Packing, whose fields hold the larger
+    of the top exponent and the generator count: no exponent or count
+    outgrows it, since exponents only fall and the generator count never
+    grows.  With G the guard bits and F the bits below them:
     - ((p + F) & G) >> (b - 1) marks p's support by the low bit of each
       field, and supports are pairwise disjoint when these masks sum to
       their union;
     - the masks of the mixed generators sum to how many of them use each
       variable, field by field;
     - the colon by x_i^a subtracts min(p_i, a), shifted to x_i's field,
-      from each p, and a sort by (degree, packed) and the divisibility test
-      keep the minimal results.
+      from each p, and a sort by (degree, packed) and the guarded
+      divisibility test keep the minimal results.
     """
     return _memo(e, "numerator", _pivot_numerator)
 
@@ -73,13 +64,11 @@ def _numerator(e):
 def _pivot_numerator(e):
     """_numerator, computed."""
     gens = e.gens
-    b = max(max(map(max, gens), default=0), len(gens)).bit_length() + 1
-    value = (1 << b - 1) - 1  # a field's bits below its guard
-    guards = sum(1 << i * b for i in range(e.dim)) << b - 1
+    pk = Packing(e.dim, max(max(map(max, gens), default=0), len(gens)))
+    b, value, guards = pk.width, pk.value, pk.guards
     fill = guards - (guards >> b - 1)
     acc = {}
-    todo = [([(sum(g), sum(x << i * b for i, x in enumerate(reversed(g))
-                           if x)) for g in gens], 0)]
+    todo = [([(sum(g), pk.pack(g)) for g in gens], 0)]
     while todo:  # pairs in deglex order, but a pure power may come last
         pairs, offset = todo.pop()
         masks = [(p + fill & guards) >> b - 1 for _, p in pairs]

@@ -5,10 +5,11 @@ points under divisibility, sorted by deglex.  The zero ideal is the empty
 antichain and the unit ideal is generated by the origin.
 """
 
-from operator import le
+from itertools import repeat
+from operator import le, mod
 
 from .errors import DataError, immutable, is_a, natural
-from .monom import (DEGLEX, _support, check_order, check_point,
+from .monom import (DEGLEX, Packing, _support, check_order, check_point,
                     check_same_dim, unit_vec)
 
 
@@ -221,24 +222,38 @@ def irreducible_decomposition(e):
 def _decompose(e):
     """irreducible_decomposition as a tuple, computed.
 
-    Each nu is kept with its zeros written as inf, one past the largest
-    exponent: then nu holds x^g iff nu_i <= g_i for some i, and nu's
-    ideal contains mu's iff nu <= mu componentwise.
+    Each nu is packed once (monom.Packing) with its zeros written as inf,
+    one past the largest exponent: then nu holds x^g iff nu_i <= g_i for
+    some i, and nu's ideal contains mu's iff nu <= mu componentwise, each
+    one guarded subtraction.  A nu that misses x^g has nu_i > g_i for
+    every i, so nu - g borrows nowhere, and taking its field i from nu
+    sets nu_i to g_i.
     """
     inf = max(map(max, e.gens)) + 1
-    comps = [(inf,) * e.dim]
+    pk = Packing(e.dim, inf)
+    guards, value, shifts = pk.guards, pk.value, pk.shifts
+    comps = [pk.pack((inf,) * e.dim)]
     for g in e.gens:
-        kept, new, supp = [], set(), _support(g)
+        packed = pk.pack(g)
+        over = packed | guards
+        fields = [value << s for x, s in zip(g, shifts) if x]
+        kept, new = [], set()
         for nu in comps:
-            if any(map(le, nu, g)):
+            if over - nu & guards:
                 kept.append(nu)
             else:
-                new.update(nu[:i] + (g[i],) + nu[i + 1:] for i in supp)
-        pool = kept + list(new)
-        comps = kept + [nu for nu in new if not any(
-            mu != nu and all(map(le, nu, mu)) for mu in pool)]
-    return tuple(sorted((tuple(x % inf for x in nu) for nu in comps),
-                        key=DEGLEX.key))
+                d = nu - packed
+                new.update(nu - (d & f) for f in fields)
+        pool = [mu | guards for mu in (*kept, *new)]
+        comps = kept
+        for nu in new:
+            for mu in pool:
+                if mu - nu & guards == guards and mu != nu | guards:
+                    break  # nu <= mu, so m^nu contains m^mu
+            else:
+                comps.append(nu)
+    return tuple(sorted((tuple(map(mod, pk.unpack(nu), repeat(inf)))
+                         for nu in comps), key=DEGLEX.key))
 
 
 def components_by_support(e):
@@ -250,8 +265,7 @@ def components_by_support(e):
     """
     grouped = {}
     for nu in irreducible_decomposition(e):
-        s = _support(nu)
-        grouped.setdefault(s, []).append(tuple(nu[i] for i in s))
+        grouped.setdefault(_support(nu), []).append(tuple(filter(None, nu)))
     return dict(sorted(grouped.items()))
 
 

@@ -7,8 +7,9 @@ commutative image (bipartite matching), and multiset.
 """
 
 from collections import Counter
+from itertools import compress, repeat
 from math import comb
-from operator import le
+from operator import and_, le, lshift, rshift
 
 from .errors import DataError, DimensionMismatch, immutable, is_a, listed
 
@@ -44,7 +45,7 @@ def support(v):
 
 def _support(v):
     """support, unchecked, for the library's own points."""
-    return tuple(i for i, x in enumerate(v) if x)
+    return tuple(compress(range(len(v)), v))
 
 
 def divides(u, v):
@@ -56,6 +57,39 @@ def divides(u, v):
 
 def unit_vec(m, i, scale=1):
     return (0,) * i + (scale,) + (0,) * (m - i - 1)
+
+
+class Packing:
+    """Points of N^m packed into ints of m b-bit fields, for the engines
+    that compare many points of one ideal: built once per ideal, unchecked.
+
+    x_1 sits in the top field, at ``shifts[0]``, so that packed points of
+    one degree compare as their points do in lex order.  b is one more
+    than the bit length of ``top``, the largest value a field must hold, so
+    the top bit of each field, its guard bit, stays clear.  With G the
+    guard bits (``guards``) and p, q packed:
+    - ((p | G) - q) & G == G exactly when q <= p componentwise: each field
+      subtracts without borrowing from the next, and keeps its guard bit
+      unless q's coordinate is the larger;
+    - ((p | G) - q) & G != 0 exactly when q_i <= p_i for some i;
+    - (p + F) & G, with F = G - (G >> (b - 1)) the bits below the guards,
+      holds the guard bit of each field where p is nonzero.
+    """
+
+    __slots__ = ("width", "value", "shifts", "guards")
+
+    def __init__(self, m, top):
+        b = top.bit_length() + 1
+        self.width, self.value = b, (1 << b - 1) - 1  # bits below a guard
+        self.shifts = range((m - 1) * b, -1, -b)
+        self.guards = ((1 << m * b) - 1) // ((1 << b) - 1) << b - 1
+
+    def pack(self, v):
+        return sum(map(lshift, v, self.shifts))
+
+    def unpack(self, p):
+        return tuple(map(and_, map(rshift, repeat(p), self.shifts),
+                         repeat(self.value)))
 
 
 def points_of_degree(m, n, start=0, stop=None):

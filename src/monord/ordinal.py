@@ -228,6 +228,9 @@ def parse_ordinal(text):
     term by term: ``w^(`` opens a sum on ``stack``, and ``)`` closes the
     innermost into the exponent of the term that opened it.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"an ordinal is read from a str, not a "
+                         f"{type(text).__name__}")
     stack, terms, pos = [], [], _blanks(text, 0)
     while True:
         ch = text[pos:pos + 1]

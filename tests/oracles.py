@@ -12,6 +12,7 @@ from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
 from math import comb, factorial, inf
+from operator import le
 
 from monord import (OMEGA, ONE, DataError, IVPoly, Ord, ParseError, binomial,
                     divides, format_ordinal, from_samples, hilbert_fn,
@@ -371,6 +372,30 @@ def split_decomposition(e):
     comps = sorted(out, key=lambda nu: (sum(nu),) + nu)
     return [nu for nu in comps
             if not any(mu != nu and irr_contains(nu, mu) for mu in comps)]
+
+
+def tuple_decompose(e):
+    """The irreducible components of a nonzero proper ideal by incremental
+    Alexander duality on exponent tuples, the engine the library ran before
+    it packed points into ints: each nu is kept with its zeros written as
+    inf, one past the largest exponent, so nu holds x^g iff nu_i <= g_i for
+    some i, and nu's ideal contains mu's iff nu <= mu componentwise.
+    Deglex-sorted."""
+    top = max(map(max, e.gens)) + 1  # inf
+    comps = [(top,) * e.dim]
+    for g in e.gens:
+        kept, new = [], set()
+        supp = [i for i, x in enumerate(g) if x]
+        for nu in comps:
+            if any(map(le, nu, g)):
+                kept.append(nu)
+            else:
+                new.update(nu[:i] + (g[i],) + nu[i + 1:] for i in supp)
+        pool = kept + list(new)
+        comps = kept + [nu for nu in new if not any(
+            mu != nu and all(map(le, nu, mu)) for mu in pool)]
+    return sorted((tuple(x % top for x in nu) for nu in comps),
+                  key=lambda nu: (sum(nu),) + nu)
 
 
 def slice_triangle(e, f):
@@ -858,6 +883,8 @@ def recursive_ell(m, f, budget, off=0, k=0):
     two agree on ``BudgetExceeded.spent`` too."""
     f0 = f._at(off, budget) + k
     if m == 1 or off >= f._flat:
+        if m > 1 and f0 >> 64:
+            budget.charge(m * ((f0.bit_length() + 7) // 8))
         return comb(f0 + m, m)
     out = 1
     for i in range(1, f0 + 1):

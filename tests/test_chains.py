@@ -3,6 +3,7 @@
 import inspect
 import random
 import sys
+import time
 from math import comb
 from operator import le
 
@@ -134,6 +135,22 @@ class TestEll:
         with pytest.raises(BudgetExceeded) as exc:
             ell(3, BoundFn.affine(3, 2), budget=10)
         assert exc.value.spent <= 10
+
+    def test_closed_block_past_64_bits_is_charged(self):
+        # C(10^3000 + 1000, 1000) was built, in 5.1 s, under a budget of 10
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as exc:
+            ell(1000, BoundFn.affine(10 ** 3000, 0), budget=10)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.spent == 0
+        # (m - j) units per byte of v[j], and nothing up to 64 bits or on
+        # the last coordinate, where the block is C(v[j] + 1, 1)
+        c = 2 ** 64
+        assert ell(2, BoundFn.affine(c - 1, 0), budget=0) == comb(c + 1, 2)
+        with pytest.raises(BudgetExceeded):
+            ell(2, BoundFn.affine(c, 0), budget=2 * 9 - 1)
+        assert ell(2, BoundFn.affine(c, 0), budget=2 * 9) == comb(c + 2, 2)
+        assert ell(1, BoundFn.affine(c ** 9, 0), budget=0) == c ** 9 + 1
 
     def test_callable_table_is_charged(self):
         # every value a callable adds to its table costs a unit, charged

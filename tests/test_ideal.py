@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import time
 from functools import cmp_to_key
 
 import pytest
@@ -18,7 +19,8 @@ from monord import (DEGLEX, DataError, DimensionMismatch, MonomialIdeal,
                     unit_ideal, zero_ideal)
 from monord.ideal import _checked_ideal
 from oracles import (in_ideal, irreducible_component_ideal, points_up_to,
-                     random_ideal, random_wide_ideal, split_decomposition)
+                     random_ideal, random_wide_ideal, split_decomposition,
+                     tuple_decompose)
 
 
 class TestNormalize:
@@ -325,6 +327,66 @@ class TestDecomposition:
             e = normalize(m, e.gens + (g,))
             if not e.is_unit():
                 assert irreducible_decomposition(e) == split_decomposition(e)
+
+
+class TestPackedDecomposition:
+    """The engine on packed points against the tuple engine it replaced,
+    oracles.tuple_decompose, and against split_decomposition."""
+
+    @staticmethod
+    def check(e):
+        comps = irreducible_decomposition(e)
+        assert comps == tuple_decompose(e) == split_decomposition(e), e
+
+    def test_dimensions_one_to_eight(self):
+        rng = random.Random(61)
+        for m in range(1, 9):
+            for _ in range(80):
+                self.check(random_ideal(rng, m, 10, 6))
+
+    def test_exponents_where_the_field_width_changes(self):
+        # zeros are written as inf = the largest exponent + 1, so a field
+        # widens by a bit as the largest exponent goes from 2^k - 2 to
+        # 2^k - 1, and holds 2^k + 1 at the next step
+        rng = random.Random(67)
+        for k in range(1, 10):
+            top = (2 ** k - 2, 2 ** k - 1, 2 ** k)
+            for _ in range(30):
+                m = rng.randint(1, 5)
+                e = normalize(m, [tuple(
+                    rng.choice((0, 0, 1, rng.randint(0, 2 ** k), *top))
+                    for _ in range(m)) for _ in range(rng.randint(1, 7))])
+                if not e.is_unit():
+                    self.check(e)
+
+    def test_exponents_past_a_machine_word(self):
+        rng = random.Random(71)
+        big = 2 ** 70
+        for _ in range(60):
+            m = rng.randint(1, 5)
+            e = normalize(m, [tuple(
+                rng.choice((0, 0, 1, big - 1, big, big + 1, rng.randint(0, big)))
+                for _ in range(m)) for _ in range(rng.randint(1, 7))])
+            if not e.is_unit():
+                self.check(e)
+
+    def test_sparse_ideal_in_dimension_1000(self):
+        # 8 generators on disjoint supports of sizes 3, 3, 3, 3, 2, 2, 1, 1:
+        # 3^4 * 2^2 = 324 components; the tuple engine took 0.83 s
+        rng = random.Random(1000)
+        coords = rng.sample(range(1000), 18)
+        gens = []
+        for size in (3, 3, 3, 3, 2, 2, 1, 1):
+            g = [0] * 1000
+            for _ in range(size):
+                g[coords.pop()] = rng.randint(1, 5)
+            gens.append(tuple(g))
+        e = normalize(1000, gens)
+        start = time.perf_counter()
+        comps = irreducible_decomposition(e)
+        assert time.perf_counter() - start < 0.5
+        assert len(comps) == 324
+        self.check(e)
 
 
 class TestComponentsBySupport:

@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import time
+from operator import le
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,7 @@ from hypothesis import given, strategies as st
 from monord import (DEGLEX, LEX, DataError, DimensionMismatch, TermOrder,
                     comm_leq, degree, divides, higman_leq, multiset_leq,
                     support, term_cmp)
-from monord.monom import points_of_degree
+from monord.monom import Packing, points_of_degree
 from oracles import bfs_comm_leq, brute_comm_leq, points_up_to
 from oracles import points_of_degree as recursive_points_of_degree
 
@@ -37,6 +38,68 @@ class TestDivides:
     def test_degree_support(self):
         assert degree((2, 0, 3)) == 5
         assert support((2, 0, 3)) == (0, 2)
+
+
+class TestPacking:
+    """monom.Packing: m fields of b bits, x_1 in the top one, b one more
+    than the bit length of the largest value a field holds."""
+
+    @staticmethod
+    def pools(seed):
+        """(m, top, points) triples: points of N^m with every coordinate at
+        most top, many of them at 0, at top or at the field's largest value
+        2^(b - 1) - 1, which fills the field up to its guard bit."""
+        rng = random.Random(seed)
+        for _ in range(300):
+            m, top = rng.randint(1, 7), rng.choice(
+                (0, 1, 2, 3, 7, 8, 2 ** 31, 2 ** 64 - 1, 2 ** 70))
+            full = (1 << top.bit_length()) - 1
+            yield m, top, [tuple(rng.choice((0, top, full, rng.randint(
+                0, full))) for _ in range(m)) for _ in range(12)]
+
+    def test_fields_and_guards(self):
+        pk = Packing(3, 5)  # 5 has 3 bits: fields of 4, guard bit on top
+        assert (pk.width, pk.value, list(pk.shifts)) == (4, 7, [8, 4, 0])
+        assert pk.guards == 0x888
+        assert pk.pack((1, 2, 7)) == 0x127
+        assert Packing(1, 0).width == 1
+
+    def test_round_trip(self):
+        for m, top, points in self.pools(73):
+            pk = Packing(m, top)
+            for v in points:
+                p = pk.pack(v)
+                assert pk.unpack(p) == v
+                assert p & pk.guards == 0  # no value reaches a guard bit
+
+    def test_guard_test_is_divisibility(self):
+        for m, top, points in self.pools(79):
+            pk = Packing(m, top)
+            g = pk.guards
+            for u, v in itertools.product(points, repeat=2):
+                p, q = pk.pack(v), pk.pack(u)
+                assert ((p | g) - q & g == g) == divides(u, v)
+                assert bool((p | g) - q & g) == any(map(le, u, v))
+
+    def test_support_mask(self):
+        for m, top, points in self.pools(83):
+            pk = Packing(m, top)
+            g = pk.guards
+            fill = g - (g >> pk.width - 1)
+            for v in points:
+                mask = (pk.pack(v) + fill & g) >> pk.width - 1
+                assert pk.unpack(mask) == tuple(int(x > 0) for x in v)
+
+    def test_one_degree_compares_as_lex(self):
+        rng = random.Random(89)
+        for _ in range(200):
+            m, n = rng.randint(1, 6), rng.randint(0, 12)
+            points = points_of_degree(m, n)
+            pk = Packing(m, n)
+            for u, v in zip(rng.choices(points, k=20), rng.choices(points, k=20)):
+                assert (pk.pack(u) < pk.pack(v)) == (u < v)
+            # points_of_degree lists them in increasing lex order
+            assert [pk.pack(v) for v in points] == sorted(map(pk.pack, points))
 
 
 class TestPointsOfDegree:

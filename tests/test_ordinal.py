@@ -255,6 +255,13 @@ class TestFormatParse:
         with pytest.raises(ParseError):
             parse_ordinal(bad)
 
+    @pytest.mark.parametrize("bad, kind", [(5, "int"), (None, "NoneType"),
+                                           (b"w", "bytes")])
+    def test_rejects_what_is_not_text(self, bad, kind):
+        # an int or None raised AttributeError, and bytes a TypeError
+        with pytest.raises(ParseError, match=f"not a {kind}$"):
+            parse_ordinal(bad)
+
     def test_nesting_cap(self):
         def nested(depth):
             return "w^(" * depth + "1" + ")" * depth
