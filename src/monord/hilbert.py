@@ -12,9 +12,11 @@ sum_n H_E(n) t^n = N(t) / (1 - t)^m.  It is computed once per ideal by
 pivot recursion rather than by summing over the 2^n subsets, and kept on
 the ideal with p_E.
 
-The recursion runs on points packed into ints by monom.Packing, so that
-divisibility, supports and per-variable counts are a few int operations
-each (see _numerator).
+The recursion runs on the generators with two or more variables, packed
+into ints by monom.Packing, so that divisibility, supports and
+per-variable counts are a few int operations each.  The pure powers x_j^a
+are one packed vector beside them, and the recursion stops, in closed
+form, once the others have pairwise disjoint supports (see _numerator).
 """
 
 from functools import reduce
@@ -35,28 +37,35 @@ def _numerator(e):
     increasing degree, with nonzero coefficients.
 
     Pivot recursion (Bayer-Stillman, JSC 14 (1992); Bigatti, JPAA 119
-    (1997)): N(I) = N(I + x_i^a) + t^a N(I : x_i^a).  The pivot variable
-    x_i is the one in the most mixed generators (those with two or more
-    variables); on a tie, the first of the tied variables met in the mixed
-    generators read in deglex order.  a is the upper median exponent of
-    x_i among them, so x_i^a is not in I and both sides have a smaller
-    total generator degree.  Once the generators have pairwise disjoint
-    supports, N = prod over generators g of (1 - t^deg g): 1 for the zero
-    ideal and 0 for the unit ideal.
+    (1997)): N(I) = N(I + x_i^a) + t^a N(I : x_i^a).  A frame holds the
+    mixed generators (those with two or more variables), which no pure
+    power divides; the pure powers x_j^(a_j) as one packed vector A, with
+    a_j = inf, one past the top exponent, where there is none; and the
+    power of t that multiplies the frame's N.  The pivot variable x_i is
+    the one in the most mixed generators; on a tie, the first of the tied
+    variables met in them, read in deglex order.  a is the upper median
+    exponent of x_i among them, so a < a_i:
+    - I + x_i^a sets a_i = a and drops the mixed generators with p_i >= a;
+    - I : x_i^a takes a from a_i (inf stays inf) and min(p_i, a) from each
+      p, folds the results left with one variable into A by a minimum,
+      and drops the results that A or a kept result divides.
+    Once the mixed generators have pairwise disjoint supports, N is the
+    product of P_g(a) - t^(deg g) P_g(a - g) over the mixed g, P_g(b) the
+    product of (1 - t^(b_j)) over the finite a_j on supp g, and of the
+    (1 - t^(a_j)) over the finite a_j off every mixed support: 1 for the
+    zero ideal and 0 for the unit ideal, whose a_j are all 0.
 
     The recursion runs on (degree, packed) pairs and never unpacks.  Each
     generator is packed once by monom.Packing, whose fields hold the larger
-    of the top exponent and the generator count: no exponent or count
-    outgrows it, since exponents only fall and the generator count never
-    grows.  With G the guard bits and F the bits below them:
+    of inf and the generator count: no exponent or count outgrows it, since
+    exponents only fall and the generator count never grows.  With G the
+    guard bits and F the bits below them:
     - ((p + F) & G) >> (b - 1) marks p's support by the low bit of each
       field, and supports are pairwise disjoint when these masks sum to
       their union;
     - the masks of the mixed generators sum to how many of them use each
       variable, field by field;
-    - the colon by x_i^a subtracts min(p_i, a), shifted to x_i's field,
-      from each p, and a sort by (degree, packed) and the guarded
-      divisibility test keep the minimal results.
+    - ((p | G) - A) & G != 0 exactly when a pure power divides p.
     """
     return _memo(e, "numerator", _pivot_numerator)
 
@@ -64,26 +73,44 @@ def _numerator(e):
 def _pivot_numerator(e):
     """_numerator, computed."""
     gens = e.gens
-    pk = Packing(e.dim, max(max(map(max, gens), default=0), len(gens)))
+    top = max(map(max, gens), default=0) + 1  # inf: no pure power
+    pk = Packing(e.dim, max(top, len(gens)))
     b, value, guards = pk.width, pk.value, pk.guards
-    fill = guards - (guards >> b - 1)
-    acc = {}
-    todo = [([(sum(g), pk.pack(g)) for g in gens], 0)]
-    while todo:  # pairs in deglex order, but a pure power may come last
-        pairs, offset = todo.pop()
+    ones = guards >> b - 1  # the low bit of each field
+    fill, inf = guards - ones, top * ones
+    acc, pairs, pure = {}, [], inf  # pure: A
+    for d, p in zip(map(sum, gens), map(pk.pack, gens)):
+        mask = (p + fill & guards) >> b - 1
+        if mask & mask - 1:
+            pairs.append((d, p))
+        else:  # one pure power per variable at most; p = 0: the unit ideal
+            pure = pure - (inf & value * mask) + p if p else 0
+    todo = [(pairs, pure, 0)]
+    while todo:
+        pairs, pure, offset = todo.pop()
         masks = [(p + fill & guards) >> b - 1 for _, p in pairs]
         if sum(masks) == reduce(or_, masks, 0):
             terms = {offset: 1}
-            for d, _ in pairs:
-                for k, c in list(terms.items()):
-                    terms[k + d] = terms.get(k + d, 0) - c
+            free = ((pure ^ inf) + fill & guards) >> b - 1  # finite a_j
+            for (d, p), mask in zip(pairs, masks):
+                cut = {k + d: -c for k, c in terms.items()}  # -t^d terms
+                own, free = free & mask, free & ~mask
+                while own:
+                    s = (own & -own).bit_length() - 1
+                    own &= own - 1
+                    _cut(terms, pure >> s & value)
+                    _cut(cut, pure - p >> s & value)
+                for k, c in cut.items():
+                    terms[k] = terms.get(k, 0) + c
+            while free:
+                s = (free & -free).bit_length() - 1
+                free &= free - 1
+                _cut(terms, pure >> s & value)
             for k, c in terms.items():
                 acc[k] = acc.get(k, 0) + c
             continue
-        mixed = [(p, mask) for (_, p), mask in zip(pairs, masks)
-                 if mask & mask - 1]
         counts = rest = best = 0
-        for _, mask in mixed:
+        for mask in masks:
             counts += mask
             rest |= mask
         while rest:  # ties: the low bits of the most frequent variables
@@ -94,25 +121,42 @@ def _pivot_numerator(e):
                 best, ties = count, low
             elif count == best:
                 ties |= low
-        for _, mask in mixed:
+        for mask in masks:
             if mask & ties:  # i: the shift of the pivot variable's field
                 i = (mask & ties).bit_length() - 1
                 break
-        exps = sorted([p >> i & value for p, mask in mixed if mask >> i & 1])
+        exps = sorted([p >> i & value for (_, p), mask in zip(pairs, masks)
+                       if mask >> i & 1])
         a = exps[len(exps) // 2]
-        todo.append(([(d, p) for d, p in pairs if p >> i & value < a]
-                     + [(a, a << i)], offset))
+        ai = pure & value << i
+        todo.append(([(d, p) for d, p in pairs if p >> i & value < a],
+                     pure - ai + (a << i), offset))
+        if ai != inf & value << i:  # inf stays inf
+            pure -= a << i
         kept = []
         for d, p in sorted((d - (c := min(p >> i & value, a)), p - (c << i))
                            for d, p in pairs):
+            mask = (p + fill & guards) >> b - 1
+            if not mask & mask - 1:  # one variable: fold into A by a min
+                if p < (cur := pure & value * mask):
+                    pure += p - cur
+                continue  # results that such a p divides come after it
             over = p | guards
+            if over - pure & guards:
+                continue
             for _, q in kept:
                 if over - q & guards == guards:
                     break
             else:
                 kept.append((d, p))
-        todo.append((kept, offset + a))
+        todo.append((kept, pure, offset + a))
     return tuple(sorted((k, c) for k, c in acc.items() if c))
+
+
+def _cut(terms, k):
+    """Multiply the polynomial {degree: coefficient} by 1 - t^k in place."""
+    for j, c in list(terms.items()):
+        terms[j + k] = terms.get(j + k, 0) - c
 
 
 def _hilbert_value(num, m, n):

@@ -185,7 +185,8 @@ def cone(e):
 
 def direct_sum(e, f):
     """The kernel-sum construction on N^(m+n): generated by e, f (in their
-    own blocks) and all mixed products x_i * y_j.
+    own blocks) and the mixed products x_i * y_j with x_i not in e and y_j
+    not in f.  None of these divides another, so they are only sorted.
 
     Both inputs must be nonzero and proper.
     """
@@ -193,11 +194,13 @@ def direct_sum(e, f):
         raise DataError("direct sum needs nonzero proper ideals")
     m, n = e.dim, f.dim
     check_dim(m + n)
+    xs = {g.index(1) for g in e.gens if sum(g) == 1}
+    ys = {h.index(1) for h in f.gens if sum(h) == 1}
     gens = [g + (0,) * n for g in e.gens]
     gens += [(0,) * m + h for h in f.gens]
-    gens += [unit_vec(m, i) + unit_vec(n, j)
-             for i in range(m) for j in range(n)]
-    return _checked_ideal(m + n, minimal_points(gens))
+    gens += [unit_vec(m, i) + unit_vec(n, j) for i in range(m) if i not in xs
+             for j in range(n) if j not in ys]
+    return _checked_ideal(m + n, tuple(sorted(gens, key=DEGLEX.key)))
 
 
 def irreducible_decomposition(e):

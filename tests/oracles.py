@@ -111,12 +111,14 @@ def ie_numerator(e):
 
 
 def tuple_pivot_numerator(e):
-    """The K-polynomial by pivot recursion on exponent tuples, the engine
-    the library ran before it packed exponent vectors into ints:
+    """The K-polynomial by pivot recursion on exponent tuples, with pure
+    powers kept among the generators:
     N(I) = N(I + x_i^a) + t^a N(I : x_i^a), x_i the variable in the most
     mixed generators (the first met on a tie) and a the upper median of
     its exponents among them, down to generators with pairwise disjoint
-    supports, where N = prod (1 - t^deg g)."""
+    supports, where N = prod (1 - t^deg g).  The library's engine picks the
+    same pivots, but keeps the pure powers in one vector and stops as soon
+    as the mixed generators alone have disjoint supports."""
     acc = Counter()
     todo = [(e.gens, 0)]
     while todo:
@@ -486,6 +488,18 @@ def random_wide_ideal(rng, m, k):
     while comb(d + m - 1, m - 1) < k:
         d += 1
     return normalize(m, rng.sample(points_of_degree(m, d), k))
+
+
+def random_sparse_ideal(rng, m, k):
+    """The ideal of k points of N^m, each set to a value in 1..4 at one to
+    three coordinates drawn with repetition, the later value kept."""
+    gens = []
+    for _ in range(k):
+        g = [0] * m
+        for _ in range(rng.randint(1, 3)):
+            g[rng.randrange(m)] = rng.randint(1, 4)
+        gens.append(g)
+    return normalize(m, gens)
 
 
 def random_artinian_staircase(rng, colength):

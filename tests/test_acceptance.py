@@ -24,13 +24,15 @@ from monord import (DEGLEX, BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord,
                     psi_ideal, psi_poly, stability_index, t_bound, threshold,
                     triangle_cmp)
 from monord.cli import main
-from monord.hilbert import N0Result
+from monord.hilbert import N0Result, _numerator
 from oracles import (affine_ell, antichains, irreducible_component_ideal,
                      irr_contains, listing_hilbert_output,
                      longest_downset_chain, max_decreasing_sequence,
+                     naive_hilbert,
                      points_of_degree, points_up_to,
                      random_artinian_staircase, random_ideal,
-                     random_wide_ideal, recurrence_ell, slice_counter,
+                     random_sparse_ideal, random_wide_ideal, recurrence_ell,
+                     slice_counter,
                      stepwise_macaulay_next)
 
 HILBERT_VALUES = []  # (m, H values) collected by criterion 3 for criterion 4
@@ -631,3 +633,32 @@ def test_criterion_22_hilbert_streams_its_window(capsys, tmp_path,
         res = cli_child(["hilbert", *flag, "--budget", charge - 1, mid], 64)
         assert (res.returncode, res.stdout) == (69, "")
         assert f"{charge} more asked" in res.stderr
+
+
+# N(t) of the sparse ideal below, coefficients of t^0 .. t^96
+SPARSE_N50_NUMERATOR = (
+    1, -1, -5, 1, 15, 6, -31, -14, 42, 31, -67, -66, 80, 110, -7, -150, -37,
+    114, 106, -134, -315, 100, 435, 249, -419, -301, 365, 229, -414, -660,
+    214, 702, 366, -194, -465, 231, 502, -338, -1341, -241, 1730, 775, -1534,
+    -910, 1927, 1253, -1969, -2117, 1678, 2334, -1048, -2575, 296, 2940, -98,
+    -2428, -739, 2909, 1279, -2691, -1781, 1509, 2094, -1545, -1306, 1104,
+    1555, -451, -1512, -36, 402, 682, -191, -743, 100, 1058, 343, -1563, -578,
+    1383, 693, -965, -639, 722, 420, -528, -223, 306, 135, -151, -79, 74, 23,
+    -25, -2, 5, -1)
+
+
+def test_criterion_23_sparse_numerator_in_fifty_variables(capsys):
+    # 27 generators in N^50: run down to generators with pairwise disjoint
+    # supports, the pivot tree had 340,775 nodes; with the pure powers in
+    # one vector and the closed-form leaf it has 1,919
+    e = random_sparse_ideal(random.Random(3), 50, 30)
+    holder = []
+
+    def body():
+        holder.append(hilbert_fn(e, 0))
+
+    report(capsys, 23, "numerator, 27 gens in N^50", body, limit=0.5)
+    assert len(e.gens) == 27
+    assert _numerator(e) == tuple(enumerate(SPARSE_N50_NUMERATOR))
+    for n in range(4):
+        assert hilbert_fn(e, n) == naive_hilbert(e, n)

@@ -25,13 +25,22 @@ from oracles import (certified_stability_index, ie_hilbert_samuel_poly,
                      naive_hilbert_samuel, peel_realize_poly,
                      persistence_stability_index, points_up_to,
                      random_artinian_staircase, random_ideal,
-                     random_wide_ideal, shift, shift_coeff_recursion,
+                     random_sparse_ideal, random_wide_ideal, shift,
+                     shift_coeff_recursion,
                      slice_count, slice_counter, stepwise_macaulay_next,
                      tuple_pivot_numerator)
 
 
 def o(text):
     return parse_ordinal(text)
+
+
+def reference_numerator(e):
+    """N(t) by inclusion-exclusion, or by the tuple engine past 10
+    generators, where the 2^n subsets cost too much."""
+    if len(e.gens) <= 10:
+        return ie_numerator(e)
+    return tuple_pivot_numerator(e)
 
 
 class TestHilbertFn:
@@ -183,6 +192,9 @@ class TestNumerator:
                 gens.append(g)
             e = normalize(1000, gens)
             assert _numerator(e) == ie_numerator(e) == tuple_pivot_numerator(e)
+            # and under a pure power on every axis
+            e = normalize(1000, gens + [unit_vec(1000, i, 5) for i in axes])
+            assert _numerator(e) == ie_numerator(e)
 
     def test_generator_count_sets_the_field_width(self):
         # squarefree generators: exponents need 1 bit a field, but the
@@ -197,6 +209,69 @@ class TestNumerator:
             assert _numerator(e) == tuple_pivot_numerator(e)
             if len(e.gens) <= 12:
                 assert _numerator(e) == ie_numerator(e)
+
+    def test_sparse_pools_in_twelve_and_fifty_variables(self):
+        rng = random.Random(151)
+        for m in (12, 50):
+            for _ in range(30):
+                e = random_sparse_ideal(rng, m, rng.randint(4, 16))
+                assert _numerator(e) == reference_numerator(e)
+
+    def test_one_mixed_generator_under_pure_powers(self):
+        # pure powers on none, some and all of its support, and off it
+        rng = random.Random(157)
+        for _ in range(60):
+            m = rng.randint(2, 6)
+            support = rng.sample(range(m), rng.randint(2, m))
+            g = [rng.randint(1, 5) if j in support else 0 for j in range(m)]
+            off = [unit_vec(m, j, rng.randint(1, 4)) for j in range(m)
+                   if j not in support and rng.random() < 0.5]
+            for k in (0, rng.randint(1, len(support) - 1), len(support)):
+                on = [unit_vec(m, j, g[j] + rng.randint(1, 3))
+                      for j in support[:k]]
+                e = normalize(m, [g] + on + off)
+                assert len(e.gens) == 1 + len(on) + len(off)
+                assert _numerator(e) == ie_numerator(e)
+
+    def test_disjoint_mixed_generators_under_pure_powers(self):
+        rng = random.Random(163)
+        for _ in range(60):
+            m = rng.randint(4, 9)
+            order, gens = rng.sample(range(m), m), []
+            while len(order) >= 2 and rng.random() < 0.8:
+                size = rng.randint(2, min(3, len(order)))
+                support, order = order[:size], order[size:]
+                g = [rng.randint(1, 4) if j in support else 0
+                     for j in range(m)]
+                gens.append(g)
+                gens += [unit_vec(m, j, g[j] + rng.randint(1, 3))
+                         for j in support if rng.random() < 0.6]
+            gens += [unit_vec(m, j, rng.randint(1, 4)) for j in order
+                     if rng.random() < 0.6]
+            e = normalize(m, gens)
+            assert len(e.gens) == len(gens)
+            assert _numerator(e) == ie_numerator(e)
+
+    def test_exponents_around_the_field_width(self):
+        # inf, one past the top exponent, and the generator count both
+        # sit at 2^k - 1 or 2^k, on either side of a field width
+        rng = random.Random(167)
+        for k in range(1, 6):
+            for top in (2 ** k - 1, 2 ** k):
+                e = normalize(1, [(top,)])
+                assert _numerator(e) == ((0, 1), (top, -1))
+                for _ in range(6):
+                    exps = (0, 0, 1, top - 1, top)
+                    gens = [[rng.choice(exps) for _ in range(3)]
+                            for _ in range(rng.randint(3, 10))]
+                    gens += [unit_vec(3, j, top) for j in range(3)
+                             if rng.random() < 0.7]
+                    e = normalize(3, gens)
+                    assert _numerator(e) == reference_numerator(e)
+            for count in (2 ** k - 1, 2 ** k):
+                e = random_wide_ideal(rng, 4, count)
+                assert len(e.gens) == count
+                assert _numerator(e) == reference_numerator(e)
 
     def test_wide_ideals_match_enumeration(self):
         rng = random.Random(127)

@@ -17,7 +17,8 @@ from monord import (DEGLEX, DataError, DimensionMismatch, MonomialIdeal,
                     ideal_intersect, ideal_sum, irreducible_decomposition,
                     is_bad_sequence, kb_cmp, normalize, slice_last, term_cmp,
                     unit_ideal, zero_ideal)
-from monord.ideal import _checked_ideal
+from monord.ideal import _checked_ideal, minimal_points
+from monord.monom import unit_vec
 from oracles import (in_ideal, irreducible_component_ideal, points_up_to,
                      random_ideal, random_wide_ideal, split_decomposition,
                      tuple_decompose)
@@ -227,10 +228,30 @@ class TestConeAndDirectSum:
 
     def test_direct_sum_checks_its_dimension(self):
         # N^999 + N^2 was built, as an ideal no other call accepts
-        big = normalize(ideal.MAX_DIM - 1, [(1,) * (ideal.MAX_DIM - 1)])
+        m = ideal.MAX_DIM - 1
+        big = normalize(m, [(1,) * m])
         with pytest.raises(DataError, match="above the cap"):
             direct_sum(big, normalize(2, [(1, 1)]))
-        assert direct_sum(big, normalize(1, [(2,)])).dim == ideal.MAX_DIM
+        # minimal_points on the 1,001 points of N^1000 took about 10 s
+        start = time.perf_counter()
+        out = direct_sum(big, normalize(1, [(2,)]))
+        assert time.perf_counter() - start < 0.5
+        assert out.dim == ideal.MAX_DIM
+        assert out.gens == ((0,) * m + (2,),) + tuple(
+            unit_vec(m, i) + (1,) for i in reversed(range(m))) + (
+            (1,) * m + (0,),)
+
+    def test_direct_sum_matches_the_minimal_points(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            e, f = (random_ideal(rng, rng.randint(1, 4), 5, rng.randint(1, 4))
+                    for _ in range(2))
+            m, n = e.dim, f.dim
+            gens = [g + (0,) * n for g in e.gens]
+            gens += [(0,) * m + h for h in f.gens]
+            gens += [unit_vec(m, i) + unit_vec(n, j)
+                     for i in range(m) for j in range(n)]
+            assert direct_sum(e, f).gens == minimal_points(gens)
 
 
 class TestDecomposition:
