@@ -19,16 +19,14 @@ are one packed vector beside them, and the recursion stops, in closed
 form, once the others have pairwise disjoint supports (see _numerator).
 """
 
-from functools import reduce
 from itertools import accumulate, groupby, repeat, zip_longest
-from operator import or_
 from math import comb
 from typing import NamedTuple
 
 from .errors import DataError, listed, natural
-from .ideal import _checked_ideal, _memo, check_dim, check_ideal, normalize
+from .ideal import _checked_ideal, _memo, check_dim, check_ideal
 from .ivpoly import IVPoly, _binom_row, check_poly, macaulay_next
-from .monom import Packing, points_of_degree, unit_vec
+from .monom import DEGLEX, Packing, points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
 
 
@@ -46,23 +44,29 @@ def _numerator(e):
     variables met in them, read in deglex order.  a is the upper median
     exponent of x_i among them, so a < a_i:
     - I + x_i^a sets a_i = a and drops the mixed generators with p_i >= a;
-    - I : x_i^a takes a from a_i (inf stays inf) and min(p_i, a) from each
-      p, folds the results left with one variable into A by a minimum,
-      and drops the results that A or a kept result divides.
+    - I : x_i^a takes a from a_i (inf stays inf) and sorts the mixed p,
+      an antichain, by c = p_i.  For c > a, p - a e_i is kept untested:
+      a_j > p_j for j != i, a_i - a > p_i - a, and the result of another
+      q, or a power folded from it, divides it only if q <= p.  For
+      0 < c <= a, the cut p - c e_i, if left with one variable, folds into
+      A by a minimum; all folds come first, and the other cuts, sorted by
+      (degree, packed), are dropped when A or a cut kept before divides
+      them.  For c = 0, p is dropped when A or a kept cut divides it;
+      another whole q dividing it would be q <= p.
     Once the mixed generators have pairwise disjoint supports, N is the
     product of P_g(a) - t^(deg g) P_g(a - g) over the mixed g, P_g(b) the
     product of (1 - t^(b_j)) over the finite a_j on supp g, and of the
     (1 - t^(a_j)) over the finite a_j off every mixed support: 1 for the
     zero ideal and 0 for the unit ideal, whose a_j are all 0.
 
-    The recursion runs on (degree, packed) pairs and never unpacks.  Each
-    generator is packed once by monom.Packing, whose fields hold the larger
-    of inf and the generator count: no exponent or count outgrows it, since
-    exponents only fall and the generator count never grows.  With G the
-    guard bits and F the bits below them:
-    - ((p + F) & G) >> (b - 1) marks p's support by the low bit of each
-      field, and supports are pairwise disjoint when these masks sum to
-      their union;
+    The recursion runs on (degree, packed, mask) triples and never
+    unpacks.  Each generator is packed once by monom.Packing, whose fields
+    hold the larger of inf and the generator count: no exponent or count
+    outgrows it, since exponents only fall and the generator count never
+    grows.  With G the guard bits and F the bits below them:
+    - the mask ((p + F) & G) >> (b - 1), made at packing and updated by
+      the cuts, marks p's support by the low bit of each field, and
+      supports are pairwise disjoint when the masks sum to their union;
     - the masks of the mixed generators sum to how many of them use each
       variable, field by field;
     - ((p | G) - A) & G != 0 exactly when a pure power divides p.
@@ -82,17 +86,20 @@ def _pivot_numerator(e):
     for d, p in zip(map(sum, gens), map(pk.pack, gens)):
         mask = (p + fill & guards) >> b - 1
         if mask & mask - 1:
-            pairs.append((d, p))
+            pairs.append((d, p, mask))
         else:  # one pure power per variable at most; p = 0: the unit ideal
             pure = pure - (inf & value * mask) + p if p else 0
     todo = [(pairs, pure, 0)]
     while todo:
         pairs, pure, offset = todo.pop()
-        masks = [(p + fill & guards) >> b - 1 for _, p in pairs]
-        if sum(masks) == reduce(or_, masks, 0):
+        counts = rest = 0
+        for _, _, mask in pairs:
+            counts += mask
+            rest |= mask
+        if counts == rest:
             terms = {offset: 1}
             free = ((pure ^ inf) + fill & guards) >> b - 1  # finite a_j
-            for (d, p), mask in zip(pairs, masks):
+            for d, p, mask in pairs:
                 cut = {k + d: -c for k, c in terms.items()}  # -t^d terms
                 own, free = free & mask, free & ~mask
                 while own:
@@ -109,10 +116,7 @@ def _pivot_numerator(e):
             for k, c in terms.items():
                 acc[k] = acc.get(k, 0) + c
             continue
-        counts = rest = best = 0
-        for mask in masks:
-            counts += mask
-            rest |= mask
+        best = 0
         while rest:  # ties: the low bits of the most frequent variables
             low = rest & -rest
             rest ^= low
@@ -121,34 +125,44 @@ def _pivot_numerator(e):
                 best, ties = count, low
             elif count == best:
                 ties |= low
-        for mask in masks:
+        for _, _, mask in pairs:
             if mask & ties:  # i: the shift of the pivot variable's field
-                i = (mask & ties).bit_length() - 1
+                bit = 1 << (i := (mask & ties).bit_length() - 1)
                 break
-        exps = sorted([p >> i & value for (_, p), mask in zip(pairs, masks)
-                       if mask >> i & 1])
+        exps = sorted([p >> i & value for _, p, mask in pairs if mask & bit])
         a = exps[len(exps) // 2]
-        ai = pure & value << i
-        todo.append(([(d, p) for d, p in pairs if p >> i & value < a],
-                     pure - ai + (a << i), offset))
+        ai, lift, below = pure & value << i, a << i, []
+        todo.append((below, pure - ai + lift, offset))
         if ai != inf & value << i:  # inf stays inf
-            pure -= a << i
-        kept = []
-        for d, p in sorted((d - (c := min(p >> i & value, a)), p - (c << i))
-                           for d, p in pairs):
-            mask = (p + fill & guards) >> b - 1
-            if not mask & mask - 1:  # one variable: fold into A by a min
-                if p < (cur := pure & value * mask):
-                    pure += p - cur
-                continue  # results that such a p divides come after it
-            over = p | guards
-            if over - pure & guards:
+            pure -= lift
+        kept, cuts, wholes, held = [], [], [], []  # held: the cuts kept
+        for t in pairs:
+            d, p, mask = t
+            c = p >> i & value
+            if c > a:  # nothing divides p - a e_i
+                kept.append((d - a, p - lift, mask))
                 continue
-            for _, q in kept:
-                if over - q & guards == guards:
-                    break
-            else:
-                kept.append((d, p))
+            if c < a:
+                below.append(t)
+                if not c:
+                    wholes.append(t)
+                    continue
+            if (mask := mask ^ bit) & mask - 1:
+                cuts.append((d - c, p - (c << i), mask))
+            elif (p := p - (c << i)) < (cur := pure & value * mask):
+                pure += p - cur  # one variable left: fold into A by a min
+        for group, out in ((sorted(cuts), held), (wholes, kept)):
+            for t in group:
+                over = t[1] | guards
+                if over - pure & guards:
+                    continue
+                for _, q, _ in held:
+                    if over - q & guards == guards:
+                        break
+                else:
+                    out.append(t)
+        kept += held
+        kept.sort()
         todo.append((kept, pure, offset + a))
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
@@ -327,19 +341,24 @@ def realize_poly(p, m):
     not a constant, the top one, say a, is a slab of a hyperplane layers
     in x_j: E = (x_j^(a + 1)) + x_j^a * J, with J realizing the rest one
     variable down (a leading zero kills x_j).  A constant c_0 in j
-    variables is realized by (x_j^(c_0), x_1, ..., x_(j-1)).
+    variables is realized by (x_j^(c_0), x_1, ..., x_(j-1)); c_0 = 0 is
+    the unit ideal, which makes the slab above it (x_(j+1)^a).  So the
+    generators come out minimal, and are only sorted.
     """
     c = _realizable(p, m)
     gens, top = [], ()  # top: the exponents of the variables peeled so far
     for i, ci in enumerate(c):
         j = m - i  # the variables left
         if not any(c[i:-1]):
-            gens += [unit_vec(j, j - 1, c[-1]) + top]
-            gens += [unit_vec(j, v) + top for v in range(j - 1)]
+            if c[-1]:
+                gens += [unit_vec(j, j - 1, c[-1]) + top]
+                gens += [unit_vec(j, v) + top for v in range(j - 1)]
+            else:  # c is nonzero, so a slab came before
+                gens[-1] = (0,) * j + top
             break
         gens.append(unit_vec(j, j - 1, ci + 1) + top)
         top = (ci,) + top
-    return normalize(m, gens)
+    return _checked_ideal(m, tuple(sorted(gens, key=DEGLEX.key)))
 
 
 def psi_ideal(e):

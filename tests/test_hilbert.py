@@ -273,6 +273,49 @@ class TestNumerator:
                 assert len(e.gens) == count
                 assert _numerator(e) == reference_numerator(e)
 
+    def test_colon_classes(self):
+        # the colon by x_i^a sorts each mixed p by c = p_i: c > a keeps
+        # p - a e_i untested, 0 < c <= a cuts x_i off p (a cut left with
+        # one variable folds into A), c = 0 keeps p whole.  Each case says
+        # what its first colon does, in x, y, z, w.  No two results ever
+        # coincide: they would come from generators that differ in x_i only
+        cases = [
+            (1, [(3,)]),  # no mixed generator: no colon at all
+            # x^1: p_x = a in both, and both cuts fold into A
+            (3, [(1, 0, 1), (1, 1, 0)]),
+            # w^1: p_w = a in xzw, whose cut xz stays mixed
+            (4, [(0, 1, 0, 1), (1, 0, 1, 1)]),
+            # z^1: the cuts of yz and zw fold y and w into A, which divide
+            # the whole yw, and y^2 w^2 with room to spare
+            (4, [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)]),
+            (4, [(0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 0, 2)]),
+            # z^1: yz folds y, and the cut xw of xzw divides the whole xw^2
+            (4, [(0, 1, 1, 0), (1, 0, 0, 2), (1, 0, 1, 1)]),
+            # z^1: the cuts xw and yw of xzw and yzw stay mixed and meet
+            # in w alone, as z has left their supports
+            (4, [(0, 1, 1, 1), (1, 0, 1, 1)]),
+            # x^2: the cut yz divides the cut yz^2
+            (4, [(1, 1, 2, 0), (2, 1, 1, 0)]),
+            # x^2: xz^2 and x^2 z fold z^2 and z into A by a min, and x^3 y
+            # keeps xy
+            (3, [(1, 0, 2), (2, 0, 1), (3, 1, 0)]),
+        ]
+        for m, gens in cases:
+            assert len(normalize(m, gens).gens) == len(gens)
+            top = max(map(max, gens)) + 1
+            spots = (0, 333, 666, 999)[-m:]  # the same variables in N^1000
+            wide = [[0] * 1000 for _ in gens]
+            for w, g in zip(wide, gens):
+                for s, x in zip(spots, g):
+                    w[s] = x
+            for e in (normalize(m, gens),
+                      normalize(m, gens + [unit_vec(m, j, top)
+                                           for j in range(m)]),
+                      normalize(1000, wide),
+                      normalize(1000, wide + [unit_vec(1000, s, top)
+                                              for s in spots])):
+                assert _numerator(e) == ie_numerator(e)
+
     def test_wide_ideals_match_enumeration(self):
         rng = random.Random(127)
         for m, k in ((3, 17), (3, 29), (3, 40), (4, 17), (4, 26), (4, 40)):
@@ -500,6 +543,9 @@ class TestRealize:
             m = rng.randint(1, 4)
             e = random_ideal(rng, m, 5, 4)
             cases.append((hilbert_samuel_poly(e)[0], m))
+        # c_0 = 0: the constant is the unit ideal, under one slab or more
+        for c in ((2, 0, 0, 0), (2, 0, 3, 0, 0), (1, 0, 0), (0, 1, 0), (4, 0)):
+            cases.append((poly_from_a_sequence(a_sequence(c)), len(c)))
         for p, m in cases:
             assert realize_poly(p, m).gens == peel_realize_poly(p, m).gens
 
