@@ -19,15 +19,15 @@ are one packed vector beside them, and the recursion stops, in closed
 form, once the others have pairwise disjoint supports (see _numerator).
 """
 
-from itertools import accumulate, groupby, repeat, zip_longest
+from itertools import accumulate, chain, groupby, repeat, zip_longest
 from math import comb
 from typing import NamedTuple
 
 from .errors import DataError, listed, natural
 from .ideal import _checked_ideal, _memo, check_dim, check_ideal
-from .ivpoly import IVPoly, _binom_row, check_poly, macaulay_next
+from .ivpoly import IVPoly, _binom_row, _greedy_tops, check_poly, macaulay_next
 from .monom import DEGLEX, Packing, points_of_degree, unit_vec
-from .ordinal import ZERO, Ord, omega_pow
+from .ordinal import ZERO, Ord, _wrap, omega_pow
 
 
 def _numerator(e):
@@ -252,13 +252,16 @@ def minimizing_coefficients(p, m):
     c_j is the degree-j coordinate of what is left, and its c_j summands
     in poly_from_a_sequence add up (hockey stick) to C(T - S + j + 1, j + 1)
     - C(T - S - c_j + j + 1, j + 1), S the sum of the c above; subtracting
-    that difference of two _binom_rows clears degree j.
+    that difference of two _binom_rows clears degree j.  The result is kept
+    on p per m, so psi, phi, the canonical list and realize peel p once.
     """
     check_dim(m)
     if check_poly(p).is_zero():
         raise DataError("p must be nonzero (the unit ideal has no psi)")
     if p.degree >= m:
         raise DataError(f"degree {p.degree} is too big for N^{m}")
+    if m in p._peels:
+        return p._peels[m]
     b, c, s = list(p.coeffs) + [0] * (m - len(p.coeffs)), [], 0
     for j in range(m - 1, -1, -1):
         cj = b[j]
@@ -268,7 +271,9 @@ def minimizing_coefficients(p, m):
             s += cj
         c.append(cj)
     first_neg = next((i for i, ci in enumerate(reversed(c)) if ci < 0), None)
-    return MinimizingCoefficients(tuple(c), first_neg is None, first_neg)
+    mc = p._peels[m] = MinimizingCoefficients(tuple(c), first_neg is None,
+                                              first_neg)
+    return mc
 
 
 def psi_poly(p, m):
@@ -285,9 +290,9 @@ def psi_poly(p, m):
 
 def _psi_of(c):
     """psi = w^(m-1)*c_{m-1} + ... + c_0 from c = (c_{m-1}, ..., c_0)."""
-    m = len(c)
-    return Ord(tuple((Ord.from_int(m - 1 - i), ci)
-                     for i, ci in enumerate(c) if ci))
+    m = len(c)  # the form of a natural k: (((), k),), and () for k = 0
+    return _wrap(tuple(((((), k),) if k else (), ci)
+                       for k, ci in zip(range(m - 1, -1, -1), c) if ci))
 
 
 def _realizable(p, m):
@@ -303,9 +308,13 @@ def _realizable(p, m):
 def a_sequence(c):
     """The canonical weakly decreasing exponent list: c_i copies of i,
     read from the top coefficient down."""
-    c = listed(c, "coefficient list")
-    return [len(c) - 1 - i for i, ci in enumerate(c)
-            for _ in range(natural(ci, "coefficient"))]
+    return list(_exponents([natural(ci, "coefficient")
+                            for ci in listed(c, "coefficient list")]))
+
+
+def _exponents(c):
+    """a_sequence of c, unchecked, as an iterator."""
+    return chain.from_iterable(map(repeat, range(len(c) - 1, -1, -1), c))
 
 
 def poly_from_a_sequence(seq):
@@ -324,7 +333,7 @@ def poly_from_a_sequence(seq):
 def canonical_decomposition(p, m):
     """The canonical exponent list a_1 >= ... >= a_s of a realizable p;
     poly_from_a_sequence inverts it exactly."""
-    return tuple(a_sequence(_realizable(p, m)))
+    return tuple(_exponents(_realizable(p, m)))
 
 
 def phi_poly(p, m):
@@ -391,6 +400,10 @@ def stability_index(e):
     one a scan from the threshold down meets.  When growth fails at the
     threshold itself, n0 is the Gotzmann number of the Hilbert polynomial
     of H.
+    The scan walks H(t)'s greedy Macaulay representation down: H(n) =
+    H(n - 1)^<n - 1> exactly when H(n)'s has no index-1 term and H(n - 1)
+    is its sum with every top and index lowered by one, which is then
+    H(n - 1)'s, as the representation is unique (Bruns-Herzog 4.2).
     """
     if check_ideal(e).is_zero() or e.is_unit():
         raise DataError("stability index needs a nonzero proper ideal")
@@ -399,15 +412,17 @@ def stability_index(e):
 
 def _stability_index(num, m, t):
     """stability_index from the numerator and the threshold."""
-    n0, h_next = 1, _hilbert_value(num, m, t + 1)
-    for n in range(t, 0, -1):
-        h = _hilbert_value(num, m, n)
-        if h_next != macaulay_next(h, n):
-            n0 = n + 1
-            break
-        h_next = h
-    if n0 == t + 1:
+    tops, n0 = _greedy_tops(_hilbert_value(num, m, t), t), 1  # C(a, t - j)
+    if _hilbert_value(num, m, t + 1) != sum(
+            comb(a + 1, t + 1 - j) for j, a in enumerate(tops)):
         n0 = phi_poly(_samuel_poly(num, m - 1), m - 1)
+    else:
+        for n in range(t, 1, -1):
+            low = t - n + 1  # H(n - 1)'s tops and indices: lowered low times
+            if len(tops) == n or _hilbert_value(num, m, n - 1) != sum(
+                    comb(a - low, n - 1 - j) for j, a in enumerate(tops)):
+                n0 = n
+                break
     return N0Result(n0, t + 1, True)
 
 

@@ -24,9 +24,11 @@ def binomial(x, k):
 
 class IVPoly:
     """An integer-valued polynomial in the binomial basis; immutable, and
-    compared and hashed by ``coeffs``."""
+    compared and hashed by ``coeffs``.  ``_peels`` keeps the minimizing
+    coefficients per m (hilbert.minimizing_coefficients); ==, hash, repr
+    and ``__reduce__`` never read it, so pickles and copies drop it."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_peels")
 
     def __init__(self, coeffs=()):
         coeffs = listed(coeffs, "coordinate list")
@@ -35,6 +37,7 @@ class IVPoly:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "_peels", {})
 
     __setattr__ = __delattr__ = immutable
 

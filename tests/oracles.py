@@ -20,7 +20,8 @@ from monord import (OMEGA, ONE, DataError, IVPoly, Ord, ParseError, binomial,
                     slice_last)
 from monord import monom
 from monord.chains import SearchResult, _step, as_bound_fn
-from monord.hilbert import _hilbert_value, _realizable
+from monord.hilbert import (_hilbert_value, _numerator, _realizable,
+                            _samuel_poly)
 from monord.ideal import _checked_ideal, minimal_points
 from monord.ivpoly import binom_poly
 from monord.monom import _words, unit_vec
@@ -267,6 +268,25 @@ def persistence_stability_index(e):
         elif n >= t:
             return n0
         n, h = n + 1, h_next
+
+
+def stepwise_stability_index(e):
+    """n0 by the scan the library used before it walked one Macaulay
+    representation down: from the threshold down, H(n + 1) against a fresh
+    macaulay_next(H(n), n) at every degree, each a greedy search of its
+    own; when growth fails at the threshold, the Gotzmann number."""
+    m, num = e.dim, _numerator(e)
+    t = sum(map(max, zip(*e.gens)))
+    n0, h_next = 1, _hilbert_value(num, m, t + 1)
+    for n in range(t, 0, -1):
+        h = _hilbert_value(num, m, n)
+        if h_next != macaulay_next(h, n):
+            n0 = n + 1
+            break
+        h_next = h
+    if n0 == t + 1:
+        n0 = phi_poly(_samuel_poly(num, m - 1), m - 1)
+    return n0
 
 
 def listing_lex_segment(e, bound):

@@ -1,5 +1,7 @@
 """Hilbert functions, Hilbert-Samuel polynomials, psi, n0, lex segments."""
 
+import copy
+import pickle
 import random
 import time
 from functools import cmp_to_key
@@ -7,16 +9,18 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, strategies as st
 
-from monord import (ZERO, DataError, IVPoly,
+from monord import (ZERO, DataError, IVPoly, Ord,
                     canonical_decomposition, cmp, cone, direct_sum,
                     dominance_cmp, from_samples, height, hilbert_fn,
                     hilbert_profile, hilbert_samuel_fn, hilbert_samuel_poly,
                     is_osequence, lex_segment_ideal, macaulay_next,
+                    macaulay_rep,
                     min_type_cmp, minimizing_coefficients, nat_prod, nat_sum,
                     normalize, omega_pow, parse_ordinal, phi_poly,
                     poly_from_a_sequence, psi_ideal, psi_poly, realize_poly,
                     stability_index, threshold, unit_ideal, zero_ideal)
-from monord.hilbert import _numerator, a_sequence
+from monord import hilbert
+from monord.hilbert import _numerator, _psi_of, a_sequence
 from monord.ivpoly import binom_poly
 from monord.monom import points_of_degree, unit_vec
 from oracles import (certified_stability_index, ie_hilbert_samuel_poly,
@@ -28,7 +32,7 @@ from oracles import (certified_stability_index, ie_hilbert_samuel_poly,
                      random_sparse_ideal, random_wide_ideal, shift,
                      shift_coeff_recursion,
                      slice_count, slice_counter, stepwise_macaulay_next,
-                     tuple_pivot_numerator)
+                     stepwise_stability_index, tuple_pivot_numerator)
 
 
 def o(text):
@@ -415,6 +419,17 @@ class TestPsi:
         with pytest.raises(DataError):
             psi_poly(IVPoly([-1, 1]), 2)
 
+    def test_unchecked_form_matches_the_checked_constructor(self):
+        # _psi_of wraps its form unchecked; Ord(...) checks every term
+        rng = random.Random(67)
+        for _ in range(2000):
+            m = rng.randint(1, 9)
+            c = tuple(rng.choice((0, 0, 1, rng.randint(2, 9), 10 ** 40))
+                      for _ in range(m))
+            want = Ord(tuple((Ord.from_int(m - 1 - i), ci)
+                             for i, ci in enumerate(c) if ci))
+            assert _psi_of(c).form == want.form, c
+
     def test_order_isomorphism(self):
         rng = random.Random(61)
         pool = [random_ideal(rng, 2, 4, 4) for _ in range(15)]
@@ -622,6 +637,129 @@ class TestStabilityIndex:
             past_threshold += res.n0 > threshold(e)
             checked += 1
         assert past_threshold >= 30
+
+
+    def test_walk_matches_the_stepwise_scan(self):
+        # the walk down one Macaulay representation against the scan that
+        # built a fresh one per degree: seeded pools, the Gotzmann branch,
+        # Artinian ideals whose H is 0 at the threshold, and the inputs of
+        # acceptance criteria 12, 14 and 18
+        rng = random.Random(97)
+        pool = [random_ideal(rng, m, 9, 6)
+                for m in range(2, 7) for _ in range(120)]
+        gotzmann = []
+        while len(gotzmann) < 60:
+            e = random_ideal(rng, rng.randint(2, 6), 8, 7)
+            if stepwise_stability_index(e) > threshold(e):
+                gotzmann.append(e)
+        artinian = [random_artinian_staircase(rng, rng.randint(1, 30))
+                    for _ in range(40)]
+        for _ in range(60):
+            m = rng.randint(2, 4)
+            gens = random_ideal(rng, m, 6, 5).gens
+            artinian.append(normalize(m, gens + tuple(
+                unit_vec(m, j, rng.randint(1, 6)) for j in range(m))))
+        assert all(hilbert_fn(e, threshold(e)) == 0 for e in artinian)
+        criteria = [
+            normalize(6, [(0, 0, 2, 0, 0, 0), (1, 0, 1, 0, 0, 0),
+                          (0, 0, 1, 1, 0, 1), (0, 1, 0, 2, 0, 0),
+                          (0, 1, 1, 0, 0, 1), (1, 0, 0, 0, 1, 1),
+                          (1, 0, 0, 1, 0, 1), (0, 1, 1, 1, 1, 0)]),
+            normalize(6, [(0, 0, 2, 2, 1, 0), (0, 4, 0, 0, 2, 0)]),
+            normalize(3, [(10 ** 6, 0, 0), (0, 1, 0), (0, 0, 1)])]
+        for e in pool + gotzmann + artinian + criteria:
+            assert stability_index(e).n0 == stepwise_stability_index(e), e
+
+    def test_an_index_one_term_fails_growth(self):
+        # H(2) = 2 = C(2, 2) + C(1, 1) for (x1^2) in N^2: lowered, its terms
+        # add up to H(1) = 2, but H(1)^<1> = C(3, 2) = 3 != H(2)
+        e = normalize(2, [(2, 0)])
+        assert [hilbert_fn(e, n) for n in (1, 2, 3)] == [2, 2, 2]
+        assert macaulay_rep(2, 2).tops == (2, 1)
+        assert macaulay_next(2, 1) == 3
+        assert stability_index(e).n0 == stepwise_stability_index(e) == 2
+
+    def test_one_greedy_representation_per_scan(self, monkeypatch):
+        greedy, calls = hilbert._greedy_tops, []
+
+        def counted(a, d):
+            calls.append(d)
+            return greedy(a, d)
+
+        def refused(a, d):
+            raise AssertionError("the walk calls no macaulay_next")
+
+        monkeypatch.setattr(hilbert, "_greedy_tops", counted)
+        monkeypatch.setattr(hilbert, "macaulay_next", refused)
+        e = normalize(2, [(1, 2), (0, 6), (5, 1)])  # five steps down
+        assert stability_index(e).n0 == 6 and calls == [threshold(e)] == [11]
+
+
+class TestPeelMemo:
+    """minimizing_coefficients peels p once per m and keeps the result on
+    p, out of sight of ==, hash, repr, pickles and copies."""
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        row, rows = hilbert._binom_row, []
+
+        def counted(c, k):
+            rows.append((c, k))
+            return row(c, k)
+
+        monkeypatch.setattr(hilbert, "_binom_row", counted)
+        return rows
+
+    def test_consumers_share_one_peel(self, monkeypatch):
+        rows = self.count_rows(monkeypatch)
+        e = normalize(3, [(2, 1, 0), (0, 1, 3), (1, 0, 1)])
+        assert stability_index(e).n0 <= threshold(e)  # no second polynomial
+        p, _ = hilbert_samuel_poly(e)
+        psi = psi_poly(p, 3)
+        once = len(rows)
+        assert once > 0
+        assert phi_poly(p, 3) == len(canonical_decomposition(p, 3))
+        realize_poly(p, 3)
+        assert hilbert_profile(e).psi == psi_ideal(e) == height(e) == psi
+        assert len(rows) == once
+        assert minimizing_coefficients(p, 3) is minimizing_coefficients(p, 3)
+
+    def test_each_m_peels_once(self, monkeypatch):
+        rows = self.count_rows(monkeypatch)
+        p = IVPoly([0, 2])
+        assert minimizing_coefficients(p, 2).c == (2, 1)
+        first = len(rows)
+        assert minimizing_coefficients(p, 2).c == (2, 1)
+        assert len(rows) == first
+        assert minimizing_coefficients(p, 3).c == (0, 2, 1)
+        assert len(rows) > first and sorted(p._peels) == [2, 3]
+
+    def test_equality_hash_repr_pickles_and_copies_ignore_the_peels(self):
+        p, fresh = IVPoly([3, 2, 1]), IVPoly([3, 2, 1])
+        before = repr(p), hash(p), pickle.dumps(p)
+        minimizing_coefficients(p, 3)
+        minimizing_coefficients(p, 5)
+        assert p == fresh and (repr(p), hash(p), pickle.dumps(p)) == before
+        assert hash(p) == hash(fresh) and p._peels and not fresh._peels
+        for f in (pickle.loads(pickle.dumps(p)), copy.copy(p),
+                  copy.deepcopy(p)):
+            assert f == p and f is not p and f._peels == {}
+
+    def test_errors_are_raised_on_every_call(self):
+        bad = IVPoly([-1, 1])
+        for _ in range(2):
+            assert not minimizing_coefficients(bad, 2).valid
+            for call in (psi_poly, phi_poly, canonical_decomposition,
+                         realize_poly):
+                with pytest.raises(DataError, match="no ideal realizes"):
+                    call(bad, 2)
+        high, zero = IVPoly([0, 0, 1]), IVPoly()
+        for _ in range(2):
+            with pytest.raises(DataError, match="too big"):
+                minimizing_coefficients(high, 2)
+            with pytest.raises(DataError, match="nonzero"):
+                minimizing_coefficients(zero, 2)
+        assert high._peels == zero._peels == {}
 
 
 class TestLexSegment:
