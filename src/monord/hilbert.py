@@ -196,11 +196,12 @@ def _hilbert_prefix(num, m, size):
     return values
 
 
-def _samuel_poly(num, m):
-    """p_E = sum_k N_k C(T - k + m, m) by column sums of math.comb: twice as
-    fast here as adding up N_k * _binom_row(k, m), stepped in Python."""
+def _samuel_poly(e):
+    """(p_E, threshold): p_E = sum_k N_k C(T - k + m, m) by column sums of
+    math.comb, twice as fast as N_k * _binom_row(k, m) stepped in Python."""
+    num, m = _numerator(e), e.dim
     return IVPoly((-1) ** (m - i) * sum(c * comb(k, m - i) for k, c in num)
-                  for i in range(m + 1))
+                  for i in range(m + 1)), threshold(e)
 
 
 def threshold(e):
@@ -229,8 +230,7 @@ def hilbert_samuel_poly(e):
 
     Returns the pair (p_E, threshold), worked out once per ideal.
     """
-    return _memo(check_ideal(e), "poly", lambda e: (
-        _samuel_poly(_numerator(e), e.dim), threshold(e)))
+    return _memo(check_ideal(e), "poly", _samuel_poly)
 
 
 class MinimizingCoefficients(NamedTuple):
@@ -373,16 +373,13 @@ def realize_poly(p, m):
 def psi_ideal(e):
     """psi(E) for a nonzero proper ideal; the height of E among final
     segments ordered by reverse containment."""
-    p, _ = hilbert_samuel_poly(e)
-    return psi_poly(p, e.dim)
+    return psi_poly(hilbert_samuel_poly(e)[0], e.dim)
 
 
 def height(e):
     """Height of E in the containment order: 0 for the unit ideal, w^m for
     the zero ideal (psi_poly's convention), psi(E) in between."""
-    if check_ideal(e).is_unit():
-        return ZERO
-    return psi_ideal(e)
+    return ZERO if check_ideal(e).is_unit() else psi_ideal(e)
 
 
 class N0Result(NamedTuple):
@@ -398,8 +395,8 @@ def stability_index(e):
     there persists (Gotzmann, Math. Z. 158 (1978); Bruns-Herzog, Thm
     4.3.3) and n0 is one past the last failure in 1..threshold: the first
     one a scan from the threshold down meets.  When growth fails at the
-    threshold itself, n0 is the Gotzmann number of the Hilbert polynomial
-    of H.
+    threshold itself, n0 is the Gotzmann number of H's polynomial Delta p_E:
+    the kept p_E's coordinates but b_0 (C(T+i,i) - C(T-1+i,i) = C(T+i-1,i-1)).
     The scan walks H(t)'s greedy Macaulay representation down: H(n) =
     H(n - 1)^<n - 1> exactly when H(n)'s has no index-1 term and H(n - 1)
     is its sum with every top and index lowered by one, which is then
@@ -407,15 +404,17 @@ def stability_index(e):
     """
     if check_ideal(e).is_zero() or e.is_unit():
         raise DataError("stability index needs a nonzero proper ideal")
-    return _stability_index(_numerator(e), e.dim, threshold(e))
+    return _stability_index(e)
 
 
-def _stability_index(num, m, t):
-    """stability_index from the numerator and the threshold."""
+def _stability_index(e):
+    """stability_index of a nonzero proper ideal, unchecked."""
+    num, m, t = _numerator(e), e.dim, threshold(e)
     tops, n0 = _greedy_tops(_hilbert_value(num, m, t), t), 1  # C(a, t - j)
     if _hilbert_value(num, m, t + 1) != sum(
             comb(a + 1, t + 1 - j) for j, a in enumerate(tops)):
-        n0 = phi_poly(_samuel_poly(num, m - 1), m - 1)
+        p = _memo(e, "poly", _samuel_poly)[0]
+        n0 = phi_poly(IVPoly(p.coeffs[1:]), m - 1)
     else:
         for n in range(t, 1, -1):
             low = t - n + 1  # H(n - 1)'s tops and indices: lowered low times
@@ -433,14 +432,17 @@ def lex_segment_ideal(e, bound):
 
     By Macaulay (Bruns-Herzog 4.2) the multiples of its degree n - 1 part
     are the degree-n points past the first r_n = H(n - 1)^<n - 1> (r_0 = 1,
-    r_1 = m H(0)), so its degree-n generators have lex ranks [H(n), r_n).
+    r_1 = m H(0)), so its degree-n generators have lex ranks [H(n), r_n):
+    none from the first n past e's top degree with r_n = H(n) on (Gotzmann).
     """
     m = check_ideal(e).dim
     natural(bound, "degree bound")
-    if any(sum(g) > bound for g in e.gens):
+    gens, r, top = [], 1, max(map(sum, e.gens), default=0)
+    if top > bound:
         raise DataError(f"bound {bound} is below a generator degree")
-    gens, r = [], 1
     for n, h in enumerate(_hilbert_prefix(_numerator(e), m, bound + 1)):
+        if n > top and h == r:  # growth maximal at n - 1 >= top: it persists
+            break
         gens += points_of_degree(m, n, h, r)
         r = m * h if n == 0 else macaulay_next(h, n)
     return _checked_ideal(m, tuple(gens))
@@ -461,11 +463,10 @@ class HilbertProfile(NamedTuple):
 
 def hilbert_profile(e):
     """Assemble the HilbertProfile of an ideal from one numerator."""
-    m = check_ideal(e).dim
-    num = _numerator(e)
+    m, num = check_ideal(e).dim, _numerator(e)
     p, t = hilbert_samuel_poly(e)
     if e.is_zero() or e.is_unit():
         return HilbertProfile(m, p, t, None, height(e), None, None, num)
     c = _realizable(p, m)
     return HilbertProfile(m, p, t, c, _psi_of(c), sum(c),
-                          _stability_index(num, m, t).n0, num)
+                          _stability_index(e).n0, num)

@@ -20,8 +20,8 @@ from monord import (OMEGA, ONE, DataError, IVPoly, Ord, ParseError, binomial,
                     slice_last)
 from monord import monom
 from monord.chains import SearchResult, _step, as_bound_fn
-from monord.hilbert import (_hilbert_value, _numerator, _realizable,
-                            _samuel_poly)
+from monord.hilbert import (_hilbert_prefix, _hilbert_value, _numerator,
+                            _realizable)
 from monord.ideal import _checked_ideal, minimal_points
 from monord.ivpoly import binom_poly
 from monord.monom import _words, unit_vec
@@ -270,11 +270,20 @@ def persistence_stability_index(e):
         n, h = n + 1, h_next
 
 
+def column_sum_poly(num, m):
+    """sum_k N_k C(T - k + m, m) by column sums of math.comb, the sum the
+    library once ran twice: at m for p_E and at m - 1 for H's polynomial,
+    which it now reads off p_E."""
+    return IVPoly((-1) ** (m - i) * sum(c * comb(k, m - i) for k, c in num)
+                  for i in range(m + 1))
+
+
 def stepwise_stability_index(e):
     """n0 by the scan the library used before it walked one Macaulay
     representation down: from the threshold down, H(n + 1) against a fresh
     macaulay_next(H(n), n) at every degree, each a greedy search of its
-    own; when growth fails at the threshold, the Gotzmann number."""
+    own; when growth fails at the threshold, the Gotzmann number of H's
+    polynomial, summed from the numerator one dimension down."""
     m, num = e.dim, _numerator(e)
     t = sum(map(max, zip(*e.gens)))
     n0, h_next = 1, _hilbert_value(num, m, t + 1)
@@ -285,8 +294,22 @@ def stepwise_stability_index(e):
             break
         h_next = h
     if n0 == t + 1:
-        n0 = phi_poly(_samuel_poly(num, m - 1), m - 1)
+        n0 = phi_poly(column_sum_poly(num, m - 1), m - 1)
     return n0
+
+
+def every_degree_lex_segment(e, bound):
+    """The lex segment by the loop the library ran before it stopped where
+    growth persists: the Macaulay ranks [H(n), r_n) in every degree
+    n <= bound."""
+    m = e.dim
+    if any(sum(g) > bound for g in e.gens):
+        raise DataError(f"bound {bound} is below a generator degree")
+    gens, r = [], 1
+    for n, h in enumerate(_hilbert_prefix(_numerator(e), m, bound + 1)):
+        gens += monom.points_of_degree(m, n, h, r)
+        r = m * h if n == 0 else macaulay_next(h, n)
+    return _checked_ideal(m, tuple(gens))
 
 
 def listing_lex_segment(e, bound):

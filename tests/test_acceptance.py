@@ -23,9 +23,10 @@ from monord import (DEGLEX, BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord,
                     normalize, omega_pow, phi_poly, poly_from_a_sequence,
                     psi_ideal, psi_poly, stability_index, t_bound, threshold,
                     triangle_cmp)
-from monord.cli import main
+from monord.cli import main, parse_ideal_text
 from monord.hilbert import N0Result, _numerator
-from oracles import (affine_ell, antichains, irreducible_component_ideal,
+from oracles import (affine_ell, antichains, every_degree_lex_segment,
+                     irreducible_component_ideal,
                      irr_contains, listing_hilbert_output,
                      longest_downset_chain, max_decreasing_sequence,
                      naive_hilbert,
@@ -662,3 +663,38 @@ def test_criterion_23_sparse_numerator_in_fifty_variables(capsys):
     assert _numerator(e) == tuple(enumerate(SPARSE_N50_NUMERATOR))
     for n in range(4):
         assert hilbert_fn(e, n) == naive_hilbert(e, n)
+
+
+def test_criterion_24_lexify_stops_where_growth_persists(capsys, tmp_path,
+                                                          cli_child):
+    # lex_segment_ideal walked every degree up to the bound: 2.5 to 7.4 s
+    # each at bound 10^6 for these ideals in N^3 (single runs), though their
+    # lex generators all have degree <= n0 <= 5; lexify --degree 10^8 ran
+    # past 20 s. The walk now stops at the first degree past the top
+    # generator degree where growth is maximal
+    ideals = [normalize(3, [(2, 0, 0), (0, 2, 0)]),
+              normalize(3, [(2, 1, 0), (0, 3, 0)]),
+              normalize(3, [(1, 1, 0), (0, 0, 2)])]
+    holder = []
+
+    def body():
+        holder.extend(lex_segment_ideal(e, 10 ** 6) for e in ideals)
+
+    report(capsys, 24, "three lex segments at bound 10^6", body, limit=0.1)
+    # each has a lex generator of degree n0 and none past it
+    assert [stability_index(e).n0 for e in ideals] == [4, 5, 4]
+    for e, seg in zip(ideals, holder):
+        assert seg == every_degree_lex_segment(e, 8)
+        assert max(map(sum, seg.gens)) == stability_index(e).n0
+    path = tmp_path / "squares.ideal"
+    path.write_text("dim 3\nx1^2\nx2^2\n")
+
+    def body():
+        holder.append(cli_child(["lexify", "--degree", "100000000", path],
+                                256))
+
+    report(capsys, 24, "lexify --degree 10^8 as a child process", body,
+           limit=2.0)
+    res = holder[-1]
+    assert (res.returncode, res.stderr) == (0, "")
+    assert parse_ideal_text(res.stdout) == holder[0]

@@ -41,6 +41,8 @@ class TestIdealFiles:
     def test_special_tokens(self):
         assert parse_ideal_text("dim 2\nzero\n").is_zero()
         assert parse_ideal_text("dim 2\nunit\n").is_unit()
+        with pytest.raises(ParseError, match="'zero' cannot be mixed"):
+            parse_ideal_text("dim 2\nzero\n1 0\n")
 
     def test_json_mirror(self):
         e = parse_ideal_text('{"dim": 2, "gens": [[1, 0], [2, 0]]}')
@@ -114,6 +116,26 @@ class TestCompare:
         code, out, _ = run(capsys, ["compare", "--order", "kb", a, a])
         assert code == 11
         assert json.loads(out)["result"] == "equal"
+
+    @pytest.mark.parametrize("spec, text, code, message", [
+        # x2 before x1: (x1) is the lesser under this matrix, the greater
+        # under deglex and lex
+        ("matrix:{}", "1 1\n0 1\n", 10, ""),
+        ("matrix:{}", "1 1\n0 x\n", 65, "non-integer entry"),
+        ("matrix:{}", "1 1\n0\n", 65, "rectangular"),
+        ("matrix:{}", None, 65, "cannot read"),
+        ("revlex", None, 65, "unknown term order 'revlex'")])
+    def test_term_order_specs(self, capsys, tmp_path, spec, text, code,
+                              message):
+        a = write(tmp_path, "a.ideal", "dim 2\n1 0\n")
+        b = write(tmp_path, "b.ideal", "dim 2\n0 1\n")
+        path = tmp_path / "order.matrix"
+        if text is not None:
+            path.write_text(text)
+        got, out, err = run(capsys, ["compare", "--order", "kb",
+                                     "--term-order", spec.format(path), a, b])
+        assert got == code and message in err
+        assert (out == "") == (code == 65)
 
     def test_triangle_trace(self, capsys, tmp_path):
         a = write(tmp_path, "a.ideal", "dim 2\n1 1\n")

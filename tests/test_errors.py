@@ -114,12 +114,14 @@ BAD_CALLS = {
     "macaulay_rep negative a": lambda: macaulay_rep(-1, 2),
     "macaulay_next float a": lambda: macaulay_next(1.5, 2),
     "is_osequence m = 0": lambda: is_osequence([1], 0),
+    "is_osequence empty": lambda: is_osequence([], 2),
     # the point helpers and chain bounds: a bound that is not callable was
     # accepted and raised TypeError when read; the rest raised TypeError or
     # AttributeError
     "BoundFn int": lambda: BoundFn(5),
     "BoundFn None": lambda: BoundFn(None),
     "from_table int": lambda: BoundFn.from_table(5),
+    "from_table empty": lambda: BoundFn.from_table([]),
     "divides int point": lambda: divides(5, (1,)),
     "degree int": lambda: degree(5),
     "support int": lambda: support(5),
@@ -130,6 +132,9 @@ BAD_CALLS = {
     "from_samples str samples": lambda: from_samples(["a", "b"]),
     # and these were checked already: each point and chain call has a row
     "TermOrder unknown kind": lambda: TermOrder("lax"),
+    "TermOrder.key column count": lambda: TermOrder(
+        "matrix", ((1, 1), (0, 1))).key((1, 0, 0)),
+    "Ord.to_int infinite": lambda: OMEGA.to_int(),
     "ell m = 0": lambda: ell(0, 1),
     "t_bound bool m": lambda: t_bound(True, 1),
     "extremal_sequence negative cap": lambda: extremal_sequence(2, 1, -1),

@@ -23,7 +23,8 @@ from monord import hilbert
 from monord.hilbert import _numerator, _psi_of, a_sequence
 from monord.ivpoly import binom_poly
 from monord.monom import points_of_degree, unit_vec
-from oracles import (certified_stability_index, ie_hilbert_samuel_poly,
+from oracles import (certified_stability_index, column_sum_poly,
+                     every_degree_lex_segment, ie_hilbert_samuel_poly,
                      ie_numerator, ivpoly_peel, ivpoly_sum,
                      listing_lex_segment, naive_hilbert,
                      naive_hilbert_samuel, peel_realize_poly,
@@ -668,7 +669,53 @@ class TestStabilityIndex:
             normalize(6, [(0, 0, 2, 2, 1, 0), (0, 4, 0, 0, 2, 0)]),
             normalize(3, [(10 ** 6, 0, 0), (0, 1, 0), (0, 0, 1)])]
         for e in pool + gotzmann + artinian + criteria:
-            assert stability_index(e).n0 == stepwise_stability_index(e), e
+            # cold: a fresh ideal; warm: p_E kept and peeled first
+            cold, warm = normalize(e.dim, e.gens), normalize(e.dim, e.gens)
+            psi_poly(hilbert_samuel_poly(warm)[0], e.dim)
+            assert (stability_index(cold).n0 == stability_index(warm).n0
+                    == stepwise_stability_index(e)), e
+
+    def test_h_polynomial_is_p_e_without_b0(self):
+        # Delta p_E is H's polynomial, as C(T + i, i) - C(T - 1 + i, i) =
+        # C(T + i - 1, i - 1): the numerator summed one dimension down is
+        # p_E's coordinates shifted down, b_0 dropped; 0 for Artinian ideals
+        rng = random.Random(101)
+        pool = [random_ideal(rng, m, 8, 5)
+                for m in range(2, 8) for _ in range(80)]
+        artinian = [random_artinian_staircase(rng, rng.randint(1, 30))
+                    for _ in range(20)]
+        for _ in range(40):
+            m = rng.randint(2, 7)
+            gens = random_ideal(rng, m, 5, 4).gens
+            artinian.append(normalize(m, gens + tuple(
+                unit_vec(m, j, rng.randint(1, 5)) for j in range(m))))
+        for e in pool + artinian:
+            p, _ = hilbert_samuel_poly(e)
+            shifted = IVPoly(p.coeffs[1:])
+            assert shifted == column_sum_poly(_numerator(e), e.dim - 1), e
+            assert shifted.is_zero() == (hilbert_fn(e, threshold(e) + 1)
+                                         == 0), e
+
+    @pytest.mark.parametrize("first, second", [
+        (stability_index, hilbert_profile), (hilbert_profile, stability_index)])
+    def test_gotzmann_branch_reads_the_kept_poly(self, memo_log, monkeypatch,
+                                                 first, second):
+        # n0 = 20 past the threshold 6: the branch reads H's polynomial off
+        # the kept p_E and sums no polynomial of its own, so the numerator
+        # is summed once, in m variables
+        samuel, sums = hilbert._samuel_poly, []
+
+        def counted(*args):
+            sums.append(args)
+            return samuel(*args)
+
+        monkeypatch.setattr(hilbert, "_samuel_poly", counted)
+        e = normalize(4, [(3, 0, 0, 1), (0, 2, 0, 0)])
+        a, b = first(e), second(e)
+        assert a.n0 == b.n0 == stepwise_stability_index(e) == 20
+        assert threshold(e) == 6
+        assert [key for _, key in memo_log] == ["numerator", "poly"]
+        assert len(sums) == 1
 
     def test_an_index_one_term_fails_growth(self):
         # H(2) = 2 = C(2, 2) + C(1, 1) for (x1^2) in N^2: lowered, its terms
@@ -812,6 +859,53 @@ class TestLexSegment:
         seg = lex_segment_ideal(e, 3)
         assert time.perf_counter() - start < 0.1
         assert seg.gens == ((1,) + (0,) * 299, (0, 2) + (0,) * 298)
+
+    def test_stops_where_growth_persists(self):
+        # no lex generator lies at or past the first n past e's top degree
+        # with H(n) = H(n - 1)^<n - 1>, as growth stays maximal from there
+        # (Gotzmann); that n is max(top, n0) + 1.  The loop that walked every
+        # degree up to the bound is the reference; its cost grows with n0
+        # at each bound, so ideals with n0 > 60 are skipped
+        rng = random.Random(3)
+        pairs = 0
+        while pairs < 5000:
+            m = rng.randint(1, 5)
+            e = random_ideal(rng, m, 6, 4, allow_zero=True, allow_unit=True)
+            top = max((sum(g) for g in e.gens), default=0)
+            n0 = (0 if e.is_zero() or e.is_unit()
+                  else stability_index(e).n0)
+            if n0 > 60:
+                continue
+            for bound in range(top, max(top, n0) + 11):
+                assert lex_segment_ideal(e, bound) == \
+                    every_degree_lex_segment(e, bound), (e, bound)
+                pairs += 1
+
+    def test_cost_does_not_grow_with_the_bound(self):
+        # the loop walked every degree: 4.4 to 6.9 s at bound 10^6 for this
+        # ideal (single runs), whose lex generators all have degree <= n0 = 4
+        e = normalize(3, [(1, 1, 0), (0, 0, 2)])
+        start = time.perf_counter()
+        seg = lex_segment_ideal(e, 10 ** 6)
+        assert time.perf_counter() - start < 0.1
+        assert seg == every_degree_lex_segment(e, 6)
+        assert max(sum(g) for g in seg.gens) <= stability_index(e).n0 == 4
+
+    def test_computes_no_gotzmann_number(self, monkeypatch):
+        # stopping at min(bound, n0) would peel H's polynomial first: 1.3 s
+        # at bound 4 on (x1^3 x24, x2^2), whose n0 has millions of bits,
+        # against 0.3 ms for the walk, and 8 times more per two dimensions
+        def refused(p, m):
+            raise AssertionError("lex_segment_ideal needs no phi")
+
+        monkeypatch.setattr(hilbert, "phi_poly", refused)
+        for d in (4, 24, 40):
+            e = normalize(d, [(3,) + (0,) * (d - 2) + (1,),
+                              (0, 2) + (0,) * (d - 2)])
+            start = time.perf_counter()
+            seg = lex_segment_ideal(e, 6)
+            assert time.perf_counter() - start < 0.05
+            assert seg == every_degree_lex_segment(e, 6)
 
     def test_preserves_hilbert_function(self):
         rng = random.Random(83)

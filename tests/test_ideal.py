@@ -550,6 +550,8 @@ class TestValueSemantics:
         assert repr(normalize(2, [(1, 0), (2, 0)])) == (
             "MonomialIdeal(dim=2, gens=((1, 0),))")
         assert MonomialIdeal(dim=2, gens=((1, 0),)) == normalize(2, [(1, 0)])
+        assert str(normalize(2, [(0, 2), (1, 0)])) == "ideal<(1, 0), (0, 2)>"
+        assert str(zero_ideal(3)) == "zero ideal in N^3"
 
     def test_fields_are_read_only(self):
         e = normalize(2, [(1, 0), (0, 3)])

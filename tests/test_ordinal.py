@@ -179,6 +179,18 @@ class TestNatProd:
             assert cmp(nat_prod(a, c), nat_prod(b, c)) == -1
 
 
+class TestOperators:
+    @given(ordinals, ordinals)
+    def test_operators_are_the_natural_operations(self, a, b):
+        assert a + b == nat_sum(a, b) and a * b == nat_prod(a, b)
+        assert str(a) == format_ordinal(a)
+
+    def test_ints_on_either_side(self):
+        assert 2 + OMEGA == OMEGA + 2 == o("w + 2")
+        assert 3 * OMEGA == OMEGA * 3 == o("w*3")
+        assert str(nat_sum(omega_pow(OMEGA), ONE)) == "w^w + 1"
+
+
 class TestFiniteAgreement:
     def test_sum_prod_are_integer_ops(self):
         for a in range(0, 51, 7):
