@@ -8,8 +8,7 @@ Subcommand ``a-b`` runs ``cmd_a_b``, which imports the engine modules it
 uses and no others: ``ordinal-eval`` loads ``ordinal`` alone, and
 ``normalize`` loads ``monom`` and ``ideal``.  It returns a (payload, text)
 pair, which ``main`` writes through ``_emit``, the one writer: the payload
-as JSON under ``--json``, else the text.  ``compare`` prints its own
-one-line trace instead, as its exit code is its answer.
+as JSON under ``--json``, else the text; ``compare`` adds its exit code.
 
 ``hilbert`` returns H and h as iterators, which ``_emit`` writes a chunk
 at a time, so it needs memory for the ideal and one chunk however long
@@ -269,8 +268,7 @@ def cmd_compare(args):
     else:
         c, trace["deciding_key"] = orderings._min_type(a, b)
     trace["result"] = {-1: "less", 0: "equal", 1: "greater"}[c]
-    print(json.dumps(trace, sort_keys=True))
-    return {-1: 10, 0: 11, 1: 12}[c]
+    return trace, json.dumps(trace, sort_keys=True), {-1: 10, 0: 11, 1: 12}[c]
 
 
 def cmd_hilbert(args):
@@ -278,15 +276,16 @@ def cmd_hilbert(args):
     from .ordinal import format_ordinal
     budget = Budget(args.budget, WINDOW_BUDGET)
     e = load_ideal(args.file)
-    prof = hilbert.hilbert_profile(e)
-    m, num, p, t = e.dim, prof.numerator, prof.p, prof.threshold
+    m, (p, t) = e.dim, hilbert.hilbert_samuel_poly(e)
     size = t + 2 * m + 1
     # H >= 0 and h is nondecreasing, so no value of either list is above
     # h(size - 1), which is p(size - 1) as size - 1 >= t; each takes its
-    # digits and, in JSON, 6 bytes of indent, comma and newline
+    # digits and, in JSON, 6 bytes of indent, comma and newline.  Charged
+    # before psi and n0 are worked out, so a refused window costs p alone
     budget.charge(2 * size * (len(str(p(size - 1))) + 6))
-    H = hilbert._hilbert_prefix(num, m, size)
-    h = hilbert._hilbert_prefix(num, m + 1, size)
+    prof = hilbert.hilbert_profile(e)
+    H = hilbert._hilbert_prefix(prof.numerator, m, size)
+    h = hilbert._hilbert_prefix(prof.numerator, m + 1, size)
     c = list(prof.c) if prof.c is not None else None
     psi = format_ordinal(prof.psi)
     payload = {"H": H, "h": h, "p": list(p.coeffs), "threshold": t, "c": c,
@@ -351,18 +350,15 @@ def cmd_ordinal_eval(args):
 
 
 def main(argv=None):
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # the budget bounds value sizes
+    sys.set_int_max_str_digits(0)  # the budget bounds value sizes
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else EX_OK
     try:
-        out = args.run(args)
-        if type(out) is int:  # compare: its exit code is its answer
-            return out
-        _emit(args, *out)
-        return EX_OK
+        payload, text, *code = args.run(args)  # compare: its code, 10-12
+        _emit(args, payload, text)
+        return code[0] if code else EX_OK
     except BudgetExceeded as exc:
         message, code = str(exc), EX_RESOURCE
     except MemoryError:

@@ -55,11 +55,9 @@ class IVPoly:
     def __call__(self, t):
         if type(t) is not int:
             raise DataError(f"polynomial argument {t!r} is not an integer")
-        value, c = 0, 1
-        for i, b in enumerate(self.coeffs):  # c = C(t+i, i), exactly
-            c = c * (t + i) // i if i else 1
-            value += b * c
-        return value
+        # C(t + i, i) = (-1)^i C(-t - 1, i), place d - i of the kernel's row
+        row = reversed(_binom_row(-t - 1, self.degree))
+        return sum(b * c for b, c in zip(self.coeffs, row))
 
     def __eq__(self, other):
         return isinstance(other, IVPoly) and self.coeffs == other.coeffs

@@ -158,12 +158,14 @@ def nat_prod(a, b):
 
 
 def nat_pow(a, n):
-    """Iterated natural product a (x) ... (x) a, n a natural number."""
-    a = _coerce(a)
-    natural(n, "exponent")
-    out = ONE.form
-    for _ in range(n):
-        out = _prod(out, a.form)
+    """Iterated natural product a (x) ... (x) a, n a natural number: by
+    squaring, so it takes O(log n) natural products."""
+    out, base, n = ONE.form, _coerce(a).form, natural(n, "exponent")
+    while n:
+        if n & 1:
+            out = _prod(out, base)
+        if n := n >> 1:  # no square past the top bit
+            base = _prod(base, base)
     return _wrap(out)
 
 

@@ -33,8 +33,6 @@ def memo_log(monkeypatch):
 def int_digit_limit():
     """Python's default int-string digit limit, in force for one test:
     monord.cli.main lifts the limit for the whole process."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int-string digit limit")
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     yield

@@ -5,6 +5,7 @@ import inspect
 import json
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -136,6 +137,19 @@ class TestCompare:
                                      "--term-order", spec.format(path), a, b])
         assert got == code and message in err
         assert (out == "") == (code == 65)
+
+    @pytest.mark.parametrize("order", ["kb", "triangle", "mintype"])
+    def test_json(self, capsys, tmp_path, order):
+        # the trace's dict in _emit's layout, with the same exit code
+        a = write(tmp_path, "a.ideal", "dim 2\n1 0\n0 2\n")
+        b = write(tmp_path, "b.ideal", "dim 2\n2 0\n0 1\n")
+        for x, y in ((a, b), (b, a), (a, a)):
+            code, line, _ = run(capsys, ["compare", "--order", order, x, y])
+            got = run(capsys, ["compare", "--order", order, x, y, "--json"])
+            trace = json.loads(line)
+            assert line == json.dumps(trace, sort_keys=True) + "\n"
+            assert got == (code, json.dumps(trace, indent=2, sort_keys=True)
+                           + "\n", "")
 
     def test_triangle_trace(self, capsys, tmp_path):
         a = write(tmp_path, "a.ideal", "dim 2\n1 1\n")
@@ -275,6 +289,14 @@ class TestHilbert:
         code, out, _ = run(capsys, ["hilbert", path, "--budget", "112"])
         assert (code, out) == (0, listing_hilbert_output(
             normalize(2, [(2, 0), (0, 1)]), False))
+
+    def test_refused_window_costs_p_alone(self, capsys, tmp_path):
+        # the charge came after psi and n0: this refusal took 4.5 s
+        path = write(tmp_path, "a.ideal", "dim 24\nx1^3*x24\nx2^2\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["hilbert", path, "--budget", "1000"])
+        assert (code, out) == (69, "") and "budget of 1000" in err
+        assert time.perf_counter() - start < 1
 
     def test_negative_budget(self, capsys, tmp_path):
         path = write(tmp_path, "a.ideal", "dim 2\nx1^2\nx2\n")
@@ -550,6 +572,15 @@ class TestExitCodes:
         path = write(tmp_path, "a.ideal", "dim 1\n1\n")
         assert run(capsys, ["hilbert", path]) == (
             69, "", "error: out of memory\n")
+
+    def test_recursion_too_deep(self, capsys, tmp_path, monkeypatch):
+        def too_deep(args):
+            raise RecursionError
+
+        monkeypatch.setattr(cli, "cmd_hilbert", too_deep)
+        path = write(tmp_path, "a.ideal", "dim 1\n1\n")
+        assert run(capsys, ["hilbert", path]) == (
+            69, "", "error: recursion too deep for this input\n")
 
     def test_chainbound_at_m_1000_runs_out_of_budget(self, capsys):
         # ell recursed once per dimension: it exited 1 with a traceback,

@@ -211,16 +211,15 @@ class TestCliStartCost:
 
 
 def test_subcommands_leave_the_writing_to_main():
-    """The subcommands return (payload, text) and main alone writes it,
-    through _emit; compare prints its own trace, as its exit code is its
-    answer."""
+    """The subcommands return (payload, text), compare its exit code as
+    well, and main alone writes it, through _emit."""
     with open(os.path.join(SRC, "monord", "cli.py")) as fh:
         tree = ast.parse(fh.read())
     commands, found = [], []
     for fn in tree.body:
         if not isinstance(fn, ast.FunctionDef):
             continue
-        command = fn.name.startswith("cmd_") and fn.name != "cmd_compare"
+        command = fn.name.startswith("cmd_")
         commands += [fn.name] * command
         for node in ast.walk(fn):
             call = (node.func.id if isinstance(node, ast.Call)
@@ -231,7 +230,7 @@ def test_subcommands_leave_the_writing_to_main():
                 found.append(f"{fn.name}:{node.lineno} calls _emit")
             if command and (call == "print" or stdout):
                 found.append(f"{fn.name}:{node.lineno} writes")
-    assert len(commands) == 10 and not found
+    assert len(commands) == 11 and not found
 
 
 def parsed_modules():
@@ -263,7 +262,7 @@ def test_modules_raise_no_builtin_exceptions():
 def test_modules_sniff_no_attributes():
     """monord knows its own values by their class, through errors.is_a,
     not by the attributes they carry: no module calls hasattr or getattr
-    with a default, but for main's probe of the Python version."""
+    with a default."""
     found = []
     for name, tree in parsed_modules():
         # the function each node sits in, the innermost one for nested defs
@@ -275,7 +274,7 @@ def test_modules_sniff_no_attributes():
                          and len(node.args) == 3)):
                 where = f"{name[:-3]}.{owner.get(id(node), '<module>')}"
                 found.append(f"{where}: {ast.unparse(node)}")
-    assert found == ["cli.main: hasattr(sys, 'set_int_max_str_digits')"]
+    assert found == []
 
 
 def test_modules_do_not_recurse():

@@ -47,10 +47,18 @@ class TestEvaluate:
     def test_negative_argument(self):
         assert binom_poly(0, 1)(-1) == 0
 
+    @pytest.mark.parametrize("coeffs, t, value", [
+        ((), -7, 0), ((), 0, 0), ((5,), -3, 5), ((0, 1), -1, 0),
+        ((0, 0, 1), -2, 0), ((0, 0, 1), -4, 3), ((4, -2, 1), -7, 31),
+        ((0, 0, 0, 1), -1, 0), ((0, 0, 0, 1), -5, -4)])
+    def test_values(self, coeffs, t, value):
+        # C(-2, 2) = 3, C(-6, 1) = -6, C(-5, 2) = 15, C(-2, 3) = -4
+        assert IVPoly(coeffs)(t) == value
+
     @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12),
            st.integers(-40, 40) | st.integers(-10 ** 30, 10 ** 30))
     def test_matches_the_binomial_sum(self, coeffs, t):
-        # evaluation reads C(t+i, i) off a running product, not binomial
+        # evaluation reads C(t+i, i) off _binom_row, not binomial
         assert IVPoly(coeffs)(t) == sum(b * binomial(t + i, i)
                                         for i, b in enumerate(coeffs))
 

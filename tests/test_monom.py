@@ -181,6 +181,8 @@ class TestTermCmp:
                          copy.deepcopy(t)):
                 assert back == t and repr(back) == repr(t)
         assert repr(LEX) == "TermOrder(kind='lex', matrix=())"
+        # a value of another class is unequal, as for the dataclass
+        assert DEGLEX != "deglex" and frozen("deglex", ()) != "deglex"
 
     def test_fields_are_read_only(self):
         for write in (lambda: setattr(DEGLEX, "kind", "lex"),

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import time
 from functools import cmp_to_key
 
 import pytest
@@ -66,6 +67,12 @@ class TestForm:
         want = cnf_cmp(a, b)
         assert cmp(a, b) == want
         assert (a < b, a == b, a > b) == (want < 0, want == 0, want > 0)
+
+    def test_orders_ordinals_only(self):
+        # an int is no ordinal: unequal to ONE, and not ordered against it
+        assert ONE != 1
+        with pytest.raises(TypeError):
+            ONE < 1
 
     @given(st.lists(ordinals, max_size=6))
     def test_sorted_matches_cnf_cmp(self, xs):
@@ -219,6 +226,20 @@ class TestNatPow:
 
     def test_square(self):
         assert nat_pow(o("w + 1"), 2) == o("w^2 + w*2 + 1")
+
+    @pytest.mark.parametrize("text", ["0", "1", "7", "w + 1", "w^w + 2",
+                                      "w^2*3 + w + 5", "w^(w + 1)*2 + w^3"])
+    def test_matches_repeated_products(self, text):
+        a, power = o(text), ONE
+        for n in range(13):
+            assert nat_pow(a, n) == power
+            power = nat_prod(power, a)
+
+    def test_huge_exponent_by_squaring(self):
+        # n natural products took about 2 s at n = 10^6
+        start = time.perf_counter()
+        assert nat_pow(OMEGA, 10 ** 9) == omega_pow(10 ** 9)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestOmegaPow:
