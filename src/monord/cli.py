@@ -97,6 +97,8 @@ def parse_ideal_text(text):
             check_dim(dim)  # before any point of dim coordinates is built
             continue
         if line in ("zero", "unit"):
+            if special not in (None, line):
+                raise ParseError("'zero' cannot be mixed with 'unit'", lineno)
             special = line
             continue
         gens.append(parse_point(line, dim, line=lineno))
@@ -113,9 +115,9 @@ def parse_ideal_text(text):
 
 def load_ideal(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse_ideal_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
 
 
@@ -144,10 +146,10 @@ def parse_term_order(spec):
     if spec.startswith("matrix:"):
         path = spec[len("matrix:"):]
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 rows = [tuple(int(x) for x in line.split())
                         for line in fh if line.strip()]
-        except OSError as exc:
+        except (OSError, UnicodeError) as exc:
             raise DataError(f"cannot read {path}: {exc}")
         except ValueError:
             raise DataError(f"non-integer entry in matrix file {path}")

@@ -1,5 +1,7 @@
 """Exception types shared across the library, its input checks, its one
-budget type and its one immutability guard, ``immutable``."""
+budget type and ``Value``, the base of its four value classes."""
+
+from operator import attrgetter
 
 
 class MonordError(Exception):
@@ -74,11 +76,40 @@ def listed(x, what):
         raise DataError(f"{what} {x!r} is not a sequence") from None
 
 
-def immutable(self, *_):
-    """``__setattr__`` and ``__delattr__`` of every value class.  It refuses
-    all writes, so constructors set fields by ``object.__setattr__`` and
-    each class's ``__reduce__`` loads through its checked constructor."""
-    raise AttributeError(f"{type(self).__name__} is immutable")
+class Value:
+    """The base of monord's value classes: ``class C(Value, fields=...)``
+    acts as a frozen dataclass over the named fields.  Writes and deletes
+    raise AttributeError, so constructors set fields by
+    ``object.__setattr__``; ==, hash and repr read the fields, and pickles
+    and copies load through C's checked constructor.  Other instance data
+    (a memo, say) is left out of all of these."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields):
+        # one getter: the bare field for one field, else their tuple
+        cls._field_names, cls._key = fields, attrgetter(*fields)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}"
+                           for n in self._field_names)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._field_names)
 
 
 class Budget:

@@ -8,17 +8,17 @@ antichain and the unit ideal is generated by the origin.
 from itertools import repeat
 from operator import le, mod
 
-from .errors import DataError, immutable, is_a, natural
+from .errors import DataError, Value, is_a, natural
 from .monom import (DEGLEX, Packing, _support, check_order, check_point,
                     check_same_dim, unit_vec)
 
 
-class MonomialIdeal:
+class MonomialIdeal(Value, fields=("dim", "gens")):
     """A finitely generated final segment of N^m in canonical form.
 
-    Instances are immutable and compare and hash by (dim, gens).  Derived
-    data (the numerator, p_E, the decomposition) is computed at most once
-    per instance and kept on it by ``_memo``; slices are built per call.
+    A value over (dim, gens) (errors.Value).  Derived data (the numerator,
+    p_E, the decomposition) is computed at most once per instance and kept
+    on it by ``_memo``; slices are built per call.
     """
 
     def __init__(self, dim, gens):
@@ -27,23 +27,6 @@ class MonomialIdeal:
         gens = minimal_points([check_point_in(dim, g) for g in gens])
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gens", gens)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dim, self.gens) == (other.dim, other.gens)
-
-    def __hash__(self):
-        return hash((self.dim, self.gens))
-
-    def __repr__(self):
-        return f"MonomialIdeal(dim={self.dim!r}, gens={self.gens!r})"
-
-    def __reduce__(self):
-        # pickles and copies carry (dim, gens) only, never the memo
-        return MonomialIdeal, (self.dim, self.gens)
 
     def is_zero(self):
         return not self.gens
@@ -117,8 +100,8 @@ def _checked_ideal(dim, gens):
 def _memo(e, key, compute):
     """compute(e), worked out on the first request for key and kept on e.
 
-    The values live in e's instance ``__dict__``, which ==, hash and repr
-    never read and ``__reduce__`` leaves behind.
+    The values live in e's instance ``__dict__``, which ==, hash, repr and
+    pickles, all over (dim, gens), never read.
     """
     memo = e.__dict__.setdefault("_memo", {})
     if key not in memo:

@@ -8,7 +8,7 @@ values on the integers has a unique such expansion with integer b_i.
 import math
 from typing import NamedTuple
 
-from .errors import DataError, immutable, is_a, listed, natural
+from .errors import DataError, Value, is_a, listed, natural
 
 
 def binomial(x, k):
@@ -22,11 +22,11 @@ def binomial(x, k):
     return (-1) ** k * math.comb(k - x - 1, k)
 
 
-class IVPoly:
-    """An integer-valued polynomial in the binomial basis; immutable, and
-    compared and hashed by ``coeffs``.  ``_peels`` keeps the minimizing
-    coefficients per m (hilbert.minimizing_coefficients); ==, hash, repr
-    and ``__reduce__`` never read it, so pickles and copies drop it."""
+class IVPoly(Value, fields=("coeffs",)):
+    """An integer-valued polynomial in the binomial basis; a value over
+    ``coeffs`` (errors.Value).  ``_peels`` keeps the minimizing
+    coefficients per m (hilbert.minimizing_coefficients); ==, hash, repr,
+    pickles and copies never read it."""
 
     __slots__ = ("coeffs", "_peels")
 
@@ -38,11 +38,6 @@ class IVPoly:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "_peels", {})
-
-    __setattr__ = __delattr__ = immutable
-
-    def __reduce__(self):
-        return IVPoly, (self.coeffs,)
 
     @property
     def degree(self):
@@ -59,12 +54,6 @@ class IVPoly:
         row = reversed(_binom_row(-t - 1, self.degree))
         return sum(b * c for b, c in zip(self.coeffs, row))
 
-    def __eq__(self, other):
-        return isinstance(other, IVPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other):
         a, b = self.coeffs, check_poly(other).coeffs
         n = max(len(a), len(b))
@@ -76,6 +65,8 @@ class IVPoly:
         return self + check_poly(other).scale(-1)
 
     def scale(self, k):
+        if type(k) is not int:  # bools are not scale factors
+            raise DataError(f"scale factor {k!r} is not an integer")
         return IVPoly(k * b for b in self.coeffs)
 
     def __str__(self):
@@ -95,9 +86,6 @@ class IVPoly:
             parts.append(("- " if b < 0 else "+ ") + term)
         out = " ".join(parts)
         return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-    def __repr__(self):
-        return f"IVPoly({self.coeffs!r})"
 
 
 def check_poly(p):

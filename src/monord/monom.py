@@ -11,7 +11,7 @@ from itertools import compress, repeat
 from math import comb
 from operator import and_, le, lshift, rshift
 
-from .errors import DataError, DimensionMismatch, immutable, is_a, listed
+from .errors import DataError, DimensionMismatch, Value, is_a, listed
 
 
 def check_point(v):
@@ -125,14 +125,14 @@ def _gaps(bars, slots):
     return tuple(b - a - 1 for a, b in zip([-1] + bars, bars + [slots]))
 
 
-class TermOrder:
+class TermOrder(Value, fields=("kind", "matrix")):
     """A term order on N^m: ``lex``, ``deglex``, or an integer matrix order.
 
     A matrix order compares u, v by the lexicographic order on A*u, A*v.
     The matrix is a tuple of rows, each a tuple of ints, and must order
     every point after the origin, which holds when the first nonzero entry
-    in each column is positive.  Instances are immutable and compare and
-    hash by (kind, matrix).
+    in each column is positive.  A value over (kind, matrix)
+    (errors.Value); lex and deglex take no matrix.
     """
 
     def __init__(self, kind, matrix=()):
@@ -150,24 +150,10 @@ class TermOrder:
                     raise DataError(
                         f"matrix order column {j} does not order x{j + 1} "
                         "above 1")
+        elif type(matrix) is not tuple or matrix:
+            raise DataError(f"term order {kind!r} takes no matrix")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "matrix", matrix)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __reduce__(self):
-        return TermOrder, (self.kind, self.matrix)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.matrix) == (other.kind, other.matrix)
-
-    def __hash__(self):
-        return hash((self.kind, self.matrix))
-
-    def __repr__(self):
-        return f"TermOrder(kind={self.kind!r}, matrix={self.matrix!r})"
 
     def key(self, v):
         if self.kind == "lex":

@@ -12,7 +12,7 @@ tuple order on forms is the ordinal order.
 
 from functools import total_ordering
 
-from .errors import DataError, ParseError, immutable, natural
+from .errors import DataError, ParseError, Value, natural
 
 # Parenthesised exponents nest at most this deep in parse_ordinal, and
 # Ord(terms) and omega_pow refuse forms deeper than parse_ordinal builds.
@@ -23,12 +23,13 @@ MAX_NESTING = 100
 
 
 @total_ordering
-class Ord:
+class Ord(Value, fields=("form",)):
     """An ordinal below epsilon_0 in Cantor normal form.
 
-    Instances are immutable and hashable.  ``terms`` is a tuple of
-    (exponent, coefficient) pairs with strictly decreasing Ord exponents
-    and coefficients >= 1; ``form`` is the same with exponent forms.
+    A value over ``form`` (errors.Value), printed as ``Ord[...]`` in the
+    textual syntax.  ``terms`` is a tuple of (exponent, coefficient) pairs
+    with strictly decreasing Ord exponents and coefficients >= 1; ``form``
+    is the same with exponent forms.
     """
 
     __slots__ = ("form",)
@@ -51,8 +52,6 @@ class Ord:
         if depth > MAX_NESTING + 3:  # w^( MAX_NESTING times, then w^w
             raise DataError(f"ordinal nests deeper than {MAX_NESTING + 3}")
         object.__setattr__(self, "form", form)
-
-    __setattr__ = __delattr__ = immutable
 
     def __reduce__(self):
         # pickles and copies go through __init__, so each load is checked
@@ -82,16 +81,10 @@ class Ord:
     def is_limit(self):
         return bool(self.form) and bool(self.form[-1][0])
 
-    def __eq__(self, other):
-        return isinstance(other, Ord) and self.form == other.form
-
     def __lt__(self, other):
         if not isinstance(other, Ord):
             return NotImplemented
         return self.form < other.form
-
-    def __hash__(self):
-        return hash(self.form)
 
     def __add__(self, other):
         return nat_sum(self, other)

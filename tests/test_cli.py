@@ -3,7 +3,9 @@
 import argparse
 import inspect
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 
@@ -44,6 +46,11 @@ class TestIdealFiles:
         assert parse_ideal_text("dim 2\nunit\n").is_unit()
         with pytest.raises(ParseError, match="'zero' cannot be mixed"):
             parse_ideal_text("dim 2\nzero\n1 0\n")
+        for text in ("dim 2\nzero\nunit\n", "dim 2\nunit\n1 0\nzero\n"):
+            with pytest.raises(ParseError, match="mixed with 'unit'") as exc:
+                parse_ideal_text(text)
+            assert exc.value.line == text.count("\n")
+        assert parse_ideal_text("dim 2\nzero\nzero\n").is_zero()
 
     def test_json_mirror(self):
         e = parse_ideal_text('{"dim": 2, "gens": [[1, 0], [2, 0]]}')
@@ -530,6 +537,41 @@ class TestExitCodes:
     def test_usage(self, capsys):
         assert run(capsys, ["no-such-command"])[0] == 64
         assert run(capsys, ["compare", "a", "b"])[0] == 64
+
+    @pytest.mark.parametrize("argv, files, message", [
+        # the first two crashed with a UnicodeDecodeError traceback and exit
+        # 1, and the second exited 65 as a "non-integer entry"; the third
+        # was read as the unit ideal, the later line winning
+        (["normalize", "a.ideal"], {"a.ideal": b"dim 2\n\xff\n"},
+         "cannot read a.ideal: 'utf-8' codec can't decode"),
+        (["compare", "--order", "kb", "--term-order", "matrix:m.txt",
+          "b.ideal", "b.ideal"],
+         {"m.txt": b"1 1\n0 1 \xe9\n", "b.ideal": b"dim 2\n1 0\n"},
+         "cannot read m.txt: 'utf-8' codec can't decode"),
+        (["normalize", "a.ideal"], {"a.ideal": b"dim 2\nzero\n\nunit\n"},
+         "'zero' cannot be mixed with 'unit' at line 4")],
+        ids=["non-UTF-8 ideal", "non-UTF-8 matrix", "zero and unit"])
+    def test_unreadable_files(self, capsys, tmp_path, monkeypatch, argv,
+                              files, message):
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (65, "") and message in err
+
+    def test_files_are_read_as_utf8(self, tmp_path):
+        # under an ASCII locale, with UTF-8 mode off, open() decoded the
+        # file as ASCII and the comment crashed the child with exit 1
+        (tmp_path / "a.ideal").write_text("# x\u2081 \u2265 2\ndim 1\n2\n",
+                                          encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "monord.cli", "normalize",
+             "a.ideal"], cwd=tmp_path, env=env, capture_output=True,
+            text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "dim 1\n2\n")
 
     def test_data_error_reports_line(self, capsys, tmp_path):
         path = write(tmp_path, "bad.ideal", "dim 2\n1 0\noops\n")

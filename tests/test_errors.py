@@ -2,7 +2,9 @@
 and the value classes load through their checked constructors."""
 
 import copy
+import dataclasses
 import pickle
+import random
 from collections import namedtuple
 from types import SimpleNamespace
 
@@ -10,7 +12,8 @@ import pytest
 
 import monord
 from monord import (DEGLEX, LEX, OMEGA, ONE, BoundFn, BudgetExceeded,
-                    DataError, DimensionMismatch, IVPoly, MonordError, Ord,
+                    DataError, DimensionMismatch, IVPoly, MonomialIdeal,
+                    MonordError, Ord,
                     TermOrder, binomial, cmp, colon, comm_leq, cone, degree,
                     direct_sum, divides, dominance_cmp, ell,
                     extremal_sequence, from_samples, generator_word, h_bound,
@@ -132,6 +135,13 @@ BAD_CALLS = {
     "from_samples str samples": lambda: from_samples(["a", "b"]),
     # and these were checked already: each point and chain call has a row
     "TermOrder unknown kind": lambda: TermOrder("lax"),
+    # these were accepted: the first then raised TypeError on hash, the
+    # second was unequal to DEGLEX, though it orders points as DEGLEX does,
+    # and the third scaled by a bool, though bool coordinates are refused
+    "TermOrder lex with a list matrix": lambda: TermOrder("lex", [1]),
+    "TermOrder deglex with a matrix": lambda: TermOrder("deglex", ((9, 9),)),
+    "IVPoly.scale bool": lambda: IVPoly([1]).scale(True),
+    "IVPoly.scale float": lambda: IVPoly([1]).scale(2.5),
     "TermOrder.key column count": lambda: TermOrder(
         "matrix", ((1, 1), (0, 1))).key((1, 0, 0)),
     "Ord.to_int infinite": lambda: OMEGA.to_int(),
@@ -206,6 +216,22 @@ def test_budget():
             Budget(limit, 5)
 
 
+def seeded_values(seed):
+    """Seeded ideals, term orders, polynomials and ordinals, with repeats,
+    so that equal values built apart meet."""
+    rng = random.Random(seed)
+    values = [DEGLEX, LEX, TermOrder("matrix", ((1, 1), (0, 1)))]
+    for _ in range(40):
+        m = rng.randint(1, 3)
+        values.append(normalize(m, [tuple(rng.randint(0, 3) for _ in range(m))
+                                    for _ in range(rng.randint(0, 3))]))
+        values.append(IVPoly([rng.randint(-2, 2)
+                              for _ in range(rng.randint(0, 3))]))
+        values.append(nat_pow(nat_sum(OMEGA, rng.randint(0, 2)),
+                              rng.randint(0, 2)))
+    return values + values[::5]
+
+
 def test_values_round_trip_through_pickle_and_copy():
     # every value class loads through its checked constructor; IVPoly
     # did not pickle at protocols 0 and 1
@@ -213,9 +239,51 @@ def test_values_round_trip_through_pickle_and_copy():
     profile = hilbert_profile(e)
     for value in (e, DEGLEX, TermOrder("matrix", ((1, 1, 1), (0, -1, 2))),
                   nat_sum(nat_pow(OMEGA, 3), ONE), IVPoly((4, -2, 1)),
-                  profile, profile.p, profile.psi):
+                  profile, profile.p, profile.psi, *seeded_values(95)):
         backs = [pickle.loads(pickle.dumps(value, proto))
                  for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
         for back in backs + [copy.copy(value), copy.deepcopy(value)]:
             assert type(back) is type(value) and back == value
             assert repr(back) == repr(value) and hash(back) == hash(value)
+
+
+class TestValue:
+    """errors.Value: the four value classes act as frozen dataclasses over
+    their fields, Ord aside for its repr and its pickles through terms."""
+
+    def test_ideal_and_polynomial_match_the_dataclass(self):
+        twins = {cls: (names, dataclasses.make_dataclass(
+            cls.__name__, names, frozen=True))
+            for cls, names in ((MonomialIdeal, ["dim", "gens"]),
+                               (IVPoly, ["coeffs"]))}
+        values = [v for v in seeded_values(91) if type(v) in twins]
+        frozens = []
+        for v in values:
+            names, twin = twins[type(v)]
+            frozens.append(twin(*(getattr(v, n) for n in names)))
+        assert {type(v) for v in values} == set(twins)
+        for v, d in zip(values, frozens):
+            # hashes are pinned below: a dataclass of one field hashes
+            # the 1-tuple of it, and these hash the field itself
+            assert repr(v) == repr(d)
+            for w, c in zip(values, frozens):
+                assert (v == w, v != w) == (d == c, d != c)
+        assert repr(IVPoly([1, 2])) == "IVPoly(coeffs=(1, 2))"
+        assert repr(normalize(2, [(1, 0)])) == ("MonomialIdeal(dim=2, "
+                                                "gens=((1, 0),))")
+        assert repr(OMEGA) == "Ord[w]"
+
+    def test_hashes_are_those_of_the_fields(self):
+        fields = {MonomialIdeal: lambda e: (e.dim, e.gens),
+                  TermOrder: lambda t: (t.kind, t.matrix),
+                  IVPoly: lambda p: p.coeffs, Ord: lambda a: a.form}
+        for v in seeded_values(93):
+            assert hash(v) == hash(fields[type(v)](v))
+
+    def test_values_of_two_classes_are_unequal(self):
+        # values of two classes differ, as do a value and its bare fields
+        e, p, a = normalize(1, [(1,)]), IVPoly([1]), ONE
+        for x, y in ((e, p), (p, a), (e, a), (DEGLEX, "deglex"),
+                     (p, (1,)), (a, a.form), (e, (1, ((1,),)))):
+            assert x != y and y != x and not x == y
+

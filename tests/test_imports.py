@@ -242,6 +242,37 @@ def parsed_modules():
                 yield name, ast.parse(fh.read(), name)
 
 
+def test_value_classes_take_their_semantics_from_errors_value():
+    """MonomialIdeal, TermOrder, IVPoly and Ord subclass errors.Value, and
+    no class but Value defines equality, hashing or write guards.  Ord
+    alone keeps its own repr (Ord[...], in the textual syntax) and
+    pickles (through Ord(terms), which checks them)."""
+    semantics = {"__eq__", "__hash__", "__setattr__", "__delattr__",
+                 "__repr__", "__reduce__"}
+    own, bases = {}, {}
+    for name, tree in parsed_modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            where = f"{name[:-3]}.{cls.name}"
+            bases[where] = [ast.unparse(b) for b in cls.bases]
+            defined = {node.name for node in cls.body
+                       if isinstance(node, ast.FunctionDef)}
+            defined |= {t.id for node in cls.body
+                        if isinstance(node, ast.Assign)
+                        for t in node.targets if isinstance(t, ast.Name)}
+            if defined & semantics:
+                own[where] = defined & semantics
+    assert own == {"errors.Value": semantics,
+                   "ordinal.Ord": {"__repr__", "__reduce__"}}
+    for where in ("ideal.MonomialIdeal", "monom.TermOrder", "ivpoly.IVPoly",
+                  "ordinal.Ord"):
+        assert bases[where] == ["Value"], where
+    assert not hasattr(monord.errors, "immutable")
+    assert all(issubclass(cls, monord.errors.Value) for cls in (
+        monord.MonomialIdeal, monord.TermOrder, monord.IVPoly, monord.Ord))
+
+
 def test_modules_raise_no_builtin_exceptions():
     """Every public call raises a MonordError on bad input; the one builtin
     exception a module may raise is AttributeError, for writes to an
