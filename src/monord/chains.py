@@ -10,7 +10,7 @@ from math import comb, inf
 from typing import NamedTuple
 
 from .errors import Budget, DataError, is_a, listed, natural
-from .ideal import _checked_ideal, check_dim, check_ideal
+from .ideal import MonomialIdeal, check_dim, check_ideal
 from .monom import _support, check_same_dim, points_of_degree
 
 DEFAULT_BUDGET = 1_000_000
@@ -286,6 +286,6 @@ def max_bad_degree_growth(m, f, cap):
             exhaustive = True
             break
         seq[len(stack) - 1:] = [c]
-    return SearchResult([_checked_ideal(m, tuple(
+    return SearchResult([MonomialIdeal._of(m, tuple(
         p for p, j in at.items() if c >> j & 1)) for c in best],
         exhaustive, nodes)

@@ -100,13 +100,13 @@ def parse_ideal_text(text):
             if special not in (None, line):
                 raise ParseError("'zero' cannot be mixed with 'unit'", lineno)
             special = line
-            continue
-        gens.append(parse_point(line, dim, line=lineno))
+        else:
+            gens.append(parse_point(line, dim, line=lineno))
+        if special == "zero" and gens:
+            raise ParseError("'zero' cannot be mixed with generators", lineno)
     if dim is None:
         raise ParseError("missing 'dim m' header", line=1)
     if special == "zero":
-        if gens:
-            raise ParseError("'zero' cannot be mixed with generators")
         return zero_ideal(dim)
     if special == "unit":
         return unit_ideal(dim)

@@ -79,16 +79,43 @@ def listed(x, what):
 class Value:
     """The base of monord's value classes: ``class C(Value, fields=...)``
     acts as a frozen dataclass over the named fields.  Writes and deletes
-    raise AttributeError, so constructors set fields by
-    ``object.__setattr__``; ==, hash and repr read the fields, and pickles
-    and copies load through C's checked constructor.  Other instance data
-    (a memo, say) is left out of all of these."""
+    raise AttributeError, so constructors set fields through ``_set``;
+    ==, hash and repr read the fields, and pickles and copies load through
+    C's checked constructor.  ``_of`` builds a value past those checks, and
+    ``_derived`` keeps data worked out from it in a store that none of the
+    above reads."""
 
     __slots__ = ()
+    _set = object.__setattr__  # the one way past __setattr__
+    _kept = None  # until an instance keeps derived data (_derived)
 
     def __init_subclass__(cls, fields):
         # one getter: the bare field for one field, else their tuple
         cls._field_names, cls._key = fields, attrgetter(*fields)
+
+    @classmethod
+    def _of(cls, *fields):
+        """The value with these fields, already known to pass the checks
+        of cls's constructor, built without running them again."""
+        v, i = object.__new__(cls), 0
+        for name in cls._field_names:  # by index: zip costs ~150 ns more
+            v._set(name, fields[i])
+            i += 1
+        return v
+
+    def _derived(self, key, compute):
+        """compute(self, key), worked out on the first request for key and
+        kept in the instance's own ``_kept`` dict, which that request sets
+        (Value's is None, so a miss raises nothing).  An Ord, with no
+        instance ``__dict__``, keeps nothing."""
+        kept = self._kept
+        if kept is None:
+            kept = {}
+            self._set("_kept", kept)
+        elif key in kept:
+            return kept[key]
+        value = kept[key] = compute(self, key)
+        return value
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")

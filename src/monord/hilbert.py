@@ -24,10 +24,10 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DataError, listed, natural
-from .ideal import _checked_ideal, _memo, check_dim, check_ideal
+from .ideal import MonomialIdeal, check_dim, check_ideal
 from .ivpoly import IVPoly, _binom_row, _greedy_tops, check_poly, macaulay_next
 from .monom import DEGLEX, Packing, points_of_degree, unit_vec
-from .ordinal import ZERO, Ord, _wrap, omega_pow
+from .ordinal import ZERO, Ord, omega_pow
 
 
 def _numerator(e):
@@ -71,10 +71,10 @@ def _numerator(e):
       variable, field by field;
     - ((p | G) - A) & G != 0 exactly when a pure power divides p.
     """
-    return _memo(e, "numerator", _pivot_numerator)
+    return e._derived("numerator", _pivot_numerator)
 
 
-def _pivot_numerator(e):
+def _pivot_numerator(e, _):
     """_numerator, computed."""
     gens = e.gens
     top = max(map(max, gens), default=0) + 1  # inf: no pure power
@@ -196,7 +196,7 @@ def _hilbert_prefix(num, m, size):
     return values
 
 
-def _samuel_poly(e):
+def _samuel_poly(e, _):
     """(p_E, threshold): p_E = sum_k N_k C(T - k + m, m) by column sums of
     math.comb, twice as fast as N_k * _binom_row(k, m) stepped in Python."""
     num, m = _numerator(e), e.dim
@@ -230,7 +230,7 @@ def hilbert_samuel_poly(e):
 
     Returns the pair (p_E, threshold), worked out once per ideal.
     """
-    return _memo(check_ideal(e), "poly", _samuel_poly)
+    return check_ideal(e)._derived("poly", _samuel_poly)
 
 
 class MinimizingCoefficients(NamedTuple):
@@ -253,15 +253,19 @@ def minimizing_coefficients(p, m):
     in poly_from_a_sequence add up (hockey stick) to C(T - S + j + 1, j + 1)
     - C(T - S - c_j + j + 1, j + 1), S the sum of the c above; subtracting
     that difference of two _binom_rows clears degree j.  The result is kept
-    on p per m, so psi, phi, the canonical list and realize peel p once.
+    on p per m (Value._derived), so psi, phi, the canonical list and
+    realize peel p once.
     """
     check_dim(m)
     if check_poly(p).is_zero():
         raise DataError("p must be nonzero (the unit ideal has no psi)")
     if p.degree >= m:
         raise DataError(f"degree {p.degree} is too big for N^{m}")
-    if m in p._peels:
-        return p._peels[m]
+    return p._derived(m, _peel)
+
+
+def _peel(p, m):
+    """minimizing_coefficients, computed."""
     b, c, s = list(p.coeffs) + [0] * (m - len(p.coeffs)), [], 0
     for j in range(m - 1, -1, -1):
         cj = b[j]
@@ -271,9 +275,7 @@ def minimizing_coefficients(p, m):
             s += cj
         c.append(cj)
     first_neg = next((i for i, ci in enumerate(reversed(c)) if ci < 0), None)
-    mc = p._peels[m] = MinimizingCoefficients(tuple(c), first_neg is None,
-                                              first_neg)
-    return mc
+    return MinimizingCoefficients(tuple(c), first_neg is None, first_neg)
 
 
 def psi_poly(p, m):
@@ -291,8 +293,8 @@ def psi_poly(p, m):
 def _psi_of(c):
     """psi = w^(m-1)*c_{m-1} + ... + c_0 from c = (c_{m-1}, ..., c_0)."""
     m = len(c)  # the form of a natural k: (((), k),), and () for k = 0
-    return _wrap(tuple(((((), k),) if k else (), ci)
-                       for k, ci in zip(range(m - 1, -1, -1), c) if ci))
+    return Ord._of(tuple(((((), k),) if k else (), ci)
+                         for k, ci in zip(range(m - 1, -1, -1), c) if ci))
 
 
 def _realizable(p, m):
@@ -367,7 +369,7 @@ def realize_poly(p, m):
             break
         gens.append(unit_vec(j, j - 1, ci + 1) + top)
         top = (ci,) + top
-    return _checked_ideal(m, tuple(sorted(gens, key=DEGLEX.key)))
+    return MonomialIdeal._of(m, tuple(sorted(gens, key=DEGLEX.key)))
 
 
 def psi_ideal(e):
@@ -413,7 +415,7 @@ def _stability_index(e):
     tops, n0 = _greedy_tops(_hilbert_value(num, m, t), t), 1  # C(a, t - j)
     if _hilbert_value(num, m, t + 1) != sum(
             comb(a + 1, t + 1 - j) for j, a in enumerate(tops)):
-        p = _memo(e, "poly", _samuel_poly)[0]
+        p = e._derived("poly", _samuel_poly)[0]
         n0 = phi_poly(IVPoly(p.coeffs[1:]), m - 1)
     else:
         for n in range(t, 1, -1):
@@ -445,7 +447,7 @@ def lex_segment_ideal(e, bound):
             break
         gens += points_of_degree(m, n, h, r)
         r = m * h if n == 0 else macaulay_next(h, n)
-    return _checked_ideal(m, tuple(gens))
+    return MonomialIdeal._of(m, tuple(gens))
 
 
 class HilbertProfile(NamedTuple):

@@ -18,15 +18,15 @@ class MonomialIdeal(Value, fields=("dim", "gens")):
 
     A value over (dim, gens) (errors.Value).  Derived data (the numerator,
     p_E, the decomposition) is computed at most once per instance and kept
-    on it by ``_memo``; slices are built per call.
+    on it by ``Value._derived``; slices are built per call.
     """
 
     def __init__(self, dim, gens):
         """Check the points gens and keep the minimal ones, deglex-sorted."""
         check_dim(dim)
         gens = minimal_points([check_point_in(dim, g) for g in gens])
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gens", gens)
+        self._set("dim", dim)
+        self._set("gens", gens)
 
     def is_zero(self):
         return not self.gens
@@ -88,27 +88,6 @@ def normalize(dim, points):
         raise DataError("normalize takes point sequences") from None
 
 
-def _checked_ideal(dim, gens):
-    """The ideal on generators already checked, minimal and deglex-sorted,
-    built without running MonomialIdeal's checks a second time."""
-    e = object.__new__(MonomialIdeal)
-    object.__setattr__(e, "dim", dim)
-    object.__setattr__(e, "gens", gens)
-    return e
-
-
-def _memo(e, key, compute):
-    """compute(e), worked out on the first request for key and kept on e.
-
-    The values live in e's instance ``__dict__``, which ==, hash, repr and
-    pickles, all over (dim, gens), never read.
-    """
-    memo = e.__dict__.setdefault("_memo", {})
-    if key not in memo:
-        memo[key] = compute(e)
-    return memo[key]
-
-
 def minimal_points(points):
     """The distinct minimal points of a finite set of points of one N^m
     under divisibility, sorted by deglex."""
@@ -130,20 +109,20 @@ def unit_ideal(dim):
 def ideal_sum(e, f):
     """Smallest ideal containing both: union of generators."""
     check_same_dim(check_ideal(e).dim, check_ideal(f).dim)
-    return _checked_ideal(e.dim, minimal_points(e.gens + f.gens))
+    return MonomialIdeal._of(e.dim, minimal_points(e.gens + f.gens))
 
 
 def ideal_intersect(e, f):
     """Intersection: generated by pairwise lcms."""
     check_same_dim(check_ideal(e).dim, check_ideal(f).dim)
-    return _checked_ideal(e.dim, minimal_points(
+    return MonomialIdeal._of(e.dim, minimal_points(
         tuple(map(max, g, h)) for g in e.gens for h in f.gens))
 
 
 def colon(e, v):
     """The quotient (e : v) = {u : u + v in e}."""
     check_point_in(check_ideal(e).dim, v)
-    return _checked_ideal(e.dim, minimal_points(
+    return MonomialIdeal._of(e.dim, minimal_points(
         tuple(max(a - b, 0) for a, b in zip(g, v)) for g in e.gens))
 
 
@@ -156,14 +135,14 @@ def slice_last(e, j):
     if check_ideal(e).dim < 2:
         raise DataError("slicing needs ambient dimension >= 2")
     j = natural(j, "slice index")
-    return _checked_ideal(e.dim - 1, minimal_points(
+    return MonomialIdeal._of(e.dim - 1, minimal_points(
         g[:-1] for g in e.gens if g[-1] <= j))
 
 
 def cone(e):
     """Extend by one fresh variable: same generators, one more coordinate."""
     check_dim(check_ideal(e).dim + 1)
-    return _checked_ideal(e.dim + 1, tuple(g + (0,) for g in e.gens))
+    return MonomialIdeal._of(e.dim + 1, tuple(g + (0,) for g in e.gens))
 
 
 def direct_sum(e, f):
@@ -183,7 +162,7 @@ def direct_sum(e, f):
     gens += [(0,) * m + h for h in f.gens]
     gens += [unit_vec(m, i) + unit_vec(n, j) for i in range(m) if i not in xs
              for j in range(n) if j not in ys]
-    return _checked_ideal(m + n, tuple(sorted(gens, key=DEGLEX.key)))
+    return MonomialIdeal._of(m + n, tuple(sorted(gens, key=DEGLEX.key)))
 
 
 def irreducible_decomposition(e):
@@ -202,10 +181,10 @@ def irreducible_decomposition(e):
     """
     if check_ideal(e).is_zero() or e.is_unit():
         raise DataError("decomposition needs a nonzero proper ideal")
-    return list(_memo(e, "decomposition", _decompose))
+    return list(e._derived("decomposition", _decompose))
 
 
-def _decompose(e):
+def _decompose(e, _):
     """irreducible_decomposition as a tuple, computed.
 
     Each nu is packed once (monom.Packing) with its zeros written as inf,

@@ -24,11 +24,9 @@ def binomial(x, k):
 
 class IVPoly(Value, fields=("coeffs",)):
     """An integer-valued polynomial in the binomial basis; a value over
-    ``coeffs`` (errors.Value).  ``_peels`` keeps the minimizing
-    coefficients per m (hilbert.minimizing_coefficients); ==, hash, repr,
-    pickles and copies never read it."""
-
-    __slots__ = ("coeffs", "_peels")
+    ``coeffs`` (errors.Value).  Its minimizing coefficients per m
+    (hilbert.minimizing_coefficients) are kept on it by
+    ``Value._derived``."""
 
     def __init__(self, coeffs=()):
         coeffs = listed(coeffs, "coordinate list")
@@ -36,8 +34,7 @@ class IVPoly(Value, fields=("coeffs",)):
             raise DataError(f"IVPoly coordinates {coeffs!r} are not all ints")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "_peels", {})
+        self._set("coeffs", tuple(coeffs))
 
     @property
     def degree(self):

@@ -152,8 +152,8 @@ class TermOrder(Value, fields=("kind", "matrix")):
                         "above 1")
         elif type(matrix) is not tuple or matrix:
             raise DataError(f"term order {kind!r} takes no matrix")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "matrix", matrix)
+        self._set("kind", kind)
+        self._set("matrix", matrix)
 
     def key(self, v):
         if self.kind == "lex":

@@ -51,7 +51,7 @@ class Ord(Value, fields=("form",)):
             depth, g = depth + 1, g[0][0]
         if depth > MAX_NESTING + 3:  # w^( MAX_NESTING times, then w^w
             raise DataError(f"ordinal nests deeper than {MAX_NESTING + 3}")
-        object.__setattr__(self, "form", form)
+        self._set("form", form)
 
     def __reduce__(self):
         # pickles and copies go through __init__, so each load is checked
@@ -59,12 +59,12 @@ class Ord(Value, fields=("form",)):
 
     @property
     def terms(self):
-        return tuple((_wrap(g), c) for g, c in self.form)
+        return tuple((Ord._of(g), c) for g, c in self.form)
 
     @staticmethod
     def from_int(n):
         n = natural(n, "ordinal")
-        return _wrap((((), n),) if n else ())
+        return Ord._of((((), n),) if n else ())
 
     def is_zero(self):
         return not self.form
@@ -103,13 +103,6 @@ class Ord(Value, fields=("form",)):
         return f"Ord[{format_ordinal(self)}]"
 
 
-def _wrap(form):
-    """The Ord of a form already in CNF, built without Ord's checks."""
-    a = object.__new__(Ord)
-    object.__setattr__(a, "form", form)
-    return a
-
-
 def _coerce(x):
     """x as an Ord: an Ord itself, or a natural number."""
     return x if isinstance(x, Ord) else Ord.from_int(x)
@@ -142,12 +135,12 @@ def _prod(f, g):
 
 def nat_sum(a, b):
     """Hessenberg natural sum: merge the CNF terms exponent by exponent."""
-    return _wrap(_merge(_coerce(a).form + _coerce(b).form))
+    return Ord._of(_merge(_coerce(a).form + _coerce(b).form))
 
 
 def nat_prod(a, b):
     """Hessenberg natural product, distributing over natural sums of terms."""
-    return _wrap(_prod(_coerce(a).form, _coerce(b).form))
+    return Ord._of(_prod(_coerce(a).form, _coerce(b).form))
 
 
 def nat_pow(a, n):
@@ -159,7 +152,7 @@ def nat_pow(a, n):
             out = _prod(out, base)
         if n := n >> 1:  # no square past the top bit
             base = _prod(base, base)
-    return _wrap(out)
+    return Ord._of(out)
 
 
 def omega_pow(a):
@@ -268,7 +261,7 @@ def parse_ordinal(text):
             if not stack:
                 if end != len(text):
                     _fail("trailing input", end)
-                return _wrap(exp)
+                return Ord._of(exp)
             if not text.startswith(")", end):
                 _fail("expected ')'", end)
             terms, pos = stack.pop(), end + 1

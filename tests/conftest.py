@@ -12,20 +12,21 @@ sys.path.insert(0, str(Path(__file__).parent))
 @pytest.fixture
 def memo_log(monkeypatch):
     """The (ideal, key) of every derived value an ideal computes from now
-    on, in order: each entry is one run of a memoized computation."""
-    from monord import hilbert, ideal
+    on, in order: each entry is one run of a kept computation."""
+    from monord import MonomialIdeal
+    from monord.errors import Value
 
     log = []
-    memo = ideal._memo
+    derived = Value._derived
 
-    def logged(e, key, compute):
-        def run(e):
-            log.append((e, key))
-            return compute(e)
-        return memo(e, key, run)
+    def logged(v, key, compute):
+        def run(v, key):
+            if type(v) is MonomialIdeal:
+                log.append((v, key))
+            return compute(v, key)
+        return derived(v, key, run)
 
-    for module in (ideal, hilbert):
-        monkeypatch.setattr(module, "_memo", logged)
+    monkeypatch.setattr(Value, "_derived", logged)
     return log
 
 

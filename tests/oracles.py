@@ -14,18 +14,18 @@ from functools import lru_cache
 from math import comb, factorial, inf
 from operator import le
 
-from monord import (OMEGA, ONE, DataError, IVPoly, Ord, ParseError, binomial,
-                    divides, format_ordinal, from_samples, hilbert_fn,
-                    hilbert_profile, macaulay_next, normalize, phi_poly,
-                    slice_last)
+from monord import (OMEGA, ONE, DataError, IVPoly, MonomialIdeal, Ord,
+                    ParseError, binomial, divides, format_ordinal,
+                    from_samples, hilbert_fn, hilbert_profile, macaulay_next,
+                    normalize, phi_poly, slice_last)
 from monord import monom
 from monord.chains import SearchResult, _step, as_bound_fn
 from monord.hilbert import (_hilbert_prefix, _hilbert_value, _numerator,
                             _realizable)
-from monord.ideal import _checked_ideal, minimal_points
+from monord.ideal import minimal_points
 from monord.ivpoly import binom_poly
 from monord.monom import _words, unit_vec
-from monord.ordinal import MAX_NESTING, _coerce, _wrap
+from monord.ordinal import MAX_NESTING, _coerce
 
 
 def points_of_degree(m, n):
@@ -309,7 +309,7 @@ def every_degree_lex_segment(e, bound):
     for n, h in enumerate(_hilbert_prefix(_numerator(e), m, bound + 1)):
         gens += monom.points_of_degree(m, n, h, r)
         r = m * h if n == 0 else macaulay_next(h, n)
-    return _checked_ideal(m, tuple(gens))
+    return MonomialIdeal._of(m, tuple(gens))
 
 
 def listing_lex_segment(e, bound):
@@ -732,7 +732,7 @@ def recursive_bad_search(m, f, cap):
 
     dfs([], None, None)
     pts = box(f._at(len(best) - 1))[0] if best else ()
-    return SearchResult([_checked_ideal(m, tuple(
+    return SearchResult([MonomialIdeal._of(m, tuple(
         p for j, p in enumerate(pts) if c >> j & 1)) for c in best],
         exhausted, nodes)
 
@@ -1036,7 +1036,7 @@ def recursive_parse_ordinal(text):
     sc.skip_ws()
     if sc.pos != len(sc.text):
         sc.error("trailing input")
-    return _wrap(form)
+    return Ord._of(form)
 
 
 def _parse_sum(sc):

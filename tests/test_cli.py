@@ -329,9 +329,9 @@ class TestDecompose:
         calls = []
         engine = ideal._decompose
 
-        def counted(e):
+        def counted(e, key):
             calls.append(e)
-            return engine(e)
+            return engine(e, key)
 
         monkeypatch.setattr(ideal, "_decompose", counted)
         path = write(tmp_path, "a.ideal", "dim 3\n2 1 0\n0 1 3\n1 0 1\n")
@@ -541,7 +541,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, files, message", [
         # the first two crashed with a UnicodeDecodeError traceback and exit
         # 1, and the second exited 65 as a "non-integer entry"; the third
-        # was read as the unit ideal, the later line winning
+        # was read as the unit ideal, the later line winning; the last two
+        # named no line
         (["normalize", "a.ideal"], {"a.ideal": b"dim 2\n\xff\n"},
          "cannot read a.ideal: 'utf-8' codec can't decode"),
         (["compare", "--order", "kb", "--term-order", "matrix:m.txt",
@@ -549,8 +550,13 @@ class TestExitCodes:
          {"m.txt": b"1 1\n0 1 \xe9\n", "b.ideal": b"dim 2\n1 0\n"},
          "cannot read m.txt: 'utf-8' codec can't decode"),
         (["normalize", "a.ideal"], {"a.ideal": b"dim 2\nzero\n\nunit\n"},
-         "'zero' cannot be mixed with 'unit' at line 4")],
-        ids=["non-UTF-8 ideal", "non-UTF-8 matrix", "zero and unit"])
+         "'zero' cannot be mixed with 'unit' at line 4"),
+        (["normalize", "a.ideal"], {"a.ideal": b"dim 2\nzero\n1 0\n"},
+         "'zero' cannot be mixed with generators at line 3"),
+        (["normalize", "a.ideal"], {"a.ideal": b"dim 2\n1 0\nzero\n"},
+         "'zero' cannot be mixed with generators at line 3")],
+        ids=["non-UTF-8 ideal", "non-UTF-8 matrix", "zero and unit",
+             "zero before a generator", "zero after a generator"])
     def test_unreadable_files(self, capsys, tmp_path, monkeypatch, argv,
                               files, message):
         for name, data in files.items():

@@ -280,6 +280,14 @@ class TestValue:
         for v in seeded_values(93):
             assert hash(v) == hash(fields[type(v)](v))
 
+    def test_unchecked_build_is_the_same_value(self):
+        # Value._of builds past the checks a value equal to the checked one
+        for v in seeded_values(97):
+            u = type(v)._of(*(getattr(v, n) for n in type(v)._field_names))
+            assert type(u) is type(v) and u is not v
+            assert u == v and v == u and len({u, v}) == 1
+            assert hash(u) == hash(v) and repr(u) == repr(v)
+
     def test_values_of_two_classes_are_unequal(self):
         # values of two classes differ, as do a value and its bare fields
         e, p, a = normalize(1, [(1,)]), IVPoly([1]), ONE

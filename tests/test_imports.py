@@ -10,6 +10,7 @@ import ast
 import builtins
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -244,13 +245,20 @@ def parsed_modules():
 
 def test_value_classes_take_their_semantics_from_errors_value():
     """MonomialIdeal, TermOrder, IVPoly and Ord subclass errors.Value, and
-    no class but Value defines equality, hashing or write guards.  Ord
-    alone keeps its own repr (Ord[...], in the textual syntax) and
-    pickles (through Ord(terms), which checks them)."""
+    no class but Value defines equality, hashing, write guards, the
+    unchecked build or the store of derived data.  Ord alone keeps its own
+    repr (Ord[...], in the textual syntax) and pickles (through Ord(terms),
+    which checks them).  Fields are set only through Value, and the
+    builders and memos that Value replaced are gone."""
     semantics = {"__eq__", "__hash__", "__setattr__", "__delattr__",
-                 "__repr__", "__reduce__"}
-    own, bases = {}, {}
+                 "__repr__", "__reduce__", "_set", "_of", "_derived"}
+    gone = re.compile(r"\b(_checked_ideal|_wrap|_memo|_peels)\b")
+    own, bases, setters, left = {}, {}, set(), set()
     for name, tree in parsed_modules():
+        code = ast.unparse(tree)  # docstrings in, comments out
+        if "object.__setattr__" in code:
+            setters.add(name[:-3])
+        left.update((name, found) for found in gone.findall(code))
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -265,6 +273,7 @@ def test_value_classes_take_their_semantics_from_errors_value():
                 own[where] = defined & semantics
     assert own == {"errors.Value": semantics,
                    "ordinal.Ord": {"__repr__", "__reduce__"}}
+    assert setters == {"errors"} and not left, (setters, left)
     for where in ("ideal.MonomialIdeal", "monom.TermOrder", "ivpoly.IVPoly",
                   "ordinal.Ord"):
         assert bases[where] == ["Value"], where
