@@ -17,6 +17,9 @@ into ints by monom.Packing, so that divisibility, supports and
 per-variable counts are a few int operations each.  The pure powers x_j^a
 are one packed vector beside them, and the recursion stops, in closed
 form, once the others have pairwise disjoint supports (see _numerator).
+The sum of those closed forms is one int too, N evaluated at t = 2^w for
+an n-generator ideal, w = max(n, 2): each coefficient is a balanced w-bit
+digit, read off once at the end.
 """
 
 from itertools import accumulate, chain, groupby, repeat, zip_longest
@@ -28,6 +31,11 @@ from .ideal import MonomialIdeal, check_dim, check_ideal
 from .ivpoly import IVPoly, _binom_row, _greedy_tops, check_poly, macaulay_next
 from .monom import DEGLEX, Packing, points_of_degree, unit_vec
 from .ordinal import ZERO, Ord, omega_pow
+
+# Past this many bits in N(2^w), the pivot leaf sums a dict instead: it
+# costs less from about 2^15 bits on random ideals, and from about 2^12 on
+# ones with few terms over a wide span of degrees, such as (x1^k, x2, x3).
+PACKED_BITS = 1 << 15
 
 
 def _numerator(e):
@@ -59,6 +67,19 @@ def _numerator(e):
     (1 - t^(a_j)) over the finite a_j off every mixed support: 1 for the
     zero ideal and 0 for the unit ideal, whose a_j are all 0.
 
+    The leaves are summed as one int, N(2^w) (Kronecker substitution):
+    t^d P is P << d*w, P (1 - t^a) is P - (P << a*w), and a sum of
+    polynomials is +.  Each int is exact, however large its digits grow on
+    the way.  Only the result must have every N_k in [-2^(w-1), 2^(w-1)),
+    so that _digits reads it back, and w = max(n, 2) bits do for n
+    generators: N_0 is 1, or 0 for the unit ideal, and for k >= 1, N_k is
+    the number of nonempty even subsets S with deg lcm S = k, at most
+    2^(n-1) - 1, less the number of odd ones, at most 2^(n-1).  The bound
+    is met at n = 2 and 3: (x, y) has N_1 = -2 and (x, y, z) has N_2 = 3.
+    The ints have about (threshold + 1) * w bits, as N has degree at most
+    the threshold; past PACKED_BITS the leaf sums a dict (_Terms) instead,
+    with w = 1.
+
     The recursion runs on (degree, packed, mask) triples and never
     unpacks.  Each generator is packed once by monom.Packing, whose fields
     hold the larger of inf and the generator count: no exponent or count
@@ -82,7 +103,13 @@ def _pivot_numerator(e, _):
     b, value, guards = pk.width, pk.value, pk.guards
     ones = guards >> b - 1  # the low bit of each field
     fill, inf = guards - ones, top * ones
-    acc, pairs, pure = {}, [], inf  # pure: A
+    w, span = max(len(gens), 2), threshold(e) + 1
+    packed = span * w <= PACKED_BITS
+    if packed:
+        one, acc = 1, 0  # N(2^w) so far
+    else:
+        one, acc, w = _Terms({0: 1}), _Terms(), 1
+    pairs, pure = [], inf  # pure: A
     for d, p in zip(map(sum, gens), map(pk.pack, gens)):
         mask = (p + fill & guards) >> b - 1
         if mask & mask - 1:
@@ -97,24 +124,22 @@ def _pivot_numerator(e, _):
             counts += mask
             rest |= mask
         if counts == rest:
-            terms = {offset: 1}
+            terms = one << offset * w
             free = ((pure ^ inf) + fill & guards) >> b - 1  # finite a_j
             for d, p, mask in pairs:
-                cut = {k + d: -c for k, c in terms.items()}  # -t^d terms
+                cut = -(terms << d * w)
                 own, free = free & mask, free & ~mask
                 while own:
                     s = (own & -own).bit_length() - 1
                     own &= own - 1
-                    _cut(terms, pure >> s & value)
-                    _cut(cut, pure - p >> s & value)
-                for k, c in cut.items():
-                    terms[k] = terms.get(k, 0) + c
+                    terms -= terms << (pure >> s & value) * w
+                    cut -= cut << (pure - p >> s & value) * w
+                terms += cut
             while free:
                 s = (free & -free).bit_length() - 1
                 free &= free - 1
-                _cut(terms, pure >> s & value)
-            for k, c in terms.items():
-                acc[k] = acc.get(k, 0) + c
+                terms -= terms << (pure >> s & value) * w
+            acc += terms
             continue
         best = 0
         while rest:  # ties: the low bits of the most frequent variables
@@ -164,13 +189,51 @@ def _pivot_numerator(e, _):
         kept += held
         kept.sort()
         todo.append((kept, pure, offset + a))
+    if packed:
+        return _digits(acc, w, span)
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
-def _cut(terms, k):
-    """Multiply the polynomial {degree: coefficient} by 1 - t^k in place."""
-    for j, c in list(terms.items()):
-        terms[j + k] = terms.get(j + k, 0) - c
+def _digits(x, w, span):
+    """The nonzero (k, N_k) of N from x = N(2^w), N of degree < span with
+    every N_k in [-2^(w-1), 2^(w-1)), in increasing k.
+
+    Adding half = 2^(w-1) to every digit makes them all nonnegative, with
+    no borrow between them, and an xor with the same bias clears the zero
+    digits: rfind on the bits skips from one nonzero digit to the next, so
+    the cost is linear in the bits.
+    """
+    half, size = 1 << w - 1, span * w
+    bias = int(format(half, "b") * span, 2)  # half in every digit
+    bits, out = format(x + bias ^ bias, "b").zfill(size), []
+    end = size  # the digits below end are still to read
+    while (j := bits.rfind("1", 0, end)) >= 0:
+        k = (size - 1 - j) // w
+        end = size - k * w - w
+        out.append((k, (int(bits[end:end + w], 2) ^ half) - half))
+    return tuple(out)
+
+
+class _Terms(dict):
+    """A polynomial in t as {degree: coefficient}, for ideals whose packed
+    numerator would pass PACKED_BITS: << d multiplies by t^d, and +, - and
+    unary - act termwise, so the pivot leaf runs on it as on a packed int
+    with w = 1."""
+
+    def __lshift__(self, d):
+        return _Terms({k + d: c for k, c in self.items()})
+
+    def __neg__(self):
+        return _Terms({k: -c for k, c in self.items()})
+
+    def __add__(self, other):
+        out = _Terms(self)
+        for k, c in other.items():
+            out[k] = out.get(k, 0) + c
+        return out
+
+    def __sub__(self, other):
+        return self + -other
 
 
 def _hilbert_value(num, m, n):

@@ -10,6 +10,7 @@ orders needs.  An Ord wraps its *form*, the nested tuple
 tuple order on forms is the ordinal order.
 """
 
+import sys
 from functools import total_ordering
 
 from .errors import DataError, ParseError, Value, natural
@@ -183,28 +184,38 @@ def ot_decreasing_sequences(a):
 
 def format_ordinal(a):
     """Render a in the textual CNF syntax, e.g. ``w^(w + 1)*2 + w + 3``, in
-    one loop: a (parts, terms, coefficient) frame per exponent in ( )."""
+    one loop: a (parts, terms, coefficient) frame per exponent in ( ).
+
+    A DataError if a coefficient or finite exponent has more decimal digits
+    than Python's int-string limit allows (sys.set_int_max_str_digits).
+    """
     stack, parts, terms = [], [], iter(_coerce(a).form)
-    while True:
-        for g, c in terms:
-            if not g:
-                parts.append(str(c))
-                continue
-            if not g[0][0]:  # a finite exponent, written bare
-                s = "w" if g[0][1] == 1 else f"w^{g[0][1]}"
-            elif g == OMEGA.form:
-                s = "w^w"
+    try:
+        while True:
+            for g, c in terms:
+                if not g:
+                    parts.append(str(c))
+                    continue
+                if not g[0][0]:  # a finite exponent, written bare
+                    s = "w" if g[0][1] == 1 else f"w^{g[0][1]}"
+                elif g == OMEGA.form:
+                    s = "w^w"
+                else:
+                    stack.append((parts, terms, c))
+                    parts, terms = [], iter(g)
+                    break
+                parts.append(f"{s}*{c}" if c > 1 else s)
             else:
-                stack.append((parts, terms, c))
-                parts, terms = [], iter(g)
-                break
-            parts.append(f"{s}*{c}" if c > 1 else s)
-        else:
-            s = " + ".join(parts) or "0"
-            if not stack:
-                return s
-            parts, terms, c = stack.pop()
-            parts.append(f"w^({s})*{c}" if c > 1 else f"w^({s})")
+                s = " + ".join(parts) or "0"
+                if not stack:
+                    return s
+                parts, terms, c = stack.pop()
+                parts.append(f"w^({s})*{c}" if c > 1 else f"w^({s})")
+    except ValueError:  # past Python's int-string digit limit
+        raise DataError(
+            f"an integer in this ordinal has more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's int-string "
+            f"limit; sys.set_int_max_str_digits raises it") from None
 
 
 def parse_ordinal(text):

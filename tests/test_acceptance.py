@@ -24,7 +24,7 @@ from monord import (DEGLEX, BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord,
                     psi_ideal, psi_poly, stability_index, t_bound, threshold,
                     triangle_cmp)
 from monord.cli import main, parse_ideal_text
-from monord.hilbert import N0Result, _numerator
+from monord.hilbert import N0Result, _numerator, _pivot_numerator
 from oracles import (affine_ell, antichains, every_degree_lex_segment,
                      irreducible_component_ideal,
                      irr_contains, listing_hilbert_output,
@@ -698,3 +698,42 @@ def test_criterion_24_lexify_stops_where_growth_persists(capsys, tmp_path,
     res = holder[-1]
     assert (res.returncode, res.stderr) == (0, "")
     assert parse_ideal_text(res.stdout) == holder[0]
+
+
+# N(t) of the squarefree ideal below, coefficients of t^0 .. t^30
+SQUAREFREE_N30_NUMERATOR = (
+    1, 0, 0, -148, 207, 2179, -2152, -35468, 92740, 175681, -1194499,
+    1674934, 2529320, -13396891, 21531734, -8435560, -32010735, 76620998,
+    -89842202, 60467752, -12728881, -20738599, 28165216, -19564668, 9014810,
+    -2849263, 586677, -63066, -1206, 1191, -102)
+
+
+def test_criterion_25_squarefree_numerator_in_thirty_variables(capsys):
+    # 150 squarefree points of degree 3 in N^30: the pivot leaf summed a
+    # dict of terms, about 0.8 s best of 3; as one int at t = 2^148, about
+    # 0.3 s (the numerator alone, best of 3, on a 2-core VM)
+    rng = random.Random(1)
+    gens = []
+    for _ in range(150):
+        g = [0] * 30
+        for i in rng.sample(range(30), 3):
+            g[i] = 1
+        gens.append(g)
+    e = normalize(30, gens)
+    holder = []
+
+    def body():
+        for _ in range(3):
+            start = time.perf_counter()
+            holder.append((_pivot_numerator(e, None),
+                           time.perf_counter() - start))
+
+    report(capsys, 25, "numerator, 148 squarefree gens in N^30, 3 runs",
+           body)
+    assert len(e.gens) == 148
+    num, best = min(holder, key=lambda r: r[1])
+    assert num == tuple((k, c) for k, c in
+                        enumerate(SQUAREFREE_N30_NUMERATOR) if c)
+    assert best < 0.75, f"criterion 25 took {best:.2f}s, best of 3"
+    for n in range(4):
+        assert hilbert_fn(e, n) == naive_hilbert(e, n)

@@ -341,6 +341,17 @@ class TestFormatParse:
         with pytest.raises(ParseError, match="too many digits"):
             parse_ordinal("1" * 5000)
 
+    def test_printing_past_the_digit_limit(self, int_digit_limit):
+        big = 10 ** 5000
+        # a coefficient, a finite exponent, and both nested in an exponent
+        for a in (Ord.from_int(big), omega_pow(big),
+                  omega_pow(nat_sum(OMEGA, Ord.from_int(big)))):
+            for show in (format_ordinal, str, repr):
+                with pytest.raises(DataError,
+                                   match="4300 digits.*set_int_max_str"):
+                    show(a)
+        assert str(Ord.from_int(10 ** 4299)) == "1" + "0" * 4299
+
     @given(st.text() | st.text("w^()*+ 0123456789\u00b2\u0663"))
     def test_fuzz(self, text):
         """Any text parses to an ordinal that prints back to a parse of
