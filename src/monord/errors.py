@@ -1,6 +1,8 @@
 """Exception types shared across the library, its input checks, its one
 budget type and ``Value``, the base of its four value classes."""
 
+import sys
+from functools import wraps
 from operator import attrgetter
 
 
@@ -76,6 +78,25 @@ def listed(x, what):
         raise DataError(f"{what} {x!r} is not a sequence") from None
 
 
+def digit_limited(write):
+    """write, a function that writes ints in decimal, raising a DataError
+    in place of the bare ValueError that Python raises for an int with more
+    digits than its int-string limit allows (the CLI lifts the limit)."""
+
+    @wraps(write)
+    def checked(*args):
+        try:
+            return write(*args)
+        except DataError:
+            raise
+        except ValueError:  # past Python's int-string digit limit
+            raise DataError(
+                f"an integer in this value has more than "
+                f"{sys.get_int_max_str_digits()} digits, Python's int-string "
+                f"limit; sys.set_int_max_str_digits raises it") from None
+    return checked
+
+
 class Value:
     """The base of monord's value classes: ``class C(Value, fields=...)``
     acts as a frozen dataclass over the named fields.  Writes and deletes
@@ -130,6 +151,7 @@ class Value:
     def __hash__(self):
         return hash(self._key(self))
 
+    @digit_limited
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}"
                            for n in self._field_names)

@@ -26,7 +26,7 @@ from itertools import accumulate, chain, groupby, repeat, zip_longest
 from math import comb
 from typing import NamedTuple
 
-from .errors import DataError, listed, natural
+from .errors import DataError, digit_limited, listed, natural
 from .ideal import MonomialIdeal, check_dim, check_ideal
 from .ivpoly import IVPoly, _binom_row, _greedy_tops, check_poly, macaulay_next
 from .monom import DEGLEX, Packing, points_of_degree, unit_vec
@@ -524,6 +524,9 @@ class HilbertProfile(NamedTuple):
     phi: int | None
     n0: int | None
     numerator: tuple  # N(t) as (degree, coefficient) pairs
+
+
+HilbertProfile.__repr__ = digit_limited(HilbertProfile.__repr__)
 
 
 def hilbert_profile(e):

@@ -8,7 +8,7 @@ antichain and the unit ideal is generated by the origin.
 from itertools import repeat
 from operator import le, mod
 
-from .errors import DataError, Value, is_a, natural
+from .errors import DataError, Value, digit_limited, is_a, natural
 from .monom import (DEGLEX, Packing, _support, check_order, check_point,
                     check_same_dim, unit_vec)
 
@@ -48,6 +48,7 @@ class MonomialIdeal(Value, fields=("dim", "gens")):
     def __ge__(self, other):
         return check_ideal(other) <= self
 
+    @digit_limited
     def __str__(self):
         if self.is_zero():
             return f"zero ideal in N^{self.dim}"

@@ -8,7 +8,7 @@ values on the integers has a unique such expansion with integer b_i.
 import math
 from typing import NamedTuple
 
-from .errors import DataError, Value, is_a, listed, natural
+from .errors import DataError, Value, digit_limited, is_a, listed, natural
 
 
 def binomial(x, k):
@@ -66,6 +66,7 @@ class IVPoly(Value, fields=("coeffs",)):
             raise DataError(f"scale factor {k!r} is not an integer")
         return IVPoly(k * b for b in self.coeffs)
 
+    @digit_limited
     def __str__(self):
         if self.is_zero():
             return "0"

@@ -7,7 +7,7 @@ sequences, read off the generators, and ``min_type_cmp`` sorts by the
 ordinal invariant first and breaks ties with the triangle order.
 """
 
-from operator import le
+from math import inf
 
 from .errors import DataError
 from .ideal import check_dim, check_ideal, generator_word
@@ -61,12 +61,24 @@ def triangle_cmp(e, f):
 
 def _triangle(e, f):
     """triangle_cmp and the deciding slice index (None in dimension 1 or
-    when the ideals are equal), for ideals of one dimension."""
-    gens = sorted([(g, -1, f.gens) for g in e.gens] +
-                  [(g, 1, e.gens) for g in f.gens], key=lambda t: t[0][::-1])
-    for g, side, other in gens:
-        if not any(all(map(le, h, g)) for h in other):
-            return side, (g[-1] if len(g) > 1 else None)
+    when the ideals are equal), for ideals of one dimension.
+
+    Both generator lists, sorted by their reversed points (the term order
+    above), are walked side by side: the KB rule of kb_cmp in that order.
+    The first generator g that only one ideal holds decides, with no
+    divisor test.  A divisor h of g in the other ideal has h <= g in every
+    term order, so it comes before g, where both ideals hold every
+    generator; then g's own ideal would hold two generators that divide
+    one another."""
+    # (inf,) is past every point: where one list runs out, the other's
+    # next generator decides
+    end = [(inf,)]
+    u = sorted(g[::-1] for g in e.gens) + end
+    v = sorted(g[::-1] for g in f.gens) + end
+    for x, y in zip(u, v):
+        if x != y:
+            side, g = (-1, x) if x < y else (1, y)
+            return side, (g[0] if len(g) > 1 else None)
     return 0, None
 
 

@@ -462,6 +462,20 @@ def slice_triangle(e, f):
     return 0, None
 
 
+def full_scan_triangle(e, f):
+    """The triangle order and its deciding slice as the library computed
+    them before its merged walk: one list of both ideals' generators,
+    sorted by their reversed points, and the first generator that no
+    generator of the other ideal divides decides, shared ones included.
+    Returns (sign, j) as slice_triangle does."""
+    gens = sorted([(g, -1, f.gens) for g in e.gens] +
+                  [(g, 1, e.gens) for g in f.gens], key=lambda t: t[0][::-1])
+    for g, side, other in gens:
+        if not any(all(map(le, h, g)) for h in other):
+            return side, (g[-1] if len(g) > 1 else None)
+    return 0, None
+
+
 def brute_comm_leq(u, v):
     """Injective domination by trying all position assignments."""
     u, v = list(u), list(v)

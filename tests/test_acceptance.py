@@ -23,8 +23,9 @@ from monord import (DEGLEX, BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord,
                     normalize, omega_pow, phi_poly, poly_from_a_sequence,
                     psi_ideal, psi_poly, stability_index, t_bound, threshold,
                     triangle_cmp)
-from monord.cli import main, parse_ideal_text
+from monord.cli import format_ideal, main, parse_ideal_text
 from monord.hilbert import N0Result, _numerator, _pivot_numerator
+from monord.orderings import _triangle
 from oracles import (affine_ell, antichains, every_degree_lex_segment,
                      irreducible_component_ideal,
                      irr_contains, listing_hilbert_output,
@@ -737,3 +738,46 @@ def test_criterion_25_squarefree_numerator_in_thirty_variables(capsys):
     assert best < 0.75, f"criterion 25 took {best:.2f}s, best of 3"
     for n in range(4):
         assert hilbert_fn(e, n) == naive_hilbert(e, n)
+
+
+def test_criterion_26_triangle_order_at_dimension_1000(capsys, tmp_path):
+    # 300 squarefree points of degree 3 in N^1000, and the same less the
+    # last: the triangle order tested every generator against every one of
+    # the other ideal, shared ones included, 355 ms for (a, b) and 820 ms
+    # for (a, a) (best of 3, on a 2-core VM); the walk tests none
+    rng = random.Random(3)
+    gens = []
+    for _ in range(300):
+        g = [0] * 1000
+        for i in rng.sample(range(1000), 3):
+            g[i] = 1
+        gens.append(g)
+    a, b = normalize(1000, gens), normalize(1000, gens[:-1])
+    holder = []
+
+    def body():
+        for x, y in ((a, b), (b, a), (a, a)):
+            best = None
+            for _ in range(3):
+                start = time.perf_counter()
+                got = _triangle(x, y)
+                took = time.perf_counter() - start
+                best = took if best is None else min(best, took)
+            holder.append((got, best))
+
+    report(capsys, 26, "triangle order, 300 squarefree gens in N^1000, "
+           "3 pairs", body)
+    assert (len(a.gens), len(b.gens)) == (300, 299)
+    # the one generator that only a holds, x647*x662*x748, decides at slice 0
+    assert [got for got, _ in holder] == [(-1, 0), (1, 0), (0, None)]
+    assert triangle_cmp(a, a) == 0
+    for _, best in holder:
+        assert best < 0.05, f"criterion 26 took {best * 1e3:.1f} ms"
+    paths = []
+    for name, e in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.ideal")
+        paths[-1].write_text(format_ideal(e))
+    capsys.readouterr()
+    assert main(["compare", "--order", "triangle", *map(str, paths)]) == 10
+    assert json.loads(capsys.readouterr().out) == {
+        "deciding_slice": 0, "order": "triangle", "result": "less"}

@@ -193,6 +193,25 @@ def test_every_polynomial_call_has_a_bad_call_row():
     assert calls <= {row.split()[0] for row in BAD_CALLS}
 
 
+BIG = 10 ** 5000
+# each raised a bare ValueError past Python's int-string digit limit; the
+# profile's big ints are plain int fields, its p and psi are small
+PRINTS = {
+    "repr IVPoly": lambda: repr(IVPoly([BIG])),
+    "str IVPoly": lambda: str(IVPoly([BIG])),
+    "str ideal": lambda: str(normalize(1, [(BIG,)])),
+    "repr ideal": lambda: repr(normalize(1, [(BIG,)])),
+    "repr HilbertProfile": lambda: repr(hilbert_profile(
+        normalize(1, [(BIG,)]))._replace(p=IVPoly([1]), psi=ONE)),
+}
+
+
+@pytest.mark.parametrize("show", PRINTS.values(), ids=PRINTS)
+def test_printing_past_the_digit_limit(show, int_digit_limit):
+    with pytest.raises(DataError, match="4300 digits.*set_int_max_str"):
+        show()
+
+
 def test_data_error_is_a_value_error():
     assert issubclass(DataError, MonordError)
     assert issubclass(DataError, ValueError)

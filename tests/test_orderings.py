@@ -7,13 +7,14 @@ from functools import cmp_to_key
 
 import pytest
 
-from monord import (DEGLEX, LEX, DataError, TermOrder, bounds_report,
-                    dominance_cmp, hilbert_samuel_poly, kb_cmp,
+from monord import (DEGLEX, LEX, DataError, TermOrder, bounds_report, colon,
+                    dominance_cmp, hilbert_samuel_poly, ideal_intersect,
+                    ideal_sum, kb_cmp,
                     lex_segment_ideal, min_type_cmp, normalize, parse_ordinal,
                     term_cmp, triangle_cmp, unit_ideal, zero_ideal)
 from monord.orderings import _kb, _triangle
-from oracles import (antichains, points_of_degree, points_up_to, random_ideal,
-                     slice_triangle)
+from oracles import (antichains, full_scan_triangle, points_of_degree,
+                     points_up_to, random_ideal, random_point, slice_triangle)
 
 
 def o(text):
@@ -149,17 +150,43 @@ class TestTriangle:
 
     def test_matches_the_slice_recursion(self):
         # sign and deciding slice, against the slice sequences compared
-        # recursively; f is e itself, a random ideal, or an ideal nested
-        # in or around e
+        # recursively and against a scan of every generator of the other
+        # ideal; f is e itself, a random ideal, an ideal nested in or around
+        # e, or one that shares most of e's generators: e with one
+        # generator more or one fewer, and e's sum, intersection and colon
         rng = random.Random(67)
         for case in range(3000):
             m = case % 6 + 1
             e = random_ideal(rng, m, 7, 5, allow_zero=True, allow_unit=True)
             g = random_ideal(rng, m, 7, 5, allow_zero=True, allow_unit=True)
+            fewer = list(e.gens)
+            if fewer:
+                del fewer[rng.randrange(len(fewer))]
             for f in (g, e, normalize(m, e.gens + g.gens[:2]),
+                      normalize(m, e.gens + (random_point(rng, m, 7),)),
+                      normalize(m, fewer), ideal_sum(e, g),
+                      ideal_intersect(e, g),
+                      colon(e, random_point(rng, m, 2)),
                       zero_ideal(m), unit_ideal(m)):
                 for a, b in ((e, f), (f, e)):
-                    assert _triangle(a, b) == slice_triangle(a, b)
+                    got = _triangle(a, b)
+                    assert got == slice_triangle(a, b)
+                    assert got == full_scan_triangle(a, b)
+
+    def test_shared_generator_before_the_decider(self):
+        # walked by reversed points, e's generators are x1^3, x1^2*x2,
+        # x1*x2^2 and x3; f drops one of them, past one, two or three that
+        # both hold
+        e = normalize(3, [(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 0, 1)])
+        for drop, j in (((2, 1, 0), 0), ((1, 2, 0), 0), ((0, 0, 1), 1)):
+            f = normalize(3, [g for g in e.gens if g != drop])
+            assert _triangle(e, f) == (-1, j) == slice_triangle(e, f)
+            assert _triangle(f, e) == (1, j) == slice_triangle(f, e)
+        # past x1^3, e's x1^2*x2 meets f's x1^2*x2^2, which lies in e: e's
+        # generator is the one the other ideal misses, so e comes first
+        f = normalize(3, [(3, 0, 0), (2, 2, 0), (0, 0, 1)])
+        assert _triangle(e, f) == (-1, 0) == full_scan_triangle(e, f)
+        assert _triangle(f, e) == (1, 0) == full_scan_triangle(f, e)
 
     def test_dimension_1000(self):
         # the slice recursion ran out of frames from about dimension 992
