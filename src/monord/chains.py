@@ -266,13 +266,16 @@ def max_bad_degree_growth(m, f, cap):
             outs[n, c] = sum(1 << j for j in range(n) if not div[j] & c)
         return outs[n, c]
 
-    # per node on the path: its box size, its candidates and their iterator
-    seq, stack, best, nodes, exhaustive = [], [], [], 0, False
+    # per node on the path: its box size, its candidates and their iterator;
+    # sizes[d] is the box size at depth d, read once per depth
+    seq, stack, best, sizes, nodes, exhaustive = [], [], [], [], 0, False
     while nodes < cap:
         nodes += 1
         if len(seq) > len(best):
             best = seq[:]
-        n = box(f._at(len(seq)))
+        if len(seq) == len(sizes):  # a node one deeper than any before
+            sizes.append(box(f._at(len(seq))))
+        n = sizes[len(seq)]
         if stack and stack[-1][0] == n:
             out = outside(n, seq[-1])
             cands = [c for c in stack[-1][1] if c & out]

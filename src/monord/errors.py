@@ -97,6 +97,32 @@ def digit_limited(write):
     return checked
 
 
+def _builder(cls, names):
+    """``cls._of`` for a Value subclass cls with these field names:
+    cls._of(*fields) is the value with these fields, already known to pass
+    the checks of cls's constructor, built without running them again.  It
+    is a closure over cls, its names and ``object.__setattr__``, made once,
+    so a build looks nothing up; a class of one field, as Ord and IVPoly
+    are, takes it with no argument tuple and no loop."""
+    new, put = object.__new__, object.__setattr__
+    if len(names) == 1:
+        name, = names
+
+        def of(field):
+            v = new(cls)
+            put(v, name, field)
+            return v
+        return of
+
+    def of(*fields):
+        v, i = new(cls), 0
+        for name in names:  # by index: zip costs ~150 ns more
+            put(v, name, fields[i])
+            i += 1
+        return v
+    return of
+
+
 class Value:
     """The base of monord's value classes: ``class C(Value, fields=...)``
     acts as a frozen dataclass over the named fields.  Writes and deletes
@@ -107,22 +133,14 @@ class Value:
     above reads."""
 
     __slots__ = ()
-    _set = object.__setattr__  # the one way past __setattr__
+    _set = object.__setattr__  # constructors' way past __setattr__
     _kept = None  # until an instance keeps derived data (_derived)
+    _of = None  # C._of(*fields), made for each subclass C by _builder
 
     def __init_subclass__(cls, fields):
         # one getter: the bare field for one field, else their tuple
         cls._field_names, cls._key = fields, attrgetter(*fields)
-
-    @classmethod
-    def _of(cls, *fields):
-        """The value with these fields, already known to pass the checks
-        of cls's constructor, built without running them again."""
-        v, i = object.__new__(cls), 0
-        for name in cls._field_names:  # by index: zip costs ~150 ns more
-            v._set(name, fields[i])
-            i += 1
-        return v
+        cls._of = staticmethod(_builder(cls, fields))
 
     def _derived(self, key, compute):
         """compute(self, key), worked out on the first request for key and

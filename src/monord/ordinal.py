@@ -8,8 +8,16 @@ and natural product, which is what order-type bookkeeping for well partial
 orders needs.  An Ord wraps its *form*, the nested tuple
 ((g1, c1), ..., (gk, ck)) whose exponents are forms and where () is zero;
 tuple order on forms is the ordinal order.
+
+Forms are kept sorted, so the natural sum is one merge of two sorted forms
+(_sum), or their concatenation when one lies wholly above the other, and
+the natural product forms each of its |f|*|g| exponent sums by that merge,
+adding the coefficients of equal exponents in one dict sorted once (_prod).
+The parser cuts its text into tokens with one regular-expression scan and
+reads them in one loop, with no call per character.
 """
 
+import re
 from functools import total_ordering
 
 from .errors import DataError, ParseError, Value, digit_limited, natural
@@ -120,22 +128,47 @@ def cmp(a, b):
     return (a.form > b.form) - (a.form < b.form)
 
 
-def _merge(terms):
-    """The form of the natural sum of (exponent form, coefficient) terms."""
-    coeffs = {}
-    for g, c in terms:
-        coeffs[g] = coeffs.get(g, 0) + c
-    return tuple(sorted(coeffs.items(), reverse=True))
+def _sum(f, g):
+    """The form of the natural sum of forms f and g, by one merge of their
+    decreasing exponents that adds the coefficients of equal ones; f + g
+    when f lies wholly above g, and g + f when g lies wholly above f."""
+    if not (f and g):
+        return f or g
+    if f[-1][0] > g[0][0]:
+        return f + g
+    if g[-1][0] > f[0][0]:
+        return g + f
+    out, i, j, m, n = [], 0, 0, len(f), len(g)
+    while i < m and j < n:
+        a, b = f[i], g[j]
+        if a[0] > b[0]:
+            out.append(a)
+            i += 1
+        elif a[0] == b[0]:
+            out.append((a[0], a[1] + b[1]))
+            i += 1
+            j += 1
+        else:
+            out.append(b)
+            j += 1
+    return (*out, *f[i:], *g[j:])
 
 
 def _prod(f, g):
-    """The form of the natural product of forms f and g."""
-    return _merge((_merge(ea + eb), ca * cb) for ea, ca in f for eb, cb in g)
+    """The form of the natural product of forms f and g: the terms
+    w^(ea (+) eb)*(ca*cb), each exponent a merge, whose coefficients add up
+    per exponent in one dict that is sorted once."""
+    coeffs = {}
+    for ea, ca in f:
+        for eb, cb in g:
+            e = _sum(ea, eb)
+            coeffs[e] = coeffs.get(e, 0) + ca * cb
+    return tuple(sorted(coeffs.items(), reverse=True))
 
 
 def nat_sum(a, b):
     """Hessenberg natural sum: merge the CNF terms exponent by exponent."""
-    return Ord._of(_merge(_coerce(a).form + _coerce(b).form))
+    return Ord._of(_sum(_coerce(a).form, _coerce(b).form))
 
 
 def nat_prod(a, b):
@@ -217,94 +250,107 @@ def parse_ordinal(text):
 
     Terms must appear in strictly decreasing exponent order with positive
     coefficients, and parenthesised exponents nest at most MAX_NESTING
-    deep; anything else is a :class:`ParseError`.  One loop reads the text
-    term by term: ``w^(`` opens a sum on ``stack``, and ``)`` closes the
-    innermost into the exponent of the term that opened it.
+    deep; anything else is a :class:`ParseError`.  One ``findall`` cuts the
+    text into tokens (_TOKEN), and one loop reads them term by term:
+    ``w^(`` opens a sum on ``stack``, and ``)`` closes the innermost into
+    the exponent of the term that opened it.  Each open sum keeps ``bad``,
+    the CNF error its terms made as they were appended (a zero term wins
+    over disorder), raised when it closes.  Nothing counts characters on
+    the way: an error's column is the length of the tokens before it.
     """
     if not isinstance(text, str):
         raise ParseError(f"an ordinal is read from a str, not a "
                          f"{type(text).__name__}")
-    stack, terms, pos = [], [], _blanks(text, 0)
+    toks = _TOKEN.findall(text)
+    toks.append("")  # the end
+    stack, terms, bad, i = [], [], None, 0
     while True:
-        ch = text[pos:pos + 1]
-        if ch.isdecimal():
-            # a bare zero is only valid as the whole ordinal, checked by _cnf
-            c, pos = _nat(text, pos)
-            terms.append(((), c))
-            exp = None
-        elif ch != "w":
-            _fail("expected 'w' or a number", pos)
-        elif text.startswith("^(", pos + 1):
-            pos += 3
+        tok = toks[i]
+        i += 1
+        if tok == "w":
+            exp = ONE.form
+        elif tok == "w^(":
             if len(stack) == MAX_NESTING:
-                _fail(f"exponents nest deeper than {MAX_NESTING}", pos)
-            stack.append(terms)
-            terms, pos = [], _blanks(text, pos)
+                _fail(f"exponents nest deeper than {MAX_NESTING}", toks, i)
+            stack.append((terms, bad))
+            terms, bad = [], None
             continue
-        elif text.startswith("^w", pos + 1):
-            exp, pos = OMEGA.form, pos + 3
-        elif text.startswith("^", pos + 1):
-            n, pos = _nat(text, pos + 2)
+        elif tok.isdecimal():
+            exp, c = None, _nat(tok, toks, i)
+            if not c:  # valid only as the whole ordinal
+                bad = "'0' is only valid on its own"
+            elif terms and not terms[-1][0]:  # a finite term before it
+                bad = bad or "exponents must strictly decrease"
+            terms.append(((), c))
+        elif tok == "w^w":
+            exp = OMEGA.form
+        elif tok[:2] == "w^":
+            n = _nat(tok[2:], toks, i)
             exp = (((), n),) if n else ()
+        elif tok[-1:] == " " and "+" not in tok:  # blanks opening a sum
+            continue
         else:
-            exp, pos = ONE.form, pos + 1
+            _fail("expected 'w' or a number", toks, i - 1, _blanks(tok))
         while True:
             if exp is not None:  # the term w^exp reads its coefficient
                 c = 1
-                if text.startswith("*", pos):
-                    c, pos = _nat(text, pos + 1)
+                if toks[i][:1] == "*":
+                    i += 1
+                    c = _nat(toks[i - 1][1:], toks, i)
                     if not c:
-                        _fail("coefficient must be positive", pos)
+                        _fail("coefficient must be positive", toks, i)
                 if not exp:
-                    _fail("write finite terms as plain numbers", pos)
+                    _fail("write finite terms as plain numbers", toks, i)
+                if terms and terms[-1][0] <= exp:
+                    bad = bad or "exponents must strictly decrease"
                 terms.append((exp, c))
-            end = _blanks(text, pos)
-            if text.startswith("+", end):
-                pos = _blanks(text, end + 1)
+            tok = toks[i]
+            if "+" in tok:
+                i += 1
                 break
-            exp = _cnf(terms, pos)
+            if not bad:
+                exp = tuple(terms)
+            elif terms == [((), 0)]:
+                exp = ()
+            else:
+                _fail(bad, toks, i)
+            if tok[-1:] == " ":  # blanks, then neither '+' nor ')'
+                i += 1
+                tok = toks[i]
             if not stack:
-                if end != len(text):
-                    _fail("trailing input", end)
+                if tok:
+                    _fail("trailing input", toks, i, _blanks(tok))
                 return Ord._of(exp)
-            if not text.startswith(")", end):
-                _fail("expected ')'", end)
-            terms, pos = stack.pop(), end + 1
+            if tok[-1:] != ")":
+                _fail("expected ')'", toks, i)
+            terms, bad = stack.pop()
+            i += 1
 
 
-def _fail(msg, pos):
-    raise ParseError(msg, line=1, column=pos + 1)
+# The tokens of parse_ordinal, longest first: a number; w^( and the other
+# heads of a term (w^ alone lacks its number); a coefficient (* alone lacks
+# its number); '+' or ')' with the blanks before them (and after '+');
+# other blanks; any other character.  \d is what str.isdecimal accepts.
+_TOKEN = re.compile(r"\d+|w\^\(|w\^w|w\^\d*|w|\*\d*| *\+ *| *\)| +|.", re.S)
 
 
-def _blanks(text, pos):
-    """The first position at or after pos that holds no blank."""
-    while text.startswith(" ", pos):
-        pos += 1
-    return pos
+def _fail(msg, toks, i, lead=0):
+    """A ParseError ``lead`` characters into toks[i]."""
+    raise ParseError(msg, line=1, column=sum(map(len, toks[:i])) + lead + 1)
 
 
-def _nat(text, pos):
-    """The natural number written from pos on, and the position after it."""
-    end = pos
-    while text[end:end + 1].isdecimal():
-        end += 1
-    if end == pos:
-        _fail("expected a number", pos)
-    if end - pos > 1 and text[pos] == "0":
-        _fail("no leading zeros", end)
+def _blanks(tok):
+    """The number of blanks tok starts with."""
+    return len(tok) - len(tok.lstrip(" "))
+
+
+def _nat(digits, toks, i):
+    """The natural number written as ``digits``, which end toks[i - 1]."""
+    if not digits:
+        _fail("expected a number", toks, i)
+    if digits[0] == "0" and len(digits) > 1:
+        _fail("no leading zeros", toks, i)
     try:
-        return int(text[pos:end]), end
+        return int(digits)
     except ValueError:  # past Python's int-string digit limit
-        _fail("too many digits", end)
-
-
-def _cnf(terms, pos):
-    """The form of a closed sum of terms, checked to be in CNF at pos."""
-    if terms == [((), 0)]:
-        return ()
-    if any(c == 0 for _, c in terms):
-        _fail("'0' is only valid on its own", pos)
-    for i in range(1, len(terms)):
-        if terms[i - 1][0] <= terms[i][0]:
-            _fail("exponents must strictly decrease", pos)
-    return tuple(terms)
+        _fail("too many digits", toks, i)

@@ -979,6 +979,39 @@ def cnf_cmp(a, b):
     return 0
 
 
+# -- the ordinal arithmetic the library used before its merges --------------
+
+def _merge(terms):
+    """The form of the natural sum of (exponent form, coefficient) terms:
+    coefficients added per exponent in a dict, then one sort."""
+    coeffs = {}
+    for g, c in terms:
+        coeffs[g] = coeffs.get(g, 0) + c
+    return tuple(sorted(coeffs.items(), reverse=True))
+
+
+def _dict_prod(f, g):
+    return _merge((_merge(ea + eb), ca * cb) for ea, ca in f for eb, cb in g)
+
+
+def dict_merge_sum(a, b):
+    """nat_sum through _merge of the two forms put end to end."""
+    return Ord._of(_merge(_coerce(a).form + _coerce(b).form))
+
+
+def dict_merge_prod(a, b):
+    """nat_prod with every exponent sum and the outer combine a _merge."""
+    return Ord._of(_dict_prod(_coerce(a).form, _coerce(b).form))
+
+
+def dict_merge_pow(a, n):
+    """nat_pow as n products in a row, each a dict_merge_prod."""
+    out = ONE.form
+    for _ in range(n):
+        out = _dict_prod(out, _coerce(a).form)
+    return Ord._of(out)
+
+
 # -- the recursive ordinal printer and parser the library used before its
 # loops ---------------------------------------------------------------------
 

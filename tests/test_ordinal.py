@@ -14,7 +14,8 @@ from monord import (OMEGA, ONE, ZERO, DataError, MonordError, Ord,
                     nat_sum, omega_pow, ot_decreasing_sequences,
                     parse_ordinal)
 from monord.ordinal import MAX_NESTING
-from oracles import (cnf_cmp, recursive_format_ordinal,
+from oracles import (cnf_cmp, dict_merge_pow, dict_merge_prod,
+                     dict_merge_sum, recursive_format_ordinal,
                      recursive_parse_ordinal)
 
 
@@ -417,3 +418,45 @@ class TestAgainstRecursion:
         for a in [random_ordinal(rng, 5) for _ in range(5000)] + [
                 parse_ordinal(deepest)]:
             assert format_ordinal(a) == recursive_format_ordinal(a)
+
+
+class TestAgainstDictMerge:
+    """nat_sum merges two sorted forms and nat_prod merges each exponent
+    pair; both must agree with the dict-and-sort merge they replaced
+    (oracles.dict_merge_*), and so must nat_pow."""
+
+    DEEPEST = "w^(" * MAX_NESTING + "w^w" + ")" * MAX_NESTING
+
+    def agree(self, a, b, n=2):
+        assert nat_sum(a, b) == dict_merge_sum(a, b)
+        assert nat_prod(a, b) == dict_merge_prod(a, b)
+        assert nat_pow(a, n) == dict_merge_pow(a, n)
+
+    def test_random_pairs(self):
+        rng = random.Random(40)
+        for _ in range(5000):
+            a, b = random_ordinal(rng, 5), random_ordinal(rng, 5)
+            self.agree(a, b, rng.randint(0, 4))
+
+    @pytest.mark.parametrize("a, b", [
+        ("0", "0"), ("0", "w^w + 3"), ("w^(w + 1)*2 + 5", "0"),
+        ("1", "1"), ("1", "w^2 + w"), ("w^w*3 + 1", "1"),
+        ("7", "12"), ("0", "5"), (str(10 ** 30), "3"),
+        # one form wholly above the other, either way round
+        ("w^w + w^3", "w^2 + 1"), ("w + 4", "w^(w + 1) + w^2*3"),
+        ("w^2", "w"), ("w^(w^w)", "w^w*5 + w + 1"),
+        # equal leading exponents, and exponents that interleave
+        ("w^2 + 1", "w^2*3 + w"), ("w^w + w^2 + 3", "w^w*2 + w^2*4 + w + 1"),
+        ("w^5 + w^3 + w", "w^4 + w^2 + 1"), ("w^(w + 1) + w", "w^(w + 1)"),
+        ("w^(w*2 + 1)*2 + w^w", "w^(w*2 + 1) + w^(w + 3) + w^w*4"),
+    ])
+    def test_edges(self, a, b):
+        for x, y in ((o(a), o(b)), (o(b), o(a))):
+            for n in range(5):
+                self.agree(x, y, n)
+
+    def test_deepest_accepted_form(self):
+        deepest = o(self.DEEPEST)
+        for other in (ZERO, ONE, OMEGA, deepest, nat_sum(deepest, OMEGA)):
+            for x, y in ((deepest, other), (other, deepest)):
+                self.agree(x, y, 3)
