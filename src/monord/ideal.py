@@ -5,8 +5,8 @@ points under divisibility, sorted by deglex.  The zero ideal is the empty
 antichain and the unit ideal is generated by the origin.
 """
 
-from itertools import repeat
-from operator import le, mod
+from itertools import compress
+from operator import le
 
 from .errors import DataError, Value, digit_limited, is_a, natural
 from .monom import (DEGLEX, Packing, _support, check_order, check_point,
@@ -193,33 +193,56 @@ def _decompose(e, _):
     some i, and nu's ideal contains mu's iff nu <= mu componentwise, each
     one guarded subtraction.  A nu that misses x^g has nu_i > g_i for
     every i, so nu - g borrows nowhere, and taking its field i from nu
-    sets nu_i to g_i.
+    gives c, nu with c_i = g_i.  If c <= mu for a kept mu, then mu_j >=
+    nu_j > g_j for j != i, so field i is the one field where mu holds x^g:
+    h = (g | G) - mu & G is its guard bit alone.  A new c' made at field
+    j != i has c'_j = g_j < c_j.  So c is tested only against the bucket
+    of kept mu with that h and the other candidates made at field i; with
+    one nu missing x^g, there are none of those.
     """
     inf = max(map(max, e.gens)) + 1
     pk = Packing(e.dim, inf)
-    guards, value, shifts = pk.guards, pk.value, pk.shifts
-    comps = [pk.pack((inf,) * e.dim)]
-    for g in e.gens:
-        packed = pk.pack(g)
+    guards, value, b = pk.guards, pk.value, pk.width
+    fields = [(value << s, 1 << s + b - 1) for s in pk.shifts]  # mask, guard
+    infs = pk.pack((inf,) * e.dim)
+    comps = [infs]  # nu = 0: the zero ideal
+    for g, packed in zip(e.gens, map(pk.pack, e.gens)):
         over = packed | guards
-        fields = [value << s for x, s in zip(g, shifts) if x]
-        kept, new = [], set()
-        for nu in comps:
-            if over - nu & guards:
-                kept.append(nu)
-            else:
-                d = nu - packed
-                new.update(nu - (d & f) for f in fields)
-        pool = [mu | guards for mu in (*kept, *new)]
+        kept, missed, buckets = [], [], {}
+        for mu in comps:
+            h = over - mu & guards
+            if not h:
+                missed.append(mu)
+                continue
+            kept.append(mu)
+            if not h & h - 1:  # mu holds x^g at one field only
+                buckets.setdefault(h, []).append(mu)
         comps = kept
-        for nu in new:
-            for mu in pool:
-                if mu - nu & guards == guards and mu != nu | guards:
-                    break  # nu <= mu, so m^nu contains m^mu
-            else:
-                comps.append(nu)
-    return tuple(sorted((tuple(map(mod, pk.unpack(nu), repeat(inf)))
-                         for nu in comps), key=DEGLEX.key))
+        if len(missed) == 1:
+            nu = missed[0]
+            d = nu - packed
+            for f, bit in compress(fields, g):
+                c = nu - (d & f)
+                for mu in buckets.get(bit, ()):
+                    if (mu | guards) - c & guards == guards:
+                        break  # c <= mu, so m^c contains m^mu
+                else:
+                    comps.append(c)
+            continue
+        for f, bit in compress(fields, g):
+            new = {nu - (nu - packed & f) for nu in missed}
+            pool = [*buckets.get(bit, ()), *new]
+            for c in new:
+                for mu in pool:
+                    if (mu | guards) - c & guards == guards and mu != c:
+                        break
+                else:
+                    comps.append(c)
+    ones, out = guards >> b - 1, []
+    for nu in comps:
+        live = (nu ^ infs | guards) - ones & guards  # fields below inf
+        out.append(pk.unpack(nu & (live >> b - 1) * value))
+    return tuple(sorted(out, key=DEGLEX.key))
 
 
 def components_by_support(e):

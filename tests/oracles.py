@@ -443,6 +443,39 @@ def tuple_decompose(e):
                   key=lambda nu: (sum(nu),) + nu)
 
 
+def pool_decompose(e):
+    """The irreducible components of a nonzero proper ideal as the packed
+    engine computed them before it kept a bucket per field: each new nu is
+    tested against every kept and new component.  Points are packed once
+    (monom.Packing) with zeros written as inf, one past the largest
+    exponent, so nu holds x^g iff nu_i <= g_i for some i, and nu's ideal
+    contains mu's iff nu <= mu componentwise.  Deglex-sorted."""
+    inf = max(map(max, e.gens)) + 1
+    pk = monom.Packing(e.dim, inf)
+    guards, value, shifts = pk.guards, pk.value, pk.shifts
+    comps = [pk.pack((inf,) * e.dim)]
+    for g in e.gens:
+        packed = pk.pack(g)
+        over = packed | guards
+        fields = [value << s for x, s in zip(g, shifts) if x]
+        kept, new = [], set()
+        for nu in comps:
+            if over - nu & guards:
+                kept.append(nu)
+            else:
+                d = nu - packed
+                new.update(nu - (d & f) for f in fields)
+        pool = [mu | guards for mu in (*kept, *new)]
+        comps = kept
+        for nu in new:
+            for mu in pool:
+                if mu - nu & guards == guards and mu != nu | guards:
+                    break  # nu <= mu, so m^nu contains m^mu
+            else:
+                comps.append(nu)
+    return sorted((tuple(x % inf for x in pk.unpack(nu)) for nu in comps),
+                  key=lambda nu: (sum(nu),) + nu)
+
 def slice_triangle(e, f):
     """The triangle order and its deciding slice as the library once
     computed them: compare the slice sequences (j = 0, 1, ... up to the
@@ -558,6 +591,17 @@ def random_sparse_ideal(rng, m, k):
         gens.append(g)
     return normalize(m, gens)
 
+
+def squarefree_points(rng, m, k):
+    """k points of N^m, each 1 at three coordinates drawn without
+    repetition and 0 elsewhere: a squarefree ideal's generators."""
+    gens = []
+    for _ in range(k):
+        g = [0] * m
+        for i in rng.sample(range(m), 3):
+            g[i] = 1
+        gens.append(tuple(g))
+    return gens
 
 def random_artinian_staircase(rng, colength):
     """A random Artinian ideal in N^2 whose complement has exactly

@@ -33,8 +33,8 @@ from oracles import (affine_ell, antichains, every_degree_lex_segment,
                      naive_hilbert,
                      points_of_degree, points_up_to,
                      random_artinian_staircase, random_ideal,
-                     random_sparse_ideal, random_wide_ideal, recurrence_ell,
-                     slice_counter,
+                     pool_decompose, random_sparse_ideal, random_wide_ideal,
+                     recurrence_ell, slice_counter, squarefree_points,
                      stepwise_macaulay_next)
 
 HILBERT_VALUES = []  # (m, H values) collected by criterion 3 for criterion 4
@@ -713,14 +713,7 @@ def test_criterion_25_squarefree_numerator_in_thirty_variables(capsys):
     # 150 squarefree points of degree 3 in N^30: the pivot leaf summed a
     # dict of terms, about 0.8 s best of 3; as one int at t = 2^148, about
     # 0.3 s (the numerator alone, best of 3, on a 2-core VM)
-    rng = random.Random(1)
-    gens = []
-    for _ in range(150):
-        g = [0] * 30
-        for i in rng.sample(range(30), 3):
-            g[i] = 1
-        gens.append(g)
-    e = normalize(30, gens)
+    e = normalize(30, squarefree_points(random.Random(1), 30, 150))
     holder = []
 
     def body():
@@ -745,13 +738,7 @@ def test_criterion_26_triangle_order_at_dimension_1000(capsys, tmp_path):
     # last: the triangle order tested every generator against every one of
     # the other ideal, shared ones included, 355 ms for (a, b) and 820 ms
     # for (a, a) (best of 3, on a 2-core VM); the walk tests none
-    rng = random.Random(3)
-    gens = []
-    for _ in range(300):
-        g = [0] * 1000
-        for i in rng.sample(range(1000), 3):
-            g[i] = 1
-        gens.append(g)
+    gens = squarefree_points(random.Random(3), 1000, 300)
     a, b = normalize(1000, gens), normalize(1000, gens[:-1])
     holder = []
 
@@ -781,3 +768,30 @@ def test_criterion_26_triangle_order_at_dimension_1000(capsys, tmp_path):
     assert main(["compare", "--order", "triangle", *map(str, paths)]) == 10
     assert json.loads(capsys.readouterr().out) == {
         "deciding_slice": 0, "order": "triangle", "result": "less"}
+
+
+def test_criterion_27_squarefree_decomposition_in_twenty_four_variables(
+        capsys):
+    # 110 squarefree points of degree 3 in N^24: testing each new component
+    # against every kept and new one took 3.25-3.52 s; against the bucket
+    # of its field, 0.75-0.83 s (single runs, on a 2-core VM)
+    gens = squarefree_points(random.Random(1), 24, 110)
+    ideals = [normalize(24, gens) for _ in range(2)]  # each decomposes once
+    holder = []
+
+    def body():
+        for e in ideals:
+            start = time.perf_counter()
+            comps = irreducible_decomposition(e)
+            holder.append((comps, time.perf_counter() - start))
+
+    report(capsys, 27, "decomposition, 109 squarefree gens in N^24, 2 runs",
+           body)
+    assert len(ideals[0].gens) == 109
+    comps, best = min(holder, key=lambda r: r[1])
+    assert len(comps) == 3334
+    assert best < 2.0, f"criterion 27 took {best:.2f}s, best of 2"
+    # the N^20 ideal of the same construction, against the replaced engine
+    f = normalize(20, squarefree_points(random.Random(1), 20, 80))
+    want = pool_decompose(f)
+    assert irreducible_decomposition(f) == want and len(want) == 892

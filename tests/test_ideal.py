@@ -20,8 +20,8 @@ from monord import (DEGLEX, DataError, DimensionMismatch, MonomialIdeal,
 from monord.ideal import minimal_points
 from monord.monom import unit_vec
 from oracles import (in_ideal, irreducible_component_ideal, points_up_to,
-                     random_ideal, random_wide_ideal, split_decomposition,
-                     tuple_decompose)
+                     pool_decompose, random_ideal, random_wide_ideal,
+                     split_decomposition, tuple_decompose)
 
 
 class TestNormalize:
@@ -351,13 +351,51 @@ class TestDecomposition:
 
 
 class TestPackedDecomposition:
-    """The engine on packed points against the tuple engine it replaced,
-    oracles.tuple_decompose, and against split_decomposition."""
+    """The engine against the pool-wide engine it replaced,
+    oracles.pool_decompose, the tuple engine before that,
+    oracles.tuple_decompose, and split_decomposition."""
 
     @staticmethod
     def check(e):
         comps = irreducible_decomposition(e)
-        assert comps == tuple_decompose(e) == split_decomposition(e), e
+        assert comps == pool_decompose(e) == tuple_decompose(e) == \
+            split_decomposition(e), e
+
+    def test_candidates_dropped_by_each_test(self):
+        # x1^2 x3 is missed by both components of (x2 x3^2); of its two
+        # candidates at x3, (0, 1, 1) contains (0, 0, 1) and is dropped.
+        # x1 x2^2 x3 is missed by (2, 0, 2) alone, and its candidate at x3,
+        # (2, 0, 1), contains the kept (0, 0, 1)
+        e = normalize(3, [(0, 1, 2), (2, 0, 1), (1, 2, 1)])
+        assert irreducible_decomposition(e) == \
+            [(0, 0, 1), (1, 0, 2), (2, 1, 0), (2, 2, 2)]
+        self.check(e)
+
+    def test_generators_each_missed_by_two_or_more_components(self):
+        # points with three or four nonzero coordinates, kept when every
+        # generator after the first misses at least two components of the
+        # ideal of those before it, so only the first takes the path for one
+        # missed component
+        def misses(nu, g):
+            return all(x == 0 or x > y for x, y in zip(nu, g))
+
+        rng = random.Random(73)
+        kept = 0
+        while kept < 60:
+            m = rng.randint(4, 7)
+            gens = []
+            for _ in range(rng.randint(3, 9)):
+                g = [0] * m
+                for i in rng.sample(range(m), rng.randint(3, 4)):
+                    g[i] = rng.randint(1, 4)
+                gens.append(tuple(g))
+            e = normalize(m, gens)
+            if len(e.gens) > 2 and all(
+                    sum(misses(nu, g) for nu in tuple_decompose(
+                        normalize(m, e.gens[:j]))) >= 2
+                    for j, g in enumerate(e.gens) if j):
+                kept += 1
+                self.check(e)
 
     def test_dimensions_one_to_eight(self):
         rng = random.Random(61)
