@@ -19,7 +19,7 @@ from monord import (OMEGA, ONE, DataError, IVPoly, MonomialIdeal, Ord,
                     from_samples, hilbert_fn, hilbert_profile, macaulay_next,
                     normalize, phi_poly, slice_last)
 from monord import monom
-from monord.chains import SearchResult, _step, as_bound_fn
+from monord.chains import SearchResult, _antichains, _step, as_bound_fn
 from monord.hilbert import (_hilbert_prefix, _hilbert_value, _numerator,
                             _realizable)
 from monord.ideal import minimal_points
@@ -793,6 +793,83 @@ def recursive_bad_search(m, f, cap):
     return SearchResult([MonomialIdeal._of(m, tuple(
         p for j, p in enumerate(pts) if c >> j & 1)) for c in best],
         exhausted, nodes)
+
+
+def list_bad_search(m, f, caps):
+    """The bad-sequence search before candidate bitsets, as
+    {cap: (sequence, exhaustive, nodes)} for each cap in ``caps`` from one
+    run of the plain DFS: a node whose bound differs from its parent's
+    lists its admissible antichains through ``chains._antichains``, any
+    other filters its parent's list by the newest member's outside mask,
+    and every node is visited."""
+    f, top = as_bound_fn(f), max(caps)
+    at, div, outs = {(0,) * m: 0}, [1], {}
+
+    def box(d):
+        n = comb(d + m, m)
+        while len(div) < n:
+            for p in monom.points_of_degree(m, sum(next(reversed(at))) + 1):
+                at[p], mask = len(div), 1 << len(div)
+                for i in monom._support(p):
+                    mask |= div[at[p[:i] + (p[i] - 1,) + p[i + 1:]]]
+                div.append(mask)
+        return n
+
+    def outside(n, c):
+        if (n, c) not in outs:
+            outs[n, c] = sum(1 << j for j in range(n) if not div[j] & c)
+        return outs[n, c]
+
+    # the answer at cap = nodes, as best's masks, after each node
+    seq, stack, best, answers = [], [], [], [([], False)]
+    while len(answers) <= top:
+        if len(seq) > len(best):
+            best = seq[:]
+        n = box(f._at(len(seq)))
+        if stack and stack[-1][0] == n:
+            out = outside(n, seq[-1])
+            cands = [c for c in stack[-1][1] if c & out]
+        else:
+            cands = _antichains(div, (1 << n) - 1,
+                                [outside(n, c) for c in seq])
+        stack.append((n, cands, iter(cands)))
+        while stack and (c := next(stack[-1][2], None)) is None:
+            stack.pop()
+        answers.append((best, not stack))
+        if not stack:
+            break
+        seq[len(stack) - 1:] = [c]
+    pts = list(at)
+    return {cap: SearchResult([MonomialIdeal._of(m, tuple(
+        pts[j] for j in range(c.bit_length()) if c >> j & 1)) for c in best],
+        exhaustive, nodes) for cap in caps
+        for nodes in [min(cap, len(answers) - 1)]
+        for best, exhaustive in [answers[nodes]]}
+
+
+def bad_tree_size(m, d):
+    """(nodes, depth) of the whole bad-sequence search tree under the
+    constant bound d, by a memoised count over candidate sets: a node with
+    candidates S has size(S) = 1 + sum of size(S & keep[j]) over j in S,
+    keep[j] the antichains not contained in the ideal of antichain j, and
+    depth(S) = max of 1 + depth(S & keep[j]).  Antichains are tuples of
+    points tested with ``divides``; nothing of the search is shared."""
+    cands = antichains(points_up_to(m, d))
+    keep = [sum(1 << k for k, b in enumerate(cands)
+                if not all(any(divides(g, q) for g in a) for q in b))
+            for a in cands]
+
+    @lru_cache(maxsize=None)
+    def tree(s):
+        size, depth, left = 1, 0, s
+        while left:
+            j = (left & -left).bit_length() - 1
+            left &= left - 1
+            below = tree(s & keep[j])
+            size, depth = size + below[0], max(depth, 1 + below[1])
+        return size, depth
+
+    return tree((1 << len(cands)) - 1)
 
 
 def stepwise_macaulay_tops(a, d):

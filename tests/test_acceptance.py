@@ -26,7 +26,8 @@ from monord import (DEGLEX, BoundFn, BudgetExceeded, IVPoly, OMEGA, Ord,
 from monord.cli import format_ideal, main, parse_ideal_text
 from monord.hilbert import N0Result, _numerator, _pivot_numerator
 from monord.orderings import _triangle
-from oracles import (affine_ell, antichains, every_degree_lex_segment,
+from oracles import (affine_ell, antichains, bad_tree_size,
+                     every_degree_lex_segment,
                      irreducible_component_ideal,
                      irr_contains, listing_hilbert_output,
                      longest_downset_chain, max_decreasing_sequence,
@@ -795,3 +796,26 @@ def test_criterion_27_squarefree_decomposition_in_twenty_four_variables(
     f = normalize(20, squarefree_points(random.Random(1), 20, 80))
     want = pool_decompose(f)
     assert irreducible_decomposition(f) == want and len(want) == 892
+
+
+def test_criterion_28_exhaustive_bad_searches(capsys):
+    # the plain DFS visited every node: (2, 2)'s 440,256 took 0.9-1.1 s,
+    # and (4, 1)'s 258,596,104 would take minutes; with finished subtrees
+    # read off the table, each takes about a millisecond (on a 2-core VM)
+    holder = []
+
+    def body():
+        for m, d, cap in ((2, 2, 10 ** 6), (4, 1, 10 ** 9)):
+            start = time.perf_counter()
+            res = max_bad_degree_growth(m, d, cap)
+            holder.append((m, d, res, time.perf_counter() - start))
+
+    report(capsys, 28, "exhaustive bad-sequence searches, (2, 2) and (4, 1)",
+           body)
+    for (m, d, res, took), want in zip(holder, [(440_256, 14),
+                                                (258_596_104, 17)]):
+        assert bad_tree_size(m, d) == want
+        assert res.exhaustive and (res.nodes, len(res.sequence)) == want
+        assert is_bad_sequence(res.sequence).bad
+        assert all(sum(g) <= d for e in res.sequence for g in e.gens)
+        assert took < 0.1, f"criterion 28 took {took:.3f}s at {(m, d)}"

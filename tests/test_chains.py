@@ -15,9 +15,9 @@ from monord import (DEGLEX, BoundFn, BudgetExceeded, DataError, IVPoly, ell,
 from monord import chains
 from monord.chains import DEFAULT_BUDGET, as_bound_fn
 from monord.errors import Budget
-from oracles import (TailBound, affine_ell, antichains,
-                     max_decreasing_sequence, points_up_to, random_ideal,
-                     recursive_bad_search, recursive_ell,
+from oracles import (TailBound, affine_ell, antichains, bad_tree_size,
+                     list_bad_search, max_decreasing_sequence, points_up_to,
+                     random_ideal, recursive_bad_search, recursive_ell,
                      reference_bad_search, trie_ell, trie_extremal)
 
 # small grid of eventually constant bound functions for oracle comparisons
@@ -45,6 +45,16 @@ CALLABLES = [lambda i: min(3, 1 + i), lambda i: (2, 0, 3, 1)[i % 4] + i // 5,
 
 def table_fn(table):
     return lambda i: table[min(i, len(table) - 1)]
+
+
+def same_searches(m, f, caps, recursive_caps=()):
+    """The search at each cap equals the list-filter search, which runs
+    once for all of them, and the recursive one at ``recursive_caps``."""
+    want = list_bad_search(m, f, {*caps, *recursive_caps})
+    for cap in caps:
+        assert max_bad_degree_growth(m, f, cap) == want[cap], (m, f, cap)
+    for cap in recursive_caps:
+        assert recursive_bad_search(m, f, cap) == want[cap], (m, f, cap)
 
 
 def outcome(run):
@@ -446,6 +456,94 @@ class TestMaxBad:
             for cap in {0, 1, rng.randrange(2, 3000), 3000}:
                 assert (max_bad_degree_growth(m, f, cap)
                         == recursive_bad_search(m, f, cap)), (m, f, cap)
+
+    def test_matches_the_list_search_in_wider_boxes(self):
+        # the wide boxes at cap 3,000, where the root universe holds up to
+        # 38,620 antichains, at every 50th cap and at 25 seeded ones; the
+        # recursive search, at 3,000, on the two boxes not checked above
+        rng = random.Random(157)
+        for m, f in ((3, 2), (3, 3), (4, 2), (5, 2), (2, 5), (2, 6)):
+            every = 50 if m < 5 else 500
+            same_searches(m, f, {*range(0, 3001, every),
+                                 *rng.sample(range(3001), 25 if m < 5 else 5)},
+                          [3000] if m == 2 else [])
+
+    def test_matches_the_list_search_at_every_cap(self):
+        # constant bounds, where the table of finished subtrees is on from
+        # the root: every cap up to 2,000, past exhaustion where that is
+        # smaller; (3, 3) lists thousands of antichains per call, so every
+        # 16th; and (2, 2) at its exhaustion, 440,256 nodes
+        rng = random.Random(139)
+        for m in (1, 2, 3):
+            for d in (0, 1, 2, 3):
+                step = 16 if (m, d) == (3, 3) else 1
+                same_searches(m, d, range(0, 2001, step),
+                              {rng.randrange(1, 400), 400})
+        same_searches(2, 2, [440_255, 440_256, 440_257])
+
+    def test_matches_the_list_search_past_a_plateau(self):
+        # tables whose last value is first reached at index 1, 2 or 3: the
+        # boxes before that depth may grow, so the table is read only past
+        # it
+        rng = random.Random(149)
+        for table in ([0, 2, 2], [1, 1, 3], [0, 0, 2], [0, 3, 1, 2], [1, 2],
+                      [2, 1, 3], [0, 1, 1, 2]):
+            f = BoundFn.from_table(table)
+            for m in (1, 2, 3):
+                step = 16 if m == 3 and max(table) > 2 else 1
+                same_searches(m, f, range(0, 1001, step),
+                              {rng.randrange(1, 200)})
+
+    def test_matches_the_list_search_on_growing_bounds(self):
+        # bounds with no flat index keep the table off; a callable whose
+        # boxes stop growing still takes its children's masks by one AND
+        for f in (BoundFn.affine(1, 1), BoundFn.affine(0, 1), lambda i: i,
+                  lambda i: (0, 2, 1)[i % 3], lambda i: min(i, 2)):
+            for m in (1, 2):
+                same_searches(m, f, range(0, 301, m * m), {150, 300})
+
+    def test_matches_the_list_search_on_benchmark_searches(self):
+        # chains-ordinals' searches: (2, 1 or 2, cap) twice and (3, 1, cap)
+        # a round, each cap in 50..300
+        rng = random.Random(151)
+        for _ in range(30):
+            m, p = rng.choice([(2, 1), (2, 2), (3, 1)])
+            cap = rng.randint(50, 300)
+            same_searches(m, BoundFn.affine(p, 0), [cap], [cap])
+
+    def test_a_cap_that_cuts_inside_a_recorded_subtree(self):
+        # at (2, 2) and cap 1000, after 771 nodes the next child is a state
+        # finished before, of 232 nodes, with 229 left: the search descends
+        # into it and meets four more such states below; reading it off the
+        # table would count 1003 nodes
+        same_searches(2, 2, range(760, 1002), [771, 1000])
+        res = max_bad_degree_growth(2, 2, 1000)
+        assert (len(res.sequence), res.exhaustive, res.nodes) == (11, False,
+                                                                  1000)
+
+    def test_exhaustive_counts_match_the_tree_size_oracle(self):
+        # the whole tree's nodes and depth by a memoised count over
+        # candidate sets, with nothing of the search shared: (2, 3) has
+        # about 3.6 * 10^24 nodes and (5, 1) about 6.3 * 10^21
+        for m, d in [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1),
+                     (2, 2), (2, 3), (3, 0), (3, 1), (4, 1), (5, 1)]:
+            nodes, depth = bad_tree_size(m, d)
+            for cap in (nodes - 1, nodes, nodes + 1):
+                res = max_bad_degree_growth(m, d, cap)
+                assert res.nodes == min(cap, nodes), (m, d, cap)
+                assert res.exhaustive == (cap >= nodes), (m, d, cap)
+            assert len(res.sequence) == depth, (m, d)
+            assert is_bad_sequence(res.sequence).bad
+
+    def test_columns_transpose_the_bit_matrix(self):
+        # the slices of a universe, read 2^13 antichains at a time
+        rng = random.Random(163)
+        for k in (0, 1, 7, 8, 9, 8191, 8192, 8193, 20000):
+            n = rng.randint(1, 30)
+            rows = [rng.getrandbits(n) for _ in range(k)]
+            assert chains._columns(rows, n) == [
+                sum(1 << i for i, r in enumerate(rows) if r >> p & 1)
+                for p in range(n)], (k, n)
 
     def test_box_masks_are_the_divisor_masks(self, monkeypatch):
         # a point's divisor mask is built from those of each p - e_i; the
