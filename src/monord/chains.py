@@ -226,20 +226,6 @@ def _antichains(div, allowed, outs):
     return found
 
 
-def _columns(masks, n):
-    """The n columns of the bit matrix whose rows are ``masks``: column p
-    masks the rows that hold bit p.  Each 2^13 rows are read as one string
-    of bits, so that no string has more than 2^13 * n characters."""
-    cols = [[] for _ in range(n)]
-    for lo in range(0, len(masks), 8192):
-        part = masks[lo:lo + 8192]
-        bits = "".join([bin(c | 1 << n)[3:] for c in reversed(part)])
-        for j, col in enumerate(cols):  # bit n - 1 - j of each row
-            col.append(int(bits[j::n], 2).to_bytes(len(part) + 7 >> 3,
-                                                   "little"))
-    return [int.from_bytes(b"".join(col), "little") for col in reversed(cols)]
-
-
 def max_bad_degree_growth(m, f, cap):
     """Desk-scale DFS for a longest bad sequence of ideals in N^m with the
     i-th ideal generated in degrees <= f(i).
@@ -248,15 +234,15 @@ def max_bad_degree_growth(m, f, cap):
     points of degree <= f(i), in increasing order of their masks over that
     box of points, and skips those an earlier member contains.  A node
     whose bound differs from its parent's lists those admissible ideals in
-    full, its universe; any other node's candidates are a bitmask over the
-    nearest universe, its parent's mask ANDed with the newest member's keep
-    row.  From depth f._flat on a subtree depends only on (universe, mask):
-    a finished one is recorded, and a later equal one that fits in the cap
-    is read off that table.  ``nodes`` and ``cap`` count the nodes of the
-    plain DFS, so the frames expanded, which a work charge would count,
-    are at most ``nodes``; no cap bounds a listing.  The result reports
-    whether the search ran to exhaustion.  Every returned sequence passes
-    is_bad_sequence.
+    full; any other node keeps the tuple of its parent's candidates that
+    meet the newest member's outside mask.  From depth f._flat on every box
+    is the same, so a subtree depends only on that tuple: a finished one is
+    recorded, and a later child with an equal tuple that fits in the cap is
+    read off that table.  ``nodes`` and ``cap`` count the nodes of the
+    plain DFS, so the frames expanded, which a work charge would count, are
+    at most ``nodes``; no cap bounds a listing, but a spent cap builds no
+    child's candidates.  The result reports whether the search ran to
+    exhaustion.  Every returned sequence passes is_bad_sequence.
     """
     f = as_bound_fn(f)
     check_dim(m)
@@ -285,65 +271,52 @@ def max_bad_degree_growth(m, f, cap):
             outs[n, c] = sum(1 << j for j in range(n) if not div[j] & c)
         return outs[n, c]
 
-    def keep(u, i):
-        """Row i of universe u = [n, antichains, rows, table, slices]: the
-        mask of its antichains that the ideal of antichain i does not
-        contain, the OR of the slices at the points outside that ideal;
-        slice p masks the antichains that hold point p."""
-        n, cands, rows, _, slices = u
-        if i not in rows:
-            if slices is None:
-                u[4] = slices = _columns(cands, n)
-            c, rows[i] = cands[i], 0
-            for p in range(n):
-                if not div[p] & c:
-                    rows[i] |= slices[p]
-        return rows[i]
-
-    # a frame per node on the path: its universe, candidates left and mask,
+    # a frame per node on the path: its candidates, an iterator over them,
     # the nodes before it, the depth below it and the members below it on
-    # its first deepest path; sizes[d] is the box size at depth d.  Past
-    # depth flat each box is its parent's, so a child's mask is made before
-    # its visit, and a state the table holds is read off if it fits the cap
-    flat, seq, stack, best, sizes = f._flat, [], [], [], []
-    nodes, mask, exhaustive = 0, None, False
+    # its first deepest path; sizes[d] is the box size at depth d, read once
+    # per depth.  A child's candidates are made before its visit, unless the
+    # cap is spent, and past depth flat a subtree the table holds for them
+    # is read off if it fits the cap
+    flat, seq, stack, best, sizes, table = f._flat, [], [], [], [], {}
+    nodes, exhaustive = 0, False
     while nodes < cap:
         nodes += 1
         if len(seq) > len(best):
             best = seq[:]
-        if mask is None:
-            if len(seq) == len(sizes):
-                sizes.append(box(f._at(len(seq))))
-            n = sizes[len(seq)]
-            if stack and u[0] == n:
-                mask = stack[-1][2] & keep(u, i)
-            else:
-                cands = _antichains(div, (1 << n) - 1,
-                                    [outside(n, c) for c in seq])
-                u, mask = [n, cands, {}, {}, None], (1 << len(cands)) - 1
-        stack.append([u, mask, mask, nodes - 1, 0, ()])
+        if not stack:
+            sizes.append(box(f._at(0)))
+            cands = _antichains(div, (1 << sizes[0]) - 1, [])
+        stack.append([cands, iter(cands), nodes - 1, 0, ()])
         while stack:
             top, d = stack[-1], len(stack)  # d: the depth of its children
-            u, left = top[0], top[1]
-            if left:
-                i = (left & -left).bit_length() - 1
-                top[1], c = left & left - 1, u[1][i]
-                mask = top[2] & keep(u, i) if d > flat else None
-                rec = u[3].get(mask)
+            c = next(top[1], None)
+            if c is not None:
+                if nodes == cap:
+                    break
+                seq[d - 1:] = [c]
+                if d == len(sizes):
+                    sizes.append(box(f._at(d)))
+                n = sizes[d]
+                if n == sizes[d - 1]:
+                    out = outside(n, c)
+                    cands = tuple(a for a in top[0] if a & out)
+                else:
+                    cands = _antichains(div, (1 << n) - 1,
+                                        [outside(n, a) for a in seq])
+                rec = table.get(cands) if d > flat else None
                 if rec and rec[0] <= cap - nodes:
                     nodes += rec[0]
                     if d + rec[1] > len(best):
-                        best = seq[:d - 1] + [c, *rec[2]]
-                    if rec[1] >= top[4]:
-                        top[4:] = rec[1] + 1, (c, *rec[2])
+                        best = [*seq, *rec[2]]
+                    if rec[1] >= top[3]:
+                        top[3:] = rec[1] + 1, (c, *rec[2])
                     continue
-                seq[d - 1:] = [c]
                 break
             stack.pop()
             if d - 1 > flat:
-                u[3][top[2]] = rec = nodes - top[3], top[4], top[5]
-                if rec[1] >= stack[-1][4]:
-                    stack[-1][4:] = rec[1] + 1, (seq[d - 2], *rec[2])
+                table[top[0]] = rec = nodes - top[2], top[3], top[4]
+                if rec[1] >= stack[-1][3]:
+                    stack[-1][3:] = rec[1] + 1, (seq[d - 2], *rec[2])
         else:
             exhaustive = True
             break

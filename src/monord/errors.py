@@ -98,27 +98,25 @@ def digit_limited(write):
 
 
 def _builder(cls, names):
-    """``cls._of`` for a Value subclass cls with these field names:
-    cls._of(*fields) is the value with these fields, already known to pass
-    the checks of cls's constructor, built without running them again.  It
-    is a closure over cls, its names and ``object.__setattr__``, made once,
-    so a build looks nothing up; a class of one field, as Ord and IVPoly
-    are, takes it with no argument tuple and no loop."""
+    """``cls._of`` for a Value subclass cls with these field names, one or
+    two: cls._of(*fields) is the value with these fields, already known to
+    pass the checks of cls's constructor, built without running them
+    again.  It is a closure over cls, its names and ``object.__setattr__``,
+    made once, so a build looks nothing up and loops over nothing."""
     new, put = object.__new__, object.__setattr__
-    if len(names) == 1:
-        name, = names
-
+    first, *rest = names
+    if not rest:
         def of(field):
             v = new(cls)
-            put(v, name, field)
+            put(v, first, field)
             return v
         return of
+    second, = rest  # no value class has more than two fields
 
-    def of(*fields):
-        v, i = new(cls), 0
-        for name in names:  # by index: zip costs ~150 ns more
-            put(v, name, fields[i])
-            i += 1
+    def of(a, b):
+        v = new(cls)
+        put(v, first, a)
+        put(v, second, b)
         return v
     return of
 

@@ -847,6 +847,109 @@ def list_bad_search(m, f, caps):
         for best, exhaustive in [answers[nodes]]}
 
 
+def columns(masks, n):
+    """The n columns of the bit matrix whose rows are ``masks``: column p
+    masks the rows that hold bit p.  Each 2^13 rows are read as one string
+    of bits, so that no string has more than 2^13 * n characters."""
+    cols = [[] for _ in range(n)]
+    for lo in range(0, len(masks), 8192):
+        part = masks[lo:lo + 8192]
+        bits = "".join([bin(c | 1 << n)[3:] for c in reversed(part)])
+        for j, col in enumerate(cols):  # bit n - 1 - j of each row
+            col.append(int(bits[j::n], 2).to_bytes(len(part) + 7 >> 3,
+                                                   "little"))
+    return [int.from_bytes(b"".join(col), "little") for col in reversed(cols)]
+
+
+def bitset_bad_search(m, f, cap):
+    """The bad-sequence search on candidate bitsets, which candidate tuples
+    replaced: a node whose bound differs from its parent's lists its
+    admissible antichains, its universe; any other node's candidates are a
+    bitmask over the nearest universe, its parent's mask ANDed with the
+    newest member's keep row, the OR of the per-point slices (``columns``)
+    over the box points outside that member.  From depth f._flat on a
+    finished subtree is recorded per (universe, mask) and read off when it
+    fits the cap.  Same (sequence, exhaustive, nodes) as the plain DFS."""
+    f = as_bound_fn(f)
+    at, div, outs = {(0,) * m: 0}, [1], {}
+
+    def box(d):
+        n = comb(d + m, m)
+        while len(div) < n:
+            for p in monom.points_of_degree(m, sum(next(reversed(at))) + 1):
+                at[p], mask = len(div), 1 << len(div)
+                for i in monom._support(p):
+                    mask |= div[at[p[:i] + (p[i] - 1,) + p[i + 1:]]]
+                div.append(mask)
+        return n
+
+    def outside(n, c):
+        if (n, c) not in outs:
+            outs[n, c] = sum(1 << j for j in range(n) if not div[j] & c)
+        return outs[n, c]
+
+    def keep(u, i):
+        """Row i of universe u = [n, antichains, rows, table, slices]."""
+        n, cands, rows, _, slices = u
+        if i not in rows:
+            if slices is None:
+                u[4] = slices = columns(cands, n)
+            c, rows[i] = cands[i], 0
+            for p in range(n):
+                if not div[p] & c:
+                    rows[i] |= slices[p]
+        return rows[i]
+
+    # a frame per node on the path: its universe, candidates left and mask,
+    # the nodes before it, the depth below it and the members below it on
+    # its first deepest path
+    flat, seq, stack, best, sizes = f._flat, [], [], [], []
+    nodes, mask, exhaustive = 0, None, False
+    while nodes < cap:
+        nodes += 1
+        if len(seq) > len(best):
+            best = seq[:]
+        if mask is None:
+            if len(seq) == len(sizes):
+                sizes.append(box(f._at(len(seq))))
+            n = sizes[len(seq)]
+            if stack and u[0] == n:
+                mask = stack[-1][2] & keep(u, i)
+            else:
+                cands = _antichains(div, (1 << n) - 1,
+                                    [outside(n, c) for c in seq])
+                u, mask = [n, cands, {}, {}, None], (1 << len(cands)) - 1
+        stack.append([u, mask, mask, nodes - 1, 0, ()])
+        while stack:
+            top, d = stack[-1], len(stack)  # d: the depth of its children
+            u, left = top[0], top[1]
+            if left:
+                i = (left & -left).bit_length() - 1
+                top[1], c = left & left - 1, u[1][i]
+                mask = top[2] & keep(u, i) if d > flat else None
+                rec = u[3].get(mask)
+                if rec and rec[0] <= cap - nodes:
+                    nodes += rec[0]
+                    if d + rec[1] > len(best):
+                        best = seq[:d - 1] + [c, *rec[2]]
+                    if rec[1] >= top[4]:
+                        top[4:] = rec[1] + 1, (c, *rec[2])
+                    continue
+                seq[d - 1:] = [c]
+                break
+            stack.pop()
+            if d - 1 > flat:
+                u[3][top[2]] = rec = nodes - top[3], top[4], top[5]
+                if rec[1] >= stack[-1][4]:
+                    stack[-1][4:] = rec[1] + 1, (seq[d - 2], *rec[2])
+        else:
+            exhaustive = True
+            break
+    return SearchResult([MonomialIdeal._of(m, tuple(
+        p for p, j in at.items() if c >> j & 1)) for c in best],
+        exhaustive, nodes)
+
+
 def bad_tree_size(m, d):
     """(nodes, depth) of the whole bad-sequence search tree under the
     constant bound d, by a memoised count over candidate sets: a node with

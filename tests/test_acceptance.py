@@ -801,7 +801,7 @@ def test_criterion_27_squarefree_decomposition_in_twenty_four_variables(
 def test_criterion_28_exhaustive_bad_searches(capsys):
     # the plain DFS visited every node: (2, 2)'s 440,256 took 0.9-1.1 s,
     # and (4, 1)'s 258,596,104 would take minutes; with finished subtrees
-    # read off the table, each takes about a millisecond (on a 2-core VM)
+    # read off the table, each takes a few milliseconds (on a 2-core VM)
     holder = []
 
     def body():

@@ -16,8 +16,9 @@ from monord import chains
 from monord.chains import DEFAULT_BUDGET, as_bound_fn
 from monord.errors import Budget
 from oracles import (TailBound, affine_ell, antichains, bad_tree_size,
-                     list_bad_search, max_decreasing_sequence, points_up_to,
-                     random_ideal, recursive_bad_search, recursive_ell,
+                     bitset_bad_search, columns, list_bad_search,
+                     max_decreasing_sequence, points_up_to, random_ideal,
+                     recursive_bad_search, recursive_ell,
                      reference_bad_search, trie_ell, trie_extremal)
 
 # small grid of eventually constant bound functions for oracle comparisons
@@ -48,11 +49,13 @@ def table_fn(table):
 
 
 def same_searches(m, f, caps, recursive_caps=()):
-    """The search at each cap equals the list-filter search, which runs
-    once for all of them, and the recursive one at ``recursive_caps``."""
+    """The search and the bitset search at each cap equal the list-filter
+    search, which runs once for all of them, and the recursive one at
+    ``recursive_caps``."""
     want = list_bad_search(m, f, {*caps, *recursive_caps})
     for cap in caps:
         assert max_bad_degree_growth(m, f, cap) == want[cap], (m, f, cap)
+        assert bitset_bad_search(m, f, cap) == want[cap], (m, f, cap)
     for cap in recursive_caps:
         assert recursive_bad_search(m, f, cap) == want[cap], (m, f, cap)
 
@@ -458,8 +461,8 @@ class TestMaxBad:
                         == recursive_bad_search(m, f, cap)), (m, f, cap)
 
     def test_matches_the_list_search_in_wider_boxes(self):
-        # the wide boxes at cap 3,000, where the root universe holds up to
-        # 38,620 antichains, at every 50th cap and at 25 seeded ones; the
+        # the wide boxes at cap 3,000, where the root lists up to 38,620
+        # antichains, at every 50th cap and at 25 seeded ones; the
         # recursive search, at 3,000, on the two boxes not checked above
         rng = random.Random(157)
         for m, f in ((3, 2), (3, 3), (4, 2), (5, 2), (2, 5), (2, 6)):
@@ -484,10 +487,11 @@ class TestMaxBad:
     def test_matches_the_list_search_past_a_plateau(self):
         # tables whose last value is first reached at index 1, 2 or 3: the
         # boxes before that depth may grow, so the table is read only past
-        # it
+        # it.  Under [1, 0, 0, 2] in N^2 a table keyed by candidates alone
+        # at every depth first goes wrong at cap 258
         rng = random.Random(149)
         for table in ([0, 2, 2], [1, 1, 3], [0, 0, 2], [0, 3, 1, 2], [1, 2],
-                      [2, 1, 3], [0, 1, 1, 2]):
+                      [2, 1, 3], [0, 1, 1, 2], [1, 0, 0, 2]):
             f = BoundFn.from_table(table)
             for m in (1, 2, 3):
                 step = 16 if m == 3 and max(table) > 2 else 1
@@ -496,7 +500,7 @@ class TestMaxBad:
 
     def test_matches_the_list_search_on_growing_bounds(self):
         # bounds with no flat index keep the table off; a callable whose
-        # boxes stop growing still takes its children's masks by one AND
+        # boxes stop growing still filters its parent's candidates
         for f in (BoundFn.affine(1, 1), BoundFn.affine(0, 1), lambda i: i,
                   lambda i: (0, 2, 1)[i % 3], lambda i: min(i, 2)):
             for m in (1, 2):
@@ -536,14 +540,46 @@ class TestMaxBad:
             assert is_bad_sequence(res.sequence).bad
 
     def test_columns_transpose_the_bit_matrix(self):
-        # the slices of a universe, read 2^13 antichains at a time
+        # the bitset search's slices of a universe, read 2^13 antichains
+        # at a time
         rng = random.Random(163)
         for k in (0, 1, 7, 8, 9, 8191, 8192, 8193, 20000):
             n = rng.randint(1, 30)
             rows = [rng.getrandbits(n) for _ in range(k)]
-            assert chains._columns(rows, n) == [
+            assert columns(rows, n) == [
                 sum(1 << i for i, r in enumerate(rows) if r >> p & 1)
                 for p in range(n)], (k, n)
+
+    def test_a_spent_cap_builds_no_child_candidates(self, monkeypatch):
+        # the bitset search made its first child's keep row at cap 1, and
+        # with it the slices of the root's universe.  Each test of a listed
+        # antichain against an outside mask is counted: cap 1 visits the
+        # root alone and tests none; cap 2 visits its first child too, the
+        # zero ideal, whose candidates are the root's, each tested once,
+        # under a constant bound, and a listing under a growing one
+        listed, tests = [], []
+
+        class Counted(int):
+            def __and__(self, other):
+                tests.append(self)
+                return int(self) & other
+
+        def counted(div, allowed, outs):
+            listed.append([Counted(c) for c in real(div, allowed, outs)])
+            return listed[-1]
+
+        real = chains._antichains
+        monkeypatch.setattr(chains, "_antichains", counted)
+        for m, d in ((1, 3), (2, 1), (2, 3), (3, 2)):
+            for f, filters in ((d, True), (BoundFn.from_table([d, d + 1]),
+                                           False)):
+                for cap in (1, 2):
+                    listed.clear()
+                    tests.clear()
+                    res = max_bad_degree_growth(m, f, cap)
+                    assert (res.nodes, res.exhaustive) == (cap, False)
+                    want = len(listed[0]) if filters and cap == 2 else 0
+                    assert len(tests) == want, (m, d, filters, cap)
 
     def test_box_masks_are_the_divisor_masks(self, monkeypatch):
         # a point's divisor mask is built from those of each p - e_i; the
