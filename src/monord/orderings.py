@@ -7,13 +7,13 @@ sequences, read off the generators, and ``min_type_cmp`` sorts by the
 ordinal invariant first and breaks ties with the triangle order.
 """
 
-from math import inf
+from math import comb, inf
 
 from .errors import DataError
 from .ideal import check_dim, check_ideal, generator_word
 from .ivpoly import dominance_cmp
 from .monom import DEGLEX, _term_cmp, check_order, check_same_dim
-from .ordinal import ONE, OMEGA, nat_pow, nat_sum, omega_pow
+from .ordinal import Ord
 
 
 def kb_cmp(e, f, order=DEGLEX):
@@ -103,23 +103,34 @@ def _min_type(e, f):
 
 
 def bounds_report(m):
-    """The ordinal bound constants for dimension m, computed (not quoted).
+    """The ordinal bound constants for dimension m, each written as its
+    Cantor normal form.
 
-    height: order type of the height function range on final segments;
-    kb_order_type: order type under the KB well-ordering, which is also
-    the lower bound for any total extension of reverse inclusion;
-    type_upper: the general upper bound w^((w+1) nat-powered to m).  For
-    m = 2 the triangle order's exact type is included.
+    height = w^m + 1: order type of the height function range on final
+    segments;
+    kb_order_type = w^(w^(m-1)) + 1: order type under the KB well-ordering,
+    which is also the lower bound type_lower for any total extension of
+    reverse inclusion;
+    type_upper = w^((w+1) nat-powered to m): the general upper bound.  The
+    natural product is commutative and distributes over the natural sum,
+    so by the binomial theorem (w+1)^m = sum over k = m..0 of w^k*C(m, k).
+    For m = 2 the triangle order's exact type w^(w+1) + 1 is included.
     """
     check_dim(m)
-    kb = nat_sum(omega_pow(omega_pow(m - 1)), ONE)
+    one = ((), 1)  # the term 1 of a form
+
+    def nat(n):  # the form of a natural number n
+        return (((), n),) if n else ()
+
+    kb = Ord._of(((((nat(m - 1), 1),), 1), one))
     report = {
-        "height": nat_sum(omega_pow(m), ONE),
+        "height": Ord._of(((nat(m), 1), one)),
         "kb_order_type": kb,
         "type_lower": kb,
-        "type_upper": omega_pow(nat_pow(nat_sum(OMEGA, ONE), m)),
+        "type_upper": Ord._of(
+            ((tuple((nat(k), comb(m, k)) for k in range(m, -1, -1)), 1),)),
     }
     if m == 2:
-        report["triangle_order_type_m2"] = nat_sum(
-            omega_pow(nat_sum(OMEGA, ONE)), ONE)
+        report["triangle_order_type_m2"] = Ord._of(
+            ((((nat(1), 1), one), 1), one))
     return report

@@ -17,7 +17,8 @@ from operator import le
 from monord import (OMEGA, ONE, DataError, IVPoly, MonomialIdeal, Ord,
                     ParseError, binomial, divides, format_ordinal,
                     from_samples, hilbert_fn, hilbert_profile, macaulay_next,
-                    normalize, phi_poly, slice_last)
+                    nat_pow, nat_sum, normalize, omega_pow, phi_poly,
+                    slice_last)
 from monord import monom
 from monord.chains import SearchResult, _antichains, _step, as_bound_fn
 from monord.hilbert import (_hilbert_prefix, _hilbert_value, _numerator,
@@ -1234,6 +1235,22 @@ def dict_merge_pow(a, n):
     for _ in range(n):
         out = _dict_prod(out, _coerce(a).form)
     return Ord._of(out)
+
+
+def arithmetic_bounds_report(m):
+    """orderings.bounds_report as it was before its closed forms: each
+    constant built by checked ordinal arithmetic, (w + 1)^m by nat_pow."""
+    kb = nat_sum(omega_pow(omega_pow(m - 1)), ONE)
+    report = {
+        "height": nat_sum(omega_pow(m), ONE),
+        "kb_order_type": kb,
+        "type_lower": kb,
+        "type_upper": omega_pow(nat_pow(nat_sum(OMEGA, ONE), m)),
+    }
+    if m == 2:
+        report["triangle_order_type_m2"] = nat_sum(
+            omega_pow(nat_sum(OMEGA, ONE)), ONE)
+    return report
 
 
 # -- the recursive ordinal printer and parser the library used before its

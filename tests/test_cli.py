@@ -690,7 +690,8 @@ class TestExitCodes:
         ["chainbound", "--m", "1001", "--affine", "1,1"],
         ["chainbound", "--m", "0", "--affine", "1,1", "--tm"]])
     def test_m_outside_the_dimension_range(self, capsys, argv):
-        # bounds_report is quadratic in m: bounds 100000 ran for hours
+        # bounds_report(m) holds the m + 1 coefficients C(m, k), of up to
+        # m bits each: about 90 kB at m = 1000, about 900 MB at m = 100000
         code, out, err = run(capsys, argv)
         assert (code, out) == (65, "")
         assert "dimension" in err

@@ -13,8 +13,9 @@ from monord import (DEGLEX, LEX, DataError, TermOrder, bounds_report, colon,
                     lex_segment_ideal, min_type_cmp, normalize, parse_ordinal,
                     term_cmp, triangle_cmp, unit_ideal, zero_ideal)
 from monord.orderings import _kb, _triangle
-from oracles import (antichains, full_scan_triangle, points_of_degree,
-                     points_up_to, random_ideal, random_point, slice_triangle)
+from oracles import (antichains, arithmetic_bounds_report, full_scan_triangle,
+                     points_of_degree, points_up_to, random_ideal,
+                     random_point, slice_triangle)
 
 
 def o(text):
@@ -298,3 +299,12 @@ class TestBoundsReport:
     def test_rejects_zero(self):
         with pytest.raises(DataError):
             bounds_report(0)
+
+
+def test_bounds_report_matches_the_arithmetic_oracle():
+    # the closed forms against the constants built by ordinal arithmetic:
+    # equal values under the same keys, in the same order
+    for m in [*range(1, 65), 1000]:
+        got, want = bounds_report(m), arithmetic_bounds_report(m)
+        assert list(got.items()) == list(want.items()), m
+        assert ("triangle_order_type_m2" in got) == (m == 2)
