@@ -18,8 +18,9 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in {
     "errors": "BudgetExceeded DataError DimensionMismatch MonordError "
               "ParseError",
-    "ordinal": "OMEGA ONE ZERO Ord cmp format_ordinal nat_pow nat_prod "
-               "nat_sum omega_pow ot_decreasing_sequences parse_ordinal",
+    "ordinal": "OMEGA ONE ZERO Ord bounds_report cmp format_ordinal nat_pow "
+               "nat_prod nat_sum omega_pow ot_decreasing_sequences "
+               "parse_ordinal",
     "ivpoly": "IVPoly MacaulayRep OSequenceCheck binomial dominance_cmp "
               "from_samples is_osequence macaulay_next macaulay_rep",
     "monom": "DEGLEX LEX TermOrder comm_leq degree divides higman_leq "
@@ -33,7 +34,7 @@ _EXPORTS = {name: module for module, names in {
                "lex_segment_ideal minimizing_coefficients phi_poly "
                "poly_from_a_sequence psi_ideal psi_poly realize_poly "
                "stability_index threshold",
-    "orderings": "bounds_report kb_cmp min_type_cmp triangle_cmp",
+    "orderings": "kb_cmp min_type_cmp triangle_cmp",
     "chains": "BoundFn ell extremal_sequence h_bound is_bad_sequence "
               "max_bad_degree_growth t_bound",
 }.items() for name in names.split()}

@@ -9,18 +9,11 @@ from itertools import accumulate
 from math import comb, inf
 from typing import NamedTuple
 
-from .errors import Budget, DataError, is_a, listed, natural
-from .ideal import MonomialIdeal, check_dim, check_ideal
+from .errors import Budget, DataError, check_dim, is_a, listed, natural
+from .ideal import MonomialIdeal, check_ideal
 from .monom import _support, check_same_dim, points_of_degree
 
 DEFAULT_BUDGET = 1_000_000
-
-
-def _step(budget, off):
-    """Charge one step of the walk: one unit plus one per byte of the offset
-    its bound is shifted by, so that the budget bounds the values built;
-    callables charge their new table values, and t_m each h_m(s) it takes."""
-    budget.charge(1 + (off.bit_length() + 7) // 8)
 
 
 class BoundFn:
@@ -92,7 +85,9 @@ def _walk(m, read, flat, budget):
     v[:j]; at j = m - 1, or from index flat on, it is the C(v[j] + m - j,
     m - j) points whose rest has degree <= v[j], else one point.  Then the
     last positive v[i], i < m - 1, drops by one, a step is charged for its
-    block's length so far, and v[i + 1] is filled up to the bound there.
+    block's length so far, one unit and one per byte, so that the budget
+    bounds the values built (callables charge their new table values, and
+    t_m each h_m(s) it takes), and v[i + 1] is filled up to the bound there.
     A closed block at j < m - 1 on a v[j] past 64 bits is charged first,
     (m - j) units per byte of v[j], about the bytes of the C(...) it
     builds; at j = m - 1 that is v[j] + 1, which the next step's offset
@@ -114,7 +109,7 @@ def _walk(m, read, flat, budget):
             i -= 1
         if i < 0:
             return
-        _step(budget, total - starts[i])
+        budget.charge(1 + ((total - starts[i]).bit_length() + 7) // 8)
         v[i] -= 1
         j = i + 1
         starts[j] = total

@@ -5,10 +5,12 @@ out of memory or recursion too deep.  ``compare`` exits 10/11/12 for
 less/equal/greater so shell pipelines can branch without parsing output.
 
 Subcommand ``a-b`` runs ``cmd_a_b``, which imports the engine modules it
-uses and no others: ``ordinal-eval`` loads ``ordinal`` alone, and
-``normalize`` loads ``monom`` and ``ideal``.  It returns a (payload, text)
-pair, which ``main`` writes through ``_emit``, the one writer: the payload
-as JSON under ``--json``, else the text; ``compare`` adds its exit code.
+uses and no others: ``ordinal-eval`` and ``bounds`` load ``ordinal`` alone,
+the commands that read ideals ``monom`` and ``ideal`` (and ``orderings``
+for ``compare``), and only ``hilbert``, ``lexify`` and ``compare --order
+mintype`` the Hilbert layer.  It returns a (payload, text) pair, which
+``main`` writes through ``_emit``, the one writer: the payload as JSON
+under ``--json``, else the text; ``compare`` adds its exit code.
 
 ``hilbert`` returns H and h as iterators, which ``_emit`` writes a chunk
 at a time, so it needs memory for the ideal and one chunk however long
@@ -25,7 +27,8 @@ from collections.abc import Iterator
 from functools import reduce
 from itertools import islice
 
-from .errors import Budget, BudgetExceeded, DataError, MonordError, ParseError
+from .errors import (Budget, BudgetExceeded, DataError, MonordError,
+                     ParseError, check_dim)
 
 EX_OK = 0
 EX_USAGE = 64
@@ -73,9 +76,8 @@ def parse_point(text, dim, line=None):
 
 def parse_ideal_text(text):
     """Parse the ideal file format (or its JSON mirror)."""
-    from .ideal import check_dim, normalize, unit_ideal, zero_ideal
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    from .ideal import normalize
+    if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
             dim = data["dim"]
@@ -106,19 +108,20 @@ def parse_ideal_text(text):
             raise ParseError("'zero' cannot be mixed with generators", lineno)
     if dim is None:
         raise ParseError("missing 'dim m' header", line=1)
-    if special == "zero":
-        return zero_ideal(dim)
-    if special == "unit":
-        return unit_ideal(dim)
-    return normalize(dim, gens)
+    return normalize(dim, [(0,) * dim] if special == "unit" else gens)
+
+
+def _read(path):
+    """The text of the UTF-8 file at path; a DataError if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}")
 
 
 def load_ideal(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_ideal_text(fh.read())
-    except (OSError, UnicodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}")
+    return parse_ideal_text(_read(path))
 
 
 def format_ideal(e):
@@ -145,12 +148,10 @@ def parse_term_order(spec):
         return LEX
     if spec.startswith("matrix:"):
         path = spec[len("matrix:"):]
+        text = _read(path)
         try:
-            with open(path, encoding="utf-8") as fh:
-                rows = [tuple(int(x) for x in line.split())
-                        for line in fh if line.strip()]
-        except (OSError, UnicodeError) as exc:
-            raise DataError(f"cannot read {path}: {exc}")
+            rows = [tuple(int(x) for x in line.split())
+                    for line in text.split("\n") if line.strip()]
         except ValueError:
             raise DataError(f"non-integer entry in matrix file {path}")
         return TermOrder("matrix", tuple(rows))
@@ -334,9 +335,8 @@ def cmd_chainbound(args):
 
 
 def cmd_bounds(args):
-    from . import orderings
-    from .ordinal import format_ordinal
-    report = orderings.bounds_report(args.m)
+    from .ordinal import bounds_report, format_ordinal
+    report = bounds_report(args.m)
     payload = {k: format_ordinal(v) for k, v in report.items()}
     return payload, "".join(f"{k} = {v}\n" for k, v in payload.items())
 

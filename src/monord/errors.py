@@ -62,6 +62,18 @@ def natural(x, what, least=0):
     raise DataError(f"{what} {x} is not {need}")
 
 
+# The largest ambient dimension accepted: a point holds dim coordinates, so
+# an ideal file's header would otherwise set what its first point allocates.
+MAX_DIM = 1000
+
+
+def check_dim(dim):
+    """dim, when it is an int (not a bool) in 1..MAX_DIM; else a DataError."""
+    if natural(dim, "dimension", 1) > MAX_DIM:
+        raise DataError(f"dimension {dim} is above the cap of {MAX_DIM}")
+    return dim
+
+
 def is_a(x, cls):
     """Whether x is a cls: of that very class, or of the class of the same
     module and name in a copy of monord imported afresh."""

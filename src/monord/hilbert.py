@@ -26,11 +26,11 @@ from itertools import accumulate, chain, groupby, repeat, zip_longest
 from math import comb
 from typing import NamedTuple
 
-from .errors import DataError, digit_limited, listed, natural
-from .ideal import MonomialIdeal, check_dim, check_ideal
+from .errors import DataError, check_dim, digit_limited, listed, natural
+from .ideal import MonomialIdeal, check_ideal
 from .ivpoly import IVPoly, _binom_row, _greedy_tops, check_poly, macaulay_next
 from .monom import DEGLEX, Packing, points_of_degree, unit_vec
-from .ordinal import ZERO, Ord, omega_pow
+from .ordinal import ZERO, Ord, _psi_of, omega_pow
 
 # Past this many bits in N(2^w), the pivot leaf sums a dict instead: it
 # costs less from about 2^15 bits on random ideals, and from about 2^12 on
@@ -351,13 +351,6 @@ def psi_poly(p, m):
     if check_poly(p).coeffs == (0,) * check_dim(m) + (1,):
         return omega_pow(m)
     return _psi_of(_realizable(p, m))
-
-
-def _psi_of(c):
-    """psi = w^(m-1)*c_{m-1} + ... + c_0 from c = (c_{m-1}, ..., c_0)."""
-    m = len(c)  # the form of a natural k: (((), k),), and () for k = 0
-    return Ord._of(tuple(((((), k),) if k else (), ci)
-                         for k, ci in zip(range(m - 1, -1, -1), c) if ci))
 
 
 def _realizable(p, m):

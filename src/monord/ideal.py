@@ -8,9 +8,10 @@ antichain and the unit ideal is generated by the origin.
 from itertools import compress
 from operator import le
 
-from .errors import DataError, Value, digit_limited, is_a, natural
-from .monom import (DEGLEX, Packing, _support, check_order, check_point,
-                    check_same_dim, unit_vec)
+from .errors import (MAX_DIM, DataError, Value, check_dim, digit_limited,
+                     is_a, natural)  # MAX_DIM: ideal.MAX_DIM names it too
+from .monom import (DEGLEX, Packing, _support, _term_cmp, check_order,
+                    check_point, check_same_dim, unit_vec)
 
 
 class MonomialIdeal(Value, fields=("dim", "gens")):
@@ -53,18 +54,6 @@ class MonomialIdeal(Value, fields=("dim", "gens")):
         if self.is_zero():
             return f"zero ideal in N^{self.dim}"
         return "ideal<" + ", ".join(str(g) for g in self.gens) + ">"
-
-
-# The largest ambient dimension accepted: a point holds dim coordinates, so
-# an ideal file's header would otherwise set what its first point allocates.
-MAX_DIM = 1000
-
-
-def check_dim(dim):
-    """dim, when it is an int (not a bool) in 1..MAX_DIM; else a DataError."""
-    if natural(dim, "dimension", 1) > MAX_DIM:
-        raise DataError(f"dimension {dim} is above the cap of {MAX_DIM}")
-    return dim
 
 
 def check_ideal(e):
@@ -265,7 +254,7 @@ def generator_word(e, order=DEGLEX):
     """
     if check_order(order).kind == "deglex":
         return list(check_ideal(e).gens)
-    word = sorted((order.key(g), g) for g in check_ideal(e).gens)
-    if any(a[0] == b[0] for a, b in zip(word, word[1:])):
-        raise DataError("matrix does not totally order these points")
-    return [g for _, g in word]
+    word = sorted(check_ideal(e).gens, key=order.key)
+    for u, v in zip(word, word[1:]):
+        _term_cmp(order, u, v)  # a DataError if the matrix ties u and v
+    return word

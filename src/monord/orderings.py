@@ -4,16 +4,15 @@ Each comparator returns -1/0/1 and satisfies: E a strict superset of F
 implies E strictly less.  ``kb_cmp`` orders ideals through their sorted
 generator words Kleene-Brouwer style, ``triangle_cmp`` compares slice
 sequences, read off the generators, and ``min_type_cmp`` sorts by the
-ordinal invariant first and breaks ties with the triangle order.
+ordinal invariant first and breaks ties with the triangle order.  Their
+order types are in ``ordinal.bounds_report``.
 """
 
-from math import comb, inf
+from math import inf
 
 from .errors import DataError
-from .ideal import check_dim, check_ideal, generator_word
-from .ivpoly import dominance_cmp
+from .ideal import check_ideal, generator_word
 from .monom import DEGLEX, _term_cmp, check_order, check_same_dim
-from .ordinal import Ord
 
 
 def kb_cmp(e, f, order=DEGLEX):
@@ -93,44 +92,11 @@ def _min_type(e, f):
     """min_type_cmp and the key that decided it: "polynomial" when the
     Hilbert-Samuel polynomials differ, else "triangle", for ideals of one
     dimension."""
-    from . import hilbert  # here, so that kb and triangle never load it
+    from . import hilbert, ivpoly  # here, so kb and triangle load neither
     pe, _ = hilbert.hilbert_samuel_poly(e)
     pf, _ = hilbert.hilbert_samuel_poly(f)
-    c = dominance_cmp(pe, pf)
+    c = ivpoly.dominance_cmp(pe, pf)
     if c != 0:
         return c, "polynomial"
     return _triangle(e, f)[0], "triangle"
 
-
-def bounds_report(m):
-    """The ordinal bound constants for dimension m, each written as its
-    Cantor normal form.
-
-    height = w^m + 1: order type of the height function range on final
-    segments;
-    kb_order_type = w^(w^(m-1)) + 1: order type under the KB well-ordering,
-    which is also the lower bound type_lower for any total extension of
-    reverse inclusion;
-    type_upper = w^((w+1) nat-powered to m): the general upper bound.  The
-    natural product is commutative and distributes over the natural sum,
-    so by the binomial theorem (w+1)^m = sum over k = m..0 of w^k*C(m, k).
-    For m = 2 the triangle order's exact type w^(w+1) + 1 is included.
-    """
-    check_dim(m)
-    one = ((), 1)  # the term 1 of a form
-
-    def nat(n):  # the form of a natural number n
-        return (((), n),) if n else ()
-
-    kb = Ord._of(((((nat(m - 1), 1),), 1), one))
-    report = {
-        "height": Ord._of(((nat(m), 1), one)),
-        "kb_order_type": kb,
-        "type_lower": kb,
-        "type_upper": Ord._of(
-            ((tuple((nat(k), comb(m, k)) for k in range(m, -1, -1)), 1),)),
-    }
-    if m == 2:
-        report["triangle_order_type_m2"] = Ord._of(
-            ((((nat(1), 1), one), 1), one))
-    return report

@@ -14,13 +14,17 @@ Forms are kept sorted, so the natural sum is one merge of two sorted forms
 the natural product forms each of its |f|*|g| exponent sums by that merge,
 adding the coefficients of equal exponents in one dict sorted once (_prod).
 The parser cuts its text into tokens with one regular-expression scan and
-reads them in one loop, with no call per character.
+reads them in one loop, with no call per character.  The paper's two
+ordinal answers, the bounds on the maximal order type (bounds_report) and
+the height psi(E) (_psi_of), are built here as forms, and nowhere else.
 """
 
 import re
 from functools import total_ordering
+from math import comb
 
-from .errors import DataError, ParseError, Value, digit_limited, natural
+from .errors import (DataError, ParseError, Value, check_dim, digit_limited,
+                     natural)
 
 # Parenthesised exponents nest at most this deep in parse_ordinal, and
 # Ord(terms) and omega_pow refuse forms deeper than parse_ordinal builds.
@@ -71,8 +75,7 @@ class Ord(Value, fields=("form",)):
 
     @staticmethod
     def from_int(n):
-        n = natural(n, "ordinal")
-        return Ord._of((((), n),) if n else ())
+        return Ord._of(_finite(natural(n, "ordinal")))
 
     def is_zero(self):
         return not self.form
@@ -114,6 +117,10 @@ class Ord(Value, fields=("form",)):
 def _coerce(x):
     """x as an Ord: an Ord itself, or a natural number."""
     return x if isinstance(x, Ord) else Ord.from_int(x)
+
+
+def _finite(n):  # the form of a natural number n
+    return (((), n),) if n else ()
 
 
 ZERO = Ord()
@@ -214,6 +221,42 @@ def ot_decreasing_sequences(a):
     return nat_sum(omega_pow(a), ONE)
 
 
+def bounds_report(m):
+    """The ordinal bound constants for dimension m, each written as its
+    Cantor normal form.
+
+    height = w^m + 1: order type of the height function range on final
+    segments;
+    kb_order_type = w^(w^(m-1)) + 1: order type under the KB well-ordering,
+    which is also the lower bound type_lower for any total extension of
+    reverse inclusion;
+    type_upper = w^((w+1) nat-powered to m): the general upper bound.  The
+    natural product is commutative and distributes over the natural sum,
+    so by the binomial theorem (w+1)^m = sum over k = m..0 of w^k*C(m, k).
+    For m = 2 the triangle order's exact type w^(w+1) + 1 is included.
+    """
+    kb = Ord._of(((((_finite(check_dim(m) - 1), 1),), 1), *ONE.form))
+    report = {
+        "height": Ord._of(((_finite(m), 1), *ONE.form)),
+        "kb_order_type": kb,
+        "type_lower": kb,
+        "type_upper": Ord._of(
+            ((tuple((_finite(k), comb(m, k)) for k in range(m, -1, -1)), 1),)),
+    }
+    if m == 2:
+        report["triangle_order_type_m2"] = Ord._of(
+            ((OMEGA.form + ONE.form, 1), *ONE.form))
+    return report
+
+
+def _psi_of(c):
+    """psi = w^(m-1)*c_{m-1} + ... + c_0 from c = (c_{m-1}, ..., c_0), the
+    minimizing coefficients of a realizable polynomial (hilbert)."""
+    m = len(c)
+    return Ord._of(tuple((_finite(k), ci)
+                         for k, ci in zip(range(m - 1, -1, -1), c) if ci))
+
+
 @digit_limited
 def format_ordinal(a):
     """Render a in the textual CNF syntax, e.g. ``w^(w + 1)*2 + w + 3``, in
@@ -286,7 +329,7 @@ def parse_ordinal(text):
             exp = OMEGA.form
         elif tok[:2] == "w^":
             n = _nat(tok[2:], toks, i)
-            exp = (((), n),) if n else ()
+            exp = _finite(n)
         elif tok[-1:] == " " and "+" not in tok:  # blanks opening a sum
             continue
         else:

@@ -20,7 +20,7 @@ from monord import (OMEGA, ONE, DataError, IVPoly, MonomialIdeal, Ord,
                     nat_pow, nat_sum, normalize, omega_pow, phi_poly,
                     slice_last)
 from monord import monom
-from monord.chains import SearchResult, _antichains, _step, as_bound_fn
+from monord.chains import SearchResult, _antichains, as_bound_fn
 from monord.hilbert import (_hilbert_prefix, _hilbert_value, _numerator,
                             _realizable)
 from monord.ideal import minimal_points
@@ -1175,8 +1175,9 @@ def recursive_ell(m, f, budget, off=0, k=0):
     """ell(m, j -> f(j + off) + k) for a BoundFn f by the recursion the
     library's walk replaced, one frame per block below a first point: each
     child's bound is f at a larger offset plus an addend.  It charges
-    ``budget`` exactly as the walk does, a step before each child, so the
-    two agree on ``BudgetExceeded.spent`` too."""
+    ``budget`` exactly as the walk does, a step (one unit and one per byte
+    of the offset) before each child, so the two agree on
+    ``BudgetExceeded.spent`` too."""
     f0 = f._at(off, budget) + k
     if m == 1 or off >= f._flat:
         if m > 1 and f0 >> 64:
@@ -1184,7 +1185,7 @@ def recursive_ell(m, f, budget, off=0, k=0):
         return comb(f0 + m, m)
     out = 1
     for i in range(1, f0 + 1):
-        _step(budget, out)
+        budget.charge(1 + (out.bit_length() + 7) // 8)
         out += recursive_ell(m - 1, f, budget, off + out, k - f0 + i)
     return out
 
@@ -1238,7 +1239,7 @@ def dict_merge_pow(a, n):
 
 
 def arithmetic_bounds_report(m):
-    """orderings.bounds_report as it was before its closed forms: each
+    """ordinal.bounds_report as it was before its closed forms: each
     constant built by checked ordinal arithmetic, (w + 1)^m by nat_pow."""
     kb = nat_sum(omega_pow(omega_pow(m - 1)), ONE)
     report = {

@@ -21,9 +21,10 @@ from monord import (ZERO, DataError, IVPoly, Ord,
                     poly_from_a_sequence, psi_ideal, psi_poly, realize_poly,
                     stability_index, threshold, unit_ideal, zero_ideal)
 from monord import hilbert
-from monord.hilbert import _numerator, _psi_of, a_sequence
+from monord.hilbert import _numerator, a_sequence
 from monord.ivpoly import binom_poly
 from monord.monom import points_of_degree, unit_vec
+from monord.ordinal import _psi_of
 from oracles import (certified_stability_index, column_sum_poly,
                      every_degree_lex_segment, ie_hilbert_samuel_poly,
                      ie_numerator, ivpoly_peel, ivpoly_sum,

@@ -1,5 +1,5 @@
 """What importing monord loads: the lazy package and the CLI's start cost,
-and what its modules raise.
+what its modules raise, and where they build ordinals.
 
 Each check that needs a fresh interpreter runs in a subprocess, so the
 modules this test process has loaded do not count and its monord is left
@@ -190,11 +190,12 @@ class TestCliStartCost:
         (["cone", "a.ideal"], 0, {"hilbert", "ordinal", "chains"}),
         (["directsum", "a.ideal", "b.ideal"], 0,
          {"hilbert", "ordinal", "chains"}),
-        (["bounds", "2"], 0, {"hilbert", "chains"}),
+        (["bounds", "2"], 0,  # ordinal alone
+         {"chains", "hilbert", "ideal", "ivpoly", "monom", "orderings"}),
         (["compare", "--order", "kb", "a.ideal", "b.ideal"], 12,
-         {"hilbert", "chains"}),
+         {"hilbert", "chains", "ivpoly", "ordinal"}),
         (["compare", "--order", "triangle", "a.ideal", "b.ideal"], 12,
-         {"hilbert", "chains"}),
+         {"hilbert", "chains", "ivpoly", "ordinal"}),
         (["compare", "--order", "mintype", "a.ideal", "b.ideal"], 12,
          {"chains"}),
         (["hilbert", "a.ideal"], 0, {"chains", "orderings"}),
@@ -280,6 +281,31 @@ def test_value_classes_take_their_semantics_from_errors_value():
     assert not hasattr(monord.errors, "immutable")
     assert all(issubclass(cls, monord.errors.Value) for cls in (
         monord.MonomialIdeal, monord.TermOrder, monord.IVPoly, monord.Ord))
+
+
+def test_only_ordinal_builds_ordinals_unchecked():
+    """Cantor normal form is written out in ordinal alone: no other module
+    refers to Ord._of, so none knows the layout of a form."""
+    found = [f"{name}:{node.lineno}" for name, tree in parsed_modules()
+             if name != "ordinal.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "_of"
+             and getattr(node.value, "id", None) == "Ord"]
+    assert found == []
+
+
+def test_each_message_is_raised_from_one_place():
+    """A message written out as a literal (a string or an f-string) is
+    raised from one place in monord, so that its wording has one home."""
+    places = {}
+    for name, tree in parsed_modules():
+        for node in ast.walk(tree):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if (isinstance(call, ast.Call) and call.args
+                    and isinstance(call.args[0], (ast.Constant,
+                                                  ast.JoinedStr))):
+                places.setdefault(ast.unparse(call.args[0]), []).append(
+                    f"{name}:{node.lineno}")
+    assert {m: p for m, p in places.items() if len(p) > 1} == {}
 
 
 def test_modules_raise_no_builtin_exceptions():
